@@ -4,7 +4,6 @@ from .info_cache import CacheEntry, CurrentCache, LookupResult, LookupSource
 from .metrics import (
     Counters,
     MetricsLedger,
-    SampledSeries,
     cache_hit_ratio,
     hit_ratio,
     responses_per_item,
@@ -12,7 +11,6 @@ from .metrics import (
 from .model import (
     ContentObject,
     InteractionKind,
-    InteractionRecord,
     InvalidKeyError,
     SimTime,
     StorageKey,
@@ -23,7 +21,6 @@ from .model import (
 )
 from .overlay import (
     DhtStore,
-    DispatchResult,
     InvalidEnvelopeError,
     MessageDispatcher,
     MessageEnvelope,

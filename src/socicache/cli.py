@@ -11,15 +11,16 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import enum
 import hashlib
 import json
 import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .metrics import export_rows_csv, hit_ratio
+from .metrics import export_rows_csv
 from .model import InteractionKind
 from .sim import SUMMARY_COLUMNS, RunResult, compare_caches, compare_strategies, run_scenario
 from .social_cache import InvalidWeightsError, SelectionTrigger, Strategy
@@ -47,78 +48,105 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_int_tuple(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(int(part) for part in raw.split(","))
+def _parse_tuple(conv: Callable[[str], object]) -> Callable[[str], tuple]:
+    def parse(raw: str) -> tuple:
+        raw = raw.strip()
+        if not raw:
+            return ()
+        return tuple(conv(part) for part in raw.split(","))
+
+    return parse
 
 
-def _parse_float_tuple(raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(float(part) for part in raw.split(","))
+def _join(fmt: Callable[[object], str]) -> Callable[[tuple], str]:
+    return lambda values: ",".join(fmt(v) for v in values)
 
 
-def _weight_setter(kind: InteractionKind) -> Callable[[ScenarioConfig, str], None]:
-    def setter(cfg: ScenarioConfig, raw: str) -> None:
-        cfg.strategy.interaction_weights[kind] = float(raw)
-
-    return setter
+def _enum_value(member: enum.Enum) -> str:
+    return member.value
 
 
-def _dataset_setter(field_name: str, conv: Callable[[str], object]):
-    def setter(cfg: ScenarioConfig, raw: str) -> None:
-        cfg.dataset = replace(cfg.dataset, **{field_name: conv(raw)})
+class _Key(NamedTuple):
+    """One config key: how to read and write it on a config, parse its text
+    and format its value."""
 
-    return setter
+    get: Callable[[ScenarioConfig], object]
+    set: Callable[[ScenarioConfig, object], None]
+    parse: Callable[[str], object]
+    fmt: Callable[[object], str]
 
 
-_SETTERS: dict[str, Callable[[ScenarioConfig, str], None]] = {
-    "peer_count": lambda c, v: setattr(c, "peer_count", int(v)),
-    "friends_per_user": lambda c, v: setattr(c, "friends_per_user", int(v)),
-    "new_experiment_time_days": lambda c, v: setattr(c, "new_experiment_time_days", float(v)),
-    "sim_duration_ticks": lambda c, v: setattr(c, "sim_duration_ticks", int(v)),
-    "friend_request_phases": lambda c, v: setattr(c, "friend_request_phases", _parse_int_tuple(v)),
-    "initial_friend_fraction": lambda c, v: setattr(c, "initial_friend_fraction", float(v)),
-    "cache_setup": lambda c, v: setattr(c, "cache_setup", CacheSetup(v)),
-    "seed": lambda c, v: setattr(c, "seed", int(v)),
-    "keys_per_user": lambda c, v: setattr(c, "keys_per_user", int(v)),
-    "payload_bytes": lambda c, v: setattr(c, "payload_bytes", int(v)),
-    "lookups_per_interaction": lambda c, v: setattr(c, "lookups_per_interaction", float(v)),
-    "tier_sizes": lambda c, v: setattr(c, "tier_sizes", _parse_int_tuple(v)),
-    "tier_shares": lambda c, v: setattr(c, "tier_shares", _parse_float_tuple(v)),
-    "replication_factor": lambda c, v: setattr(c, "replication_factor", int(v)),
-    "bootstrapping": lambda c, v: setattr(c, "bootstrapping", _parse_bool(v)),
-    "muc_capacity": lambda c, v: setattr(c, "muc_capacity", int(v)),
-    "sample_cadence_ticks": lambda c, v: setattr(c, "sample_cadence_ticks", int(v)),
-    "current_cache.ttl_ticks": lambda c, v: setattr(c.current_cache, "ttl_ticks", int(v)),
-    "current_cache.capacity": lambda c, v: setattr(c.current_cache, "capacity", int(v)),
-    "strategy.kind": lambda c, v: setattr(c.strategy, "kind", Strategy(v)),
-    "strategy.alpha": lambda c, v: setattr(c.strategy, "alpha", float(v)),
-    "strategy.beta": lambda c, v: setattr(c.strategy, "beta", float(v)),
-    "strategy.n": lambda c, v: setattr(c.strategy, "n", int(v)),
-    "strategy.m": lambda c, v: setattr(c.strategy, "m", int(v)),
-    "strategy.update_interval_ticks": lambda c, v: setattr(c.strategy, "update_interval", int(v)),
-    "strategy.trigger": lambda c, v: setattr(c.strategy, "trigger", SelectionTrigger(v)),
-    "strategy.rng_seed": lambda c, v: setattr(c.strategy, "rng_seed", int(v)),
-    "dataset.total_egos": _dataset_setter("total_egos", int),
-    "dataset.avg_alters": _dataset_setter("avg_alters", float),
-    "dataset.avg_ts_friend_request_days": _dataset_setter("avg_ts_friend_request_days", float),
-    "dataset.avg_ts_interaction_days": _dataset_setter("avg_ts_interaction_days", float),
-    "dataset.experiment_span_days": _dataset_setter("experiment_span_days", float),
+def _attr(path: str, parse: Callable[[str], object], fmt: Callable[[object], str] = str,
+          resolved: str | None = None) -> _Key:
+    """Key for the dotted attribute ``path`` of the config.  ``resolved``
+    names a derived attribute that is serialized in place of an unset one."""
+    *parents, name = path.split(".")
+
+    def owner(cfg):
+        for part in parents:
+            cfg = getattr(cfg, part)
+        return cfg
+
+    return _Key(lambda cfg: getattr(owner(cfg), resolved or name),
+                lambda cfg, value: setattr(owner(cfg), name, value), parse, fmt)
+
+
+def _dataset(name: str) -> _Key:
+    # DatasetStats is frozen and validates itself, so a change replaces it.
+    return _Key(lambda cfg: getattr(cfg.dataset, name),
+                lambda cfg, value: setattr(cfg, "dataset", replace(cfg.dataset, **{name: value})),
+                float, repr)
+
+
+def _weight(kind: InteractionKind) -> _Key:
+    return _Key(lambda cfg: cfg.strategy.interaction_weights.get(kind, 1.0),
+                lambda cfg, value: cfg.strategy.interaction_weights.__setitem__(kind, value),
+                float, repr)
+
+
+# Every config key.  ``serialize_config`` skips a value of None, which only
+# an unset ``strategy.rng_seed`` has.
+_KEYS: dict[str, _Key] = {
+    "peer_count": _attr("peer_count", int),
+    "friends_per_user": _attr("friends_per_user", int),
+    "new_experiment_time_days": _attr("new_experiment_time_days", float, repr),
+    "sim_duration_ticks": _attr("sim_duration_ticks", int, resolved="duration"),
+    "friend_request_phases": _attr("friend_request_phases", _parse_tuple(int), _join(str),
+                                   resolved="phases"),
+    "initial_friend_fraction": _attr("initial_friend_fraction", float, repr),
+    "cache_setup": _attr("cache_setup", CacheSetup, _enum_value),
+    "seed": _attr("seed", int),
+    "keys_per_user": _attr("keys_per_user", int),
+    "payload_bytes": _attr("payload_bytes", int),
+    "lookups_per_interaction": _attr("lookups_per_interaction", float, repr),
+    "tier_sizes": _attr("tier_sizes", _parse_tuple(int), _join(str)),
+    "tier_shares": _attr("tier_shares", _parse_tuple(float), _join(repr)),
+    "replication_factor": _attr("replication_factor", int),
+    "bootstrapping": _attr("bootstrapping", _parse_bool, lambda value: str(value).lower()),
+    "muc_capacity": _attr("muc_capacity", int),
+    "sample_cadence_ticks": _attr("sample_cadence_ticks", int),
+    "current_cache.ttl_ticks": _attr("current_cache.ttl_ticks", int),
+    "current_cache.capacity": _attr("current_cache.capacity", int),
+    "strategy.kind": _attr("strategy.kind", Strategy, _enum_value),
+    "strategy.alpha": _attr("strategy.alpha", float, repr),
+    "strategy.beta": _attr("strategy.beta", float, repr),
+    "strategy.n": _attr("strategy.n", int),
+    "strategy.m": _attr("strategy.m", int),
+    "strategy.update_interval_ticks": _attr("strategy.update_interval", int),
+    "strategy.trigger": _attr("strategy.trigger", SelectionTrigger, _enum_value),
+    "strategy.rng_seed": _attr("strategy.rng_seed", int),
+    "dataset.avg_ts_interaction_days": _dataset("avg_ts_interaction_days"),
+    "dataset.experiment_span_days": _dataset("experiment_span_days"),
+    **{f"strategy.weight.{kind.value}": _weight(kind) for kind in InteractionKind},
 }
-for _kind in InteractionKind:
-    _SETTERS[f"strategy.weight.{_kind.value}"] = _weight_setter(_kind)
 
 
 def apply_setting(cfg: ScenarioConfig, key: str, value: str) -> None:
-    setter = _SETTERS.get(key)
-    if setter is None:
+    entry = _KEYS.get(key)
+    if entry is None:
         raise ConfigError(f"unknown config key: {key}")
     try:
-        setter(cfg, value)
+        entry.set(cfg, entry.parse(value))
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
@@ -142,45 +170,11 @@ def parse_config_file(path: Path) -> list[tuple[str, str]]:
 
 def serialize_config(cfg: ScenarioConfig) -> dict[str, str]:
     """Resolved config as the same flat keys the parser accepts."""
-    out = {
-        "peer_count": str(cfg.peer_count),
-        "friends_per_user": str(cfg.friends_per_user),
-        "new_experiment_time_days": repr(cfg.new_experiment_time_days),
-        "sim_duration_ticks": str(cfg.duration),
-        "friend_request_phases": ",".join(str(p) for p in cfg.phases),
-        "initial_friend_fraction": repr(cfg.initial_friend_fraction),
-        "cache_setup": cfg.cache_setup.value,
-        "seed": str(cfg.seed),
-        "keys_per_user": str(cfg.keys_per_user),
-        "payload_bytes": str(cfg.payload_bytes),
-        "lookups_per_interaction": repr(cfg.lookups_per_interaction),
-        "tier_sizes": ",".join(str(s) for s in cfg.tier_sizes),
-        "tier_shares": ",".join(repr(s) for s in cfg.tier_shares),
-        "replication_factor": str(cfg.replication_factor),
-        "bootstrapping": str(cfg.bootstrapping).lower(),
-        "muc_capacity": str(cfg.muc_capacity),
-        "sample_cadence_ticks": str(cfg.sample_cadence_ticks),
-        "current_cache.ttl_ticks": str(cfg.current_cache.ttl_ticks),
-        "current_cache.capacity": str(cfg.current_cache.capacity),
-        "strategy.kind": cfg.strategy.kind.value,
-        "strategy.alpha": repr(cfg.strategy.alpha),
-        "strategy.beta": repr(cfg.strategy.beta),
-        "strategy.n": str(cfg.strategy.n),
-        "strategy.m": str(cfg.strategy.m),
-        "strategy.update_interval_ticks": str(cfg.strategy.update_interval),
-        "strategy.trigger": cfg.strategy.trigger.value,
-        "dataset.total_egos": str(cfg.dataset.total_egos),
-        "dataset.avg_alters": repr(cfg.dataset.avg_alters),
-        "dataset.avg_ts_friend_request_days": repr(cfg.dataset.avg_ts_friend_request_days),
-        "dataset.avg_ts_interaction_days": repr(cfg.dataset.avg_ts_interaction_days),
-        "dataset.experiment_span_days": repr(cfg.dataset.experiment_span_days),
-    }
-    if cfg.strategy.rng_seed is not None:
-        out["strategy.rng_seed"] = str(cfg.strategy.rng_seed)
-    for kind in InteractionKind:
-        out[f"strategy.weight.{kind.value}"] = repr(
-            cfg.strategy.interaction_weights.get(kind, 1.0)
-        )
+    out = {}
+    for key, entry in _KEYS.items():
+        value = entry.get(cfg)
+        if value is not None:
+            out[key] = entry.fmt(value)
     return out
 
 
@@ -272,9 +266,9 @@ def _print_summary_line(result: RunResult) -> None:
     ratio = result.summary["cache_hit_ratio"]
     ratio_text = "undefined" if ratio is None else f"{ratio:.4f}"
     print(
-        f"{result.label}: requests={result.summary['total_requests']} "
-        f"cache={result.summary['social_hits'] + result.summary['current_hits']} "
-        f"overlay={result.summary['overlay_replies']} hit_ratio={ratio_text}"
+        f"{result.label}: requests={result.counters.total_requests} "
+        f"cache={result.counters.cache_replies} "
+        f"overlay={result.counters.overlay_replies} hit_ratio={ratio_text}"
     )
 
 
@@ -307,16 +301,14 @@ def _write_strategy_table(results: list[RunResult], out_dir: Path) -> None:
     columns = ("strategy", "cache_replies", "overlay_replies", "total_replies", "hit_ratio")
     rows = []
     for result in results:
-        s = result.summary
-        cache_replies = s["social_hits"] + s["current_hits"]
-        total = cache_replies + s["overlay_replies"]
+        s, c = result.summary, result.counters
         rows.append(
             {
                 "strategy": s["strategy"],
-                "cache_replies": cache_replies,
-                "overlay_replies": s["overlay_replies"],
-                "total_replies": total,
-                "hit_ratio": hit_ratio(cache_replies, total),
+                "cache_replies": c.cache_replies,
+                "overlay_replies": c.overlay_replies,
+                "total_replies": c.answered,
+                "hit_ratio": s["cache_hit_ratio"],
             }
         )
     export_rows_csv(out_dir / "comparison.csv", columns, rows)
@@ -337,24 +329,19 @@ def _write_cache_table(results: list[RunResult], out_dir: Path) -> None:
     )
     rows = []
     for result in results:
-        s = result.summary
-        cache_replies = s["social_hits"] + s["current_hits"]
-        total = cache_replies + s["overlay_replies"]
-        per_item = None
-        if s["total_cache_items"]:
-            per_item = cache_replies / s["total_cache_items"]
+        s, c = result.summary, result.counters
         rows.append(
             {
                 "cache_setup": s["cache_setup"],
-                "current_replies": s["current_hits"],
-                "social_replies": s["social_hits"],
-                "overlay_replies": s["overlay_replies"],
-                "total_replies": total,
-                "hit_ratio": hit_ratio(cache_replies, total),
+                "current_replies": c.current_hits,
+                "social_replies": c.social_hits,
+                "overlay_replies": c.overlay_replies,
+                "total_replies": c.answered,
+                "hit_ratio": s["cache_hit_ratio"],
                 "current_items": s["current_cache_items"],
                 "social_items": s["social_cache_items"],
                 "total_items": s["total_cache_items"],
-                "responses_per_item": per_item,
+                "responses_per_item": s["responses_per_item"],
             }
         )
     export_rows_csv(out_dir / "comparison.csv", columns, rows)

@@ -1,4 +1,4 @@
-"""Run counters, sampled time series and CSV export.
+"""Run counters, sampled metrics and CSV export.
 
 The headline number is the cache hit ratio: replies served from any cache
 tier over all answered replies.  A ratio with a zero denominator is
@@ -50,8 +50,12 @@ class Counters:
     bytes_written: int = 0
 
     @property
+    def cache_replies(self) -> int:
+        return self.social_hits + self.current_hits
+
+    @property
     def answered(self) -> int:
-        return self.social_hits + self.current_hits + self.overlay_replies
+        return self.cache_replies + self.overlay_replies
 
     @property
     def unanswered(self) -> int:
@@ -68,24 +72,7 @@ class Counters:
 def cache_hit_ratio(counters: Counters) -> float | None:
     """Hit ratio over the internally consistent total (sum of the three
     answer sources)."""
-    return hit_ratio(counters.social_hits + counters.current_hits, counters.answered)
-
-
-class SampledSeries:
-    """Named time series sampled at a fixed cadence; times strictly
-    increase."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.samples: list[tuple[SimTime, float]] = []
-
-    def append(self, now: SimTime, value: float) -> None:
-        if self.samples and now <= self.samples[-1][0]:
-            raise ValueError(f"sample time {now} not after {self.samples[-1][0]}")
-        self.samples.append((now, value))
-
-    def __len__(self) -> int:
-        return len(self.samples)
+    return hit_ratio(counters.cache_replies, counters.answered)
 
 
 METRICS_COLUMNS = (
@@ -122,7 +109,7 @@ def _cell(column: str, value: object) -> str:
 
 
 class MetricsLedger:
-    """Pipeline counters plus the sampled series of one run.
+    """Pipeline counters plus the sampled metrics of one run.
 
     The lookup pipeline and the social caches bump the counters directly;
     the simulation records one row per sampling step.
@@ -137,9 +124,8 @@ class MetricsLedger:
         self.subscriptions_sent = 0
         self.unsubscriptions_sent = 0
         self.bootstrap_dumps = 0
-        self.series: dict[str, SampledSeries] = {
-            name: SampledSeries(name) for name in METRICS_COLUMNS if name != "t_ticks"
-        }
+        # One value list per metrics column, aligned with ``sample_times``.
+        self.series: dict[str, list[object]] = {name: [] for name in METRICS_COLUMNS[1:]}
         self.sample_times: list[SimTime] = []
 
     def record_sample(self, now: SimTime, values: Mapping[str, object]) -> None:
@@ -149,9 +135,8 @@ class MetricsLedger:
         if self.sample_times and now <= self.sample_times[-1]:
             raise ValueError("sample times must strictly increase")
         self.sample_times.append(now)
-        for name, series in self.series.items():
-            value = values.get(name)
-            series.samples.append((now, value))  # type: ignore[arg-type]
+        for name, column in self.series.items():
+            column.append(values.get(name))
 
     def export_csv(self, path) -> None:
         try:
@@ -166,7 +151,7 @@ class MetricsLedger:
         for i, t in enumerate(self.sample_times):
             row = [str(t)]
             for name in METRICS_COLUMNS[1:]:
-                row.append(_cell(name, self.series[name].samples[i][1]))
+                row.append(_cell(name, self.series[name][i]))
             writer.writerow(row)
 
 

@@ -1,6 +1,6 @@
 """Core vocabulary shared by every simulator component.
 
-Users, storage keys, versioned content objects and interaction records.
+Users, storage keys, versioned content objects and interaction kinds.
 All types here are immutable values; time is an integer tick count in
 simulated milliseconds.
 """
@@ -82,11 +82,3 @@ class InteractionKind(enum.Enum):
     LIKE = "like"
     COMMENT = "comment"
 
-
-@dataclass(frozen=True, slots=True)
-class InteractionRecord:
-    """One tracked interaction with another user: who, what kind, when."""
-
-    peer: UserId
-    kind: InteractionKind
-    at: SimTime

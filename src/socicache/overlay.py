@@ -1,5 +1,5 @@
-"""Simulated overlay: a key-value store plus a user-to-user message
-dispatcher, with traffic counters read by the metrics module.
+"""Simulated overlay: a key-value store plus a synchronous user-to-user
+message dispatcher, with traffic counters read by the simulation.
 
 Replication is modelled only as a write-traffic multiplier; there is no
 replica placement, routing or churn.  Both structures are owned by a single
@@ -8,7 +8,6 @@ simulation event loop and are not thread-safe.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -78,70 +77,25 @@ class MessageEnvelope:
     sent_at: SimTime
 
 
-class DispatchResult(enum.Enum):
-    DELIVERED = "delivered"
-    PERSISTED = "persisted"
-
-
 @dataclass
 class MessageDispatcher:
-    """Delivers envelopes to online users immediately (handler runs in the
-    same event-loop step) and queues them FIFO for offline users.
+    """Delivers envelopes to registered users immediately: the recipient's
+    handler runs in the same event-loop step, so delivery takes no
+    simulated time and the system is quiescent between events."""
 
-    ``hop_latency_ticks`` is reserved configuration: the metrics of interest
-    are counts, so delivery is modelled as instantaneous and only the zero
-    value is exercised.
-    """
-
-    hop_latency_ticks: int = 0
     handlers: dict[UserId, Callable[[MessageEnvelope], None]] = field(default_factory=dict)
-    online: dict[UserId, bool] = field(default_factory=dict)
-    pending: dict[UserId, deque[MessageEnvelope]] = field(default_factory=dict)
     delivered: int = 0
-    persisted: int = 0
     messages: int = 0
 
-    def __post_init__(self) -> None:
-        if self.hop_latency_ticks < 0:
-            raise ValueError("hop_latency_ticks must be non-negative")
-
-    def register(self, user: UserId, handler: Callable[[MessageEnvelope], None],
-                 online: bool = True) -> None:
+    def register(self, user: UserId, handler: Callable[[MessageEnvelope], None]) -> None:
         self.handlers[user] = handler
-        self.online[user] = online
 
-    def dispatch(self, env: MessageEnvelope) -> DispatchResult:
+    def dispatch(self, env: MessageEnvelope) -> None:
         if env.sender == env.recipient:
             raise InvalidEnvelopeError(f"self-addressed envelope from {env.sender!r}")
+        handler = self.handlers.get(env.recipient)
+        if handler is None:
+            raise InvalidEnvelopeError(f"no registered recipient {env.recipient!r}")
         self.messages += 1
-        if self.online.get(env.recipient, False):
-            self.delivered += 1
-            handler = self.handlers.get(env.recipient)
-            if handler is not None:
-                handler(env)
-            return DispatchResult.DELIVERED
-        self.pending.setdefault(env.recipient, deque()).append(env)
-        self.persisted += 1
-        return DispatchResult.PERSISTED
-
-    def set_online(self, user: UserId, online: bool) -> None:
-        """Going online replays any persisted envelopes in FIFO order."""
-        self.online[user] = online
-        if not online:
-            return
-        queue = self.pending.pop(user, None)
-        if not queue:
-            return
-        # Replayed envelopes were already counted as persisted outcomes, so
-        # delivered + persisted stays equal to the number of dispatch calls.
-        handler = self.handlers.get(user)
-        while queue:
-            env = queue.popleft()
-            if handler is not None:
-                handler(env)
-
-    def quiesce(self) -> None:
-        """Bring every registered user online, flushing pending queues."""
-        for user in list(self.handlers):
-            if not self.online.get(user, False):
-                self.set_online(user, True)
+        self.delivered += 1
+        handler(env)

@@ -36,7 +36,6 @@ class Peer:
         bootstrapping: bool = True,
         muc_capacity: int = 150,
         strategy_rng: random.Random | None = None,
-        online: bool = True,
     ):
         self.user = user
         self.dht = dht
@@ -55,7 +54,7 @@ class Peer:
                 rng=strategy_rng,
             )
         self._versions: dict[StorageKey, int] = {}
-        dispatcher.register(user, self.on_envelope, online=online)
+        dispatcher.register(user, self.on_envelope)
 
     # -- outbound ---------------------------------------------------------
 
@@ -111,9 +110,6 @@ class Peer:
             self.current.insert(content, now)
         self.dht.put(content)
         return content
-
-    def record_interaction(self, target: UserId, kind: InteractionKind, now: SimTime) -> None:
-        self._track(target, kind, now)
 
     def send_friend_request(self, target: UserId, now: SimTime) -> None:
         """Friend requests travel as system messages and count as tracked

@@ -2,16 +2,15 @@
 
 Merges the trace stream with periodic selection triggers and metric
 sampling.  Message delivery is synchronous (zero latency), so the system is
-quiescent between events; offline peers only accumulate a persistence queue
-that is flushed when the run drains.
+quiescent between events.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .info_cache import CurrentCache
-from .metrics import Counters, MetricsLedger, cache_hit_ratio, hit_ratio, responses_per_item
+from .metrics import Counters, MetricsLedger, cache_hit_ratio, responses_per_item
 from .model import SimTime, StorageKey, UserId
 from .overlay import DhtStore, MessageDispatcher
 from .peer import Peer
@@ -47,7 +46,6 @@ SUMMARY_COLUMNS = (
     "bootstrap_dumps",
     "dispatcher_messages",
     "delivered",
-    "persisted",
     "dht_lookups",
     "dht_puts",
     "bytes_read",
@@ -155,41 +153,9 @@ class Simulation:
             peer.on_update_interval(now)
 
     def _sample(self, now: SimTime) -> None:
-        social_items = 0
-        current_items = 0
-        muc_total = 0
-        social_peers = 0
-        for peer in self._peer_list:
-            if peer.current is not None:
-                current_items += len(peer.current.entries)
-            if peer.social is not None:
-                social_peers += 1
-                social_items += peer.social.store.item_count
-                muc_total += len(peer.social.muc)
-                self.max_channels = max(self.max_channels, len(peer.social.channels))
-                self.max_muc_entries = max(self.max_muc_entries, len(peer.social.muc))
-        ledger = self.ledger
-        answered = ledger.social_hits + ledger.current_hits + ledger.overlay_replies
-        ledger.record_sample(
-            now,
-            {
-                "social_hits": ledger.social_hits,
-                "current_hits": ledger.current_hits,
-                "overlay_replies": ledger.overlay_replies,
-                "total_requests": ledger.total_requests,
-                "hit_ratio": hit_ratio(ledger.social_hits + ledger.current_hits, answered),
-                "social_cache_items": social_items,
-                "current_cache_items": current_items,
-                "muc_size_mean": (muc_total / social_peers) if social_peers else 0.0,
-                "subscriptions_sent": ledger.subscriptions_sent,
-                "unsubscriptions_sent": ledger.unsubscriptions_sent,
-                "bootstrap_dumps": ledger.bootstrap_dumps,
-                "dispatcher_messages": self.dispatcher.messages,
-                "dht_lookups": self.dht.lookups,
-                "dht_puts": self.dht.puts,
-                "bytes_read": self.dht.bytes_read,
-                "bytes_written": self.dht.bytes_written,
-            },
+        counters = self.counters()
+        self.ledger.record_sample(
+            now, {**asdict(counters), "hit_ratio": cache_hit_ratio(counters), **self._gauges()}
         )
 
     def run(self) -> RunResult:
@@ -233,7 +199,6 @@ class Simulation:
                 if next_sample > duration:
                     next_sample = None
 
-        self.dispatcher.quiesce()
         return self._result()
 
     # -- results ------------------------------------------------------------
@@ -255,13 +220,24 @@ class Simulation:
             bytes_written=self.dht.bytes_written,
         )
 
-    def social_item_count(self) -> int:
-        return sum(
-            p.social.store.item_count for p in self._peer_list if p.social is not None
-        )
-
-    def current_item_count(self) -> int:
-        return sum(len(p.current.entries) for p in self._peer_list if p.current is not None)
+    def _gauges(self) -> dict[str, float]:
+        """Cache sizes and mean MUC size now; also folds the current channel
+        and MUC sizes into the run-wide maxima."""
+        social_items = current_items = muc_total = social_peers = 0
+        for peer in self._peer_list:
+            if peer.current is not None:
+                current_items += len(peer.current.entries)
+            if peer.social is not None:
+                social_peers += 1
+                social_items += peer.social.store.item_count
+                muc_total += len(peer.social.muc)
+                self.max_channels = max(self.max_channels, len(peer.social.channels))
+                self.max_muc_entries = max(self.max_muc_entries, len(peer.social.muc))
+        return {
+            "social_cache_items": social_items,
+            "current_cache_items": current_items,
+            "muc_size_mean": (muc_total / social_peers) if social_peers else 0.0,
+        }
 
     def verify_consistency(self) -> list[str]:
         """Social-store entries whose version disagrees with the overlay, or
@@ -306,15 +282,9 @@ class Simulation:
         return violations
 
     def _result(self) -> RunResult:
-        for peer in self._peer_list:
-            if peer.social is not None:
-                self.max_channels = max(self.max_channels, len(peer.social.channels))
-                self.max_muc_entries = max(self.max_muc_entries, len(peer.social.muc))
         counters = self.counters()
-        social_items = self.social_item_count()
-        current_items = self.current_item_count()
-        total_items = social_items + current_items
-        cache_replies = counters.social_hits + counters.current_hits
+        gauges = self._gauges()
+        total_items = gauges["social_cache_items"] + gauges["current_cache_items"]
         summary = {
             "label": self.label,
             "strategy": self.cfg.strategy.kind.value,
@@ -323,28 +293,16 @@ class Simulation:
             "peer_count": len(self.peers),
             "duration_ticks": self.cfg.duration,
             "trace_digest": self._digest[:12],
-            "total_requests": counters.total_requests,
-            "social_hits": counters.social_hits,
-            "current_hits": counters.current_hits,
-            "overlay_replies": counters.overlay_replies,
+            **asdict(counters),
             "unanswered": counters.unanswered,
-            "subscriptions_sent": counters.subscriptions_sent,
-            "unsubscriptions_sent": counters.unsubscriptions_sent,
-            "bootstrap_dumps": counters.bootstrap_dumps,
-            "dispatcher_messages": counters.dispatcher_messages,
             "delivered": self.dispatcher.delivered,
-            "persisted": self.dispatcher.persisted,
-            "dht_lookups": counters.dht_lookups,
-            "dht_puts": counters.dht_puts,
-            "bytes_read": counters.bytes_read,
-            "bytes_written": counters.bytes_written,
-            "social_cache_items": social_items,
-            "current_cache_items": current_items,
+            "social_cache_items": gauges["social_cache_items"],
+            "current_cache_items": gauges["current_cache_items"],
             "total_cache_items": total_items,
             "max_channels": self.max_channels,
             "max_muc_entries": self.max_muc_entries,
             "cache_hit_ratio": cache_hit_ratio(counters),
-            "responses_per_item": responses_per_item(cache_replies, total_items),
+            "responses_per_item": responses_per_item(counters.cache_replies, total_items),
         }
         return RunResult(
             label=self.label,

@@ -21,14 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from .metrics import MetricsLedger
-from .model import (
-    ContentObject,
-    InteractionKind,
-    InteractionRecord,
-    SimTime,
-    StorageKey,
-    UserId,
-)
+from .model import ContentObject, InteractionKind, SimTime, StorageKey, UserId
 from .overlay import MessageKind
 
 DUNBAR_MUC_LIMIT = 150
@@ -99,31 +92,28 @@ class StrategyConfig:
 
 
 class MucEntry:
-    """Per-user interaction history plus incremental aggregates."""
+    """Per-user interaction aggregates: event count per kind, first and
+    last event time."""
 
-    __slots__ = ("user", "events", "kind_counts", "first_at", "last_at")
+    __slots__ = ("user", "event_count", "kind_counts", "first_at", "last_at")
 
     def __init__(self, user: UserId):
         self.user = user
-        self.events: list[InteractionRecord] = []
+        self.event_count = 0
         self.kind_counts: dict[InteractionKind, int] = {}
         self.first_at: SimTime = 0
         self.last_at: SimTime = 0
 
     def append(self, kind: InteractionKind, at: SimTime) -> None:
-        if not self.events:
+        if not self.event_count:
             self.first_at = at
         self.last_at = at
-        self.events.append(InteractionRecord(self.user, kind, at))
+        self.event_count += 1
         self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
 
     @property
     def lookup_count(self) -> int:
         return self.kind_counts.get(InteractionKind.LOOKUP, 0)
-
-    @property
-    def event_count(self) -> int:
-        return len(self.events)
 
 
 class MucList:

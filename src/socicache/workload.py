@@ -66,9 +66,6 @@ class DatasetStats:
     """Aggregate statistics of the ego-network dataset the workloads are
     scaled from (interval values in days)."""
 
-    total_egos: int = 60102
-    avg_alters: float = 25.7177
-    avg_ts_friend_request_days: float = 36.7332
     avg_ts_interaction_days: float = 43.0402
     experiment_span_days: float = 869.458
 
@@ -425,7 +422,9 @@ def save_trace(events: Iterable[TraceEvent], path) -> None:
 
 
 def load_trace(path) -> list[TraceEvent]:
-    """Parse a trace file, validating field shape and time ordering.
+    """Parse a trace file, validating field shape, time ordering and that
+    every event can run: a POST writes under the actor's own key, a
+    FRIENDREQ names another user.
 
     Blank lines and ``#`` comments are permitted and skipped.
     """
@@ -462,11 +461,16 @@ def load_trace(path) -> list[TraceEvent]:
                     raise TraceFormatError(line_no, "payload size must be non-negative")
             elif len(parts) != 4:
                 raise TraceFormatError(line_no, f"{action} takes exactly 4 fields")
-            if action in (POST, LOOKUP):
+            if action == FRIENDREQ:
+                if target == actor or "/" in target:
+                    raise TraceFormatError(line_no, f"FRIENDREQ needs another user, got {target!r}")
+            else:
                 try:
-                    StorageKey.parse(target)
+                    owner = StorageKey.parse(target).owner
                 except ValueError as exc:
                     raise TraceFormatError(line_no, str(exc)) from None
+                if action == POST and owner != actor:
+                    raise TraceFormatError(line_no, f"{actor!r} cannot POST under {target}")
             if at < last_at:
                 raise TraceOrderError(line_no, f"timestamp {at} before {last_at}")
             last_at = at

@@ -1,6 +1,9 @@
 import csv
 
-from socicache.cli import main
+import pytest
+
+from socicache import cli
+from socicache.cli import RunManifest, apply_setting, main, serialize_config
 from socicache.workload import generate_trace, save_trace, ScenarioConfig
 
 SMALL = [
@@ -128,9 +131,46 @@ def test_run_replays_external_trace(tmp_path):
     assert int(read_rows(out / "summary.csv")[0]["total_requests"]) > 0
 
 
-def test_bad_trace_file_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "body,line",
+    [
+        pytest.param("10 a LOOKUP b/wall/0\n5 a LOOKUP b/wall/0\n", 2, id="time-regression"),
+        pytest.param("0 b POST b/wall/0 10\n0 a POST b/wall/0 10\n", 2, id="post-not-owner"),
+        pytest.param("5 a FRIENDREQ a\n", 1, id="friendreq-self"),
+        pytest.param("0 b POST b/wall/0 10\n5 a FRIENDREQ b/wall/0\n", 2, id="friendreq-key"),
+    ],
+)
+def test_bad_trace_file_exits_two(tmp_path, capsys, body, line):
     trace_path = tmp_path / "trace.txt"
-    trace_path.write_text("10 a LOOKUP b/wall/0\n5 a LOOKUP b/wall/0\n")
+    trace_path.write_text(body)
     code = main(["run", "--out", str(tmp_path / "out"), "--trace", str(trace_path), *SMALL])
     assert code == 2
-    assert "line 2" in capsys.readouterr().err
+    assert f"line {line}:" in capsys.readouterr().err
+
+
+def seeded_profile():
+    cfg = cli.cache_comparison_profile()
+    cfg.strategy.rng_seed = 9
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [cli.default_run_profile, cli.strategy_comparison_profile, cli.cache_comparison_profile,
+     seeded_profile],
+)
+def test_config_round_trip(tmp_path, profile):
+    cfg = profile()
+    text = serialize_config(cfg)
+    fresh = ScenarioConfig()
+    for key, value in text.items():
+        apply_setting(fresh, key, value)
+    assert serialize_config(fresh) == text
+    assert (RunManifest.create(None, fresh, tmp_path).run_id
+            == RunManifest.create(None, cfg, tmp_path).run_id)
+    unset = {"strategy.rng_seed"} if cfg.strategy.rng_seed is None else set()
+    assert set(text) == set(cli._KEYS) - unset
+    # Apart from the resolved duration and phases, every setting came back.
+    fresh.sim_duration_ticks = cfg.sim_duration_ticks
+    fresh.friend_request_phases = cfg.friend_request_phases
+    assert fresh == cfg

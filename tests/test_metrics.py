@@ -4,7 +4,6 @@ from socicache.metrics import (
     METRICS_COLUMNS,
     Counters,
     MetricsLedger,
-    SampledSeries,
     cache_hit_ratio,
     hit_ratio,
     responses_per_item,
@@ -80,10 +79,10 @@ def test_counters_reject_negative():
 # -- series and CSV export ---------------------------------------------------------
 
 def test_sampled_series_requires_increasing_times():
-    series = SampledSeries("x")
-    series.append(10, 1.0)
+    ledger = MetricsLedger()
+    ledger.record_sample(10, {"hit_ratio": 1.0})
     with pytest.raises(ValueError):
-        series.append(10, 2.0)
+        ledger.record_sample(10, {"hit_ratio": 2.0})
 
 
 def test_empty_ledger_exports_header_only(tmp_path):
@@ -149,5 +148,5 @@ def test_counters_never_decrease_over_a_run():
         "bytes_written",
     )
     for name in cumulative:
-        values = [v for _, v in ledger.series[name].samples]
+        values = ledger.series[name]
         assert values == sorted(values), name

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from socicache.model import ContentObject, StorageKey
 from socicache.overlay import (
     DhtStore,
-    DispatchResult,
     InvalidEnvelopeError,
     MessageDispatcher,
     MessageEnvelope,
@@ -85,18 +84,9 @@ def test_dispatch_to_online_peer_runs_handler_in_step():
     md = MessageDispatcher()
     seen = []
     md.register("b", seen.append)
-    assert md.dispatch(env()) is DispatchResult.DELIVERED
+    md.dispatch(env())
     assert len(seen) == 1
-    assert not md.pending
-
-
-def test_dispatch_to_offline_peer_persists():
-    md = MessageDispatcher()
-    seen = []
-    md.register("b", seen.append, online=False)
-    assert md.dispatch(env()) is DispatchResult.PERSISTED
-    assert seen == []
-    assert len(md.pending["b"]) == 1
+    assert md.delivered == md.messages == 1
 
 
 def test_self_addressed_envelope_rejected():
@@ -105,44 +95,14 @@ def test_self_addressed_envelope_rejected():
         md.dispatch(env(sender="a", recipient="a"))
 
 
-def test_hop_latency_is_stored_configuration():
-    # reserved knob; delivery stays synchronous at the zero default
-    assert MessageDispatcher().hop_latency_ticks == 0
-    assert MessageDispatcher(hop_latency_ticks=5).hop_latency_ticks == 5
-    with pytest.raises(ValueError):
-        MessageDispatcher(hop_latency_ticks=-1)
-
-
-def test_offline_replay_is_fifo():
-    # Expected order computed by an explicit queue replay.
+@given(recipients=st.lists(st.sampled_from(["b", "c"]), min_size=1, max_size=20))
+def test_dispatch_to_unregistered_user_raises_and_is_not_counted(recipients):
     md = MessageDispatcher()
-    seen = []
-    md.register("b", lambda e: seen.append(e.payload), online=False)
-    sent = ["m0", "m1", "m2"]
-    expected_queue = []
-    for payload in sent:
-        md.dispatch(env(payload=payload))
-        expected_queue.append(payload)
-    replayed = list(expected_queue)
-    md.set_online("b", True)
-    assert seen == replayed == sent
-    assert not md.pending
-
-
-@given(
-    plan=st.lists(
-        st.tuples(st.booleans(), st.integers(min_value=0, max_value=5)),
-        min_size=1,
-        max_size=20,
-    )
-)
-def test_delivered_plus_persisted_equals_dispatches(plan):
-    md = MessageDispatcher()
-    md.register("b", lambda e: None, online=False)
-    total = 0
-    for online, count in plan:
-        md.online["b"] = online
-        for _ in range(count):
-            md.dispatch(env())
-            total += 1
-    assert md.delivered + md.persisted == md.messages == total
+    md.register("b", lambda e: None)
+    for recipient in recipients:
+        if recipient == "c":
+            with pytest.raises(InvalidEnvelopeError):
+                md.dispatch(env(recipient="c"))
+        else:
+            md.dispatch(env(recipient="b"))
+    assert md.delivered == md.messages == recipients.count("b")

@@ -77,9 +77,9 @@ def test_records_append_in_time_order():
     muc = MucList()
     muc.record("bob", LOOKUP, 5)
     muc.record("bob", LOOKUP, 9)
-    events = muc.entries["bob"].events
-    assert [e.at for e in events] == [5, 9]
-    assert muc.entries["bob"].lookup_count == 2
+    entry = muc.entries["bob"]
+    assert (entry.first_at, entry.last_at, entry.event_count) == (5, 9, 2)
+    assert entry.lookup_count == 2
 
 
 def test_muc_capacity_evicts_lowest_ranked():

@@ -48,7 +48,7 @@ def test_sampled_interval_rejects_non_positive(x, ds, new):
 
 def test_dataset_stats_must_be_positive():
     with pytest.raises(ConfigError):
-        DatasetStats(avg_alters=0)
+        DatasetStats(avg_ts_interaction_days=0)
 
 
 # -- friend graph -----------------------------------------------------------------
@@ -230,6 +230,9 @@ def test_load_rejects_time_regression(tmp_path):
         "10 a POST a/wall/0",  # POST without payload size
         "10 a LOOKUP b/wall/0 512",  # LOOKUP with stray field
         "10 a",
+        "10 a POST b/wall/0 512",  # POST under another user's key
+        "10 a FRIENDREQ a",  # friend request to self
+        "10 a FRIENDREQ b/wall/0",  # friend request to a key
     ],
 )
 def test_load_rejects_malformed_lines(tmp_path, line):
