@@ -92,37 +92,45 @@ class StrategyConfig:
 
 
 class MucEntry:
-    """Per-user interaction aggregates: event count per kind, first and
-    last event time."""
+    """Per-user interaction aggregates: event and lookup counts, weighted
+    event volume, first and last event time."""
 
-    __slots__ = ("user", "event_count", "kind_counts", "first_at", "last_at")
+    __slots__ = ("user", "event_count", "lookup_count", "weighted", "first_at", "last_at")
 
     def __init__(self, user: UserId):
         self.user = user
         self.event_count = 0
-        self.kind_counts: dict[InteractionKind, int] = {}
+        self.lookup_count = 0
+        self.weighted = 0.0
         self.first_at: SimTime = 0
         self.last_at: SimTime = 0
 
-    def append(self, kind: InteractionKind, at: SimTime) -> None:
+    def append(self, kind: InteractionKind, at: SimTime, weight: float) -> None:
         if not self.event_count:
             self.first_at = at
         self.last_at = at
         self.event_count += 1
-        self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
-
-    @property
-    def lookup_count(self) -> int:
-        return self.kind_counts.get(InteractionKind.LOOKUP, 0)
+        if kind is InteractionKind.LOOKUP:
+            self.lookup_count += 1
+        self.weighted += weight
 
 
 class MucList:
-    """Bounded registry of tracked interactions, keyed by user."""
+    """Bounded registry of tracked interactions, keyed by user.
 
-    def __init__(self, max_users: int = DUNBAR_MUC_LIMIT):
+    Weights are fixed per run, so each entry sums its weighted volume as
+    events arrive; kinds missing from ``weights`` weigh 1.0.
+    """
+
+    def __init__(
+        self,
+        max_users: int = DUNBAR_MUC_LIMIT,
+        weights: dict[InteractionKind, float] | None = None,
+    ):
         if max_users < 1:
             raise ValueError("max_users must be positive")
         self.max_users = max_users
+        self.weights = weights if weights is not None else {}
         self.entries: dict[UserId, MucEntry] = {}
         self.total_events = 0
 
@@ -139,7 +147,7 @@ class MucList:
                 raise CapExceededError("MUC list full; evict before recording")
             entry = MucEntry(user)
             self.entries[user] = entry
-        entry.append(kind, at)
+        entry.append(kind, at, self.weights.get(kind, 1.0))
         self.total_events += 1
 
     def remove(self, user: UserId) -> None:
@@ -151,17 +159,12 @@ class MucList:
         self.entries.clear()
         self.total_events = 0
 
-    def tie_strength(self, user: UserId, weights: dict[InteractionKind, float]) -> float:
+    def tie_strength(self, user: UserId) -> float:
         """Weighted event volume for one user over the total event count."""
         entry = self.entries.get(user)
         if entry is None:
             raise UnknownUserError(user)
-        if self.total_events == 0:
-            return 0.0
-        weighted = sum(
-            count * weights.get(kind, 1.0) for kind, count in entry.kind_counts.items()
-        )
-        return weighted / self.total_events
+        return entry.weighted / self.total_events
 
     def medium_interaction_length(self, user: UserId, now: SimTime) -> float:
         """Average gap between successive events, normalised by the time
@@ -330,7 +333,7 @@ class SocialCache:
         self.send = send
         self.ledger = ledger if ledger is not None else MetricsLedger()
         self.bootstrapping = bootstrapping
-        self.muc = MucList(muc_capacity)
+        self.muc = MucList(muc_capacity, cfg.interaction_weights)
         self.channels = SubscriptionSet(owner, cfg.n)
         self.receivers = ReceiverList()
         self.store = SocialStore()
@@ -343,19 +346,13 @@ class SocialCache:
 
     # -- scoring ---------------------------------------------------------
 
-    def tie_strength(self, user: UserId) -> float:
-        return self.muc.tie_strength(user, self.cfg.interaction_weights)
-
-    def medium_interaction_length(self, user: UserId, now: SimTime) -> float:
-        return self.muc.medium_interaction_length(user, now)
-
     def social_score(self, user: UserId, now: SimTime) -> float:
         if self.cfg.alpha + self.cfg.beta <= 0:
             raise InvalidWeightsError("alpha + beta must be positive")
         if user not in self.muc:
             raise UnknownUserError(user)
-        tie = self.tie_strength(user)
-        spacing = self.medium_interaction_length(user, now)
+        tie = self.muc.tie_strength(user)
+        spacing = self.muc.medium_interaction_length(user, now)
         return self.cfg.alpha * tie + self.cfg.beta * spacing
 
     def rank_users(self, now: SimTime) -> list[UserId]:
@@ -365,13 +362,31 @@ class SocialCache:
         random strategy has no ranking of its own and falls back to lookup
         counts (used only for MUC eviction).  Ties break by ascending user
         name so rankings are reproducible.
+
+        The social score is ``social_score`` inlined over every entry, with
+        the same float operations in the same order, so both agree exactly.
         """
+        entries = self.muc.entries
         if self.cfg.kind is Strategy.SOCIAL_SCORE:
-            scored = [(u, self.social_score(u, now)) for u in self.muc.entries]
+            alpha, beta = self.cfg.alpha, self.cfg.beta
+            if alpha + beta <= 0:
+                raise InvalidWeightsError("alpha + beta must be positive")
+            total = self.muc.total_events
+            scored = []
+            for user, entry in entries.items():
+                count = entry.event_count
+                spacing = 0.0
+                if count >= 2:
+                    first = entry.first_at
+                    elapsed = now - first
+                    if elapsed > 0:
+                        gap = (entry.last_at - first) / (count - 2 if count > 2 else 1)
+                        spacing = gap / elapsed
+                scored.append((-(alpha * (entry.weighted / total) + beta * spacing), user))
         else:
-            scored = [(u, float(e.lookup_count)) for u, e in self.muc.entries.items()]
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return [user for user, _ in scored]
+            scored = [(-float(e.lookup_count), u) for u, e in entries.items()]
+        scored.sort()
+        return [user for _, user in scored]
 
     # -- tracking and per-lookup strategy actions -------------------------
 

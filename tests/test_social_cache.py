@@ -8,6 +8,7 @@ from oracles import brute_force_top_n, direct_medium_interaction_length, direct_
 from socicache.model import ContentObject, InteractionKind, StorageKey
 from socicache.overlay import MessageKind
 from socicache.social_cache import (
+    DUNBAR_MUC_LIMIT,
     CapExceededError,
     InvalidWeightsError,
     MucList,
@@ -108,7 +109,7 @@ def test_tie_strength_sole_interlocutor():
     cache, _ = make_cache()
     for t in range(5):
         cache.track("x", LOOKUP, t)
-    assert cache.tie_strength("x") == 1.0
+    assert cache.muc.tie_strength("x") == 1.0
 
 
 def test_tie_strength_share_of_total():
@@ -117,7 +118,7 @@ def test_tie_strength_share_of_total():
         cache.track("x", LOOKUP, t)
     for t in range(7):
         cache.track("y", LOOKUP, t)
-    assert cache.tie_strength("x") == pytest.approx(0.3)
+    assert cache.muc.tie_strength("x") == pytest.approx(0.3)
 
 
 def test_tie_strength_weighted_events():
@@ -141,7 +142,7 @@ def test_tie_strength_weighted_events():
     }
     expected = direct_tie_strength(events_by_user, "x", weights)
     assert expected == 0.5
-    assert cache.tie_strength("x") == pytest.approx(expected)
+    assert cache.muc.tie_strength("x") == pytest.approx(expected)
 
 
 @given(
@@ -154,10 +155,10 @@ def test_tie_strength_monotone_in_own_lookups(extra, others):
     cache.track("x", LOOKUP, 0)
     for t in range(others):
         cache.track("other", LOOKUP, t)
-    before = cache.tie_strength("x")
+    before = cache.muc.tie_strength("x")
     for t in range(extra):
         cache.track("x", LOOKUP, 100 + t)
-    after = cache.tie_strength("x")
+    after = cache.muc.tie_strength("x")
     assert after >= before or abs(after - before) < 1e-12
 
 
@@ -169,13 +170,13 @@ def test_interaction_length_three_events():
         cache.track("x", LOOKUP, t)
     expected = direct_medium_interaction_length([0, 10, 20], 30)
     assert expected == pytest.approx(2 / 3)
-    assert cache.medium_interaction_length("x", 30) == pytest.approx(expected)
+    assert cache.muc.medium_interaction_length("x", 30) == pytest.approx(expected)
 
 
 def test_interaction_length_single_event_is_zero():
     cache, _ = make_cache()
     cache.track("x", LOOKUP, 7)
-    assert cache.medium_interaction_length("x", 30) == 0.0
+    assert cache.muc.medium_interaction_length("x", 30) == 0.0
 
 
 def test_interaction_length_two_events():
@@ -184,14 +185,14 @@ def test_interaction_length_two_events():
     cache.track("x", LOOKUP, 30)
     expected = direct_medium_interaction_length([0, 30], 30)
     assert expected == pytest.approx(1.0)
-    assert cache.medium_interaction_length("x", 30) == pytest.approx(expected)
+    assert cache.muc.medium_interaction_length("x", 30) == pytest.approx(expected)
 
 
 def test_interaction_length_zero_elapsed_is_zero():
     cache, _ = make_cache()
     cache.track("x", LOOKUP, 30)
     cache.track("x", LOOKUP, 30)
-    assert cache.medium_interaction_length("x", 30) == 0.0
+    assert cache.muc.medium_interaction_length("x", 30) == 0.0
 
 
 @given(
@@ -208,7 +209,7 @@ def test_interaction_length_matches_direct_evaluation(gaps, start, after):
     cache, _ = make_cache()
     for t in times:
         cache.track("x", LOOKUP, t)
-    got = cache.medium_interaction_length("x", now)
+    got = cache.muc.medium_interaction_length("x", now)
     want = direct_medium_interaction_length(times, now)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -226,8 +227,8 @@ def build_score_state(cache):
 def test_social_score_combines_both_terms():
     cache, _ = make_cache(alpha=0.5, beta=0.5)
     build_score_state(cache)
-    assert cache.tie_strength("x") == pytest.approx(0.3)
-    assert cache.medium_interaction_length("x", 30) == pytest.approx(2 / 3)
+    assert cache.muc.tie_strength("x") == pytest.approx(0.3)
+    assert cache.muc.medium_interaction_length("x", 30) == pytest.approx(2 / 3)
     assert cache.social_score("x", 30) == pytest.approx(0.5 * 0.3 + 0.5 * (2 / 3))
     assert cache.social_score("x", 30) == pytest.approx(0.48333, abs=1e-5)
 
@@ -235,7 +236,7 @@ def test_social_score_combines_both_terms():
 def test_social_score_alpha_only_degenerates_to_tie_strength():
     cache, _ = make_cache(alpha=1.0, beta=0.0)
     build_score_state(cache)
-    assert cache.social_score("x", 30) == pytest.approx(cache.tie_strength("x"))
+    assert cache.social_score("x", 30) == pytest.approx(cache.muc.tie_strength("x"))
 
 
 def test_social_score_zero_weights_rejected():
@@ -246,6 +247,8 @@ def test_social_score_zero_weights_rejected():
     cache.cfg.alpha = cache.cfg.beta = 0.0
     with pytest.raises(InvalidWeightsError):
         cache.social_score("x", 30)
+    with pytest.raises(InvalidWeightsError):
+        cache.rank_users(30)
 
 
 def test_social_score_unknown_user():
@@ -491,3 +494,73 @@ def test_channel_cap_enforced_under_churn():
         cache.track(f"p{rng.randrange(30)}", LOOKUP, now)
         assert len(cache.channels) <= 3
         assert len(cache.muc) <= cache.muc.max_users
+
+
+def random_weighted_state(rng, kind, muc_capacity=DUNBAR_MUC_LIMIT):
+    """A cache with random non-default weights (some kinds left at the 1.0
+    default) whose MUC was filled through ``track`` with interleaved events;
+    returns the cache, each user's events in order, and the time of the last
+    event."""
+    weights = {k: rng.uniform(0.0, 3.0) for k in InteractionKind if rng.random() < 0.8}
+    router = Router()
+    cfg = StrategyConfig(kind=kind, n=rng.randrange(1, 6), interaction_weights=weights)
+    cache = SocialCache("me", cfg, router.send_for("me"), muc_capacity=muc_capacity)
+    router.add(cache)
+    users = [f"p{i}" for i in range(rng.randrange(1, 12))]
+    remaining = {u: rng.choice([1, 1, 2, 2, 3, 5, 8]) for u in users}
+    events = {u: [] for u in users}
+    now = 0
+    while remaining:
+        user = rng.choice(sorted(remaining))
+        now += rng.choice([0, 0, 1, 3, 10])
+        kind_choice = rng.choice(list(InteractionKind))
+        cache.track(user, kind_choice, now)
+        events[user].append(kind_choice)
+        remaining[user] -= 1
+        if not remaining[user]:
+            del remaining[user]
+    return cache, events, now
+
+
+def reference_order(cache, now):
+    if cache.cfg.kind is Strategy.TREND:
+        return sorted(cache.muc.entries,
+                      key=lambda u: (-float(cache.muc.entries[u].lookup_count), u))
+    return sorted(cache.muc.entries, key=lambda u: (-cache.social_score(u, now), u))
+
+
+@pytest.mark.parametrize("kind", [Strategy.TREND, Strategy.SOCIAL_SCORE])
+def test_inlined_ranking_equals_per_user_scores_exactly(kind):
+    rng = random.Random(f"inlined-ranking/{kind.value}")
+    seen_short = seen_now_at_first = 0
+    for _ in range(300):
+        cache, events, last = random_weighted_state(rng, kind)
+        weights = cache.cfg.interaction_weights
+        for user, entry in cache.muc.entries.items():
+            assert entry.weighted == sum(weights.get(k, 1.0) for k in events[user])
+            seen_short += entry.event_count <= 2
+        for now in (last, last + rng.choice([1, 7, 1000])):
+            seen_now_at_first += any(e.first_at == now for e in cache.muc.entries.values())
+            assert cache.rank_users(now) == reference_order(cache, now)
+            cache.cfg.alpha, cache.cfg.beta = rng.choice(
+                [(rng.uniform(0.0, 2.0), rng.uniform(0.01, 2.0)), (1.0, 0.0), (0.0, 1.0)])
+            assert cache.rank_users(now) == reference_order(cache, now)
+    assert seen_short and seen_now_at_first
+
+
+@pytest.mark.parametrize("kind", [Strategy.TREND, Strategy.SOCIAL_SCORE])
+def test_full_muc_track_evicts_last_ranked(kind):
+    rng = random.Random(f"full-muc-eviction/{kind.value}")
+    evictions = 0
+    for _ in range(100):
+        cache, _, last = random_weighted_state(rng, kind, muc_capacity=4)
+        if len(cache.muc) < cache.muc.max_users:
+            continue
+        now = last + rng.randrange(0, 20)
+        victim = cache.rank_users(now)[-1]
+        cache.track("newcomer", rng.choice(list(InteractionKind)), now)
+        assert victim not in cache.muc
+        assert "newcomer" in cache.muc
+        assert len(cache.muc) == cache.muc.max_users
+        evictions += 1
+    assert evictions
