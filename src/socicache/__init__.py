@@ -1,6 +1,6 @@
 """Desk-scale simulator of social caching in a DHT-backed social network."""
 
-from .info_cache import CacheEntry, CurrentCache, LookupResult, LookupSource
+from .info_cache import CacheEntry, CurrentCache, LookupSource
 from .metrics import (
     Counters,
     MetricsLedger,

@@ -1,35 +1,23 @@
 """Per-peer "current" cache: fixed-validity entries evicted least recently
-used first, plus the result type of the unified lookup pipeline."""
+used first, plus the tier names a lookup can be answered from."""
 from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import ContentObject, SimTime, StorageKey
 
 
-@dataclass(frozen=True, slots=True)
-class CacheEntry:
+class CacheEntry(NamedTuple):
     content: ContentObject
     inserted_at: SimTime
-    ttl: SimTime
-
-    def valid_at(self, now: SimTime) -> bool:
-        # Validity boundary is exclusive: an entry of age == ttl is expired.
-        return now - self.inserted_at < self.ttl
 
 
 class LookupSource(enum.Enum):
     SOCIAL_CACHE = "social_cache"
     CURRENT_CACHE = "current_cache"
     OVERLAY = "overlay"
-
-
-@dataclass(frozen=True, slots=True)
-class LookupResult:
-    content: ContentObject
-    source: LookupSource
 
 
 class CurrentCache:
@@ -58,8 +46,9 @@ class CurrentCache:
         if entry is None:
             self.misses += 1
             return None
-        if not entry.valid_at(now):
-            # Expired entries are dropped on access and count as misses.
+        if now - entry.inserted_at >= self.ttl:
+            # Validity is exclusive: an entry of age == ttl is expired;
+            # expired entries are dropped on access and count as misses.
             del self.entries[key]
             self.misses += 1
             return None
@@ -75,10 +64,10 @@ class CurrentCache:
         """
         key = content.key
         if key in self.entries:
-            self.entries[key] = CacheEntry(content, now, self.ttl)
+            self.entries[key] = CacheEntry(content, now)
             self.entries.move_to_end(key)
             return None
-        self.entries[key] = CacheEntry(content, now, self.ttl)
+        self.entries[key] = CacheEntry(content, now)
         if len(self.entries) > self.capacity:
             victim, _ = self.entries.popitem(last=False)
             return victim

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .model import ContentObject, SimTime, StorageKey, UserId
 
@@ -66,8 +66,7 @@ class MessageKind(enum.Enum):
     SYSTEM_NOTICE = "system_notice"
 
 
-@dataclass(frozen=True, slots=True)
-class MessageEnvelope:
+class MessageEnvelope(NamedTuple):
     """A user-addressed message; the payload is opaque to the dispatcher."""
 
     sender: UserId

@@ -2,7 +2,8 @@
 tiers plus the authoritative write path for its own content.
 
 Request resolution order is social cache (own content, then subscribed
-content), then the current cache, then the overlay.  Interaction tracking
+content), then the current cache, then the overlay; a request reports the
+tier that answered it as a ``LookupSource``.  Interaction tracking
 and the per-lookup subscription actions run after the request has been
 answered, so a cold key is always served by the overlay even when the
 triggered subscription would have pushed it a moment later.
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Any
 
-from .info_cache import CurrentCache, LookupResult, LookupSource
+from .info_cache import CurrentCache, LookupSource
 from .metrics import MetricsLedger
 from .model import ContentObject, InteractionKind, SimTime, StorageKey, UserId
 from .overlay import DhtStore, MessageDispatcher, MessageEnvelope, MessageKind
@@ -63,36 +64,32 @@ class Peer:
 
     # -- lookup pipeline ----------------------------------------------------
 
-    def handle_request(self, key: StorageKey, now: SimTime) -> LookupResult | None:
-        """Resolve a plugin request; None when the key exists nowhere."""
-        self.ledger.total_requests += 1
-        result = None
-        if self.social is not None:
-            content = self.social.lookup(key)
-            if content is not None:
-                self.ledger.social_hits += 1
-                result = LookupResult(content, LookupSource.SOCIAL_CACHE)
-        if result is None and self.current is not None:
-            content = self.current.lookup(key, now)
-            if content is not None:
-                self.ledger.current_hits += 1
-                result = LookupResult(content, LookupSource.CURRENT_CACHE)
-        if result is None:
+    def handle_request(self, key: StorageKey, now: SimTime) -> LookupSource | None:
+        """Resolve a plugin request; returns the answering tier, or None
+        when the key exists nowhere."""
+        ledger = self.ledger
+        ledger.total_requests += 1
+        social = self.social
+        source = None
+        if social is not None and social.lookup(key) is not None:
+            ledger.social_hits += 1
+            source = LookupSource.SOCIAL_CACHE
+        elif self.current is not None and self.current.lookup(key, now) is not None:
+            ledger.current_hits += 1
+            source = LookupSource.CURRENT_CACHE
+        else:
             content = self.dht.get(key)
             if content is None:
-                self.ledger.unanswered += 1
-                self._track(key.owner, InteractionKind.LOOKUP, now)
-                return None
-            self.ledger.overlay_replies += 1
-            if self.current is not None:
-                self.current.insert(content, now)
-            result = LookupResult(content, LookupSource.OVERLAY)
-        self._track(key.owner, InteractionKind.LOOKUP, now)
-        return result
-
-    def _track(self, user: UserId, kind: InteractionKind, now: SimTime) -> None:
-        if self.social is not None and user != self.user:
-            self.social.track(user, kind, now)
+                ledger.unanswered += 1
+            else:
+                ledger.overlay_replies += 1
+                source = LookupSource.OVERLAY
+                if self.current is not None:
+                    self.current.insert(content, now)
+        owner = key.owner
+        if social is not None and owner != self.user:
+            social.track(owner, InteractionKind.LOOKUP, now)
+        return source
 
     # -- writes -------------------------------------------------------------
 
@@ -115,7 +112,8 @@ class Peer:
         """Friend requests travel as system messages and count as tracked
         interactions with the target."""
         self._send(MessageKind.SYSTEM_NOTICE, target, "friend_request", now)
-        self._track(target, InteractionKind.FRIEND_REQUEST, now)
+        if self.social is not None and target != self.user:
+            self.social.track(target, InteractionKind.FRIEND_REQUEST, now)
 
     # -- inbound ------------------------------------------------------------
 

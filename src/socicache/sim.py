@@ -7,7 +7,7 @@ quiescent between events.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from .info_cache import CurrentCache
 from .metrics import Counters, MetricsLedger, cache_hit_ratio, responses_per_item
@@ -58,6 +58,8 @@ SUMMARY_COLUMNS = (
     "cache_hit_ratio",
     "responses_per_item",
 )
+
+_COUNTER_NAMES = tuple(f.name for f in fields(Counters))
 
 
 @dataclass
@@ -154,9 +156,10 @@ class Simulation:
 
     def _sample(self, now: SimTime) -> None:
         counters = self.counters()
-        self.ledger.record_sample(
-            now, {**asdict(counters), "hit_ratio": cache_hit_ratio(counters), **self._gauges()}
-        )
+        row = {name: getattr(counters, name) for name in _COUNTER_NAMES}
+        row["hit_ratio"] = cache_hit_ratio(counters)
+        row.update(self._gauges())
+        self.ledger.record_sample(now, row)
 
     def run(self) -> RunResult:
         cfg = self.cfg
@@ -168,36 +171,32 @@ class Simulation:
             and cfg.strategy.kind is not Strategy.RANDOM
             and cfg.strategy.trigger is SelectionTrigger.TIME_BASED
         )
-        next_selection = interval if time_selection and interval <= duration else None
+        # A tick past the run is parked at ``end``.  Events go first at equal
+        # times, then the selection round, then the sample.
+        end = duration + 1
+        next_selection = interval if time_selection and interval <= duration else end
         cadence = cfg.sample_cadence_ticks
-        next_sample = cadence if cadence <= duration else None
+        next_sample = cadence if cadence <= duration else end
 
+        apply_event = self._apply_event
         i, n = 0, len(trace)
         while True:
-            pending: list[tuple[int, int]] = []
-            if i < n and trace[i].at <= duration:
-                pending.append((trace[i].at, 0))
-            if next_selection is not None:
-                pending.append((next_selection, 1))
-            if next_sample is not None:
-                pending.append((next_sample, 2))
-            if not pending:
-                break
-            t, kind = min(pending)
-            if kind == 0:
-                ev = trace[i]
+            limit = min(next_selection, next_sample, duration)
+            while i < n and trace[i].at <= limit:
+                apply_event(trace[i])
                 i += 1
-                self._apply_event(ev)
-            elif kind == 1:
-                self._run_selection_round(t)
-                next_selection = t + interval
+            if next_selection <= next_sample:
+                if next_selection == end:
+                    break
+                self._run_selection_round(next_selection)
+                next_selection += interval
                 if next_selection > duration:
-                    next_selection = None
+                    next_selection = end
             else:
-                self._sample(t)
-                next_sample = t + cadence
+                self._sample(next_sample)
+                next_sample += cadence
                 if next_sample > duration:
-                    next_sample = None
+                    next_sample = end
 
         return self._result()
 
@@ -293,7 +292,7 @@ class Simulation:
             "peer_count": len(self.peers),
             "duration_ticks": self.cfg.duration,
             "trace_digest": self._digest[:12],
-            **asdict(counters),
+            **{name: getattr(counters, name) for name in _COUNTER_NAMES},
             "unanswered": counters.unanswered,
             "delivered": self.dispatcher.delivered,
             "social_cache_items": gauges["social_cache_items"],

@@ -197,25 +197,21 @@ class SubscriptionDiff:
         return not self.to_subscribe and not self.to_unsubscribe
 
 
-class SubscriptionSet:
-    """Insertion-ordered set of subscribed channels, capped at ``limit``."""
+class SubscriptionSet(dict):
+    """Insertion-ordered set of subscribed channels, capped at ``limit``.
+
+    The keys are the channels, so membership, size and iteration are the
+    dict's own."""
+
+    __slots__ = ("owner", "limit")
 
     def __init__(self, owner: UserId, limit: int = DEFAULT_CHANNEL_LIMIT):
+        super().__init__()
         self.owner = owner
         self.limit = limit
-        self._channels: dict[UserId, None] = {}
-
-    def __len__(self) -> int:
-        return len(self._channels)
-
-    def __contains__(self, user: UserId) -> bool:
-        return user in self._channels
-
-    def __iter__(self) -> Iterator[UserId]:
-        return iter(self._channels)
 
     def at(self, index: int) -> UserId:
-        for i, user in enumerate(self._channels):
+        for i, user in enumerate(self):
             if i == index:
                 return user
         raise IndexError(index)
@@ -223,39 +219,29 @@ class SubscriptionSet:
     def add(self, user: UserId) -> None:
         if user == self.owner:
             raise ValueError("a peer never subscribes to itself")
-        if user in self._channels:
+        if user in self:
             return
-        if len(self._channels) >= self.limit:
+        if len(self) >= self.limit:
             raise CapExceededError(f"channel limit {self.limit} reached")
-        self._channels[user] = None
+        self[user] = None
 
     def remove(self, user: UserId) -> None:
-        self._channels.pop(user, None)
+        self.pop(user, None)
 
 
-class ReceiverList:
-    """Users subscribed to this peer's update channel."""
+class ReceiverList(dict):
+    """Users subscribed to this peer's update channel, as the dict's keys."""
 
-    def __init__(self) -> None:
-        self._subscribers: dict[UserId, None] = {}
-
-    def __len__(self) -> int:
-        return len(self._subscribers)
-
-    def __contains__(self, user: UserId) -> bool:
-        return user in self._subscribers
-
-    def __iter__(self) -> Iterator[UserId]:
-        return iter(self._subscribers)
+    __slots__ = ()
 
     def add(self, user: UserId) -> bool:
-        if user in self._subscribers:
+        if user in self:
             return False
-        self._subscribers[user] = None
+        self[user] = None
         return True
 
     def discard(self, user: UserId) -> None:
-        self._subscribers.pop(user, None)
+        self.pop(user, None)
 
 
 class SocialStore:
@@ -276,6 +262,23 @@ class SocialStore:
         if section is None:
             return None
         return section.get(key)
+
+    def merge(self, user: UserId, items: Sequence[ContentObject]) -> int:
+        """Insert a batch of one user's content, never replacing a newer
+        stored version; returns the number of items accepted."""
+        if not items:
+            return 0
+        section = self.by_user.setdefault(user, {})
+        accepted = 0
+        for content in items:
+            existing = section.get(content.key)
+            if existing is None:
+                self.item_count += 1
+            elif content.version < existing.version:
+                continue
+            section[content.key] = content
+            accepted += 1
+        return accepted
 
     def purge_user(self, user: UserId) -> None:
         section = self.by_user.pop(user, None)
@@ -394,19 +397,22 @@ class SocialCache:
         """Record an interaction; lookups additionally drive subscriptions."""
         if user == self.owner:
             raise ValueError("own interactions are not tracked")
-        if user not in self.muc and len(self.muc) >= self.muc.max_users:
-            self.muc.remove(self.rank_users(now)[-1])
-        self.muc.record(user, kind, now)
+        muc = self.muc
+        if user not in muc.entries and len(muc.entries) >= muc.max_users:
+            muc.remove(self.rank_users(now)[-1])
+        muc.record(user, kind, now)
         if kind is not InteractionKind.LOOKUP:
             return
-        if self.cfg.kind is Strategy.RANDOM:
-            if user not in self.channels:
+        cfg = self.cfg
+        channels = self.channels
+        if cfg.kind is Strategy.RANDOM:
+            if user not in channels:
                 self._random_replace(user, now)
-        elif user not in self.channels and len(self.channels) < self.cfg.n:
+        elif user not in channels and len(channels) < cfg.n:
             self._subscribe(user, now)
-        if self.cfg.trigger is SelectionTrigger.LOOKUP_COUNT_BASED:
+        if cfg.trigger is SelectionTrigger.LOOKUP_COUNT_BASED:
             self._lookups_since_selection += 1
-            if self._lookups_since_selection >= self.cfg.m:
+            if self._lookups_since_selection >= cfg.m:
                 self._lookups_since_selection = 0
                 self.apply_diff(self.run_selection(now), now)
 
@@ -432,10 +438,12 @@ class SocialCache:
         if self.cfg.kind is Strategy.RANDOM:
             return SubscriptionDiff((), ())
         selected = self.rank_users(now)[: self.cfg.n]
-        chosen = set(selected)
-        current = set(self.channels)
-        to_subscribe = tuple(u for u in selected if u not in current)
-        to_unsubscribe = tuple(u for u in self.channels if u not in chosen)
+        channels = self.channels
+        to_subscribe = tuple(u for u in selected if u not in channels)
+        to_unsubscribe: tuple[UserId, ...] = ()
+        if len(selected) - len(to_subscribe) < len(channels):
+            chosen = set(selected)
+            to_unsubscribe = tuple(u for u in channels if u not in chosen)
         if self.cfg.kind is Strategy.TREND:
             self.muc.clear()
         return SubscriptionDiff(to_subscribe, to_unsubscribe)
@@ -443,6 +451,8 @@ class SocialCache:
     def apply_diff(self, diff: SubscriptionDiff, now: SimTime) -> None:
         """Send the subscription changes; rejected whole if it would exceed
         the channel cap."""
+        if diff.empty:
+            return
         dropped = sum(1 for u in diff.to_unsubscribe if u in self.channels)
         added = sum(1 for u in diff.to_subscribe if u not in self.channels)
         if len(self.channels) - dropped + added > self.cfg.n:
@@ -500,13 +510,7 @@ class SocialCache:
         """Insert a bootstrap dump; never clobbers newer pushed versions."""
         if sender not in self.channels:
             return 0
-        accepted = 0
-        for content in items:
-            existing = self.store.get(sender, content.key)
-            if existing is None or content.version >= existing.version:
-                self.store.store(sender, content)
-                accepted += 1
-        return accepted
+        return self.store.merge(sender, items)
 
     # -- content ------------------------------------------------------------
 

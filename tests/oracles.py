@@ -77,3 +77,40 @@ def brute_force_top_n(scores: dict[str, float], n: int) -> list[str]:
     strategies' rankings."""
     ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return [user for user, _ in ordered[:n]]
+
+
+def reference_schedule(event_times: list[int], duration: int, interval: int,
+                       time_selection: bool, cadence: int) -> list[tuple[str, int]]:
+    """The simulation event loop as a per-step ``pending`` list merged with
+    ``min((t, kind))``: returns the ``(kind, time)`` sequence of applied trace
+    events, selection rounds and samples.  Kind 0 < 1 < 2 breaks ties, and
+    events past ``duration`` are never applied."""
+    names = ("event", "selection", "sample")
+    order: list[tuple[str, int]] = []
+    next_selection = interval if time_selection and interval <= duration else None
+    next_sample = cadence if cadence <= duration else None
+
+    i, n = 0, len(event_times)
+    while True:
+        pending: list[tuple[int, int]] = []
+        if i < n and event_times[i] <= duration:
+            pending.append((event_times[i], 0))
+        if next_selection is not None:
+            pending.append((next_selection, 1))
+        if next_sample is not None:
+            pending.append((next_sample, 2))
+        if not pending:
+            break
+        t, kind = min(pending)
+        order.append((names[kind], t))
+        if kind == 0:
+            i += 1
+        elif kind == 1:
+            next_selection = t + interval
+            if next_selection > duration:
+                next_selection = None
+        else:
+            next_sample = t + cadence
+            if next_sample > duration:
+                next_sample = None
+    return order

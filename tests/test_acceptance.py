@@ -6,6 +6,9 @@ the criteria that read them.
 """
 from __future__ import annotations
 
+import hashlib
+import io
+import json
 import math
 import os
 import random
@@ -47,6 +50,35 @@ def strategy_results():
 @pytest.fixture(scope="module")
 def cache_results():
     return compare_caches(cache_comparison_profile())
+
+
+# SHA-256 of each default-profile run's metrics.csv bytes followed by its
+# summary as sorted-key JSON.  Recorded before the event loop, the lookup
+# pipeline and the message path were rewritten for speed; any change to the
+# simulated outcome shows here.
+PINNED_RUN_DIGESTS = {
+    ("strategies", "random"): "3ce0696494b15c897972b09c556a8e14825ff77cb0023b31102695b11383e979",
+    ("strategies", "trend"): "1a604dbff1a5cc9bd3409fbe1a5e6b20c690963b1f4cac198cdecc8df4584474",
+    ("strategies", "social_score"): "260dc49d71d29b9f8d051c54e05698099f5f28842e5406ca3735316a3a61b59a",
+    ("caches", "none"): "7ec6ab75df1b26e5fcd7f1c10169bcff1c6922ce332f0fd3310336a22554b6bf",
+    ("caches", "current_only"): "8c7ef518c826ac9b189c73af737f532a3211555fff3fb25f47f66d763aac52b1",
+    ("caches", "social_only"): "baf952c5dbe8dfc3e4b1deaaee3a0fbc9dc1b80893f5aff4f512e51fbddc35f9",
+    ("caches", "both"): "ace5f0e754b3e3e5ec98a513f45503fe63124201b786d1e21bf84bd0daaf6b73",
+}
+
+
+def run_output_digest(result) -> str:
+    handle = io.StringIO()
+    result.ledger.write_csv(handle)
+    digest = hashlib.sha256(handle.getvalue().encode("utf-8"))
+    digest.update(json.dumps(result.summary, sort_keys=True).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_default_profile_outputs_match_pinned_digests(strategy_results, cache_results):
+    got = {("strategies", r.label): run_output_digest(r) for r in strategy_results}
+    got.update({("caches", r.label): run_output_digest(r) for r in cache_results})
+    assert got == PINNED_RUN_DIGESTS
 
 
 def test_criterion_1_hit_ratio_reproduces_published_counters():

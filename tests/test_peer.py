@@ -34,10 +34,10 @@ def test_social_hit_after_pushed_update_uses_no_overlay():
     peers["b"].add_content(key("b"), b"v1", now=0)
     # first lookup subscribes a to b (fast path) and bootstraps the content
     first = peers["a"].handle_request(key("b"), now=1)
-    assert first.source is LookupSource.OVERLAY
+    assert first is LookupSource.OVERLAY
     lookups_before = dht.lookups
     result = peers["a"].handle_request(key("b"), now=2)
-    assert result.source is LookupSource.SOCIAL_CACHE
+    assert result is LookupSource.SOCIAL_CACHE
     assert dht.lookups == lookups_before  # answered without the overlay
     assert ledger.social_hits == 1
 
@@ -45,8 +45,8 @@ def test_social_hit_after_pushed_update_uses_no_overlay():
 def test_current_hit_when_owner_not_subscribed():
     dht, dispatcher, ledger, peers = build_net(["a", "b"], setup="current")
     peers["b"].add_content(key("b"), b"v1", now=0)
-    assert peers["a"].handle_request(key("b"), now=1).source is LookupSource.OVERLAY
-    assert peers["a"].handle_request(key("b"), now=2).source is LookupSource.CURRENT_CACHE
+    assert peers["a"].handle_request(key("b"), now=1) is LookupSource.OVERLAY
+    assert peers["a"].handle_request(key("b"), now=2) is LookupSource.CURRENT_CACHE
     assert ledger.current_hits == 1
 
 
@@ -54,7 +54,7 @@ def test_cold_key_served_by_overlay_and_cached():
     dht, dispatcher, ledger, peers = build_net(["a", "b"])
     peers["b"].add_content(key("b"), b"v1", now=0)
     result = peers["a"].handle_request(key("b"), now=1)
-    assert result.source is LookupSource.OVERLAY
+    assert result is LookupSource.OVERLAY
     assert key("b") in peers["a"].current.entries
     assert ledger.overlay_replies == 1
 
@@ -80,6 +80,9 @@ def test_absent_key_counts_unanswered():
     assert peers["a"].handle_request(key("b", "wall/9"), now=1) is None
     assert ledger.unanswered == 1
     assert ledger.total_requests == 1
+    # The unanswered request is still a tracked lookup of the key's owner.
+    entry = peers["a"].social.muc.entries["b"]
+    assert (entry.event_count, entry.lookup_count) == (1, 1)
 
 
 def test_post_fans_out_to_subscribers():
@@ -109,7 +112,7 @@ def test_own_content_served_from_social_cache():
     peers["a"].add_content(key("a"), b"mine", now=0)
     lookups_before = dht.lookups
     result = peers["a"].handle_request(key("a"), now=1)
-    assert result.source is LookupSource.SOCIAL_CACHE
+    assert result is LookupSource.SOCIAL_CACHE
     assert dht.lookups == lookups_before
 
 

@@ -14,6 +14,7 @@ from socicache.social_cache import (
     MucList,
     SelectionTrigger,
     SocialCache,
+    SocialStore,
     Strategy,
     StrategyConfig,
     SubscriptionDiff,
@@ -366,6 +367,74 @@ def test_subscription_set_rejects_self():
     subs = SubscriptionSet("me", limit=3)
     with pytest.raises(ValueError):
         subs.add("me")
+
+
+def test_subscription_set_keeps_owner_and_cap_checks():
+    subs = SubscriptionSet("me", limit=2)
+    subs.add("a")
+    subs.add("b")
+    subs.add("a")  # re-adding a member is a no-op, not a cap breach
+    with pytest.raises(CapExceededError):
+        subs.add("c")
+    with pytest.raises(ValueError):
+        subs.add("me")
+    assert list(subs) == ["a", "b"] and len(subs) == 2
+    assert "c" not in subs and "me" not in subs
+    assert (subs.at(0), subs.at(1)) == ("a", "b")
+    subs.remove("a")
+    subs.remove("a")  # removing a non-member is a no-op
+    subs.add("c")
+    assert list(subs) == ["b", "c"]
+    with pytest.raises(IndexError):
+        subs.at(2)
+
+
+_store_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("store"), st.sampled_from("uv"), st.sampled_from("xyz"),
+                  st.integers(1, 4)),
+        st.tuples(st.just("merge"), st.sampled_from("uv"),
+                  st.lists(st.tuples(st.sampled_from("xyz"), st.integers(1, 4)), max_size=5)),
+        st.tuples(st.just("purge"), st.sampled_from("uv")),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_store_ops)
+def test_store_merge_follows_per_item_rule(ops):
+    """``merge`` equals storing each item in turn unless the stored version is
+    newer, under any interleaving with ``store`` and ``purge_user``."""
+    store = SocialStore()
+    want: dict[str, dict[str, int]] = {}
+    for op in ops:
+        user = op[1]
+        if op[0] == "store":
+            store.store(user, obj(user, op[2], op[3]))
+            want.setdefault(user, {})[op[2]] = op[3]
+        elif op[0] == "purge":
+            store.purge_user(user)
+            want.pop(user, None)
+        else:
+            before = {k.path: c.version for k, c in store.by_user.get(user, {}).items()}
+            section = dict(want.get(user, {}))
+            accepted = 0
+            for path, version in op[2]:
+                if path not in section or version >= section[path]:
+                    section[path] = version
+                    accepted += 1
+            if section:
+                want[user] = section
+            assert store.merge(user, [obj(user, p, v) for p, v in op[2]]) == accepted
+            after = {k.path: c.version for k, c in store.by_user.get(user, {}).items()}
+            assert all(after[path] >= version for path, version in before.items())
+        got = {
+            u: {k.path: c.version for k, c in section.items()}
+            for u, section in store.by_user.items()
+        }
+        assert got == want
+        assert store.item_count == sum(len(section) for section in store.by_user.values())
 
 
 # -- inbound handlers ------------------------------------------------------------------
