@@ -129,7 +129,3 @@ class Peer:
         elif env.kind is MessageKind.BOOTSTRAP_DUMP:
             self.social.on_bootstrap(env.sender, env.payload)
         # System notices only notify; nothing to store.
-
-    def on_update_interval(self, now: SimTime) -> None:
-        if self.social is not None:
-            self.social.on_update_interval(now)

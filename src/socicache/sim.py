@@ -111,7 +111,9 @@ class Simulation:
                 muc_capacity=cfg.muc_capacity,
                 strategy_rng=random.Random(f"{strategy_seed}/strategy/{name}"),
             )
-        self._peer_list = [self.peers[name] for name in sorted(self.peers)]
+        peers = [self.peers[name] for name in sorted(self.peers)]
+        self._socials = [peer.social for peer in peers if peer.social is not None]
+        self._currents = [peer.current for peer in peers if peer.current is not None]
 
     @staticmethod
     def _trace_users(trace: list[TraceEvent]) -> list[UserId]:
@@ -151,8 +153,12 @@ class Simulation:
             actor.send_friend_request(ev.target, ev.at)
 
     def _run_selection_round(self, now: SimTime) -> None:
-        for peer in self._peer_list:
-            peer.on_update_interval(now)
+        """One time-triggered selection round; ``run`` schedules it only
+        for the time trigger."""
+        for social in self._socials:
+            diff = social.run_selection(now)
+            if diff.to_subscribe or diff.to_unsubscribe:
+                social.apply_diff(diff, now)
 
     def _sample(self, now: SimTime) -> None:
         counters = self.counters()
@@ -222,20 +228,24 @@ class Simulation:
     def _gauges(self) -> dict[str, float]:
         """Cache sizes and mean MUC size now; also folds the current channel
         and MUC sizes into the run-wide maxima."""
-        social_items = current_items = muc_total = social_peers = 0
-        for peer in self._peer_list:
-            if peer.current is not None:
-                current_items += len(peer.current.entries)
-            if peer.social is not None:
-                social_peers += 1
-                social_items += peer.social.store.item_count
-                muc_total += len(peer.social.muc)
-                self.max_channels = max(self.max_channels, len(peer.social.channels))
-                self.max_muc_entries = max(self.max_muc_entries, len(peer.social.muc))
+        current_items = sum([len(current.entries) for current in self._currents])
+        social_items = muc_total = 0
+        max_channels, max_muc_entries = self.max_channels, self.max_muc_entries
+        for social in self._socials:
+            social_items += social.store.item_count
+            muc_size = len(social.muc.entries)
+            muc_total += muc_size
+            if muc_size > max_muc_entries:
+                max_muc_entries = muc_size
+            channels = len(social.channels)
+            if channels > max_channels:
+                max_channels = channels
+        self.max_channels, self.max_muc_entries = max_channels, max_muc_entries
+        socials = len(self._socials)
         return {
             "social_cache_items": social_items,
             "current_cache_items": current_items,
-            "muc_size_mean": (muc_total / social_peers) if social_peers else 0.0,
+            "muc_size_mean": (muc_total / socials) if socials else 0.0,
         }
 
     def verify_consistency(self) -> list[str]:

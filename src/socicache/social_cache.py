@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .metrics import MetricsLedger
 from .model import ContentObject, InteractionKind, SimTime, StorageKey, UserId
@@ -93,9 +93,15 @@ class StrategyConfig:
 
 class MucEntry:
     """Per-user interaction aggregates: event and lookup counts, weighted
-    event volume, first and last event time."""
+    event volume, first and last event time, and the mean gap between
+    successive events.
 
-    __slots__ = ("user", "event_count", "lookup_count", "weighted", "first_at", "last_at")
+    The gap sum telescopes to ``last_at - first_at``; it is divided by the
+    event count minus two, at least 1, so a single event has gap 0.
+    """
+
+    __slots__ = ("user", "event_count", "lookup_count", "weighted", "first_at", "last_at",
+                 "gap")
 
     def __init__(self, user: UserId):
         self.user = user
@@ -104,12 +110,15 @@ class MucEntry:
         self.weighted = 0.0
         self.first_at: SimTime = 0
         self.last_at: SimTime = 0
+        self.gap = 0.0
 
     def append(self, kind: InteractionKind, at: SimTime, weight: float) -> None:
-        if not self.event_count:
+        count = self.event_count + 1
+        if count == 1:
             self.first_at = at
         self.last_at = at
-        self.event_count += 1
+        self.event_count = count
+        self.gap = (at - self.first_at) / (count - 2 if count > 2 else 1)
         if kind is InteractionKind.LOOKUP:
             self.lookup_count += 1
         self.weighted += weight
@@ -119,7 +128,10 @@ class MucList:
     """Bounded registry of tracked interactions, keyed by user.
 
     Weights are fixed per run, so each entry sums its weighted volume as
-    events arrive; kinds missing from ``weights`` weigh 1.0.
+    events arrive; kinds missing from ``weights`` weigh 1.0.  The weights
+    are read once, at construction, into a table keyed by each kind's
+    string value: hashing an ``Enum`` member is a Python-level call, and
+    ``record`` runs once per tracked interaction.
     """
 
     def __init__(
@@ -130,7 +142,8 @@ class MucList:
         if max_users < 1:
             raise ValueError("max_users must be positive")
         self.max_users = max_users
-        self.weights = weights if weights is not None else {}
+        weights = weights if weights is not None else {}
+        self._weight_of = {kind._value_: weights.get(kind, 1.0) for kind in InteractionKind}
         self.entries: dict[UserId, MucEntry] = {}
         self.total_events = 0
 
@@ -147,7 +160,7 @@ class MucList:
                 raise CapExceededError("MUC list full; evict before recording")
             entry = MucEntry(user)
             self.entries[user] = entry
-        entry.append(kind, at, self.weights.get(kind, 1.0))
+        entry.append(kind, at, self._weight_of[kind._value_])
         self.total_events += 1
 
     def remove(self, user: UserId) -> None:
@@ -167,24 +180,15 @@ class MucList:
         return entry.weighted / self.total_events
 
     def medium_interaction_length(self, user: UserId, now: SimTime) -> float:
-        """Average gap between successive events, normalised by the time
-        since the first event.
-
-        The gap sum telescopes, so only the first/last timestamps and the
-        event count are needed.  Degenerate histories (a single event, or a
+        """The entry's mean gap (``MucEntry.gap``) normalised by the time
+        since the first event.  Degenerate histories (a single event, or a
         first event at the current instant) score 0.
         """
         entry = self.entries.get(user)
         if entry is None:
             raise UnknownUserError(user)
-        count = entry.event_count
-        if count < 2:
-            return 0.0
         elapsed = now - entry.first_at
-        if elapsed <= 0:
-            return 0.0
-        mean_gap = (entry.last_at - entry.first_at) / max(count - 2, 1)
-        return mean_gap / elapsed
+        return entry.gap / elapsed if elapsed > 0 else 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,6 +199,10 @@ class SubscriptionDiff:
     @property
     def empty(self) -> bool:
         return not self.to_subscribe and not self.to_unsubscribe
+
+
+# The diff of every selection that changes nothing; the value is immutable.
+NO_CHANGE = SubscriptionDiff((), ())
 
 
 class SubscriptionSet(dict):
@@ -365,29 +373,29 @@ class SocialCache:
         random strategy has no ranking of its own and falls back to lookup
         counts (used only for MUC eviction).  Ties break by ascending user
         name so rankings are reproducible.
-
-        The social score is ``social_score`` inlined over every entry, with
-        the same float operations in the same order, so both agree exactly.
         """
-        entries = self.muc.entries
+        return self._ranked(self.muc.entries.items(), now)
+
+    def _ranked(self, tracked: Iterable[tuple[UserId, MucEntry]], now: SimTime) -> list[UserId]:
+        """The users of ``tracked`` (user, entry) pairs in ``rank_users``
+        order.  The key ``(-score, user)`` is a total order, so ranking a
+        subset keeps the subset's order in the full ranking.
+
+        The social score is ``social_score`` inlined, with the same float
+        operations in the same order, so both agree exactly.
+        """
         if self.cfg.kind is Strategy.SOCIAL_SCORE:
             alpha, beta = self.cfg.alpha, self.cfg.beta
             if alpha + beta <= 0:
                 raise InvalidWeightsError("alpha + beta must be positive")
             total = self.muc.total_events
             scored = []
-            for user, entry in entries.items():
-                count = entry.event_count
-                spacing = 0.0
-                if count >= 2:
-                    first = entry.first_at
-                    elapsed = now - first
-                    if elapsed > 0:
-                        gap = (entry.last_at - first) / (count - 2 if count > 2 else 1)
-                        spacing = gap / elapsed
+            for user, entry in tracked:
+                elapsed = now - entry.first_at
+                spacing = entry.gap / elapsed if elapsed > 0 else 0.0
                 scored.append((-(alpha * (entry.weighted / total) + beta * spacing), user))
         else:
-            scored = [(-float(e.lookup_count), u) for u, e in entries.items()]
+            scored = [(-float(e.lookup_count), u) for u, e in tracked]
         scored.sort()
         return [user for _, user in scored]
 
@@ -432,21 +440,40 @@ class SocialCache:
     def run_selection(self, now: SimTime) -> SubscriptionDiff:
         """Pick the next channel set and diff it against the current one.
 
-        Trend clears the MUC list afterwards; social score keeps it.  The
-        random strategy acts per lookup instead and returns an empty diff.
+        The top ``n`` ranked users are selected, so a MUC list of at most
+        ``n`` users is selected whole and only its unsubscribed users need
+        ranking, for the order of ``to_subscribe``.  Trend clears the MUC
+        list afterwards; social score keeps it.  The random strategy acts
+        per lookup instead and returns an empty diff.
         """
-        if self.cfg.kind is Strategy.RANDOM:
-            return SubscriptionDiff((), ())
-        selected = self.rank_users(now)[: self.cfg.n]
+        cfg = self.cfg
+        kind = cfg.kind
+        if kind is Strategy.RANDOM:
+            return NO_CHANGE
+        if kind is Strategy.SOCIAL_SCORE and cfg.alpha + cfg.beta <= 0:
+            raise InvalidWeightsError("alpha + beta must be positive")
+        entries = self.muc.entries
         channels = self.channels
-        to_subscribe = tuple(u for u in selected if u not in channels)
+        if len(entries) <= cfg.n:
+            chosen = entries
+            new = [(u, e) for u, e in entries.items() if u not in channels]
+            if len(new) > 1:
+                to_subscribe = tuple(self._ranked(new, now))
+            else:
+                to_subscribe = (new[0][0],) if new else ()
+            kept = len(entries) - len(new)
+        else:
+            chosen = self.rank_users(now)[: cfg.n]
+            to_subscribe = tuple([u for u in chosen if u not in channels])
+            kept = len(chosen) - len(to_subscribe)
         to_unsubscribe: tuple[UserId, ...] = ()
-        if len(selected) - len(to_subscribe) < len(channels):
-            chosen = set(selected)
-            to_unsubscribe = tuple(u for u in channels if u not in chosen)
-        if self.cfg.kind is Strategy.TREND:
+        if kept < len(channels):
+            to_unsubscribe = tuple([u for u in channels if u not in chosen])
+        if kind is Strategy.TREND and entries:
             self.muc.clear()
-        return SubscriptionDiff(to_subscribe, to_unsubscribe)
+        if to_subscribe or to_unsubscribe:
+            return SubscriptionDiff(to_subscribe, to_unsubscribe)
+        return NO_CHANGE
 
     def apply_diff(self, diff: SubscriptionDiff, now: SimTime) -> None:
         """Send the subscription changes; rejected whole if it would exceed
@@ -463,10 +490,6 @@ class SocialCache:
         for user in diff.to_subscribe:
             if user not in self.channels:
                 self._subscribe(user, now)
-
-    def on_update_interval(self, now: SimTime) -> None:
-        if self.cfg.trigger is SelectionTrigger.TIME_BASED:
-            self.apply_diff(self.run_selection(now), now)
 
     def _subscribe(self, user: UserId, now: SimTime) -> None:
         self.channels.add(user)

@@ -6,6 +6,7 @@ scans lists, the scoring oracles recompute from raw event lists.
 from __future__ import annotations
 
 from socicache.model import InteractionKind
+from socicache.social_cache import InvalidWeightsError, Strategy
 
 
 class ReferenceLruTtlCache:
@@ -77,6 +78,38 @@ def brute_force_top_n(scores: dict[str, float], n: int) -> list[str]:
     strategies' rankings."""
     ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return [user for user, _ in ordered[:n]]
+
+
+def reference_run_selection(cache, now: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Interval selection by ranking every tracked user: score each entry
+    from its raw first/last times and event count, sort by
+    ``(-score, user)``, take the top ``n`` and diff them against the
+    channels.  Trend clears the MUC list afterwards.  Returns the
+    ``(to_subscribe, to_unsubscribe)`` tuples; applies nothing."""
+    cfg = cache.cfg
+    if cfg.kind is Strategy.RANDOM:
+        return (), ()
+    entries = cache.muc.entries
+    if cfg.kind is Strategy.SOCIAL_SCORE:
+        if cfg.alpha + cfg.beta <= 0:
+            raise InvalidWeightsError("alpha + beta must be positive")
+        keys = []
+        for user, entry in entries.items():
+            spacing = 0.0
+            elapsed = now - entry.first_at
+            if entry.event_count >= 2 and elapsed > 0:
+                gap = (entry.last_at - entry.first_at) / max(entry.event_count - 2, 1)
+                spacing = gap / elapsed
+            tie = entry.weighted / cache.muc.total_events
+            keys.append((-(cfg.alpha * tie + cfg.beta * spacing), user))
+    else:
+        keys = [(-float(entry.lookup_count), user) for user, entry in entries.items()]
+    selected = [user for _, user in sorted(keys)][: cfg.n]
+    to_subscribe = tuple(user for user in selected if user not in cache.channels)
+    to_unsubscribe = tuple(user for user in cache.channels if user not in selected)
+    if cfg.kind is Strategy.TREND:
+        cache.muc.clear()
+    return to_subscribe, to_unsubscribe
 
 
 def reference_schedule(event_times: list[int], duration: int, interval: int,

@@ -1,10 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_top_n, direct_medium_interaction_length, direct_tie_strength
+from oracles import (
+    brute_force_top_n,
+    direct_medium_interaction_length,
+    direct_tie_strength,
+    reference_run_selection,
+)
 from socicache.model import ContentObject, InteractionKind, StorageKey
 from socicache.overlay import MessageKind
 from socicache.social_cache import (
@@ -633,3 +639,82 @@ def test_full_muc_track_evicts_last_ranked(kind):
         assert len(cache.muc) == cache.muc.max_users
         evictions += 1
     assert evictions
+
+
+def muc_state(cache):
+    return cache.muc.total_events, [
+        (u, e.event_count, e.lookup_count, e.weighted, e.first_at, e.last_at)
+        for u, e in cache.muc.entries.items()
+    ]
+
+
+@pytest.mark.parametrize("muc_capacity", [4, DUNBAR_MUC_LIMIT])
+@pytest.mark.parametrize("kind", [Strategy.TREND, Strategy.SOCIAL_SCORE])
+def test_run_selection_matches_rank_everything_reference(kind, muc_capacity):
+    """Two caches see the same tracks and rounds; one selects with
+    ``run_selection``, the other with the reference that ranks every
+    tracked user.  Diffs, MUC lists and channels must stay equal."""
+    rng = random.Random(f"selection-reference/{kind.value}/{muc_capacity}")
+    seen = Counter()
+    for _ in range(150):
+        weights = {k: rng.uniform(0.0, 3.0) for k in InteractionKind if rng.random() < 0.8}
+        n = rng.randrange(1, 7)
+        pair = [
+            SocialCache("me", StrategyConfig(kind=kind, n=n, interaction_weights=dict(weights)),
+                        lambda *_: None, muc_capacity=muc_capacity)
+            for _ in range(2)
+        ]
+        cache, ref = pair
+        users = [f"p{i}" for i in range(rng.randrange(1, 12))]
+        times = {}
+        now = 0
+        for _ in range(rng.randrange(1, 8)):
+            # No tracks at all makes back-to-back rounds (an emptied trend MUC).
+            for _ in range(rng.choice([0, 1, 2, 5, 20])):
+                user = rng.choice(users)
+                now += rng.choice([0, 0, 1, 3, 10])
+                interaction = rng.choice(list(InteractionKind))
+                if user not in cache.muc.entries:
+                    times[user] = []
+                times[user].append(now)
+                for c in pair:
+                    c.track(user, interaction, now)
+            for user, entry in cache.muc.entries.items():
+                ts = times[user]
+                assert entry.gap == (ts[-1] - ts[0]) / max(len(ts) - 2, 1)
+            if rng.random() < 0.3:
+                alpha, beta = rng.choice(
+                    [(rng.uniform(0.0, 2.0), rng.uniform(0.01, 2.0)), (1.0, 0.0), (0.0, 1.0)])
+                for c in pair:
+                    c.cfg.alpha, c.cfg.beta = alpha, beta
+                seen["alpha and beta changed"] += 1
+            now += rng.choice([0, 1, 50])
+
+            entries, channels = cache.muc.entries, cache.channels
+            seen["above n" if len(entries) > n else "at most n"] += 1
+            seen["channel not tracked"] += any(u not in entries for u in channels)
+            seen["empty MUC, live channels"] += not entries and bool(channels)
+            seen["one new user"] += (len(entries) <= n
+                                     and sum(u not in channels for u in entries) == 1)
+            expected = reference_run_selection(ref, now)
+            diff = cache.run_selection(now)
+            assert (diff.to_subscribe, diff.to_unsubscribe) == expected
+            assert muc_state(cache) == muc_state(ref)
+            cache.apply_diff(diff, now)
+            ref.apply_diff(SubscriptionDiff(*expected), now)
+            assert list(cache.channels) == list(ref.channels)
+
+        if kind is Strategy.SOCIAL_SCORE:
+            for c in pair:
+                c.cfg.alpha = c.cfg.beta = 0.0
+            with pytest.raises(InvalidWeightsError):
+                reference_run_selection(ref, now)
+            with pytest.raises(InvalidWeightsError):
+                cache.run_selection(now)
+
+    required = ["above n", "at most n", "one new user", "alpha and beta changed"]
+    if kind is Strategy.TREND:
+        required += ["channel not tracked", "empty MUC, live channels"]
+    elif muc_capacity < DUNBAR_MUC_LIMIT:
+        required += ["channel not tracked"]
+    assert all(seen[case] for case in required), seen
