@@ -15,9 +15,6 @@ from .model import (
     SimTime,
     StorageKey,
     UserId,
-    format_storage_key,
-    get_username,
-    parse_storage_key,
 )
 from .overlay import (
     DhtStore,

@@ -35,8 +35,6 @@ class CurrentCache:
         self.capacity = capacity
         self.ttl = ttl
         self.entries: OrderedDict[StorageKey, CacheEntry] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -44,16 +42,13 @@ class CurrentCache:
     def lookup(self, key: StorageKey, now: SimTime) -> ContentObject | None:
         entry = self.entries.get(key)
         if entry is None:
-            self.misses += 1
             return None
         if now - entry.inserted_at >= self.ttl:
             # Validity is exclusive: an entry of age == ttl is expired;
             # expired entries are dropped on access and count as misses.
             del self.entries[key]
-            self.misses += 1
             return None
         self.entries.move_to_end(key)
-        self.hits += 1
         return entry.content
 
     def insert(self, content: ContentObject, now: SimTime) -> StorageKey | None:

@@ -120,7 +120,6 @@ class MetricsLedger:
         self.social_hits = 0
         self.current_hits = 0
         self.overlay_replies = 0
-        self.unanswered = 0
         self.subscriptions_sent = 0
         self.unsubscriptions_sent = 0
         self.bootstrap_dumps = 0

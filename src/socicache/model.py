@@ -41,28 +41,6 @@ class StorageKey(NamedTuple):
         return cls(owner, path)
 
 
-def format_storage_key(owner: UserId, path: str) -> str:
-    """Build the wire form of a key. Inverts :func:`parse_storage_key`."""
-    if not owner or not path:
-        raise InvalidKeyError("owner and path must be non-empty")
-    if "/" in owner:
-        raise InvalidKeyError(f"owner must not contain '/': {owner!r}")
-    if "\n" in path:
-        raise InvalidKeyError("path must not contain newlines")
-    return f"{owner}/{path}"
-
-
-def parse_storage_key(text: str) -> StorageKey:
-    return StorageKey.parse(text)
-
-
-def get_username(key: "str | StorageKey") -> UserId:
-    """Owner of a key: the segment before the first '/'."""
-    if isinstance(key, StorageKey):
-        return key.owner
-    return StorageKey.parse(key).owner
-
-
 @dataclass(frozen=True, slots=True)
 class ContentObject:
     """A versioned stored item; versions per key strictly increase and the

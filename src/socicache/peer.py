@@ -79,9 +79,7 @@ class Peer:
             source = LookupSource.CURRENT_CACHE
         else:
             content = self.dht.get(key)
-            if content is None:
-                ledger.unanswered += 1
-            else:
+            if content is not None:
                 ledger.overlay_replies += 1
                 source = LookupSource.OVERLAY
                 if self.current is not None:

@@ -154,8 +154,25 @@ class Simulation:
 
     def _run_selection_round(self, now: SimTime) -> None:
         """One time-triggered selection round; ``run`` schedules it only
-        for the time trigger."""
+        for the time trigger.
+
+        Peers go in sorted order.  A peer that tracked nothing since its
+        last evaluated round (``touched`` unset) is skipped when its outcome
+        is provably empty, since only ``track`` changes its MUC list or
+        channels: a trend peer with no channels (that round cleared the MUC
+        list), a social-score peer with at most ``n`` users (that round
+        selected all of them) or before ``stable_until()``.
+        """
+        strategy = self.cfg.strategy
+        trend = strategy.kind is Strategy.TREND
+        n = strategy.n
         for social in self._socials:
+            if not social.touched:
+                if trend:
+                    if not social.channels:
+                        continue
+                elif len(social.muc.entries) <= n or now < social.stable_until():
+                    continue
             diff = social.run_selection(now)
             if diff.to_subscribe or diff.to_unsubscribe:
                 social.apply_diff(diff, now)

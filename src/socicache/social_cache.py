@@ -16,9 +16,10 @@ without overlay lookups.  Ranking math:
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .metrics import MetricsLedger
 from .model import ContentObject, InteractionKind, SimTime, StorageKey, UserId
@@ -26,6 +27,12 @@ from .overlay import MessageKind
 
 DUNBAR_MUC_LIMIT = 150
 DEFAULT_CHANNEL_LIMIT = 15
+
+# Relative widening of the best unchosen score in the stability certificate
+# (``SocialCache._crossing_tick``).  It is far above the rounding error of the
+# few float operations behind a score, so a skipped round is sound in
+# floating point, not only in real numbers.
+_STABLE_MARGIN = 1e-9
 
 
 class UnknownUserError(KeyError):
@@ -273,10 +280,21 @@ class SocialStore:
 
     def merge(self, user: UserId, items: Sequence[ContentObject]) -> int:
         """Insert a batch of one user's content, never replacing a newer
-        stored version; returns the number of items accepted."""
+        stored version; returns the number of items accepted.
+
+        A batch of distinct keys for a user with no section is taken whole:
+        every item is accepted.  Any other batch, a non-empty section or
+        a repeated key, goes through the per-item rule."""
         if not items:
             return 0
-        section = self.by_user.setdefault(user, {})
+        section = self.by_user.get(user)
+        if section is None:
+            section = {content.key: content for content in items}
+            if len(section) == len(items):
+                self.by_user[user] = section
+                self.item_count += len(section)
+                return len(section)
+            section = self.by_user[user] = {}
         accepted = 0
         for content in items:
             existing = section.get(content.key)
@@ -292,9 +310,6 @@ class SocialStore:
         section = self.by_user.pop(user, None)
         if section is not None:
             self.item_count -= len(section)
-
-    def users(self) -> Iterator[UserId]:
-        return iter(self.by_user)
 
 
 class OwnContentStore:
@@ -325,6 +340,10 @@ class SocialCache:
 
     Wired to the rest of the stack through a single ``send`` callable; the
     owning peer routes incoming envelopes to the ``on_*`` handlers.
+
+    The simulator skips selection rounds that cannot change anything with
+    the ``touched`` mark, set by every ``track`` and cleared by
+    ``run_selection``, and with ``stable_until``.
     """
 
     def __init__(
@@ -354,6 +373,11 @@ class SocialCache:
             rng = random.Random(f"{seed}/random-strategy/{owner}")
         self.rng = rng
         self._lookups_since_selection = 0
+        self.touched = False
+        # (chosen, runner-up, tick) of the last full social-score ranking, and
+        # its stable-until tick once computed.
+        self._last_ranking: tuple[list[UserId], UserId, SimTime] | None = None
+        self._stable_until: float | None = 0
 
     # -- scoring ---------------------------------------------------------
 
@@ -405,6 +429,7 @@ class SocialCache:
         """Record an interaction; lookups additionally drive subscriptions."""
         if user == self.owner:
             raise ValueError("own interactions are not tracked")
+        self.touched = True
         muc = self.muc
         if user not in muc.entries and len(muc.entries) >= muc.max_users:
             muc.remove(self.rank_users(now)[-1])
@@ -443,8 +468,10 @@ class SocialCache:
         The top ``n`` ranked users are selected, so a MUC list of at most
         ``n`` users is selected whole and only its unsubscribed users need
         ranking, for the order of ``to_subscribe``.  Trend clears the MUC
-        list afterwards; social score keeps it.  The random strategy acts
-        per lookup instead and returns an empty diff.
+        list afterwards; social score keeps it and, after ranking more than
+        ``n`` users, keeps the ranking for ``stable_until``.  The random
+        strategy acts per lookup instead and returns an empty diff.  Clears
+        ``touched``.
         """
         cfg = self.cfg
         kind = cfg.kind
@@ -452,6 +479,7 @@ class SocialCache:
             return NO_CHANGE
         if kind is Strategy.SOCIAL_SCORE and cfg.alpha + cfg.beta <= 0:
             raise InvalidWeightsError("alpha + beta must be positive")
+        self.touched = False
         entries = self.muc.entries
         channels = self.channels
         if len(entries) <= cfg.n:
@@ -463,7 +491,11 @@ class SocialCache:
                 to_subscribe = (new[0][0],) if new else ()
             kept = len(entries) - len(new)
         else:
-            chosen = self.rank_users(now)[: cfg.n]
+            ranked = self.rank_users(now)
+            chosen = ranked[: cfg.n]
+            if kind is Strategy.SOCIAL_SCORE:
+                self._last_ranking = (chosen, ranked[cfg.n], now)
+                self._stable_until = None
             to_subscribe = tuple([u for u in chosen if u not in channels])
             kept = len(chosen) - len(to_subscribe)
         to_unsubscribe: tuple[UserId, ...] = ()
@@ -474,6 +506,61 @@ class SocialCache:
         if to_subscribe or to_unsubscribe:
             return SubscriptionDiff(to_subscribe, to_unsubscribe)
         return NO_CHANGE
+
+    def stable_until(self) -> float:
+        """The first tick at which the top ``n`` of the last full
+        social-score ranking (``run_selection`` with more than ``n`` users)
+        may change, provided nothing was tracked since and alpha and beta
+        stay as they are; ``math.inf`` if never, 0 before any ranking.
+        Computed on the first call after each ranking: most rankings are
+        followed by a track, which makes the certificate moot.
+        """
+        until = self._stable_until
+        if until is None:
+            until = self._stable_until = self._crossing_tick(*self._last_ranking)
+        return until
+
+    def _crossing_tick(self, chosen: list[UserId], runner_up: UserId, now: SimTime) -> float:
+        """The first tick at which a top ``n`` ranked at ``now`` may differ
+        from ``chosen`` while nothing is tracked; ``math.inf`` if never.
+
+        Between events (none later than ``now``) a user's score is
+        ``A + B / (t - first_at)`` with ``A = alpha * tie`` and
+        ``B = beta * gap`` fixed and non-negative, so no score rises, in
+        real numbers or in correctly rounded floats.  The chosen set holds
+        while every chosen score stays above ``M``, the best unchosen score
+        now (``runner_up``'s).  With ``M`` widened to ``M'`` by
+        ``_STABLE_MARGIN``, a chosen user with ``A < M'`` cannot fall to
+        ``M`` before ``first_at + B / (M' - A)``, and one with ``A >= M'``
+        never does.  The result is the earliest such time rounded up to a
+        tick.  Degenerate rankings record no window (the result is ``now``):
+        a zero weight or best unchosen score, or a chosen user first seen
+        at ``now``, whose spacing term is 0 rather than ``B / 0``.  A tie at
+        the boundary yields a tick at or before ``now`` by itself.
+        """
+        alpha, beta = self.cfg.alpha, self.cfg.beta
+        if alpha <= 0 or beta <= 0:
+            return now
+        entries = self.muc.entries
+        total = self.muc.total_events
+        entry = entries[runner_up]
+        elapsed = now - entry.first_at
+        spacing = entry.gap / elapsed if elapsed > 0 else 0.0
+        best = alpha * (entry.weighted / total) + beta * spacing
+        if best <= 0:
+            return now
+        widened = best + best * _STABLE_MARGIN
+        until = math.inf
+        for user in chosen:
+            entry = entries[user]
+            if entry.first_at >= now:
+                return now
+            floor = alpha * (entry.weighted / total)
+            if floor < widened:
+                crossing = entry.first_at + beta * entry.gap / (widened - floor)
+                if crossing < until:
+                    until = crossing
+        return until if until == math.inf else math.ceil(until)
 
     def apply_diff(self, diff: SubscriptionDiff, now: SimTime) -> None:
         """Send the subscription changes; rejected whole if it would exceed

@@ -6,7 +6,7 @@ scans lists, the scoring oracles recompute from raw event lists.
 from __future__ import annotations
 
 from socicache.model import InteractionKind
-from socicache.social_cache import InvalidWeightsError, Strategy
+from socicache.social_cache import InvalidWeightsError, Strategy, SubscriptionDiff
 
 
 class ReferenceLruTtlCache:
@@ -110,6 +110,19 @@ def reference_run_selection(cache, now: int) -> tuple[tuple[str, ...], tuple[str
     if cfg.kind is Strategy.TREND:
         cache.muc.clear()
     return to_subscribe, to_unsubscribe
+
+
+def reference_selection_round(sim, now: int) -> None:
+    """A selection round that evaluates every peer of a ``Simulation``, in
+    sorted order, with ``reference_run_selection``, and applies each
+    non-empty diff; no peer is skipped."""
+    for name in sorted(sim.peers):
+        social = sim.peers[name].social
+        if social is None:
+            continue
+        to_subscribe, to_unsubscribe = reference_run_selection(social, now)
+        if to_subscribe or to_unsubscribe:
+            social.apply_diff(SubscriptionDiff(to_subscribe, to_unsubscribe), now)
 
 
 def reference_schedule(event_times: list[int], duration: int, interval: int,

@@ -14,9 +14,9 @@ def obj(path, version=1):
 
 def test_hit_within_ttl():
     cache = CurrentCache(capacity=10, ttl=100)
-    cache.insert(obj("a"), now=0)
-    assert cache.lookup(StorageKey("u", "a"), now=50) is not None
-    assert cache.hits == 1
+    content = obj("a")
+    cache.insert(content, now=0)
+    assert cache.lookup(StorageKey("u", "a"), now=50) is content
 
 
 def test_expiry_boundary_is_exclusive():
@@ -24,13 +24,14 @@ def test_expiry_boundary_is_exclusive():
     cache.insert(obj("a"), now=0)
     assert cache.lookup(StorageKey("u", "a"), now=100) is None
     assert StorageKey("u", "a") not in cache.entries  # expired entry evicted
-    assert cache.misses == 1
+    # The miss is final: the expired entry does not come back.
+    assert cache.lookup(StorageKey("u", "a"), now=100) is None
 
 
 def test_lookup_of_absent_key_misses():
     cache = CurrentCache(capacity=10, ttl=100)
     assert cache.lookup(StorageKey("u", "nope"), now=0) is None
-    assert cache.misses == 1
+    assert len(cache) == 0
 
 
 def test_lru_eviction_order():
@@ -89,9 +90,9 @@ def test_capacity_never_exceeded(ops, capacity):
         if op == "insert":
             cache.insert(obj(f"k{idx}"), now)
         else:
-            cache.lookup(StorageKey("u", f"k{idx}"), now)
+            got = cache.lookup(StorageKey("u", f"k{idx}"), now)
+            assert got is None or got.key == StorageKey("u", f"k{idx}")
         assert len(cache.entries) <= capacity
-        assert cache.hits + cache.misses >= 0
 
 
 @given(ops=ops, capacity=st.integers(min_value=1, max_value=5))

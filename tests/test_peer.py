@@ -29,6 +29,10 @@ def key(owner, path="wall/0"):
     return StorageKey(owner, path)
 
 
+def answered(ledger):
+    return ledger.social_hits + ledger.current_hits + ledger.overlay_replies
+
+
 def test_social_hit_after_pushed_update_uses_no_overlay():
     dht, dispatcher, ledger, peers = build_net(["a", "b"])
     peers["b"].add_content(key("b"), b"v1", now=0)
@@ -62,23 +66,23 @@ def test_cold_key_served_by_overlay_and_cached():
 def test_tier_exclusivity_per_request():
     dht, dispatcher, ledger, peers = build_net(["a", "b"])
     peers["b"].add_content(key("b"), b"v1", now=0)
+    unanswered = 0
     for now in range(1, 30):
         before = (ledger.social_hits, ledger.current_hits, ledger.overlay_replies,
-                  ledger.unanswered)
-        peers["a"].handle_request(key("b", f"wall/{now % 3}"), now)
+                  ledger.total_requests - answered(ledger))
+        source = peers["a"].handle_request(key("b", f"wall/{now % 3}"), now)
+        unanswered += source is None
         after = (ledger.social_hits, ledger.current_hits, ledger.overlay_replies,
-                 ledger.unanswered)
+                 ledger.total_requests - answered(ledger))
         assert sum(after) - sum(before) == 1
-    assert ledger.total_requests == (
-        ledger.social_hits + ledger.current_hits + ledger.overlay_replies
-        + ledger.unanswered
-    )
+        assert sorted(a - b for a, b in zip(after, before)) == [0, 0, 0, 1]
+    assert ledger.total_requests - answered(ledger) == unanswered
 
 
 def test_absent_key_counts_unanswered():
     dht, dispatcher, ledger, peers = build_net(["a", "b"])
     assert peers["a"].handle_request(key("b", "wall/9"), now=1) is None
-    assert ledger.unanswered == 1
+    assert ledger.total_requests - answered(ledger) == 1
     assert ledger.total_requests == 1
     # The unanswered request is still a tracked lookup of the key's owner.
     entry = peers["a"].social.muc.entries["b"]

@@ -1,10 +1,23 @@
+import io
+import random
+from collections import Counter
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_schedule
+from oracles import reference_schedule, reference_selection_round
+from socicache.model import InteractionKind
 from socicache.sim import Simulation
 from socicache.social_cache import SelectionTrigger, Strategy, StrategyConfig
-from socicache.workload import LOOKUP, CacheSetup, ScenarioConfig, TraceEvent
+from socicache.workload import (
+    FRIENDREQ,
+    LOOKUP,
+    POST,
+    CacheSetup,
+    ScenarioConfig,
+    TraceEvent,
+)
 
 TIME_TRIGGER = SelectionTrigger.TIME_BASED
 COUNT_TRIGGER = SelectionTrigger.LOOKUP_COUNT_BASED
@@ -84,3 +97,152 @@ def test_event_loop_matches_pending_list_merge(case):
                       and trigger is TIME_TRIGGER)
     want = reference_schedule(times, duration, interval, time_selection, cadence)
     assert recorded_schedule(cfg, times) == want
+
+
+def peer_states(sim: Simulation) -> list[tuple]:
+    """Channels, receivers, MUC list and stored versions of every peer."""
+    states = []
+    for name in sorted(sim.peers):
+        social = sim.peers[name].social
+        entries = [(u, e.event_count, e.lookup_count, e.weighted, e.first_at, e.last_at, e.gap)
+                   for u, e in social.muc.entries.items()]
+        stored = {u: sorted((str(k), c.version) for k, c in section.items())
+                  for u, section in social.store.by_user.items()}
+        states.append((name, list(social.channels), list(social.receivers),
+                       social.muc.total_events, entries, stored))
+    return states
+
+
+def replay_rounds(cfg: ScenarioConfig, trace: list[TraceEvent], *, reference: bool):
+    """Run ``trace`` and record, after each selection round, its tick and
+    every peer's state.  With ``reference`` each round evaluates every peer
+    (``reference_selection_round``); otherwise the simulator's own round
+    runs and each peer it skips is counted, by strategy and by whether the
+    peer tracked more than ``n`` users.  Returns the round states, the
+    ``metrics.csv`` text and summary of the run, and the skip counts."""
+    sim = Simulation(cfg, trace)
+    rounds: list[tuple[int, list[tuple]]] = []
+    skipped: Counter = Counter()
+    evaluated: set[str] = set()
+
+    def counted(social):
+        run_selection = social.run_selection
+
+        def run(now):
+            evaluated.add(social.owner)
+            return run_selection(now)
+        return run
+
+    def own_round(now, run_round=sim._run_selection_round):
+        above_n = {s.owner for s in sim._socials if len(s.muc.entries) > cfg.strategy.n}
+        evaluated.clear()
+        run_round(now)
+        for social in sim._socials:
+            if social.owner not in evaluated:
+                size = "above n" if social.owner in above_n else "at most n"
+                skipped[f"{cfg.strategy.kind.value}, {size}"] += 1
+
+    def on_round(now):
+        if reference:
+            reference_selection_round(sim, now)
+        else:
+            own_round(now)
+        rounds.append((now, peer_states(sim)))
+
+    for social in sim._socials:
+        social.run_selection = counted(social)
+    sim._run_selection_round = on_round
+    result = sim.run()
+    handle = io.StringIO()
+    result.ledger.write_csv(handle)
+    return rounds, (handle.getvalue(), result.summary), skipped
+
+
+def random_selection_case(rng: random.Random, kind: Strategy):
+    """A few peers, a small MUC capacity and channel limit, random weights
+    and interval, and bursts of events between quiet stretches."""
+    users = [f"u{i}" for i in range(rng.randrange(2, 7))]
+    duration = rng.randrange(40, 240)
+    alpha, beta = rng.choice([(0.9, 0.1), (0.5, 0.5),
+                              (rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0))])
+    weights = {InteractionKind.LOOKUP: rng.choice([0.5, 1.0, 2.0]),
+               InteractionKind.FRIEND_REQUEST: rng.choice([0.5, 1.0, 3.0])}
+    strategy = StrategyConfig(kind=kind, n=rng.randrange(1, 4), alpha=alpha, beta=beta,
+                              interaction_weights=weights,
+                              update_interval=rng.randrange(1, 12))
+    cfg = ScenarioConfig(
+        peer_count=len(users),
+        friends_per_user=1,
+        sim_duration_ticks=duration,
+        friend_request_phases=(),
+        sample_cadence_ticks=rng.randrange(5, 40),
+        cache_setup=rng.choice([CacheSetup.SOCIAL_ONLY, CacheSetup.BOTH]),
+        strategy=strategy,
+        muc_capacity=rng.randrange(2, 7),
+    )
+    trace = []
+    at = 0
+    while True:
+        at += rng.choice([0, 0, 1, 2, 5, 20, 60])
+        if at > duration:
+            return cfg, trace
+        actor = rng.choice(users)
+        action = rng.choice([LOOKUP] * 6 + [POST, FRIENDREQ])
+        if action == LOOKUP:
+            trace.append(TraceEvent(at, actor, LOOKUP, f"{rng.choice(users)}/wall/{rng.randrange(3)}"))
+        elif action == POST:
+            trace.append(TraceEvent(at, actor, POST, f"{actor}/wall/{rng.randrange(3)}", 8))
+        else:
+            target = rng.choice([u for u in users if u != actor])
+            trace.append(TraceEvent(at, actor, FRIENDREQ, target))
+
+
+@pytest.mark.parametrize("kind", [Strategy.TREND, Strategy.SOCIAL_SCORE])
+def test_skipped_rounds_match_every_peer_rounds(kind):
+    """Random histories through the simulator's round, which skips peers,
+    and through a round that evaluates every peer: the same state after
+    every round and the same output."""
+    rng = random.Random(f"round-skips/{kind.value}")
+    skipped: Counter = Counter()
+    changed = 0
+    for _ in range(150):
+        cfg, trace = random_selection_case(rng, kind)
+        want_rounds, want_outputs, _ = replay_rounds(cfg, trace, reference=True)
+        got_rounds, got_outputs, skips = replay_rounds(cfg, trace, reference=False)
+        assert got_rounds == want_rounds
+        assert got_outputs == want_outputs
+        skipped.update(skips)
+        changed += sum(a[1] != b[1] for a, b in zip(want_rounds, want_rounds[1:]))
+    assert changed, "no round changed any state"
+    # A skipped trend peer has an empty MUC list.
+    cases = (["trend, at most n"] if kind is Strategy.TREND
+             else ["social_score, at most n", "social_score, above n"])
+    assert all(skipped[case] for case in cases), skipped
+
+
+def test_round_at_an_exact_crossing_is_not_skipped():
+    """The first boundary history of ``test_social_cache``, as a trace: the
+    round at tick 26 changes the channel, and the six rounds from 14 to 24
+    before it are skipped (so is the round at 30)."""
+    cfg = ScenarioConfig(
+        peer_count=5,
+        friends_per_user=1,
+        sim_duration_ticks=30,
+        friend_request_phases=(),
+        sample_cadence_ticks=10,
+        cache_setup=CacheSetup.SOCIAL_ONLY,
+        strategy=StrategyConfig(
+            kind=Strategy.SOCIAL_SCORE, n=1, alpha=0.6, beta=0.4, update_interval=2,
+            interaction_weights={InteractionKind.LOOKUP: 1.0,
+                                 InteractionKind.FRIEND_REQUEST: 2.0}),
+    )
+    trace = [TraceEvent(at, "me", LOOKUP, f"{user}/wall/0")
+             for at, user in ((2, "p3"), (6, "p0"), (8, "p3"), (10, "p2"))]
+    trace += [TraceEvent(11, "me", FRIENDREQ, "p1"), TraceEvent(11, "me", LOOKUP, "p1/wall/0")]
+    want_rounds, want_outputs, _ = replay_rounds(cfg, trace, reference=True)
+    got_rounds, got_outputs, skips = replay_rounds(cfg, trace, reference=False)
+    assert got_rounds == want_rounds
+    assert got_outputs == want_outputs
+    channels = {now: next(s[1] for s in states if s[0] == "me") for now, states in want_rounds}
+    assert channels[24] == ["p3"] and channels[26] == ["p1"]
+    assert skips["social_score, above n"] == 7

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -350,7 +351,7 @@ def test_unsubscribe_purges_store():
     me.apply_diff(SubscriptionDiff(("them",), ()), now=1)
     assert me.store.item_count == 1
     me.apply_diff(SubscriptionDiff((), ("them",)), now=2)
-    assert "them" not in list(me.store.users())
+    assert "them" not in me.store.by_user
     assert me.store.item_count == 0
     assert "me" not in them.receivers
 
@@ -718,3 +719,119 @@ def test_run_selection_matches_rank_everything_reference(kind, muc_capacity):
     elif muc_capacity < DUNBAR_MUC_LIMIT:
         required += ["channel not tracked"]
     assert all(seen[case] for case in required), seen
+
+
+# -- stability certificate -------------------------------------------------------
+
+FRIEND = InteractionKind.FRIEND_REQUEST
+
+# Histories whose first changed round falls exactly on an integer tick: the
+# crossing of a chosen and the best unchosen score, in the scores' own float
+# arithmetic.  (n, alpha, beta, friend-request weight, tracks, ranking tick,
+# first tick whose selection differs.)
+BOUNDARY_HISTORIES = [
+    (1, 0.6, 0.4, 2.0, [("p3", LOOKUP, 2), ("p0", LOOKUP, 6), ("p3", LOOKUP, 8),
+                        ("p2", LOOKUP, 10), ("p1", FRIEND, 11), ("p1", LOOKUP, 11)], 12, 26),
+    (3, 0.75, 0.25, 3.0, [("p2", LOOKUP, 4), ("p0", FRIEND, 4), ("p3", FRIEND, 6),
+                          ("p0", LOOKUP, 10), ("p1", FRIEND, 10), ("p3", LOOKUP, 11),
+                          ("p2", LOOKUP, 13)], 14, 25),
+    (3, 0.3, 0.7, 3.0, [("p4", LOOKUP, 1), ("p2", FRIEND, 3), ("p5", LOOKUP, 5),
+                        ("p0", LOOKUP, 10), ("p4", LOOKUP, 12), ("p5", FRIEND, 14),
+                        ("p0", FRIEND, 15), ("p5", LOOKUP, 16), ("p5", FRIEND, 16)], 16, 232),
+]
+
+
+def certificate_cache(n, alpha, beta, friend_weight):
+    cfg = StrategyConfig(kind=Strategy.SOCIAL_SCORE, n=n, alpha=alpha, beta=beta,
+                         interaction_weights={LOOKUP: 1.0, FRIEND: friend_weight})
+    return SocialCache("me", cfg, lambda *_: None)
+
+
+def select(cache, now):
+    cache.apply_diff(cache.run_selection(now), now)
+    return cache.stable_until()
+
+
+def assert_selection_stable_below(cache, now, until, horizon):
+    """Every tick after ``now`` and below ``until`` (up to ``horizon``
+    ticks) selects what the channels already hold; returns the ticks
+    checked."""
+    checked = 0
+    for tick in range(now + 1, min(until, now + horizon)):
+        assert reference_run_selection(cache, tick) == ((), ()), (now, tick, until)
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("history", BOUNDARY_HISTORIES, ids=["n1", "n3", "n3-late"])
+def test_stable_until_stops_at_an_exact_crossing(history):
+    n, alpha, beta, friend_weight, tracks, now, first_change = history
+    cache = certificate_cache(n, alpha, beta, friend_weight)
+    for user, kind, at in tracks:
+        cache.track(user, kind, at)
+    assert len(cache.muc) > n
+    until = select(cache, now)
+    assert until == first_change
+    assert assert_selection_stable_below(cache, now, until, horizon=10_000) == until - now - 1
+    assert reference_run_selection(cache, first_change) != ((), ())
+
+
+def test_stable_until_certifies_unchanged_selection():
+    """Random histories of more than n users: at every tick below the
+    recorded stable-until tick the rank-everything selection is unchanged."""
+    rng = random.Random("stability-certificate")
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randrange(1, 4)
+        alpha, beta = rng.choice([(0.9, 0.1), (0.5, 0.5), (0.25, 0.75), (0.6, 0.4),
+                                  (rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0))])
+        cache = certificate_cache(n, alpha, beta, rng.choice([0.5, 1.0, 2.0, 3.0]))
+        users = [f"p{i}" for i in range(rng.randrange(n + 1, n + 5))]
+        now = 0
+        for _ in range(rng.randrange(1, 5)):
+            for _ in range(rng.randrange(1, 10)):
+                now += rng.choice([0, 1, 2, 4])
+                cache.track(rng.choice(users), rng.choice([LOOKUP, FRIEND]), now)
+            now += rng.choice([0, 1, 3])
+            until = select(cache, now)
+            if len(cache.muc) <= n:
+                continue
+            seen["window" if until > now + 1 else "no window"] += 1
+            seen["never changes"] += until == math.inf
+            seen["ticks checked"] += assert_selection_stable_below(cache, now, until, horizon=200)
+    assert seen["window"] and seen["no window"] and seen["never changes"], seen
+    assert seen["ticks checked"] > 10_000, seen
+
+
+def test_degenerate_rankings_record_no_window():
+    def strong_and_weak():
+        # "a" is chosen for good, far above "b": a window that never ends.
+        cache = certificate_cache(1, 0.9, 0.1, 1.0)
+        for user, at in (("a", 0), ("a", 5), ("b", 9), ("a", 10)):
+            cache.track(user, LOOKUP, at)
+        return cache
+
+    cache = strong_and_weak()
+    assert select(cache, 10) == math.inf
+    for weights in ((0.0, 0.1), (0.9, 0.0)):
+        cache = strong_and_weak()
+        cache.cfg.alpha, cache.cfg.beta = weights
+        assert select(cache, 10) == 10
+
+    # Equal scores at the n/n+1 boundary: "a" (falling) ties "b" (flat) at
+    # tick 32 and is chosen by name, but loses from tick 33 on.
+    cache = certificate_cache(1, 0.5, 0.5, 1.0)
+    for user, at in [("a", 0), ("a", 0), ("a", 8)] + [("b", 8)] * 5:
+        cache.track(user, LOOKUP, at)
+    assert cache.social_score("a", 32) == cache.social_score("b", 32)
+    assert select(cache, 32) <= 32
+    assert list(cache.channels) == ["a"]
+    assert reference_run_selection(cache, 33) == (("b",), ("a",))
+
+    # A chosen user first seen at the ranking tick.
+    cache = certificate_cache(1, 0.9, 0.1, 50.0)
+    cache.track("b", LOOKUP, 0)
+    cache.track("b", LOOKUP, 4)
+    cache.track("a", FRIEND, 20)
+    assert select(cache, 20) == 20
+    assert list(cache.channels) == ["a"]
