@@ -1,6 +1,10 @@
 """Simulated overlay: a key-value store plus a synchronous user-to-user
 message dispatcher, with traffic counters read by the simulation.
 
+An envelope carries no recipient: the sender builds it once per send and
+the dispatcher delivers it to each recipient in turn, so a publish to k
+subscribers shares one envelope across k deliveries.
+
 Replication is modelled only as a write-traffic multiplier; there is no
 replica placement, routing or churn.  Both structures are owned by a single
 simulation event loop and are not thread-safe.
@@ -67,10 +71,10 @@ class MessageKind(enum.Enum):
 
 
 class MessageEnvelope(NamedTuple):
-    """A user-addressed message; the payload is opaque to the dispatcher."""
+    """A message as sent, without its recipient; the payload is opaque to
+    the dispatcher."""
 
     sender: UserId
-    recipient: UserId
     kind: MessageKind
     payload: Any
     sent_at: SimTime
@@ -89,12 +93,12 @@ class MessageDispatcher:
     def register(self, user: UserId, handler: Callable[[MessageEnvelope], None]) -> None:
         self.handlers[user] = handler
 
-    def dispatch(self, env: MessageEnvelope) -> None:
-        if env.sender == env.recipient:
+    def dispatch(self, env: MessageEnvelope, recipient: UserId) -> None:
+        if env.sender == recipient:
             raise InvalidEnvelopeError(f"self-addressed envelope from {env.sender!r}")
-        handler = self.handlers.get(env.recipient)
+        handler = self.handlers.get(recipient)
         if handler is None:
-            raise InvalidEnvelopeError(f"no registered recipient {env.recipient!r}")
+            raise InvalidEnvelopeError(f"no registered recipient {recipient!r}")
         self.messages += 1
         self.delivered += 1
         handler(env)

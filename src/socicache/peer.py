@@ -11,7 +11,6 @@ triggered subscription would have pushed it a moment later.
 from __future__ import annotations
 
 import random
-from typing import Any
 
 from .info_cache import CurrentCache, LookupSource
 from .metrics import MetricsLedger
@@ -25,6 +24,11 @@ class NotOwnerError(PermissionError):
 
 
 class Peer:
+    """One user's node.  Outbound messages go straight to the dispatcher:
+    the social cache builds one envelope per send and dispatches it per
+    recipient, and ``send_friend_request`` builds its own.  Inbound
+    envelopes arrive at ``on_envelope``."""
+
     def __init__(
         self,
         user: UserId,
@@ -48,7 +52,7 @@ class Peer:
             self.social = SocialCache(
                 user,
                 strategy,
-                self._send,
+                dispatcher.dispatch,
                 self.ledger,
                 bootstrapping=bootstrapping,
                 muc_capacity=muc_capacity,
@@ -56,11 +60,6 @@ class Peer:
             )
         self._versions: dict[StorageKey, int] = {}
         dispatcher.register(user, self.on_envelope)
-
-    # -- outbound ---------------------------------------------------------
-
-    def _send(self, kind: MessageKind, recipient: UserId, payload: Any, now: SimTime) -> None:
-        self.dispatcher.dispatch(MessageEnvelope(self.user, recipient, kind, payload, now))
 
     # -- lookup pipeline ----------------------------------------------------
 
@@ -109,21 +108,27 @@ class Peer:
     def send_friend_request(self, target: UserId, now: SimTime) -> None:
         """Friend requests travel as system messages and count as tracked
         interactions with the target."""
-        self._send(MessageKind.SYSTEM_NOTICE, target, "friend_request", now)
+        self.dispatcher.dispatch(
+            MessageEnvelope(self.user, MessageKind.SYSTEM_NOTICE, "friend_request", now), target
+        )
         if self.social is not None and target != self.user:
             self.social.track(target, InteractionKind.FRIEND_REQUEST, now)
 
     # -- inbound ------------------------------------------------------------
 
     def on_envelope(self, env: MessageEnvelope) -> None:
-        if self.social is None:
+        """Route a delivered envelope to the social cache.  Social updates,
+        most of the traffic, are tested first."""
+        social = self.social
+        if social is None:
             return
-        if env.kind is MessageKind.SUBSCRIBE:
-            self.social.on_subscribe_received(env.sender, env.sent_at)
-        elif env.kind is MessageKind.UNSUBSCRIBE:
-            self.social.on_unsubscribe_received(env.sender)
-        elif env.kind is MessageKind.SOCIAL_UPDATE:
-            self.social.on_social_update(env.sender, env.payload)
-        elif env.kind is MessageKind.BOOTSTRAP_DUMP:
-            self.social.on_bootstrap(env.sender, env.payload)
+        kind = env.kind
+        if kind is MessageKind.SOCIAL_UPDATE:
+            social.on_social_update(env.sender, env.payload)
+        elif kind is MessageKind.SUBSCRIBE:
+            social.on_subscribe_received(env.sender, env.sent_at)
+        elif kind is MessageKind.UNSUBSCRIBE:
+            social.on_unsubscribe_received(env.sender)
+        elif kind is MessageKind.BOOTSTRAP_DUMP:
+            social.on_bootstrap(env.sender, env.payload)
         # System notices only notify; nothing to store.

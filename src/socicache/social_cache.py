@@ -19,11 +19,11 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .metrics import MetricsLedger
 from .model import ContentObject, InteractionKind, SimTime, StorageKey, UserId
-from .overlay import MessageKind
+from .overlay import MessageEnvelope, MessageKind
 
 DUNBAR_MUC_LIMIT = 150
 DEFAULT_CHANNEL_LIMIT = 15
@@ -331,15 +331,14 @@ class OwnContentStore:
         return len(self.items)
 
 
-# Signature of the outbound message hook: (kind, recipient, payload, now).
-SendFn = Callable[[MessageKind, UserId, Any, SimTime], None]
-
-
 class SocialCache:
     """Per-peer social caching engine.
 
-    Wired to the rest of the stack through a single ``send`` callable; the
-    owning peer routes incoming envelopes to the ``on_*`` handlers.
+    Wired to the rest of the stack through a single ``dispatch(env,
+    recipient)`` callable.  Each send builds one envelope and dispatches it
+    to its recipients: one for subscription traffic, every receiver for a
+    publish.  The owning peer routes incoming envelopes to the ``on_*``
+    handlers.
 
     The simulator skips selection rounds that cannot change anything with
     the ``touched`` mark, set by every ``track`` and cleared by
@@ -350,7 +349,7 @@ class SocialCache:
         self,
         owner: UserId,
         cfg: StrategyConfig,
-        send: SendFn,
+        dispatch: Callable[[MessageEnvelope, UserId], None],
         ledger: MetricsLedger | None = None,
         *,
         bootstrapping: bool = True,
@@ -360,7 +359,7 @@ class SocialCache:
         cfg.validate()
         self.owner = owner
         self.cfg = cfg
-        self.send = send
+        self.dispatch = dispatch
         self.ledger = ledger if ledger is not None else MetricsLedger()
         self.bootstrapping = bootstrapping
         self.muc = MucList(muc_capacity, cfg.interaction_weights)
@@ -581,7 +580,7 @@ class SocialCache:
     def _subscribe(self, user: UserId, now: SimTime) -> None:
         self.channels.add(user)
         self.ledger.subscriptions_sent += 1
-        self.send(MessageKind.SUBSCRIBE, user, None, now)
+        self.dispatch(MessageEnvelope(self.owner, MessageKind.SUBSCRIBE, None, now), user)
 
     def _unsubscribe(self, user: UserId, now: SimTime) -> None:
         """Drop a channel and purge its cached items immediately, keeping
@@ -589,7 +588,7 @@ class SocialCache:
         self.channels.remove(user)
         self.store.purge_user(user)
         self.ledger.unsubscriptions_sent += 1
-        self.send(MessageKind.UNSUBSCRIBE, user, None, now)
+        self.dispatch(MessageEnvelope(self.owner, MessageKind.UNSUBSCRIBE, None, now), user)
 
     # -- inbound message handling -----------------------------------------
 
@@ -603,7 +602,10 @@ class SocialCache:
         if self.bootstrapping:
             snapshot = tuple(self.own.items.values())
             self.ledger.bootstrap_dumps += 1
-            self.send(MessageKind.BOOTSTRAP_DUMP, subscriber, snapshot, now)
+            self.dispatch(
+                MessageEnvelope(self.owner, MessageKind.BOOTSTRAP_DUMP, snapshot, now),
+                subscriber,
+            )
 
     def on_unsubscribe_received(self, subscriber: UserId) -> None:
         self.receivers.discard(subscriber)
@@ -625,10 +627,14 @@ class SocialCache:
     # -- content ------------------------------------------------------------
 
     def publish(self, content: ContentObject, now: SimTime) -> None:
-        """Keep own content locally and push an update to every subscriber."""
+        """Keep own content locally and push an update to every subscriber:
+        one envelope, dispatched once per receiver."""
         self.own.put(content)
-        for subscriber in self.receivers:
-            self.send(MessageKind.SOCIAL_UPDATE, subscriber, content, now)
+        if self.receivers:
+            env = MessageEnvelope(self.owner, MessageKind.SOCIAL_UPDATE, content, now)
+            dispatch = self.dispatch
+            for subscriber in self.receivers:
+                dispatch(env, subscriber)
 
     def lookup(self, key: StorageKey) -> ContentObject | None:
         """Own-content store first, then the subscription store."""

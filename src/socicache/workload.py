@@ -249,18 +249,20 @@ def _exponential_times(rng: random.Random, mean_gap: float, duration: int,
 
 
 class _TierTable:
-    """Per-peer weighted friend selection over the currently active edges."""
+    """Per-peer weighted friend selection over the currently active edges.
+    The choices are rebuilt once per ``draw`` that follows any number of
+    activations."""
 
     def __init__(self, ordered_friends: list[UserId], weights: list[float]):
         self.friends = ordered_friends
         self.base_weights = weights
         self.active: set[UserId] = set()
         self._cum: list[float] = []
-        self._choices: list[UserId] = []
+        self._choices: list[UserId] | None = []
 
     def activate(self, friend: UserId) -> None:
         self.active.add(friend)
-        self._rebuild()
+        self._choices = None
 
     def _rebuild(self) -> None:
         pairs = [
@@ -270,6 +272,8 @@ class _TierTable:
         self._cum = list(accumulate(w for _, w in pairs))
 
     def draw(self, rng: random.Random) -> UserId | None:
+        if self._choices is None:
+            self._rebuild()
         if not self._choices:
             return None
         r = rng.random() * self._cum[-1]
@@ -383,6 +387,7 @@ def generate_trace(cfg: ScenarioConfig) -> list[TraceEvent]:
         rng = random.Random(f"{cfg.seed}/lookup-times/{name}")
         per_peer_lookups[name] = list(_exponential_times(rng, lookup_gap, duration))
     draw_rngs = {name: random.Random(f"{cfg.seed}/lookup-draws/{name}") for name in names}
+    keys_of = dict(zip(names, keyspace))
     merged: list[tuple[int, UserId]] = sorted(
         (at, name) for name, times in per_peer_lookups.items() for at in times
     )
@@ -398,11 +403,15 @@ def generate_trace(cfg: ScenarioConfig) -> list[TraceEvent]:
         friend = tables[name].draw(rng)
         if friend is None:
             continue  # no active friends yet; nobody to look up
-        key = f"{friend}/wall/{rng.randrange(cfg.keys_per_user)}"
+        key = keys_of[friend][rng.randrange(cfg.keys_per_user)]
         push(at, 2, name, seqs[name], TraceEvent(at, name, LOOKUP, key))
         seqs[name] += 1
 
-    events.sort(key=lambda item: item[:4])
+    # (at, prio, actor, seq) is unique per event: within one prio, seq never
+    # repeats for an actor (friend requests number globally).  So the plain
+    # tuple sort decides every pair on those four fields and never compares
+    # two TraceEvents, which define no order and would raise TypeError.
+    events.sort()
     return [item[4] for item in events]
 
 

@@ -5,8 +5,18 @@ scans lists, the scoring oracles recompute from raw event lists.
 """
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+from types import SimpleNamespace
+
 from socicache.model import InteractionKind
-from socicache.social_cache import InvalidWeightsError, Strategy, SubscriptionDiff
+from socicache.social_cache import (
+    _STABLE_MARGIN,
+    InvalidWeightsError,
+    SocialCache,
+    Strategy,
+    SubscriptionDiff,
+)
 
 
 class ReferenceLruTtlCache:
@@ -110,6 +120,44 @@ def reference_run_selection(cache, now: int) -> tuple[tuple[str, ...], tuple[str
     if cfg.kind is Strategy.TREND:
         cache.muc.clear()
     return to_subscribe, to_unsubscribe
+
+
+def reference_stable_until(cache, now: int) -> float:
+    """``SocialCache.stable_until()`` after a full social-score ranking at
+    ``now``, recomputed from ``social_score`` calls alone: the first tick
+    at which a chosen user's score, falling as ``A + B / (t - first_at)``,
+    may reach the best unchosen score widened by ``_STABLE_MARGIN``.
+
+    A score splits exactly into a constant part ``alpha * tie`` (the score
+    with beta zeroed) and a spacing part ``beta * gap / elapsed`` (the score
+    with alpha zeroed; at one tick past the first event it is
+    ``beta * gap``), because adding or multiplying by 0.0 is exact.  The
+    ranking is a sort by ``(-social_score, user)``."""
+    cfg = cache.cfg
+    if cfg.alpha <= 0 or cfg.beta <= 0:
+        return now
+    entries = cache.muc.entries
+
+    def score(user, t, **zeroed):
+        view = SimpleNamespace(cfg=replace(cfg, **zeroed), muc=cache.muc)
+        return SocialCache.social_score(view, user, t)
+
+    ranked = sorted(entries, key=lambda user: (-score(user, now), user))
+    chosen, runner_up = ranked[: cfg.n], ranked[cfg.n]
+    best = score(runner_up, now)
+    if best <= 0:
+        return now
+    widened = best + best * _STABLE_MARGIN
+    if any(entries[user].first_at >= now for user in chosen):
+        return now
+    until = math.inf
+    for user in chosen:
+        first_at = entries[user].first_at
+        constant = score(user, now, beta=0.0)
+        if constant < widened:
+            spacing = score(user, first_at + 1, alpha=0.0)
+            until = min(until, first_at + spacing / (widened - constant))
+    return until if until == math.inf else math.ceil(until)
 
 
 def reference_selection_round(sim, now: int) -> None:

@@ -76,23 +76,25 @@ def test_bytes_written_matches_sum_over_puts(sizes, factor):
     assert store.bytes_written == sum(sizes) * factor
 
 
-def env(sender="a", recipient="b", kind=MessageKind.SYSTEM_NOTICE, payload=None, at=0):
-    return MessageEnvelope(sender, recipient, kind, payload, at)
+def env(sender="a", kind=MessageKind.SYSTEM_NOTICE, payload=None, at=0):
+    return MessageEnvelope(sender, kind, payload, at)
 
 
 def test_dispatch_to_online_peer_runs_handler_in_step():
     md = MessageDispatcher()
     seen = []
     md.register("b", seen.append)
-    md.dispatch(env())
+    md.dispatch(env(), "b")
     assert len(seen) == 1
     assert md.delivered == md.messages == 1
 
 
 def test_self_addressed_envelope_rejected():
     md = MessageDispatcher()
+    md.register("a", lambda e: None)
     with pytest.raises(InvalidEnvelopeError):
-        md.dispatch(env(sender="a", recipient="a"))
+        md.dispatch(env(sender="a"), "a")
+    assert md.delivered == md.messages == 0
 
 
 @given(recipients=st.lists(st.sampled_from(["b", "c"]), min_size=1, max_size=20))
@@ -102,7 +104,7 @@ def test_dispatch_to_unregistered_user_raises_and_is_not_counted(recipients):
     for recipient in recipients:
         if recipient == "c":
             with pytest.raises(InvalidEnvelopeError):
-                md.dispatch(env(recipient="c"))
+                md.dispatch(env(), "c")
         else:
-            md.dispatch(env(recipient="b"))
+            md.dispatch(env(), "b")
     assert md.delivered == md.messages == recipients.count("b")

@@ -11,9 +11,10 @@ from oracles import (
     direct_medium_interaction_length,
     direct_tie_strength,
     reference_run_selection,
+    reference_stable_until,
 )
 from socicache.model import ContentObject, InteractionKind, StorageKey
-from socicache.overlay import MessageKind
+from socicache.overlay import MessageDispatcher, MessageEnvelope, MessageKind
 from socicache.social_cache import (
     DUNBAR_MUC_LIMIT,
     CapExceededError,
@@ -33,7 +34,9 @@ LOOKUP = InteractionKind.LOOKUP
 
 
 class Router:
-    """Synchronous in-test message fabric between social caches."""
+    """Synchronous in-test message fabric between social caches; ``dispatch``
+    is the ``(env, recipient)`` hook every cache is built with.  The log
+    holds one ``(sender, kind, recipient, env)`` entry per delivery."""
 
     def __init__(self):
         self.caches = {}
@@ -42,29 +45,27 @@ class Router:
     def add(self, cache):
         self.caches[cache.owner] = cache
 
-    def send_for(self, name):
-        def send(kind, recipient, payload, now):
-            self.log.append((name, kind, recipient))
-            cache = self.caches.get(recipient)
-            if cache is None:
-                return
-            if kind is MessageKind.SUBSCRIBE:
-                cache.on_subscribe_received(name, now)
-            elif kind is MessageKind.UNSUBSCRIBE:
-                cache.on_unsubscribe_received(name)
-            elif kind is MessageKind.SOCIAL_UPDATE:
-                cache.on_social_update(name, payload)
-            elif kind is MessageKind.BOOTSTRAP_DUMP:
-                cache.on_bootstrap(name, payload)
-
-        return send
+    def dispatch(self, env, recipient):
+        name, kind = env.sender, env.kind
+        self.log.append((name, kind, recipient, env))
+        cache = self.caches.get(recipient)
+        if cache is None:
+            return
+        if kind is MessageKind.SUBSCRIBE:
+            cache.on_subscribe_received(name, env.sent_at)
+        elif kind is MessageKind.UNSUBSCRIBE:
+            cache.on_unsubscribe_received(name)
+        elif kind is MessageKind.SOCIAL_UPDATE:
+            cache.on_social_update(name, env.payload)
+        elif kind is MessageKind.BOOTSTRAP_DUMP:
+            cache.on_bootstrap(name, env.payload)
 
 
 def make_cache(owner="me", router=None, **cfg_kwargs):
     cfg_kwargs.setdefault("kind", Strategy.SOCIAL_SCORE)
     cfg = StrategyConfig(**cfg_kwargs)
     router = router or Router()
-    cache = SocialCache(owner, cfg, router.send_for(owner))
+    cache = SocialCache(owner, cfg, router.dispatch)
     router.add(cache)
     return cache, router
 
@@ -459,7 +460,7 @@ def test_subscribe_received_sends_one_dump():
 def test_subscribe_received_without_bootstrapping():
     cfg = StrategyConfig()
     router = Router()
-    cache = SocialCache("me", cfg, router.send_for("me"), bootstrapping=False)
+    cache = SocialCache("me", cfg, router.dispatch, bootstrapping=False)
     router.add(cache)
     cache.on_subscribe_received("sub", 1)
     assert len(cache.receivers) == 1
@@ -491,6 +492,26 @@ def test_update_wins_over_bootstrap_for_same_key():
     # a stale dump never clobbers the newer pushed version
     cache.on_bootstrap("them", (obj("them", "wall/0", version=1),))
     assert cache.store.get("them", StorageKey("them", "wall/0")).version == 2
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_publish_shares_one_envelope_across_receivers(k):
+    dispatcher = MessageDispatcher()
+    seen = []
+    subscribers = [f"s{i}" for i in range(k)]
+    for user in subscribers:
+        dispatcher.register(user, lambda env, user=user: seen.append((user, env)))
+    cache = SocialCache("me", StrategyConfig(), dispatcher.dispatch)
+    for user in subscribers:
+        cache.receivers.add(user)
+    before = dispatcher.messages
+    posted = obj("me", "wall/0")
+    cache.publish(posted, 7)
+    assert dispatcher.messages - before == k
+    assert [user for user, _ in seen] == subscribers
+    assert len({id(env) for _, env in seen}) == min(k, 1)
+    for _, env in seen:
+        assert env == MessageEnvelope("me", MessageKind.SOCIAL_UPDATE, posted, 7)
 
 
 # -- social lookup ------------------------------------------------------------------------
@@ -580,7 +601,7 @@ def random_weighted_state(rng, kind, muc_capacity=DUNBAR_MUC_LIMIT):
     weights = {k: rng.uniform(0.0, 3.0) for k in InteractionKind if rng.random() < 0.8}
     router = Router()
     cfg = StrategyConfig(kind=kind, n=rng.randrange(1, 6), interaction_weights=weights)
-    cache = SocialCache("me", cfg, router.send_for("me"), muc_capacity=muc_capacity)
+    cache = SocialCache("me", cfg, router.dispatch, muc_capacity=muc_capacity)
     router.add(cache)
     users = [f"p{i}" for i in range(rng.randrange(1, 12))]
     remaining = {u: rng.choice([1, 1, 2, 2, 3, 5, 8]) for u in users}
@@ -748,8 +769,14 @@ def certificate_cache(n, alpha, beta, friend_weight):
 
 
 def select(cache, now):
+    """Apply a selection round at ``now`` and return ``stable_until()``,
+    checked against ``reference_stable_until`` after a full ranking."""
+    ranked_whole = len(cache.muc) > cache.cfg.n
     cache.apply_diff(cache.run_selection(now), now)
-    return cache.stable_until()
+    until = cache.stable_until()
+    if ranked_whole:
+        assert until == reference_stable_until(cache, now), (now, until)
+    return until
 
 
 def assert_selection_stable_below(cache, now, until, horizon):
@@ -801,6 +828,32 @@ def test_stable_until_certifies_unchanged_selection():
             seen["ticks checked"] += assert_selection_stable_below(cache, now, until, horizon=200)
     assert seen["window"] and seen["no window"] and seen["never changes"], seen
     assert seen["ticks checked"] > 10_000, seen
+
+
+def test_stable_until_equals_reference_certificate():
+    """The certificate's inlined scores agree exactly with ``social_score``
+    (through ``reference_stable_until``, called by ``select``) over random
+    histories with random weights, including zero weights, users first
+    seen at the ranking tick and users seen only once."""
+    rng = random.Random("certificate-reference")
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        alpha = rng.choice([0.0, 0.9, 0.5, rng.uniform(0.001, 3.0)])
+        beta = rng.choice([0.0, 0.1, 0.5, rng.uniform(0.001, 3.0)]) if alpha else 0.4
+        cache = certificate_cache(n, alpha, beta, rng.uniform(0.1, 4.0))
+        users = [f"p{i}" for i in range(rng.randrange(n + 1, n + 8))]
+        now = 0
+        for _ in range(rng.randrange(1, 4)):
+            for _ in range(rng.randrange(1, 15)):
+                now += rng.choice([0, 0, 1, 2, 7, 30])
+                cache.track(rng.choice(users), rng.choice([LOOKUP, FRIEND]), now)
+            if len(cache.muc) <= n:
+                continue
+            until = select(cache, now)
+            seen["window" if until > now else "no window"] += 1
+            seen["never changes"] += until == math.inf
+    assert seen["window"] > 100 and seen["no window"] > 100 and seen["never changes"], seen
 
 
 def test_degenerate_rankings_record_no_window():
