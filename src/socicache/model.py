@@ -54,9 +54,9 @@ class ContentObject:
 
 
 class InteractionKind(enum.Enum):
+    """The interactions a peer tracks: its lookups of a user's content and
+    its friend requests to a user."""
+
     LOOKUP = "lookup"
-    WALL_POST = "wall_post"
     FRIEND_REQUEST = "friend_request"
-    LIKE = "like"
-    COMMENT = "comment"
 

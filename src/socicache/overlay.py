@@ -87,7 +87,6 @@ class MessageDispatcher:
     simulated time and the system is quiescent between events."""
 
     handlers: dict[UserId, Callable[[MessageEnvelope], None]] = field(default_factory=dict)
-    delivered: int = 0
     messages: int = 0
 
     def register(self, user: UserId, handler: Callable[[MessageEnvelope], None]) -> None:
@@ -100,5 +99,4 @@ class MessageDispatcher:
         if handler is None:
             raise InvalidEnvelopeError(f"no registered recipient {recipient!r}")
         self.messages += 1
-        self.delivered += 1
         handler(env)

@@ -72,10 +72,6 @@ class RunResult:
     summary: dict
     simulation: "Simulation"
 
-    @property
-    def hit_ratio(self) -> float | None:
-        return self.summary["cache_hit_ratio"]
-
 
 class Simulation:
     def __init__(self, cfg: ScenarioConfig, trace: list[TraceEvent], label: str = "run"):
@@ -154,25 +150,12 @@ class Simulation:
 
     def _run_selection_round(self, now: SimTime) -> None:
         """One time-triggered selection round; ``run`` schedules it only
-        for the time trigger.
-
-        Peers go in sorted order.  A peer that tracked nothing since its
-        last evaluated round (``touched`` unset) is skipped when its outcome
-        is provably empty, since only ``track`` changes its MUC list or
-        channels: a trend peer with no channels (that round cleared the MUC
-        list), a social-score peer with at most ``n`` users (that round
-        selected all of them) or before ``stable_until()``.
-        """
-        strategy = self.cfg.strategy
-        trend = strategy.kind is Strategy.TREND
-        n = strategy.n
+        for the time trigger.  Peers go in sorted order, and a peer is
+        skipped before its ``stable_until()`` tick, where its selection
+        provably changes nothing."""
         for social in self._socials:
-            if not social.touched:
-                if trend:
-                    if not social.channels:
-                        continue
-                elif len(social.muc.entries) <= n or now < social.stable_until():
-                    continue
+            if now < social.stable_until():
+                continue
             diff = social.run_selection(now)
             if diff.to_subscribe or diff.to_unsubscribe:
                 social.apply_diff(diff, now)
@@ -321,7 +304,7 @@ class Simulation:
             "trace_digest": self._digest[:12],
             **{name: getattr(counters, name) for name in _COUNTER_NAMES},
             "unanswered": counters.unanswered,
-            "delivered": self.dispatcher.delivered,
+            "delivered": counters.dispatcher_messages,
             "social_cache_items": gauges["social_cache_items"],
             "current_cache_items": gauges["current_cache_items"],
             "total_cache_items": total_items,

@@ -312,25 +312,6 @@ class SocialStore:
             self.item_count -= len(section)
 
 
-class OwnContentStore:
-    """Latest version of every item this peer itself published."""
-
-    def __init__(self, owner: UserId):
-        self.owner = owner
-        self.items: dict[StorageKey, ContentObject] = {}
-
-    def put(self, content: ContentObject) -> None:
-        if content.author != self.owner:
-            raise ValueError(f"{content.author!r} is not {self.owner!r}")
-        self.items[content.key] = content
-
-    def get(self, key: StorageKey) -> ContentObject | None:
-        return self.items.get(key)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
 class SocialCache:
     """Per-peer social caching engine.
 
@@ -338,11 +319,10 @@ class SocialCache:
     recipient)`` callable.  Each send builds one envelope and dispatches it
     to its recipients: one for subscription traffic, every receiver for a
     publish.  The owning peer routes incoming envelopes to the ``on_*``
-    handlers.
+    handlers.  ``own`` holds the latest version of every item the peer
+    itself published.
 
-    The simulator skips selection rounds that cannot change anything with
-    the ``touched`` mark, set by every ``track`` and cleared by
-    ``run_selection``, and with ``stable_until``.
+    A selection round asks ``stable_until`` whether it can change anything.
     """
 
     def __init__(
@@ -366,17 +346,17 @@ class SocialCache:
         self.channels = SubscriptionSet(owner, cfg.n)
         self.receivers = ReceiverList()
         self.store = SocialStore()
-        self.own = OwnContentStore(owner)
+        self.own: dict[StorageKey, ContentObject] = {}
         if rng is None:
             seed = cfg.rng_seed if cfg.rng_seed is not None else 0
             rng = random.Random(f"{seed}/random-strategy/{owner}")
         self.rng = rng
         self._lookups_since_selection = 0
-        self.touched = False
-        # (chosen, runner-up, tick) of the last full social-score ranking, and
-        # its stable-until tick once computed.
+        # (chosen, runner-up, tick) of the last full social-score ranking.
         self._last_ranking: tuple[list[UserId], UserId, SimTime] | None = None
-        self._stable_until: float | None = 0
+        # ``stable_until``'s tick; None while it is still to be computed from
+        # ``_last_ranking``.  Empty MUC list and channels: nothing to change.
+        self._stable_until: float | None = math.inf
 
     # -- scoring ---------------------------------------------------------
 
@@ -428,7 +408,7 @@ class SocialCache:
         """Record an interaction; lookups additionally drive subscriptions."""
         if user == self.owner:
             raise ValueError("own interactions are not tracked")
-        self.touched = True
+        self._stable_until = 0
         muc = self.muc
         if user not in muc.entries and len(muc.entries) >= muc.max_users:
             muc.remove(self.rank_users(now)[-1])
@@ -467,10 +447,15 @@ class SocialCache:
         The top ``n`` ranked users are selected, so a MUC list of at most
         ``n`` users is selected whole and only its unsubscribed users need
         ranking, for the order of ``to_subscribe``.  Trend clears the MUC
-        list afterwards; social score keeps it and, after ranking more than
-        ``n`` users, keeps the ranking for ``stable_until``.  The random
-        strategy acts per lookup instead and returns an empty diff.  Clears
-        ``touched``.
+        list afterwards; social score keeps it.  The random strategy acts
+        per lookup instead and returns an empty diff.
+
+        Sets the ``stable_until`` tick on the assumption that the returned
+        diff gets applied, as both callers do: never after a social-score
+        selection of every tracked user or a trend round over an empty MUC
+        list; the certificate of the ranking after a social-score ranking
+        of more than ``n`` users; now after a trend round that cleared a
+        non-empty list, because the next round unsubscribes every channel.
         """
         cfg = self.cfg
         kind = cfg.kind
@@ -478,7 +463,7 @@ class SocialCache:
             return NO_CHANGE
         if kind is Strategy.SOCIAL_SCORE and cfg.alpha + cfg.beta <= 0:
             raise InvalidWeightsError("alpha + beta must be positive")
-        self.touched = False
+        self._stable_until = math.inf
         entries = self.muc.entries
         channels = self.channels
         if len(entries) <= cfg.n:
@@ -502,17 +487,23 @@ class SocialCache:
             to_unsubscribe = tuple([u for u in channels if u not in chosen])
         if kind is Strategy.TREND and entries:
             self.muc.clear()
+            self._stable_until = 0
         if to_subscribe or to_unsubscribe:
             return SubscriptionDiff(to_subscribe, to_unsubscribe)
         return NO_CHANGE
 
     def stable_until(self) -> float:
-        """The first tick at which the top ``n`` of the last full
-        social-score ranking (``run_selection`` with more than ``n`` users)
-        may change, provided nothing was tracked since and alpha and beta
-        stay as they are; ``math.inf`` if never, 0 before any ranking.
-        Computed on the first call after each ranking: most rankings are
-        followed by a track, which makes the certificate moot.
+        """The first tick at which ``run_selection`` may change anything,
+        provided nothing is tracked until then, the diff of the last
+        selection was applied and alpha and beta stay as they are;
+        ``math.inf`` if never.  A selection round skips the peer before it.
+
+        Set by ``__init__`` (never), by ``track`` (due now, 0) and by
+        ``run_selection``, which ``track`` also runs under the lookup-count
+        trigger.  After a social-score ranking of more than ``n`` users it
+        is the certificate ``_crossing_tick``, computed on the first call:
+        most rankings are followed by a track, which makes the certificate
+        moot.
         """
         until = self._stable_until
         if until is None:
@@ -600,7 +591,7 @@ class SocialCache:
         if not self.receivers.add(subscriber):
             return
         if self.bootstrapping:
-            snapshot = tuple(self.own.items.values())
+            snapshot = tuple(self.own.values())
             self.ledger.bootstrap_dumps += 1
             self.dispatch(
                 MessageEnvelope(self.owner, MessageKind.BOOTSTRAP_DUMP, snapshot, now),
@@ -629,7 +620,9 @@ class SocialCache:
     def publish(self, content: ContentObject, now: SimTime) -> None:
         """Keep own content locally and push an update to every subscriber:
         one envelope, dispatched once per receiver."""
-        self.own.put(content)
+        if content.author != self.owner:
+            raise ValueError(f"{content.author!r} is not {self.owner!r}")
+        self.own[content.key] = content
         if self.receivers:
             env = MessageEnvelope(self.owner, MessageKind.SOCIAL_UPDATE, content, now)
             dispatch = self.dispatch

@@ -86,7 +86,7 @@ def test_dispatch_to_online_peer_runs_handler_in_step():
     md.register("b", seen.append)
     md.dispatch(env(), "b")
     assert len(seen) == 1
-    assert md.delivered == md.messages == 1
+    assert md.messages == 1
 
 
 def test_self_addressed_envelope_rejected():
@@ -94,7 +94,7 @@ def test_self_addressed_envelope_rejected():
     md.register("a", lambda e: None)
     with pytest.raises(InvalidEnvelopeError):
         md.dispatch(env(sender="a"), "a")
-    assert md.delivered == md.messages == 0
+    assert md.messages == 0
 
 
 @given(recipients=st.lists(st.sampled_from(["b", "c"]), min_size=1, max_size=20))
@@ -107,4 +107,4 @@ def test_dispatch_to_unregistered_user_raises_and_is_not_counted(recipients):
                 md.dispatch(env(), "c")
         else:
             md.dispatch(env(), "b")
-    assert md.delivered == md.messages == recipients.count("b")
+    assert md.messages == recipients.count("b")

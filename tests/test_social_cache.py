@@ -135,18 +135,15 @@ def test_tie_strength_weighted_events():
     # direct evaluation gives (2+1)/6 = 0.5.
     weights = {
         InteractionKind.LOOKUP: 1.0,
-        InteractionKind.WALL_POST: 2.0,
-        InteractionKind.FRIEND_REQUEST: 1.0,
-        InteractionKind.LIKE: 1.0,
-        InteractionKind.COMMENT: 1.0,
+        InteractionKind.FRIEND_REQUEST: 2.0,
     }
     cache, _ = make_cache(interaction_weights=weights)
-    cache.track("x", InteractionKind.WALL_POST, 0)
+    cache.track("x", InteractionKind.FRIEND_REQUEST, 0)
     cache.track("x", LOOKUP, 1)
     for t in range(4):
         cache.track("y", LOOKUP, t)
     events_by_user = {
-        "x": [InteractionKind.WALL_POST, LOOKUP],
+        "x": [InteractionKind.FRIEND_REQUEST, LOOKUP],
         "y": [LOOKUP] * 4,
     }
     expected = direct_tie_strength(events_by_user, "x", weights)
@@ -230,7 +227,7 @@ def build_score_state(cache):
     for t in (0, 10, 20):
         cache.track("x", LOOKUP, t)
     for t in range(7):
-        cache.track("y", InteractionKind.COMMENT, t)
+        cache.track("y", InteractionKind.FRIEND_REQUEST, t)
 
 
 def test_social_score_combines_both_terms():
@@ -740,6 +737,69 @@ def test_run_selection_matches_rank_everything_reference(kind, muc_capacity):
     elif muc_capacity < DUNBAR_MUC_LIMIT:
         required += ["channel not tracked"]
     assert all(seen[case] for case in required), seen
+
+
+# -- selection-round skipping -----------------------------------------------------
+
+@pytest.mark.parametrize("kind", [Strategy.TREND, Strategy.SOCIAL_SCORE])
+def test_stable_until_is_never_on_a_new_cache_and_now_after_every_track(kind):
+    """A new cache has nothing to change, and every track makes the next
+    round due, whatever the rounds before it set."""
+    rng = random.Random(f"stable-until-track/{kind.value}")
+    not_due_after_a_round = 0
+    for _ in range(50):
+        cache, _ = make_cache(kind=kind, n=rng.randrange(1, 4))
+        assert cache.stable_until() == math.inf
+        now = 0
+        for _ in range(rng.randrange(1, 30)):
+            now += rng.choice([0, 1, 5, 40])
+            rounds = rng.choice([0, 0, 1, 2])
+            for _ in range(rounds):
+                cache.apply_diff(cache.run_selection(now), now)
+            if rounds and cache.stable_until() > now:
+                not_due_after_a_round += 1
+            cache.track(f"p{rng.randrange(6)}", rng.choice(list(InteractionKind)), now)
+            assert cache.stable_until() == 0
+    assert not_due_after_a_round > 20
+
+
+@pytest.mark.parametrize("kind", [Strategy.TREND, Strategy.SOCIAL_SCORE])
+def test_stable_until_after_a_round(kind):
+    """The tick an applied round leaves: never after a social-score round
+    over at most n users or a trend round over an empty MUC list, the
+    certificate after a social-score ranking of more than n users, and no
+    later than the round after a trend round over a non-empty list.  A
+    round before the tick selects what the channels hold."""
+    rng = random.Random(f"stable-until-round/{kind.value}")
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randrange(1, 4)
+        cache, _ = make_cache(kind=kind, n=n)
+        now = 0
+        for _ in range(rng.randrange(1, 6)):
+            for _ in range(rng.choice([0, 0, 1, 3, 8])):
+                now += rng.choice([0, 1, 5])
+                cache.track(f"p{rng.randrange(2 * n + 1)}", rng.choice(list(InteractionKind)),
+                            now)
+            now += rng.choice([0, 1, 10])
+            tracked = len(cache.muc)
+            cache.apply_diff(cache.run_selection(now), now)
+            until = cache.stable_until()
+            if kind is Strategy.TREND:
+                case = "trend, non-empty" if tracked else "trend, empty"
+                assert until <= now if tracked else until == math.inf
+            elif tracked <= n:
+                case = "social score, at most n"
+                assert until == math.inf
+            else:
+                case = "social score, above n"
+                assert until == reference_stable_until(cache, now)
+            seen[case] += 1
+            if until > now + 1:
+                assert reference_run_selection(cache, now + 1) == ((), ()), case
+    cases = (["trend, non-empty", "trend, empty"] if kind is Strategy.TREND
+             else ["social score, at most n", "social score, above n"])
+    assert all(seen[case] > 50 for case in cases), seen
 
 
 # -- stability certificate -------------------------------------------------------
