@@ -46,6 +46,7 @@ from .workload import (
     CurrentCacheConfig,
     DatasetStats,
     ScenarioConfig,
+    Trace,
     TraceEvent,
     TraceFormatError,
     TraceOrderError,

@@ -15,6 +15,7 @@ import enum
 import hashlib
 import json
 import os
+import platform
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -180,7 +181,8 @@ def serialize_config(cfg: ScenarioConfig) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Identity of one invocation: the resolved config and its hash."""
+    """Identity of one invocation: the resolved config and its hash.  The
+    written manifest adds the trace digest and the interpreter version."""
 
     config_path: str | None
     config: ScenarioConfig
@@ -202,13 +204,15 @@ class RunManifest:
             run_id=run_id,
         )
 
-    def write(self, path: Path) -> None:
+    def write(self, path: Path, trace_digest: str) -> None:
         payload = {
             "run_id": self.run_id,
             "seed": self.seed,
             "config_path": self.config_path,
             "output_dir": self.output_dir,
             "config": serialize_config(self.config),
+            "trace_digest": trace_digest,
+            "python": f"{platform.python_implementation()} {platform.python_version()}",
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -278,7 +282,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest = RunManifest.create(args.config, cfg, out_dir)
     result = run_scenario(cfg, trace=_load_optional_trace(args), label="run")
     write_run_outputs(result, out_dir, manifest.run_id)
-    manifest.write(out_dir / "manifest.json")
+    manifest.write(out_dir / "manifest.json", result.trace_digest)
     _print_summary_line(result)
     return 0
 
@@ -293,7 +297,7 @@ def _comparison_common(args: argparse.Namespace, profile, runner, table_writer) 
         write_run_outputs(result, out_dir / result.label, manifest.run_id)
         _print_summary_line(result)
     table_writer(results, out_dir)
-    manifest.write(out_dir / "manifest.json")
+    manifest.write(out_dir / "manifest.json", results[0].trace_digest)
     return 0
 
 

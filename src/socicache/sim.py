@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
+from typing import Iterable
 
 from .info_cache import CurrentCache
 from .metrics import Counters, MetricsLedger, cache_hit_ratio, responses_per_item
@@ -16,11 +17,11 @@ from .overlay import DhtStore, MessageDispatcher
 from .peer import Peer
 from .social_cache import SelectionTrigger, Strategy
 from .workload import (
-    FRIENDREQ,
-    LOOKUP,
-    POST,
+    LOOKUP_CODE,
+    POST_CODE,
     CacheSetup,
     ScenarioConfig,
+    Trace,
     TraceEvent,
     generate_trace,
     scenario_for_setup,
@@ -74,8 +75,11 @@ class RunResult:
 
 
 class Simulation:
-    def __init__(self, cfg: ScenarioConfig, trace: list[TraceEvent], label: str = "run"):
+    def __init__(self, cfg: ScenarioConfig, trace: Trace | Iterable[TraceEvent],
+                 label: str = "run"):
         cfg.validate()
+        if not isinstance(trace, Trace):
+            trace = Trace.from_events(trace)
         self.cfg = cfg
         self.trace = trace
         self.label = label
@@ -83,7 +87,6 @@ class Simulation:
         self.dispatcher = MessageDispatcher()
         self.ledger = MetricsLedger()
         self.peers: dict[UserId, Peer] = {}
-        self._keys: dict[str, StorageKey] = {}
         self._payloads: dict[int, bytes] = {}
         self.max_channels = 0
         self.max_muc_entries = 0
@@ -91,7 +94,7 @@ class Simulation:
 
         setup = cfg.cache_setup
         strategy_seed = cfg.strategy.rng_seed if cfg.strategy.rng_seed is not None else cfg.seed
-        for name in self._trace_users(trace):
+        for name in trace.users:
             current = None
             if setup.current_enabled:
                 current = CurrentCache(cfg.current_cache.capacity, cfg.current_cache.ttl_ticks)
@@ -107,46 +110,30 @@ class Simulation:
                 muc_capacity=cfg.muc_capacity,
                 strategy_rng=random.Random(f"{strategy_seed}/strategy/{name}"),
             )
-        peers = [self.peers[name] for name in sorted(self.peers)]
-        self._socials = [peer.social for peer in peers if peer.social is not None]
-        self._currents = [peer.current for peer in peers if peer.current is not None]
-
-    @staticmethod
-    def _trace_users(trace: list[TraceEvent]) -> list[UserId]:
-        users: set[UserId] = set()
-        for ev in trace:
-            users.add(ev.actor)
-            if ev.action == FRIENDREQ:
-                users.add(ev.target)
-            else:
-                users.add(ev.target.split("/", 1)[0])
-        return sorted(users)
+        # Users are sorted, so this is also the peers' sorted order.
+        self._actor_peers = [self.peers[name] for name in trace.users]
+        self._socials = [p.social for p in self._actor_peers if p.social is not None]
+        self._currents = [p.current for p in self._actor_peers if p.current is not None]
 
     # -- event processing ---------------------------------------------------
 
-    def _key(self, text: str) -> StorageKey:
-        key = self._keys.get(text)
-        if key is None:
-            key = StorageKey.parse(text)
-            self._keys[text] = key
-        return key
-
-    def _payload(self, size: int | None) -> bytes:
-        size = size or 0
+    def _payload(self, size: int) -> bytes:
         blob = self._payloads.get(size)
         if blob is None:
             blob = bytes(size)
             self._payloads[size] = blob
         return blob
 
-    def _apply_event(self, ev: TraceEvent) -> None:
-        actor = self.peers[ev.actor]
-        if ev.action == LOOKUP:
-            actor.handle_request(self._key(ev.target), ev.at)
-        elif ev.action == POST:
-            actor.add_content(self._key(ev.target), self._payload(ev.payload_size), ev.at)
+    def _apply_event(self, at: SimTime, actor: Peer, action: int,
+                     target: StorageKey | UserId, size: int) -> None:
+        """One trace event, already resolved: the acting peer, the action
+        code and the parsed target (a friend-request target is a name)."""
+        if action == LOOKUP_CODE:
+            actor.handle_request(target, at)
+        elif action == POST_CODE:
+            actor.add_content(target, self._payload(size), at)
         else:
-            actor.send_friend_request(ev.target, ev.at)
+            actor.send_friend_request(target, at)
 
     def _run_selection_round(self, now: SimTime) -> None:
         """One time-triggered selection round; ``run`` schedules it only
@@ -185,11 +172,15 @@ class Simulation:
         next_sample = cadence if cadence <= duration else end
 
         apply_event = self._apply_event
+        ticks, actors, actions = trace.ticks, trace.actors, trace.actions
+        target_ids, sizes, resolved = trace.target_ids, trace.sizes, trace.resolved
+        actor_peers = self._actor_peers
         i, n = 0, len(trace)
         while True:
             limit = min(next_selection, next_sample, duration)
-            while i < n and trace[i].at <= limit:
-                apply_event(trace[i])
+            while i < n and (at := ticks[i]) <= limit:
+                apply_event(at, actor_peers[actors[i]], actions[i], resolved[target_ids[i]],
+                            sizes[i])
                 i += 1
             if next_selection <= next_sample:
                 if next_selection == end:
@@ -324,7 +315,7 @@ class Simulation:
         )
 
 
-def run_scenario(cfg: ScenarioConfig, trace: list[TraceEvent] | None = None,
+def run_scenario(cfg: ScenarioConfig, trace: Trace | None = None,
                  label: str | None = None) -> RunResult:
     cfg.validate()
     if trace is None:
@@ -342,7 +333,7 @@ SETUP_ORDER = (
 
 
 def compare_strategies(cfg: ScenarioConfig,
-                       trace: list[TraceEvent] | None = None) -> list[RunResult]:
+                       trace: Trace | None = None) -> list[RunResult]:
     """Run the same trace once per selection strategy, social cache only."""
     base = scenario_for_setup(cfg, CacheSetup.SOCIAL_ONLY)
     base.validate()
@@ -355,7 +346,7 @@ def compare_strategies(cfg: ScenarioConfig,
 
 
 def compare_caches(cfg: ScenarioConfig,
-                   trace: list[TraceEvent] | None = None) -> list[RunResult]:
+                   trace: Trace | None = None) -> list[RunResult]:
     """Run the same trace once per cache setup with the social-score
     strategy."""
     base = scenario_for_strategy(cfg, Strategy.SOCIAL_SCORE)

@@ -16,10 +16,11 @@ from __future__ import annotations
 import enum
 import hashlib
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import StorageKey, UserId
 from .social_cache import Strategy, StrategyConfig
@@ -75,11 +76,21 @@ class DatasetStats:
                 raise ConfigError(f"dataset statistic {f.name} must be positive")
 
 
-# Trace actions (also the on-disk tokens).
+# Trace actions (also the on-disk tokens).  A Trace stores each action as
+# its code, the action's index in ACTIONS.
 POST = "POST"
 LOOKUP = "LOOKUP"
 FRIENDREQ = "FRIENDREQ"
-_ACTIONS = (POST, LOOKUP, FRIENDREQ)
+ACTIONS = (POST, LOOKUP, FRIENDREQ)
+POST_CODE, LOOKUP_CODE, FRIENDREQ_CODE = range(len(ACTIONS))
+_CODES = {action: code for code, action in enumerate(ACTIONS)}
+
+
+def _line(at: int, actor: UserId, action: str, target: str, payload_size: int | None) -> str:
+    """One trace-file line, without its newline."""
+    if action == POST:
+        return f"{at} {actor} {action} {target} {payload_size}"
+    return f"{at} {actor} {action} {target}"
 
 
 @dataclass(slots=True, frozen=True)
@@ -91,9 +102,105 @@ class TraceEvent:
     payload_size: int | None = None
 
     def line(self) -> str:
-        if self.action == POST:
-            return f"{self.at} {self.actor} {self.action} {self.target} {self.payload_size}"
-        return f"{self.at} {self.actor} {self.action} {self.target}"
+        return _line(self.at, self.actor, self.action, self.target, self.payload_size)
+
+
+class Trace:
+    """An immutable event trace held as parallel columns.
+
+    Event ``i`` happens at tick ``ticks[i]``.  Its actor is
+    ``users[actors[i]]`` and its action ``ACTIONS[actions[i]]``.  Its target
+    is ``targets[target_ids[i]]``, which ``resolved`` holds parsed: a
+    StorageKey for a key, the plain name for a friend-request target.  A
+    POST's payload size is ``sizes[i]``; other actions do not read it.
+    ``users`` is every user the trace names (actors, friend-request targets
+    and key owners), sorted.
+
+    As a sequence a Trace yields TraceEvent values made on demand;
+    ``lines()`` formats the same events without making them.  The columns
+    are read-only, so ``trace_digest`` computes a Trace's digest once and
+    keeps it.
+    """
+
+    __slots__ = ("ticks", "actors", "actions", "target_ids", "sizes",
+                 "users", "targets", "resolved", "_digest")
+
+    def __init__(self, ticks: array, actors: array, actions: bytes, target_ids: array,
+                 sizes: array, users: tuple[UserId, ...], targets: tuple[str, ...],
+                 resolved: tuple[StorageKey | UserId, ...]):
+        self.ticks = memoryview(ticks).toreadonly()
+        self.actors = memoryview(actors).toreadonly()
+        self.actions = bytes(actions)
+        self.target_ids = memoryview(target_ids).toreadonly()
+        self.sizes = memoryview(sizes).toreadonly()
+        self.users = users
+        self.targets = targets
+        self.resolved = resolved
+        self._digest: str | None = None
+
+    @classmethod
+    def from_events(cls, events: Iterable[TraceEvent]) -> "Trace":
+        builder = _TraceBuilder()
+        for ev in events:
+            builder.add(ev.at, ev.actor, _CODES[ev.action], ev.target, ev.payload_size or 0)
+        return builder.build()
+
+    def __len__(self) -> int:
+        return len(self.actions)
+
+    def _event(self, at: int, actor: int, code: int, target: int, size: int) -> TraceEvent:
+        return TraceEvent(at, self.users[actor], ACTIONS[code], self.targets[target],
+                          size if code == POST_CODE else None)
+
+    def __getitem__(self, i: int) -> TraceEvent:
+        return self._event(self.ticks[i], self.actors[i], self.actions[i],
+                           self.target_ids[i], self.sizes[i])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(self._event, self.ticks, self.actors, self.actions,
+                   self.target_ids, self.sizes)
+
+    def lines(self) -> Iterator[str]:
+        """``ev.line()`` of every event, read straight from the columns."""
+        users, targets = self.users, self.targets
+        for at, actor, code, target, size in zip(self.ticks, self.actors, self.actions,
+                                                 self.target_ids, self.sizes):
+            yield _line(at, users[actor], ACTIONS[code], targets[target], size)
+
+
+class _TraceBuilder:
+    """Collects events one at a time, interning actors and targets, for a
+    trace whose user set is known only at the end."""
+
+    def __init__(self) -> None:
+        self.ticks = array("q")
+        self.actors = array("I")  # first-seen actor numbers until build()
+        self.actions = bytearray()
+        self.target_ids = array("I")
+        self.sizes = array("I")
+        self.names: dict[UserId, int] = {}
+        self.target_ids_of: dict[str, int] = {}
+        self.resolved: list[StorageKey | UserId] = []
+
+    def add(self, at: int, actor: UserId, code: int, target: str, size: int) -> None:
+        self.ticks.append(at)
+        self.actors.append(self.names.setdefault(actor, len(self.names)))
+        self.actions.append(code)
+        t = self.target_ids_of.get(target)
+        if t is None:
+            t = self.target_ids_of[target] = len(self.resolved)
+            self.resolved.append(target if code == FRIENDREQ_CODE else StorageKey.parse(target))
+        self.target_ids.append(t)
+        self.sizes.append(size)
+
+    def build(self) -> Trace:
+        owners = (r if isinstance(r, str) else r.owner for r in self.resolved)
+        users = tuple(sorted(self.names.keys() | set(owners)))
+        position = {name: i for i, name in enumerate(users)}
+        renumber = [position[name] for name in self.names]
+        return Trace(self.ticks, array("I", map(renumber.__getitem__, self.actors)),
+                     self.actions, self.target_ids, self.sizes, users,
+                     tuple(self.target_ids_of), tuple(self.resolved))
 
 
 class CacheSetup(enum.Enum):
@@ -181,8 +288,8 @@ class ScenarioConfig:
             raise ConfigError("initial_friend_fraction must lie in [0, 1]")
         if self.keys_per_user < 1:
             raise ConfigError("keys_per_user must be positive")
-        if self.payload_bytes < 0:
-            raise ConfigError("payload_bytes must be non-negative")
+        if not 0 <= self.payload_bytes < 2**32:
+            raise ConfigError("payload_bytes must lie in [0, 2**32)")
         if self.lookups_per_interaction <= 0:
             raise ConfigError("lookups_per_interaction must be positive")
         if len(self.tier_shares) != len(self.tier_sizes) + 1:
@@ -299,8 +406,8 @@ def _tier_weights(count: int, sizes: Sequence[int], shares: Sequence[float]) -> 
     return weights
 
 
-def generate_trace(cfg: ScenarioConfig) -> list[TraceEvent]:
-    """Deterministic synthetic workload for one scenario.
+def generate_trace(cfg: ScenarioConfig) -> Trace:
+    """Deterministic synthetic workload for one scenario, as a Trace.
 
     All users publish their full key space at tick 0 so every lookup target
     exists, then keep re-posting round-robin at the scaled interaction rate.
@@ -308,23 +415,25 @@ def generate_trace(cfg: ScenarioConfig) -> list[TraceEvent]:
     pick a friend by tier weight, then one of the friend's keys uniformly.
     """
     cfg.validate()
+    # Zero-padded names sort in peer order, so a peer's index is also its
+    # user index in the trace; every peer posts, so every peer is a user.
     names = peer_names(cfg.peer_count)
     graph = build_friend_graph(cfg.peer_count, cfg.friends_per_user)
     duration = cfg.duration
-    keyspace = [
-        [f"{name}/wall/{slot}" for slot in range(cfg.keys_per_user)] for name in names
-    ]
+    per_user = cfg.keys_per_user
+    # Target table: key ``slot`` of peer ``i`` is entry ``i * per_user +
+    # slot``; peer ``j`` as a friend-request target follows all the keys.
+    keys = [StorageKey(name, f"wall/{slot}") for name in names for slot in range(per_user)]
+    user_targets = len(keys)
 
     # Friendship phases: a deterministic shuffle splits edges into the
     # initially active set and one batch per configured phase time.
-    edges = sorted(
-        (names[i], names[j]) for i, row in enumerate(graph) for j in row if i < j
-    )
+    edges = sorted((i, j) for i, row in enumerate(graph) for j in row if i < j)
     phase_rng = random.Random(f"{cfg.seed}/phases")
     phase_rng.shuffle(edges)
     initial_count = round(len(edges) * cfg.initial_friend_fraction)
     phases = sorted(cfg.phases)
-    activation: dict[tuple[UserId, UserId], int] = {}
+    activation: dict[tuple[int, int], int] = {}
     for idx, edge in enumerate(edges):
         if idx < initial_count or not phases:
             activation[edge] = 0
@@ -332,23 +441,34 @@ def generate_trace(cfg: ScenarioConfig) -> list[TraceEvent]:
             phase = phases[(idx - initial_count) % len(phases)]
             activation[edge] = phase
 
-    tables: dict[UserId, _TierTable] = {}
+    tables: list[_TierTable] = []
     for i, name in enumerate(names):
-        ordered = [names[j] for j in graph[i]]
+        ordered = list(graph[i])
         random.Random(f"{cfg.seed}/tiers/{name}").shuffle(ordered)
         weights = _tier_weights(len(ordered), cfg.tier_sizes, cfg.tier_shares)
-        tables[name] = _TierTable(ordered, weights)
+        tables.append(_TierTable(ordered, weights))
 
-    events: list[tuple[int, int, UserId, int, TraceEvent]] = []
+    # The three streams below are appended in priority order into one set
+    # of columns, then sorted once by tick.
+    ticks, actors, target_ids = array("q"), array("I"), array("I")
 
-    def push(at: int, prio: int, actor: UserId, seq: int, ev: TraceEvent) -> None:
-        events.append((at, prio, actor, seq, ev))
+    # Posts: full key space at tick 0, then round-robin re-posts.
+    post_gap = cfg.interaction_gap_ticks()
+    for i, name in enumerate(names):
+        rng = random.Random(f"{cfg.seed}/posts/{name}")
+        times = [0] * per_user
+        times.extend(_exponential_times(rng, post_gap, duration))
+        ticks.extend(times)
+        actors.extend([i] * len(times))
+        first = i * per_user
+        target_ids.extend(first + k % per_user for k in range(len(times)))
+    post_count = len(ticks)
 
     # Friend requests: one event per non-initial edge, jittered after its
     # phase; initial edges are silently active from the start.  An edge
     # becomes a lookup target exactly when its request event fires.
     req_rng = random.Random(f"{cfg.seed}/friendreq")
-    activation_events: list[tuple[int, UserId, UserId]] = []
+    activation_events: list[tuple[int, int, int]] = []
     for edge in sorted(activation):
         at = activation[edge]
         if at == 0:
@@ -361,83 +481,86 @@ def generate_trace(cfg: ScenarioConfig) -> list[TraceEvent]:
         other = edge[1] if requester == edge[0] else edge[0]
         activation_events.append((when, requester, other))
     activation_events.sort()
-    for seq, (when, requester, other) in enumerate(activation_events):
-        push(when, 1, requester, seq, TraceEvent(when, requester, FRIENDREQ, other))
-    pending_activations = [
-        (when, (requester, other)) for when, requester, other in activation_events
-    ]
+    activations_of: list[list[tuple[int, int]]] = [[] for _ in names]
+    for when, requester, other in activation_events:
+        ticks.append(when)
+        actors.append(requester)
+        target_ids.append(user_targets + other)
+        activations_of[requester].append((when, other))
+        activations_of[other].append((when, requester))
+    request_count = len(ticks) - post_count
 
-    # Posts: full key space at tick 0, then round-robin re-posts.
-    post_gap = cfg.interaction_gap_ticks()
-    for idx, name in enumerate(names):
-        keys = keyspace[idx]
-        for seq, key in enumerate(keys):
-            push(0, 0, name, seq, TraceEvent(0, name, POST, key, cfg.payload_bytes))
-        rng = random.Random(f"{cfg.seed}/posts/{name}")
-        slot = 0
-        for seq, at in enumerate(_exponential_times(rng, post_gap, duration)):
-            push(at, 0, name, seq + cfg.keys_per_user,
-                 TraceEvent(at, name, POST, keys[slot], cfg.payload_bytes))
-            slot = (slot + 1) % cfg.keys_per_user
-
-    # Lookups: drawn against the tier table state at the event's time.
+    # Lookups: each drawn against its actor's tier table as it stands at
+    # the lookup's tick.  A table changes only with its own actor's
+    # activations and each actor draws from its own generators, so the
+    # actors can go one after the other.
     lookup_gap = cfg.lookup_gap_ticks()
-    per_peer_lookups: dict[UserId, list[int]] = {}
-    for name in names:
-        rng = random.Random(f"{cfg.seed}/lookup-times/{name}")
-        per_peer_lookups[name] = list(_exponential_times(rng, lookup_gap, duration))
-    draw_rngs = {name: random.Random(f"{cfg.seed}/lookup-draws/{name}") for name in names}
-    keys_of = dict(zip(names, keyspace))
-    merged: list[tuple[int, UserId]] = sorted(
-        (at, name) for name, times in per_peer_lookups.items() for at in times
+    for i, name in enumerate(names):
+        table, pending, applied = tables[i], activations_of[i], 0
+        times_rng = random.Random(f"{cfg.seed}/lookup-times/{name}")
+        draw_rng = random.Random(f"{cfg.seed}/lookup-draws/{name}")
+        for at in _exponential_times(times_rng, lookup_gap, duration):
+            while applied < len(pending) and pending[applied][0] <= at:
+                table.activate(pending[applied][1])
+                applied += 1
+            friend = table.draw(draw_rng)
+            if friend is None:
+                continue  # no active friends yet; nobody to look up
+            ticks.append(at)
+            actors.append(i)
+            target_ids.append(friend * per_user + draw_rng.randrange(per_user))
+
+    count = len(ticks)
+    codes = (bytes([POST_CODE]) * post_count + bytes([FRIENDREQ_CODE]) * request_count
+             + bytes([LOOKUP_CODE]) * (count - post_count - request_count))
+    # The trace's order is (tick, stream priority, actor, seq): posts before
+    # friend requests before lookups, an actor's posts and lookups numbered
+    # in time order, friend requests numbered globally by (tick, requester,
+    # other).  The streams were appended in priority order, and within each
+    # stream the append order is already (actor, seq) among equal ticks:
+    # posts and lookups go actor by actor in time order, friend requests in
+    # sorted order.  A stable sort by tick alone keeps the append order at
+    # equal ticks, so it yields exactly that order with no tuple per event.
+    order = sorted(range(count), key=ticks.__getitem__)
+    return Trace(
+        array("q", map(ticks.__getitem__, order)),
+        array("I", map(actors.__getitem__, order)),
+        bytes(map(codes.__getitem__, order)),
+        array("I", map(target_ids.__getitem__, order)),
+        array("I", [cfg.payload_bytes]) * count,
+        tuple(names),
+        tuple(map(str, keys)) + tuple(names),
+        tuple(keys) + tuple(names),
     )
-    act_idx = 0
-    seqs = {name: 0 for name in names}
-    for at, name in merged:
-        while act_idx < len(pending_activations) and pending_activations[act_idx][0] <= at:
-            _, edge = pending_activations[act_idx]
-            tables[edge[0]].activate(edge[1])
-            tables[edge[1]].activate(edge[0])
-            act_idx += 1
-        rng = draw_rngs[name]
-        friend = tables[name].draw(rng)
-        if friend is None:
-            continue  # no active friends yet; nobody to look up
-        key = keys_of[friend][rng.randrange(cfg.keys_per_user)]
-        push(at, 2, name, seqs[name], TraceEvent(at, name, LOOKUP, key))
-        seqs[name] += 1
-
-    # (at, prio, actor, seq) is unique per event: within one prio, seq never
-    # repeats for an actor (friend requests number globally).  So the plain
-    # tuple sort decides every pair on those four fields and never compares
-    # two TraceEvents, which define no order and would raise TypeError.
-    events.sort()
-    return [item[4] for item in events]
 
 
-def trace_digest(events: Sequence[TraceEvent]) -> str:
-    digest = hashlib.sha256()
-    for ev in events:
-        digest.update(ev.line().encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
+def trace_digest(trace: Trace) -> str:
+    """SHA-256 over the trace's lines.  A Trace keeps its digest, so only
+    the first call on it reads the events."""
+    if trace._digest is None:
+        digest = hashlib.sha256()
+        for line in trace.lines():
+            digest.update(line.encode("utf-8"))
+            digest.update(b"\n")
+        trace._digest = digest.hexdigest()
+    return trace._digest
 
 
-def save_trace(events: Iterable[TraceEvent], path) -> None:
+def save_trace(trace: Trace, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for ev in events:
-            handle.write(ev.line())
+        for line in trace.lines():
+            handle.write(line)
             handle.write("\n")
 
 
-def load_trace(path) -> list[TraceEvent]:
+def load_trace(path) -> Trace:
     """Parse a trace file, validating field shape, time ordering and that
     every event can run: a POST writes under the actor's own key, a
     FRIENDREQ names another user.
 
     Blank lines and ``#`` comments are permitted and skipped.
     """
-    events: list[TraceEvent] = []
+    builder = _TraceBuilder()
     last_at = -1
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
@@ -454,11 +577,11 @@ def load_trace(path) -> list[TraceEvent]:
                 raise TraceFormatError(line_no, f"bad timestamp {t_text!r}") from None
             if at < 0:
                 raise TraceFormatError(line_no, "timestamp must be non-negative")
-            if action not in _ACTIONS:
+            if action not in _CODES:
                 raise TraceFormatError(line_no, f"unknown action {action!r}")
             if not actor:
                 raise TraceFormatError(line_no, "empty actor")
-            payload_size: int | None = None
+            payload_size = 0
             if action == POST:
                 if len(parts) != 5:
                     raise TraceFormatError(line_no, "POST requires a payload size")
@@ -483,8 +606,11 @@ def load_trace(path) -> list[TraceEvent]:
             if at < last_at:
                 raise TraceOrderError(line_no, f"timestamp {at} before {last_at}")
             last_at = at
-            events.append(TraceEvent(at, actor, action, target, payload_size))
-    return events
+            try:
+                builder.add(at, actor, _CODES[action], target, payload_size)
+            except OverflowError:
+                raise TraceFormatError(line_no, "timestamp or payload size too large") from None
+    return builder.build()
 
 
 def scenario_for_strategy(cfg: ScenarioConfig, kind: Strategy) -> ScenarioConfig:

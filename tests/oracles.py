@@ -6,16 +6,30 @@ scans lists, the scoring oracles recompute from raw event lists.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import replace
 from types import SimpleNamespace
 
-from socicache.model import InteractionKind
+from socicache.model import InteractionKind, UserId
 from socicache.social_cache import (
     _STABLE_MARGIN,
     InvalidWeightsError,
     SocialCache,
     Strategy,
     SubscriptionDiff,
+)
+from socicache.workload import (
+    FRIENDREQ,
+    LOOKUP,
+    POST,
+    TICKS_PER_SECOND,
+    ScenarioConfig,
+    TraceEvent,
+    _exponential_times,
+    _TierTable,
+    _tier_weights,
+    build_friend_graph,
+    peer_names,
 )
 
 
@@ -208,3 +222,134 @@ def reference_schedule(event_times: list[int], duration: int, interval: int,
             if next_sample > duration:
                 next_sample = None
     return order
+
+
+def reference_generate_trace(cfg: ScenarioConfig) -> list[TraceEvent]:
+    """The trace generator as first written: every stream pushes
+    ``(at, prio, actor, seq, event)`` tuples and one tuple sort orders them.
+    ``generate_trace`` must return the same events in the same order.
+
+    All users publish their full key space at tick 0 so every lookup target
+    exists, then keep re-posting round-robin at the scaled interaction rate.
+    Lookup streams run at ``lookups_per_interaction`` times that rate and
+    pick a friend by tier weight, then one of the friend's keys uniformly.
+    """
+    cfg.validate()
+    names = peer_names(cfg.peer_count)
+    graph = build_friend_graph(cfg.peer_count, cfg.friends_per_user)
+    duration = cfg.duration
+    keyspace = [
+        [f"{name}/wall/{slot}" for slot in range(cfg.keys_per_user)] for name in names
+    ]
+
+    # Friendship phases: a deterministic shuffle splits edges into the
+    # initially active set and one batch per configured phase time.
+    edges = sorted(
+        (names[i], names[j]) for i, row in enumerate(graph) for j in row if i < j
+    )
+    phase_rng = random.Random(f"{cfg.seed}/phases")
+    phase_rng.shuffle(edges)
+    initial_count = round(len(edges) * cfg.initial_friend_fraction)
+    phases = sorted(cfg.phases)
+    activation: dict[tuple[UserId, UserId], int] = {}
+    for idx, edge in enumerate(edges):
+        if idx < initial_count or not phases:
+            activation[edge] = 0
+        else:
+            phase = phases[(idx - initial_count) % len(phases)]
+            activation[edge] = phase
+
+    tables: dict[UserId, _TierTable] = {}
+    for i, name in enumerate(names):
+        ordered = [names[j] for j in graph[i]]
+        random.Random(f"{cfg.seed}/tiers/{name}").shuffle(ordered)
+        weights = _tier_weights(len(ordered), cfg.tier_sizes, cfg.tier_shares)
+        tables[name] = _TierTable(ordered, weights)
+
+    events: list[tuple[int, int, UserId, int, TraceEvent]] = []
+
+    def push(at: int, prio: int, actor: UserId, seq: int, ev: TraceEvent) -> None:
+        events.append((at, prio, actor, seq, ev))
+
+    # Friend requests: one event per non-initial edge, jittered after its
+    # phase; initial edges are silently active from the start.  An edge
+    # becomes a lookup target exactly when its request event fires.
+    req_rng = random.Random(f"{cfg.seed}/friendreq")
+    activation_events: list[tuple[int, UserId, UserId]] = []
+    for edge in sorted(activation):
+        at = activation[edge]
+        if at == 0:
+            tables[edge[0]].activate(edge[1])
+            tables[edge[1]].activate(edge[0])
+            continue
+        jitter = req_rng.randrange(0, 60 * TICKS_PER_SECOND)
+        when = min(at + jitter, duration)
+        requester = edge[0] if req_rng.random() < 0.5 else edge[1]
+        other = edge[1] if requester == edge[0] else edge[0]
+        activation_events.append((when, requester, other))
+    activation_events.sort()
+    for seq, (when, requester, other) in enumerate(activation_events):
+        push(when, 1, requester, seq, TraceEvent(when, requester, FRIENDREQ, other))
+    pending_activations = [
+        (when, (requester, other)) for when, requester, other in activation_events
+    ]
+
+    # Posts: full key space at tick 0, then round-robin re-posts.
+    post_gap = cfg.interaction_gap_ticks()
+    for idx, name in enumerate(names):
+        keys = keyspace[idx]
+        for seq, key in enumerate(keys):
+            push(0, 0, name, seq, TraceEvent(0, name, POST, key, cfg.payload_bytes))
+        rng = random.Random(f"{cfg.seed}/posts/{name}")
+        slot = 0
+        for seq, at in enumerate(_exponential_times(rng, post_gap, duration)):
+            push(at, 0, name, seq + cfg.keys_per_user,
+                 TraceEvent(at, name, POST, keys[slot], cfg.payload_bytes))
+            slot = (slot + 1) % cfg.keys_per_user
+
+    # Lookups: drawn against the tier table state at the event's time.
+    lookup_gap = cfg.lookup_gap_ticks()
+    per_peer_lookups: dict[UserId, list[int]] = {}
+    for name in names:
+        rng = random.Random(f"{cfg.seed}/lookup-times/{name}")
+        per_peer_lookups[name] = list(_exponential_times(rng, lookup_gap, duration))
+    draw_rngs = {name: random.Random(f"{cfg.seed}/lookup-draws/{name}") for name in names}
+    keys_of = dict(zip(names, keyspace))
+    merged: list[tuple[int, UserId]] = sorted(
+        (at, name) for name, times in per_peer_lookups.items() for at in times
+    )
+    act_idx = 0
+    seqs = {name: 0 for name in names}
+    for at, name in merged:
+        while act_idx < len(pending_activations) and pending_activations[act_idx][0] <= at:
+            _, edge = pending_activations[act_idx]
+            tables[edge[0]].activate(edge[1])
+            tables[edge[1]].activate(edge[0])
+            act_idx += 1
+        rng = draw_rngs[name]
+        friend = tables[name].draw(rng)
+        if friend is None:
+            continue  # no active friends yet; nobody to look up
+        key = keys_of[friend][rng.randrange(cfg.keys_per_user)]
+        push(at, 2, name, seqs[name], TraceEvent(at, name, LOOKUP, key))
+        seqs[name] += 1
+
+    # (at, prio, actor, seq) is unique per event: within one prio, seq never
+    # repeats for an actor (friend requests number globally).  So the plain
+    # tuple sort decides every pair on those four fields and never compares
+    # two TraceEvents, which define no order and would raise TypeError.
+    events.sort()
+    return [item[4] for item in events]
+
+
+def reference_trace_users(events: list[TraceEvent]) -> list[UserId]:
+    """Every user a trace names: actors, friend-request targets and key
+    owners, sorted."""
+    users: set[UserId] = set()
+    for ev in events:
+        users.add(ev.actor)
+        if ev.action == FRIENDREQ:
+            users.add(ev.target)
+        else:
+            users.add(ev.target.split("/", 1)[0])
+    return sorted(users)

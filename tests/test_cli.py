@@ -1,10 +1,12 @@
 import csv
+import json
+import platform
 
 import pytest
 
 from socicache import cli
 from socicache.cli import RunManifest, apply_setting, main, serialize_config
-from socicache.workload import generate_trace, save_trace, ScenarioConfig
+from socicache.workload import generate_trace, save_trace, ScenarioConfig, trace_digest
 
 SMALL = [
     "--set", "peer_count=8",
@@ -100,6 +102,8 @@ def test_compare_strategies_emits_three_rows(tmp_path):
         for label in ("random", "trend", "social_score")
     }
     assert len(digests) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["trace_digest"][:12] == digests.pop()
 
 
 def test_compare_caches_emits_four_rows(tmp_path):
@@ -119,7 +123,8 @@ def test_compare_caches_emits_four_rows(tmp_path):
 def test_run_replays_external_trace(tmp_path):
     cfg = ScenarioConfig(peer_count=6, friends_per_user=3, sim_duration_ticks=300_000)
     trace_path = tmp_path / "trace.txt"
-    save_trace(generate_trace(cfg), trace_path)
+    trace = generate_trace(cfg)
+    save_trace(trace, trace_path)
     out = tmp_path / "out"
     code = main([
         "run", "--out", str(out), "--trace", str(trace_path),
@@ -129,6 +134,9 @@ def test_run_replays_external_trace(tmp_path):
     ])
     assert code == 0
     assert int(read_rows(out / "summary.csv")[0]["total_requests"]) > 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["trace_digest"] == trace_digest(trace)
+    assert manifest["python"].endswith(platform.python_version())
 
 
 @pytest.mark.parametrize(

@@ -34,9 +34,9 @@ def recorded_schedule(cfg: ScenarioConfig, times: list[int]) -> list[tuple[str, 
     order: list[tuple[str, int]] = []
     apply_event, select, sample = sim._apply_event, sim._run_selection_round, sim._sample
 
-    def on_event(ev):
-        order.append(("event", ev.at))
-        apply_event(ev)
+    def on_event(at, *resolved):
+        order.append(("event", at))
+        apply_event(at, *resolved)
 
     def on_selection(now):
         order.append(("selection", now))

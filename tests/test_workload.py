@@ -1,7 +1,13 @@
+import hashlib
 import statistics
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_generate_trace, reference_trace_users
+from socicache.sim import Simulation
 from socicache.workload import (
     FRIENDREQ,
     LOOKUP,
@@ -11,6 +17,8 @@ from socicache.workload import (
     DatasetStats,
     InvalidArgumentError,
     ScenarioConfig,
+    Trace,
+    TraceEvent,
     TraceFormatError,
     TraceOrderError,
     build_friend_graph,
@@ -138,6 +146,49 @@ def test_friend_requests_fall_in_phases():
         assert any(start <= ev.at <= start + 60_000 for start in phase_starts)
 
 
+@st.composite
+def small_scenarios(draw):
+    """Small configs whose short gaps put many events on shared ticks,
+    within and across the post, friend-request and lookup streams."""
+    peers = draw(st.integers(2, 9))
+    # An odd degree needs an even population.
+    degree = draw(st.sampled_from([d for d in range(1, peers) if not d % 2 or not peers % 2]))
+    duration = draw(st.integers(1, 1000))
+    phases = draw(st.one_of(st.none(), st.lists(st.integers(0, duration), max_size=3)))
+    return ScenarioConfig(
+        peer_count=peers,
+        friends_per_user=degree,
+        sim_duration_ticks=duration,
+        new_experiment_time_days=draw(st.sampled_from([0.0001, 0.001, 0.01])),
+        lookups_per_interaction=draw(st.sampled_from([1.0, 20.0, 400.0])),
+        friend_request_phases=None if phases is None else tuple(phases),
+        initial_friend_fraction=draw(st.sampled_from([0.0, 0.3, 0.6, 1.0])),
+        keys_per_user=draw(st.integers(1, 4)),
+        payload_bytes=draw(st.integers(0, 64)),
+        tier_sizes=(1, 2),
+        tier_shares=(0.5, 0.3, 0.2),
+        seed=draw(st.integers(0, 10_000)),
+    )
+
+
+def _edge_case(**kwargs):
+    kwargs.setdefault("sim_duration_ticks", 1000)
+    kwargs.setdefault("new_experiment_time_days", 0.0001)
+    kwargs.setdefault("lookups_per_interaction", 400.0)
+    return ScenarioConfig(**kwargs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_scenarios())
+@example(_edge_case(peer_count=6, friends_per_user=3, seed=1))  # odd degree, even population
+@example(_edge_case(peer_count=5, friends_per_user=2, friend_request_phases=(), seed=2))
+@example(_edge_case(peer_count=4, friends_per_user=2, initial_friend_fraction=0.0, seed=3))
+@example(_edge_case(peer_count=4, friends_per_user=2, initial_friend_fraction=1.0, seed=4))
+@example(small_config(seed=42))
+def test_generator_matches_tuple_sort_reference(cfg):
+    assert list(generate_trace(cfg)) == reference_generate_trace(cfg)
+
+
 def test_post_interarrival_mean_tracks_configured_gap():
     # Law-of-large-numbers check over >= 10k generated gaps.
     cfg = ScenarioConfig(
@@ -177,6 +228,8 @@ def test_post_interarrival_mean_tracks_configured_gap():
         {"lookups_per_interaction": 0},
         {"tier_shares": (1.0,)},
         {"replication_factor": 0},
+        {"payload_bytes": -1},
+        {"payload_bytes": 2**32},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
@@ -233,6 +286,8 @@ def test_load_rejects_time_regression(tmp_path):
         "10 a POST b/wall/0 512",  # POST under another user's key
         "10 a FRIENDREQ a",  # friend request to self
         "10 a FRIENDREQ b/wall/0",  # friend request to a key
+        "10 a POST a/wall/0 4294967296",  # payload size past the column's range
+        "9223372036854775808 a LOOKUP b/wall/0",  # tick past the column's range
     ],
 )
 def test_load_rejects_malformed_lines(tmp_path, line):
@@ -241,3 +296,88 @@ def test_load_rejects_malformed_lines(tmp_path, line):
     with pytest.raises(TraceFormatError) as err:
         load_trace(path)
     assert err.value.line_no == 2
+
+
+# -- the columnar trace --------------------------------------------------------------------
+
+# Varied POST payload sizes; carol owns a looked-up key but never acts and
+# dave is only a friend-request target.
+EVENTS = [
+    TraceEvent(0, "bob", POST, "bob/wall/0", 7),
+    TraceEvent(0, "bob", POST, "bob/wall/1", 0),
+    TraceEvent(3, "alice", LOOKUP, "bob/wall/0"),
+    TraceEvent(3, "alice", LOOKUP, "carol/wall/2"),
+    TraceEvent(5, "bob", FRIENDREQ, "dave"),
+    TraceEvent(9, "bob", POST, "bob/wall/0", 1024),
+    TraceEvent(9, "alice", POST, "alice/x/y", 3),
+    TraceEvent(12, "alice", LOOKUP, "bob/wall/1"),
+]
+
+
+def test_trace_sequence_matches_its_events():
+    trace = Trace.from_events(EVENTS)
+    n = len(EVENTS)
+    assert len(trace) == n
+    assert list(trace) == EVENTS
+    assert [trace[i] for i in range(n)] == EVENTS
+    assert [trace[i] for i in range(-n, 0)] == EVENTS
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trace[i]
+    assert list(trace.lines()) == [ev.line() for ev in EVENTS]
+
+
+def test_trace_users_follow_actor_target_and_owner_rule():
+    trace = Trace.from_events(EVENTS)
+    assert list(trace.users) == reference_trace_users(EVENTS)
+    assert trace.users == ("alice", "bob", "carol", "dave")
+
+
+def test_trace_file_round_trip_keeps_every_event(tmp_path):
+    path = tmp_path / "trace.txt"
+    save_trace(Trace.from_events(EVENTS), path)
+    assert list(load_trace(path)) == EVENTS
+
+
+def test_trace_digest_is_sha256_of_lines():
+    want = hashlib.sha256()
+    for ev in EVENTS:
+        want.update((ev.line() + "\n").encode("utf-8"))
+    assert trace_digest(Trace.from_events(EVENTS)) == want.hexdigest()
+
+
+def test_second_simulation_reuses_the_trace_digest(monkeypatch):
+    trace = Trace.from_events(EVENTS)
+    reads = []
+    lines = Trace.lines
+    monkeypatch.setattr(Trace, "lines", lambda self: reads.append(self) or lines(self))
+    cfg = ScenarioConfig(sim_duration_ticks=20)
+    first = Simulation(cfg, trace).run()
+    second = Simulation(cfg, trace).run()
+    assert reads == [trace]
+    assert first.trace_digest == second.trace_digest == trace_digest(trace)
+
+
+def test_trace_columns_are_read_only():
+    trace = Trace.from_events(EVENTS)
+    with pytest.raises(TypeError):
+        trace.ticks[0] = 1
+    with pytest.raises(TypeError):
+        trace.actions[0] = 1
+
+
+def test_generated_trace_retains_few_bytes_per_event():
+    # The columns take 21 bytes per event (tick 8, actor, target and
+    # payload size 4 each, action 1) plus array slack; an object per event
+    # would take several times that.
+    cfg = ScenarioConfig(peer_count=16, friends_per_user=6, lookups_per_interaction=400.0,
+                         new_experiment_time_days=0.25)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = generate_trace(cfg)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) > 100_000
+    assert retained / len(trace) <= 32
