@@ -30,7 +30,6 @@ from .social_cache import (
     CapExceededError,
     InvalidWeightsError,
     MucList,
-    ReceiverList,
     SelectionTrigger,
     SocialCache,
     SocialStore,
@@ -49,7 +48,6 @@ from .workload import (
     Trace,
     TraceEvent,
     TraceFormatError,
-    TraceOrderError,
     generate_trace,
     load_trace,
     sampled_interval,

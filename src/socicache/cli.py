@@ -17,7 +17,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -29,8 +29,8 @@ from .workload import (
     CacheSetup,
     ConfigError,
     ScenarioConfig,
+    Trace,
     TraceFormatError,
-    TraceOrderError,
     load_trace,
 )
 
@@ -92,13 +92,6 @@ def _attr(path: str, parse: Callable[[str], object], fmt: Callable[[object], str
                 lambda cfg, value: setattr(owner(cfg), name, value), parse, fmt)
 
 
-def _dataset(name: str) -> _Key:
-    # DatasetStats is frozen and validates itself, so a change replaces it.
-    return _Key(lambda cfg: getattr(cfg.dataset, name),
-                lambda cfg, value: setattr(cfg, "dataset", replace(cfg.dataset, **{name: value})),
-                float, repr)
-
-
 def _weight(kind: InteractionKind) -> _Key:
     return _Key(lambda cfg: cfg.strategy.interaction_weights.get(kind, 1.0),
                 lambda cfg, value: cfg.strategy.interaction_weights.__setitem__(kind, value),
@@ -136,8 +129,8 @@ _KEYS: dict[str, _Key] = {
     "strategy.update_interval_ticks": _attr("strategy.update_interval", int),
     "strategy.trigger": _attr("strategy.trigger", SelectionTrigger, _enum_value),
     "strategy.rng_seed": _attr("strategy.rng_seed", int),
-    "dataset.avg_ts_interaction_days": _dataset("avg_ts_interaction_days"),
-    "dataset.experiment_span_days": _dataset("experiment_span_days"),
+    "dataset.avg_ts_interaction_days": _attr("dataset.avg_ts_interaction_days", float, repr),
+    "dataset.experiment_span_days": _attr("dataset.experiment_span_days", float, repr),
     **{f"strategy.weight.{kind.value}": _weight(kind) for kind in InteractionKind},
 }
 
@@ -253,16 +246,22 @@ def resolve_out_dir(args: argparse.Namespace) -> Path:
     return Path(os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
 
 
-def _load_optional_trace(args: argparse.Namespace):
+def _load_optional_trace(args: argparse.Namespace, cfg: ScenarioConfig) -> Trace | None:
+    """The ``--trace`` file, if given.  A run never applies an event after
+    its duration, so a trace that runs past it is rejected, not cut."""
     if args.trace is None:
         return None
-    return load_trace(args.trace)
+    trace = load_trace(args.trace)
+    if len(trace) and trace.ticks[-1] > cfg.duration:
+        raise ConfigError(f"trace {args.trace} runs to tick {trace.ticks[-1]}, past "
+                          f"sim_duration_ticks={cfg.duration}")
+    return trace
 
 
 def write_run_outputs(result: RunResult, out_dir: Path, run_id: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     result.ledger.export_csv(out_dir / "metrics.csv")
-    row = {"run_id": run_id, **result.summary}
+    row = [run_id, *(result.summary[column] for column in SUMMARY_COLUMNS)]
     export_rows_csv(out_dir / "summary.csv", ("run_id",) + SUMMARY_COLUMNS, [row])
 
 
@@ -280,7 +279,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = resolve_config(args, default_run_profile)
     out_dir = resolve_out_dir(args)
     manifest = RunManifest.create(args.config, cfg, out_dir)
-    result = run_scenario(cfg, trace=_load_optional_trace(args), label="run")
+    result = run_scenario(cfg, trace=_load_optional_trace(args, cfg), label="run")
     write_run_outputs(result, out_dir, manifest.run_id)
     manifest.write(out_dir / "manifest.json", result.trace_digest)
     _print_summary_line(result)
@@ -291,7 +290,7 @@ def _comparison_common(args: argparse.Namespace, profile, runner, table_writer) 
     cfg = resolve_config(args, profile)
     out_dir = resolve_out_dir(args)
     manifest = RunManifest.create(args.config, cfg, out_dir)
-    results = runner(cfg, trace=_load_optional_trace(args))
+    results = runner(cfg, trace=_load_optional_trace(args, cfg))
     out_dir.mkdir(parents=True, exist_ok=True)
     for result in results:
         write_run_outputs(result, out_dir / result.label, manifest.run_id)
@@ -306,15 +305,8 @@ def _write_strategy_table(results: list[RunResult], out_dir: Path) -> None:
     rows = []
     for result in results:
         s, c = result.summary, result.counters
-        rows.append(
-            {
-                "strategy": s["strategy"],
-                "cache_replies": c.cache_replies,
-                "overlay_replies": c.overlay_replies,
-                "total_replies": c.answered,
-                "hit_ratio": s["cache_hit_ratio"],
-            }
-        )
+        rows.append((s["strategy"], c.cache_replies, c.overlay_replies, c.answered,
+                     s["cache_hit_ratio"]))
     export_rows_csv(out_dir / "comparison.csv", columns, rows)
 
 
@@ -334,20 +326,9 @@ def _write_cache_table(results: list[RunResult], out_dir: Path) -> None:
     rows = []
     for result in results:
         s, c = result.summary, result.counters
-        rows.append(
-            {
-                "cache_setup": s["cache_setup"],
-                "current_replies": c.current_hits,
-                "social_replies": c.social_hits,
-                "overlay_replies": c.overlay_replies,
-                "total_replies": c.answered,
-                "hit_ratio": s["cache_hit_ratio"],
-                "current_items": s["current_cache_items"],
-                "social_items": s["social_cache_items"],
-                "total_items": s["total_cache_items"],
-                "responses_per_item": s["responses_per_item"],
-            }
-        )
+        rows.append((s["cache_setup"], c.current_hits, c.social_hits, c.overlay_replies,
+                     c.answered, s["cache_hit_ratio"], s["current_cache_items"],
+                     s["social_cache_items"], s["total_cache_items"], s["responses_per_item"]))
     export_rows_csv(out_dir / "comparison.csv", columns, rows)
 
 
@@ -395,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TraceFormatError, TraceOrderError, InvalidWeightsError) as exc:
+    except (ConfigError, TraceFormatError, InvalidWeightsError) as exc:
         print(f"socicache: config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive runtime guard

@@ -8,13 +8,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, Sequence
 
 from .model import SimTime
-
-
-class IoError(OSError):
-    """Metrics output path could not be written."""
 
 
 def hit_ratio(cache_replies: int, total_replies: int) -> float | None:
@@ -95,19 +91,6 @@ METRICS_COLUMNS = (
     "bytes_written",
 )
 
-# Float columns get a fixed textual form so equal runs export equal bytes.
-_FLOAT_FORMAT = {"hit_ratio": "{:.6f}", "muc_size_mean": "{:.6f}"}
-
-
-def _cell(column: str, value: object) -> str:
-    if value is None:
-        return ""
-    fmt = _FLOAT_FORMAT.get(column)
-    if fmt is not None:
-        return fmt.format(value)
-    return str(value)
-
-
 class MetricsLedger:
     """Pipeline counters plus the sampled metrics of one run.
 
@@ -123,7 +106,8 @@ class MetricsLedger:
         self.subscriptions_sent = 0
         self.unsubscriptions_sent = 0
         self.bootstrap_dumps = 0
-        # One value list per metrics column, aligned with ``sample_times``.
+        # One value list per metrics column in column order, aligned with
+        # ``sample_times``.
         self.series: dict[str, list[object]] = {name: [] for name in METRICS_COLUMNS[1:]}
         self.sample_times: list[SimTime] = []
 
@@ -138,40 +122,23 @@ class MetricsLedger:
             column.append(values.get(name))
 
     def export_csv(self, path) -> None:
-        try:
-            with open(path, "w", newline="", encoding="utf-8") as handle:
-                self.write_csv(handle)
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
+        export_rows_csv(path, METRICS_COLUMNS, zip(self.sample_times, *self.series.values()))
 
     def write_csv(self, handle: IO[str]) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(METRICS_COLUMNS)
-        for i, t in enumerate(self.sample_times):
-            row = [str(t)]
-            for name in METRICS_COLUMNS[1:]:
-                row.append(_cell(name, self.series[name][i]))
-            writer.writerow(row)
+        write_rows(handle, METRICS_COLUMNS, zip(self.sample_times, *self.series.values()))
 
 
-def export_rows_csv(path, columns: Iterable[str], rows: Iterable[Mapping[str, object]]) -> None:
-    """Write dict rows with a fixed column order; None becomes an empty
-    cell, floats are emitted in fixed six-decimal form."""
-    columns = list(columns)
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                cells = []
-                for col in columns:
-                    value = row.get(col)
-                    if value is None:
-                        cells.append("")
-                    elif isinstance(value, float):
-                        cells.append(f"{value:.6f}")
-                    else:
-                        cells.append(str(value))
-                writer.writerow(cells)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+def write_rows(handle: IO[str], columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """The one CSV writer: a header, then one line per row of values in
+    column order.  None is an empty cell and a float has six decimals, so
+    equal runs export equal bytes; anything else is ``str(value)``."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(["" if v is None else f"{v:.6f}" if type(v) is float else str(v)
+                      for v in row] for row in rows)
+
+
+def export_rows_csv(path, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """``write_rows`` into a new UTF-8 file at ``path``."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        write_rows(handle, columns, rows)

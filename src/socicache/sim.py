@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from typing import Iterable
 
 from .info_cache import CurrentCache
 from .metrics import Counters, MetricsLedger, cache_hit_ratio, responses_per_item
@@ -22,7 +21,6 @@ from .workload import (
     CacheSetup,
     ScenarioConfig,
     Trace,
-    TraceEvent,
     generate_trace,
     scenario_for_setup,
     scenario_for_strategy,
@@ -75,11 +73,8 @@ class RunResult:
 
 
 class Simulation:
-    def __init__(self, cfg: ScenarioConfig, trace: Trace | Iterable[TraceEvent],
-                 label: str = "run"):
+    def __init__(self, cfg: ScenarioConfig, trace: Trace, label: str = "run"):
         cfg.validate()
-        if not isinstance(trace, Trace):
-            trace = Trace.from_events(trace)
         self.cfg = cfg
         self.trace = trace
         self.label = label

@@ -244,21 +244,6 @@ class SubscriptionSet(dict):
         self.pop(user, None)
 
 
-class ReceiverList(dict):
-    """Users subscribed to this peer's update channel, as the dict's keys."""
-
-    __slots__ = ()
-
-    def add(self, user: UserId) -> bool:
-        if user in self:
-            return False
-        self[user] = None
-        return True
-
-    def discard(self, user: UserId) -> None:
-        self.pop(user, None)
-
-
 class SocialStore:
     """Two-layer cache: subscribed user -> storage key -> latest object."""
 
@@ -344,7 +329,8 @@ class SocialCache:
         self.bootstrapping = bootstrapping
         self.muc = MucList(muc_capacity, cfg.interaction_weights)
         self.channels = SubscriptionSet(owner, cfg.n)
-        self.receivers = ReceiverList()
+        # Users subscribed to this peer's update channel, in subscription order.
+        self.receivers: dict[UserId, None] = {}
         self.store = SocialStore()
         self.own: dict[StorageKey, ContentObject] = {}
         if rng is None:
@@ -588,8 +574,9 @@ class SocialCache:
         dump of the own-content store when bootstrapping is on."""
         if subscriber == self.owner:
             raise ValueError("cannot subscribe to self")
-        if not self.receivers.add(subscriber):
+        if subscriber in self.receivers:
             return
+        self.receivers[subscriber] = None
         if self.bootstrapping:
             snapshot = tuple(self.own.values())
             self.ledger.bootstrap_dumps += 1
@@ -599,7 +586,7 @@ class SocialCache:
             )
 
     def on_unsubscribe_received(self, subscriber: UserId) -> None:
-        self.receivers.discard(subscriber)
+        self.receivers.pop(subscriber, None)
 
     def on_social_update(self, sender: UserId, content: ContentObject) -> bool:
         """Store a pushed update, overwriting older content for the same key.

@@ -18,9 +18,9 @@ import hashlib
 import random
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import StorageKey, UserId
 from .social_cache import Strategy, StrategyConfig
@@ -38,15 +38,14 @@ class InvalidArgumentError(ValueError):
 
 
 class TraceFormatError(ValueError):
+    """A trace line or event that cannot run.  ``line_no`` is the line of a
+    trace file, or the 1-based position of an event given to
+    ``Trace.from_events`` (its line in the saved trace)."""
+
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
-
-
-class TraceOrderError(ValueError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
+        self.reason = reason
 
 
 def sampled_interval(x: float, dataset_experiment_time: float,
@@ -62,18 +61,13 @@ def sampled_interval(x: float, dataset_experiment_time: float,
     return dataset_experiment_time / (new_experiment_time * x)
 
 
-@dataclass(frozen=True)
+@dataclass
 class DatasetStats:
     """Aggregate statistics of the ego-network dataset the workloads are
     scaled from (interval values in days)."""
 
     avg_ts_interaction_days: float = 43.0402
     experiment_span_days: float = 869.458
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ConfigError(f"dataset statistic {f.name} must be positive")
 
 
 # Trace actions (also the on-disk tokens).  A Trace stores each action as
@@ -86,23 +80,12 @@ POST_CODE, LOOKUP_CODE, FRIENDREQ_CODE = range(len(ACTIONS))
 _CODES = {action: code for code, action in enumerate(ACTIONS)}
 
 
-def _line(at: int, actor: UserId, action: str, target: str, payload_size: int | None) -> str:
-    """One trace-file line, without its newline."""
-    if action == POST:
-        return f"{at} {actor} {action} {target} {payload_size}"
-    return f"{at} {actor} {action} {target}"
-
-
-@dataclass(slots=True, frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     at: int
     actor: UserId
     action: str
     target: str
     payload_size: int | None = None
-
-    def line(self) -> str:
-        return _line(self.at, self.actor, self.action, self.target, self.payload_size)
 
 
 class Trace:
@@ -116,10 +99,10 @@ class Trace:
     ``users`` is every user the trace names (actors, friend-request targets
     and key owners), sorted.
 
-    As a sequence a Trace yields TraceEvent values made on demand;
-    ``lines()`` formats the same events without making them.  The columns
-    are read-only, so ``trace_digest`` computes a Trace's digest once and
-    keeps it.
+    Iterating a Trace yields TraceEvent values made on demand; ``lines()``
+    formats the same events as trace-file lines without making them.  The
+    columns are read-only, so ``trace_digest`` computes a Trace's digest
+    once and keeps it.
     """
 
     __slots__ = ("ticks", "actors", "actions", "target_ids", "sizes",
@@ -140,9 +123,12 @@ class Trace:
 
     @classmethod
     def from_events(cls, events: Iterable[TraceEvent]) -> "Trace":
+        """A Trace of ``events``, which must pass the checks ``load_trace``
+        makes of each line; the first that does not raises
+        TraceFormatError."""
         builder = _TraceBuilder()
         for ev in events:
-            builder.add(ev.at, ev.actor, _CODES[ev.action], ev.target, ev.payload_size or 0)
+            builder.add(ev.at, ev.actor, ev.action, ev.target, ev.payload_size)
         return builder.build()
 
     def __len__(self) -> int:
@@ -152,25 +138,25 @@ class Trace:
         return TraceEvent(at, self.users[actor], ACTIONS[code], self.targets[target],
                           size if code == POST_CODE else None)
 
-    def __getitem__(self, i: int) -> TraceEvent:
-        return self._event(self.ticks[i], self.actors[i], self.actions[i],
-                           self.target_ids[i], self.sizes[i])
-
     def __iter__(self) -> Iterator[TraceEvent]:
         return map(self._event, self.ticks, self.actors, self.actions,
                    self.target_ids, self.sizes)
 
     def lines(self) -> Iterator[str]:
-        """``ev.line()`` of every event, read straight from the columns."""
+        """Every event as its trace-file line, without the newline."""
         users, targets = self.users, self.targets
         for at, actor, code, target, size in zip(self.ticks, self.actors, self.actions,
                                                  self.target_ids, self.sizes):
-            yield _line(at, users[actor], ACTIONS[code], targets[target], size)
+            if code == POST_CODE:
+                yield f"{at} {users[actor]} {POST} {targets[target]} {size}"
+            else:
+                yield f"{at} {users[actor]} {ACTIONS[code]} {targets[target]}"
 
 
 class _TraceBuilder:
-    """Collects events one at a time, interning actors and targets, for a
-    trace whose user set is known only at the end."""
+    """Collects events one at a time, checking that each can run and
+    interning actors and targets, for a trace whose user set is known only
+    at the end."""
 
     def __init__(self) -> None:
         self.ticks = array("q")
@@ -181,15 +167,56 @@ class _TraceBuilder:
         self.names: dict[UserId, int] = {}
         self.target_ids_of: dict[str, int] = {}
         self.resolved: list[StorageKey | UserId] = []
+        self.last_at = 0
 
-    def add(self, at: int, actor: UserId, code: int, target: str, size: int) -> None:
+    def add(self, at: int, actor: UserId, action: str, target: str,
+            size: int | None) -> None:
+        """Append one event; only a POST reads ``size``.  An event that
+        cannot run raises TraceFormatError numbered by its position: a
+        negative or decreasing tick, an unknown action, an empty actor, a
+        malformed key, a POST under another user's key or without a
+        non-negative size, a FRIENDREQ to the actor or to a key, or a tick
+        or size past its column."""
+        n = len(self.actions) + 1
+        if at < 0:
+            raise TraceFormatError(n, "timestamp must be non-negative")
+        if at < self.last_at:
+            raise TraceFormatError(n, f"timestamp {at} before {self.last_at}")
+        code = _CODES.get(action)
+        if code is None:
+            raise TraceFormatError(n, f"unknown action {action!r}")
+        if not actor:
+            raise TraceFormatError(n, "empty actor")
+        t = self.target_ids_of.get(target)
+        if code == FRIENDREQ_CODE:
+            if target == actor or "/" in target:
+                raise TraceFormatError(n, f"FRIENDREQ needs another user, got {target!r}")
+            resolved = target
+        else:
+            resolved = None if t is None else self.resolved[t]
+            if not isinstance(resolved, StorageKey):  # new, or a friend-request name
+                try:
+                    resolved = StorageKey.parse(target)
+                except ValueError as exc:
+                    raise TraceFormatError(n, str(exc)) from None
+            if code == POST_CODE:
+                if resolved.owner != actor:
+                    raise TraceFormatError(n, f"{actor!r} cannot POST under {target}")
+                if size is None:
+                    raise TraceFormatError(n, "POST requires a payload size")
+                if size < 0:
+                    raise TraceFormatError(n, "payload size must be non-negative")
+        if code != POST_CODE:
+            size = 0
+        if at >= 2**63 or size >= 2**32:
+            raise TraceFormatError(n, "timestamp or payload size too large")
+        self.last_at = at
         self.ticks.append(at)
         self.actors.append(self.names.setdefault(actor, len(self.names)))
         self.actions.append(code)
-        t = self.target_ids_of.get(target)
         if t is None:
             t = self.target_ids_of[target] = len(self.resolved)
-            self.resolved.append(target if code == FRIENDREQ_CODE else StorageKey.parse(target))
+            self.resolved.append(resolved)
         self.target_ids.append(t)
         self.sizes.append(size)
 
@@ -312,6 +339,8 @@ class ScenarioConfig:
             raise ConfigError(f"strategy: {exc}") from exc
         if self.current_cache.ttl_ticks < 1 or self.current_cache.capacity < 1:
             raise ConfigError("current_cache ttl and capacity must be positive")
+        if self.dataset.avg_ts_interaction_days <= 0 or self.dataset.experiment_span_days <= 0:
+            raise ConfigError("dataset statistics must be positive")
 
 
 def peer_names(count: int) -> list[UserId]:
@@ -554,14 +583,13 @@ def save_trace(trace: Trace, path) -> None:
 
 
 def load_trace(path) -> Trace:
-    """Parse a trace file, validating field shape, time ordering and that
-    every event can run: a POST writes under the actor's own key, a
-    FRIENDREQ names another user.
+    """Parse a trace file: the field count of each line and its integers.
+    Every other check is the one ``Trace.from_events`` makes of an event;
+    its errors name the file's line.
 
     Blank lines and ``#`` comments are permitted and skipped.
     """
     builder = _TraceBuilder()
-    last_at = -1
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -575,41 +603,18 @@ def load_trace(path) -> Trace:
                 at = int(t_text)
             except ValueError:
                 raise TraceFormatError(line_no, f"bad timestamp {t_text!r}") from None
-            if at < 0:
-                raise TraceFormatError(line_no, "timestamp must be non-negative")
-            if action not in _CODES:
-                raise TraceFormatError(line_no, f"unknown action {action!r}")
-            if not actor:
-                raise TraceFormatError(line_no, "empty actor")
-            payload_size = 0
-            if action == POST:
-                if len(parts) != 5:
-                    raise TraceFormatError(line_no, "POST requires a payload size")
+            payload_size = None
+            if len(parts) == 5:
+                if action != POST:
+                    raise TraceFormatError(line_no, f"{action} takes exactly 4 fields")
                 try:
                     payload_size = int(parts[4])
                 except ValueError:
                     raise TraceFormatError(line_no, f"bad payload size {parts[4]!r}") from None
-                if payload_size < 0:
-                    raise TraceFormatError(line_no, "payload size must be non-negative")
-            elif len(parts) != 4:
-                raise TraceFormatError(line_no, f"{action} takes exactly 4 fields")
-            if action == FRIENDREQ:
-                if target == actor or "/" in target:
-                    raise TraceFormatError(line_no, f"FRIENDREQ needs another user, got {target!r}")
-            else:
-                try:
-                    owner = StorageKey.parse(target).owner
-                except ValueError as exc:
-                    raise TraceFormatError(line_no, str(exc)) from None
-                if action == POST and owner != actor:
-                    raise TraceFormatError(line_no, f"{actor!r} cannot POST under {target}")
-            if at < last_at:
-                raise TraceOrderError(line_no, f"timestamp {at} before {last_at}")
-            last_at = at
             try:
-                builder.add(at, actor, _CODES[action], target, payload_size)
-            except OverflowError:
-                raise TraceFormatError(line_no, "timestamp or payload size too large") from None
+                builder.add(at, actor, action, target, payload_size)
+            except TraceFormatError as exc:
+                raise TraceFormatError(line_no, exc.reason) from None
     return builder.build()
 
 

@@ -336,8 +336,8 @@ def reference_generate_trace(cfg: ScenarioConfig) -> list[TraceEvent]:
 
     # (at, prio, actor, seq) is unique per event: within one prio, seq never
     # repeats for an actor (friend requests number globally).  So the plain
-    # tuple sort decides every pair on those four fields and never compares
-    # two TraceEvents, which define no order and would raise TypeError.
+    # tuple sort decides every pair on those four fields and never reaches
+    # the TraceEvents, whose own field order is not the trace's order.
     events.sort()
     return [item[4] for item in events]
 

@@ -139,6 +139,30 @@ def test_run_replays_external_trace(tmp_path):
     assert manifest["python"].endswith(platform.python_version())
 
 
+def test_trace_past_the_duration_exits_two(tmp_path, capsys):
+    cfg = ScenarioConfig(peer_count=6, friends_per_user=3, sim_duration_ticks=300_000)
+    trace_path = tmp_path / "trace.txt"
+    trace = generate_trace(cfg)
+    save_trace(trace, trace_path)
+    last = trace.ticks[-1]
+    for command in ("run", "compare-strategies", "compare-caches"):
+        code = main([
+            command, "--out", str(tmp_path / command), "--trace", str(trace_path),
+            "--set", "peer_count=6",
+            "--set", "friends_per_user=3",
+            "--set", f"sim_duration_ticks={last - 1}",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"tick {last}" in err and f"sim_duration_ticks={last - 1}" in err
+        assert not (tmp_path / command).exists()
+    # Events at exactly the duration still run.
+    out = tmp_path / "at-duration"
+    assert main(["run", "--out", str(out), "--trace", str(trace_path),
+                 "--set", "peer_count=6", "--set", "friends_per_user=3",
+                 "--set", f"sim_duration_ticks={last}"]) == 0
+
+
 @pytest.mark.parametrize(
     "body,line",
     [

@@ -16,6 +16,7 @@ from socicache.workload import (
     POST,
     CacheSetup,
     ScenarioConfig,
+    Trace,
     TraceEvent,
 )
 
@@ -30,7 +31,7 @@ def recorded_schedule(cfg: ScenarioConfig, times: list[int]) -> list[tuple[str, 
         TraceEvent(t, "a" if k % 2 else "b", LOOKUP, ("b" if k % 2 else "a") + "/wall/0")
         for k, t in enumerate(times)
     ]
-    sim = Simulation(cfg, trace)
+    sim = Simulation(cfg, Trace.from_events(trace))
     order: list[tuple[str, int]] = []
     apply_event, select, sample = sim._apply_event, sim._run_selection_round, sim._sample
 
@@ -120,7 +121,7 @@ def replay_rounds(cfg: ScenarioConfig, trace: list[TraceEvent], *, reference: bo
     runs and each peer it skips is counted, by strategy and by whether the
     peer tracked more than ``n`` users.  Returns the round states, the
     ``metrics.csv`` text and summary of the run, and the skip counts."""
-    sim = Simulation(cfg, trace)
+    sim = Simulation(cfg, Trace.from_events(trace))
     rounds: list[tuple[int, list[tuple]]] = []
     skipped: Counter = Counter()
     evaluated: set[str] = set()

@@ -500,7 +500,7 @@ def test_publish_shares_one_envelope_across_receivers(k):
         dispatcher.register(user, lambda env, user=user: seen.append((user, env)))
     cache = SocialCache("me", StrategyConfig(), dispatcher.dispatch)
     for user in subscribers:
-        cache.receivers.add(user)
+        cache.receivers[user] = None
     before = dispatcher.messages
     posted = obj("me", "wall/0")
     cache.publish(posted, 7)

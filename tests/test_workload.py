@@ -20,7 +20,6 @@ from socicache.workload import (
     Trace,
     TraceEvent,
     TraceFormatError,
-    TraceOrderError,
     build_friend_graph,
     generate_trace,
     load_trace,
@@ -52,11 +51,6 @@ def test_sampled_interval_exact_arithmetic():
 def test_sampled_interval_rejects_non_positive(x, ds, new):
     with pytest.raises(InvalidArgumentError):
         sampled_interval(x, ds, new)
-
-
-def test_dataset_stats_must_be_positive():
-    with pytest.raises(ConfigError):
-        DatasetStats(avg_ts_interaction_days=0)
 
 
 # -- friend graph -----------------------------------------------------------------
@@ -94,7 +88,7 @@ def test_generation_is_deterministic():
     a = generate_trace(cfg)
     b = generate_trace(cfg)
     assert trace_digest(a) == trace_digest(b)
-    assert [e.line() for e in a] == [e.line() for e in b]
+    assert list(a.lines()) == list(b.lines())
 
 
 def test_different_seeds_differ():
@@ -230,6 +224,7 @@ def test_post_interarrival_mean_tracks_configured_gap():
         {"replication_factor": 0},
         {"payload_bytes": -1},
         {"payload_bytes": 2**32},
+        {"dataset": DatasetStats(avg_ts_interaction_days=0)},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
@@ -251,7 +246,7 @@ def test_trace_file_round_trip(tmp_path):
     path = tmp_path / "trace.txt"
     save_trace(trace, path)
     loaded = load_trace(path)
-    assert [e.line() for e in loaded] == [e.line() for e in trace]
+    assert list(loaded.lines()) == list(trace.lines())
 
 
 def test_load_well_formed_lines(tmp_path):
@@ -263,13 +258,13 @@ def test_load_well_formed_lines(tmp_path):
     )
     events = load_trace(path)
     assert len(events) == 3
-    assert events[0].payload_size == 512
+    assert list(events)[0].payload_size == 512
 
 
 def test_load_rejects_time_regression(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("10 a LOOKUP b/wall/0\n5 a LOOKUP b/wall/0\n")
-    with pytest.raises(TraceOrderError) as err:
+    with pytest.raises(TraceFormatError) as err:
         load_trace(path)
     assert err.value.line_no == 2
 
@@ -298,6 +293,37 @@ def test_load_rejects_malformed_lines(tmp_path, line):
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize(
+    "event",
+    [
+        pytest.param(TraceEvent(5, "a", LOOKUP, "b/wall/0"), id="time-regression"),
+        pytest.param(TraceEvent(-1, "a", LOOKUP, "b/wall/0"), id="negative-tick"),
+        pytest.param(TraceEvent(10, "a", POST, "b/wall/0", 512), id="post-not-owner"),
+        pytest.param(TraceEvent(10, "a", POST, "a/wall/0"), id="post-without-size"),
+        pytest.param(TraceEvent(10, "a", POST, "a/wall/0", -1), id="negative-size"),
+        pytest.param(TraceEvent(10, "a", FRIENDREQ, "a"), id="friendreq-self"),
+        pytest.param(TraceEvent(10, "a", FRIENDREQ, "b/wall/0"), id="friendreq-key"),
+        pytest.param(TraceEvent(10, "a", LOOKUP, "noslash"), id="malformed-key"),
+        # "b" was interned as the first event's friend-request target.
+        pytest.param(TraceEvent(10, "a", LOOKUP, "b"), id="friendreq-name-as-key"),
+        pytest.param(TraceEvent(10, "a", "NOSUCH", "b/wall/0"), id="unknown-action"),
+        pytest.param(TraceEvent(2**63, "a", LOOKUP, "b/wall/0"), id="tick-out-of-range"),
+        pytest.param(TraceEvent(10, "a", POST, "a/wall/0", 2**32), id="size-out-of-range"),
+    ],
+)
+def test_from_events_rejects_what_load_trace_rejects(tmp_path, event):
+    first = TraceEvent(10, "a", FRIENDREQ, "b")
+    with pytest.raises(TraceFormatError) as built:
+        Trace.from_events([first, event])
+    assert built.value.line_no == 2
+    path = tmp_path / "t.txt"
+    path.write_text(f"# a comment\n{event_line(first)}\n\n{event_line(event)}\n")
+    with pytest.raises(TraceFormatError) as loaded:
+        load_trace(path)
+    assert loaded.value.line_no == 4
+    assert loaded.value.reason == built.value.reason
+
+
 # -- the columnar trace --------------------------------------------------------------------
 
 # Varied POST payload sizes; carol owns a looked-up key but never acts and
@@ -314,17 +340,20 @@ EVENTS = [
 ]
 
 
+def event_line(ev: TraceEvent) -> str:
+    """The trace-file line of ``ev``, written out independently of
+    ``Trace.lines()``."""
+    if ev.payload_size is None:
+        return f"{ev.at} {ev.actor} {ev.action} {ev.target}"
+    return f"{ev.at} {ev.actor} {ev.action} {ev.target} {ev.payload_size}"
+
+
 def test_trace_sequence_matches_its_events():
     trace = Trace.from_events(EVENTS)
     n = len(EVENTS)
     assert len(trace) == n
     assert list(trace) == EVENTS
-    assert [trace[i] for i in range(n)] == EVENTS
-    assert [trace[i] for i in range(-n, 0)] == EVENTS
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            trace[i]
-    assert list(trace.lines()) == [ev.line() for ev in EVENTS]
+    assert list(trace.lines()) == [event_line(ev) for ev in EVENTS]
 
 
 def test_trace_users_follow_actor_target_and_owner_rule():
@@ -342,7 +371,7 @@ def test_trace_file_round_trip_keeps_every_event(tmp_path):
 def test_trace_digest_is_sha256_of_lines():
     want = hashlib.sha256()
     for ev in EVENTS:
-        want.update((ev.line() + "\n").encode("utf-8"))
+        want.update((event_line(ev) + "\n").encode("utf-8"))
     assert trace_digest(Trace.from_events(EVENTS)) == want.hexdigest()
 
 
