@@ -124,9 +124,6 @@ class MetricsLedger:
     def export_csv(self, path) -> None:
         export_rows_csv(path, METRICS_COLUMNS, zip(self.sample_times, *self.series.values()))
 
-    def write_csv(self, handle: IO[str]) -> None:
-        write_rows(handle, METRICS_COLUMNS, zip(self.sample_times, *self.series.values()))
-
 
 def write_rows(handle: IO[str], columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     """The one CSV writer: a header, then one line per row of values in

@@ -10,8 +10,6 @@ triggered subscription would have pushed it a moment later.
 """
 from __future__ import annotations
 
-import random
-
 from .info_cache import CurrentCache, LookupSource
 from .metrics import MetricsLedger
 from .model import ContentObject, InteractionKind, SimTime, StorageKey, UserId
@@ -40,7 +38,7 @@ class Peer:
         strategy: StrategyConfig | None = None,
         bootstrapping: bool = True,
         muc_capacity: int = 150,
-        strategy_rng: random.Random | None = None,
+        seed: int = 0,
     ):
         self.user = user
         self.dht = dht
@@ -56,7 +54,7 @@ class Peer:
                 self.ledger,
                 bootstrapping=bootstrapping,
                 muc_capacity=muc_capacity,
-                rng=strategy_rng,
+                seed=seed,
             )
         self._versions: dict[StorageKey, int] = {}
         dispatcher.register(user, self.on_envelope)

@@ -6,7 +6,6 @@ quiescent between events.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, fields
 
 from .info_cache import CurrentCache
@@ -88,7 +87,6 @@ class Simulation:
         self._digest = trace_digest(trace)
 
         setup = cfg.cache_setup
-        strategy_seed = cfg.strategy.rng_seed if cfg.strategy.rng_seed is not None else cfg.seed
         for name in trace.users:
             current = None
             if setup.current_enabled:
@@ -103,7 +101,7 @@ class Simulation:
                 strategy=strategy,
                 bootstrapping=cfg.bootstrapping,
                 muc_capacity=cfg.muc_capacity,
-                strategy_rng=random.Random(f"{strategy_seed}/strategy/{name}"),
+                seed=cfg.seed,
             )
         # Users are sorted, so this is also the peers' sorted order.
         self._actor_peers = [self.peers[name] for name in trace.users]

@@ -19,7 +19,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .metrics import MetricsLedger
 from .model import ContentObject, InteractionKind, SimTime, StorageKey, UserId
@@ -28,11 +28,31 @@ from .overlay import MessageEnvelope, MessageKind
 DUNBAR_MUC_LIMIT = 150
 DEFAULT_CHANNEL_LIMIT = 15
 
-# Relative widening of the best unchosen score in the stability certificate
-# (``SocialCache._crossing_tick``).  It is far above the rounding error of the
-# few float operations behind a score, so a skipped round is sound in
-# floating point, not only in real numbers.
+# Relative widening of every float bound in the selection certificate
+# (``SocialCache._certify``).  It is far above the rounding error of the few
+# float operations behind a score, so a skipped round is sound in floating
+# point, not only in real numbers.
 _STABLE_MARGIN = 1e-9
+
+
+def _tick(crossing: float) -> float:
+    """The first whole tick at or after ``crossing``."""
+    return crossing if crossing == math.inf else math.ceil(crossing)
+
+
+class _Certificate(NamedTuple):
+    """What ``run_selection`` re-checks each user tracked since against;
+    made and derived by ``SocialCache._certify``."""
+
+    cap: int  # the largest total event count covered
+    until: float  # the first tick not covered
+    above: float  # a tracked channel's falling score must exceed this
+    below: float  # a tracked unchosen score, widened, must not exceed this
+    top: float  # unless it is constant, at most this, of weight
+    tie_weight: float | None  # tie_weight (None if no such level)
+    tie_user: UserId  # and named after this channel
+    alpha: float  # the weights it was made with
+    beta: float
 
 
 class UnknownUserError(KeyError):
@@ -319,7 +339,7 @@ class SocialCache:
         *,
         bootstrapping: bool = True,
         muc_capacity: int = DUNBAR_MUC_LIMIT,
-        rng: random.Random | None = None,
+        seed: int = 0,
     ):
         cfg.validate()
         self.owner = owner
@@ -333,16 +353,18 @@ class SocialCache:
         self.receivers: dict[UserId, None] = {}
         self.store = SocialStore()
         self.own: dict[StorageKey, ContentObject] = {}
-        if rng is None:
-            seed = cfg.rng_seed if cfg.rng_seed is not None else 0
-            rng = random.Random(f"{seed}/random-strategy/{owner}")
-        self.rng = rng
+        # The random strategy's generator, seeded by ``cfg.rng_seed`` or else
+        # the scenario ``seed``; built on its first draw, as only that
+        # strategy draws.
+        self._seed = cfg.rng_seed if cfg.rng_seed is not None else seed
+        self._rng: random.Random | None = None
         self._lookups_since_selection = 0
-        # (chosen, runner-up, tick) of the last full social-score ranking.
-        self._last_ranking: tuple[list[UserId], UserId, SimTime] | None = None
-        # ``stable_until``'s tick; None while it is still to be computed from
-        # ``_last_ranking``.  Empty MUC list and channels: nothing to change.
-        self._stable_until: float | None = math.inf
+        # Empty MUC list and channels: nothing to change.
+        self._stable_until: float = math.inf
+        # The certificate ``_certify`` made (see ``run_selection``) and the
+        # users tracked since; None while there is no certificate.
+        self._cert: _Certificate | None = None
+        self._dirty: set[UserId] | None = None
 
     # -- scoring ---------------------------------------------------------
 
@@ -395,9 +417,13 @@ class SocialCache:
         if user == self.owner:
             raise ValueError("own interactions are not tracked")
         self._stable_until = 0
+        dirty = self._dirty
+        if dirty is not None:
+            dirty.add(user)
         muc = self.muc
         if user not in muc.entries and len(muc.entries) >= muc.max_users:
             muc.remove(self.rank_users(now)[-1])
+            self._dirty = None
         muc.record(user, kind, now)
         if kind is not InteractionKind.LOOKUP:
             return
@@ -420,7 +446,10 @@ class SocialCache:
         if len(self.channels) < self.cfg.n:
             self._subscribe(user, now)
             return
-        victim = self.channels.at(self.rng.randrange(len(self.channels)))
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(f"{self._seed}/strategy/{self.owner}")
+        victim = self.channels.at(rng.randrange(len(self.channels)))
         self._unsubscribe(victim, now)
         self.muc.remove(victim)
         self._subscribe(user, now)
@@ -436,12 +465,19 @@ class SocialCache:
         list afterwards; social score keeps it.  The random strategy acts
         per lookup instead and returns an empty diff.
 
+        A social-score selection of more than ``n`` users first re-checks
+        only the users tracked since the last certificate (``_certify``):
+        while they pass, the channels are still the top ``n``.  Otherwise one
+        pass over the MUC list decides whether the channels are the top
+        ``n`` and makes the next certificate; only a changed selection
+        sorts.
+
         Sets the ``stable_until`` tick on the assumption that the returned
         diff gets applied, as both callers do: never after a social-score
         selection of every tracked user or a trend round over an empty MUC
-        list; the certificate of the ranking after a social-score ranking
-        of more than ``n`` users; now after a trend round that cleared a
-        non-empty list, because the next round unsubscribes every channel.
+        list; the certificate's tick after a social-score selection of more
+        than ``n`` users; now after a trend round that cleared a non-empty
+        list, because the next round unsubscribes every channel.
         """
         cfg = self.cfg
         kind = cfg.kind
@@ -449,9 +485,34 @@ class SocialCache:
             return NO_CHANGE
         if kind is Strategy.SOCIAL_SCORE and cfg.alpha + cfg.beta <= 0:
             raise InvalidWeightsError("alpha + beta must be positive")
-        self._stable_until = math.inf
         entries = self.muc.entries
         channels = self.channels
+        dirty = self._dirty
+        if dirty is not None:
+            cap, until, above, below, top, tie_weight, tie_user, alpha, beta = self._cert
+            total = self.muc.total_events
+            if total <= cap and now < until and alpha == cfg.alpha and beta == cfg.beta:
+                for user in dirty:
+                    entry = entries[user]
+                    elapsed = now - entry.first_at
+                    floor = alpha * (entry.weighted / total)
+                    score = floor + beta * (entry.gap / elapsed if elapsed > 0 else 0.0)
+                    if user in channels:
+                        if not entry.gap or score <= above:
+                            break
+                        if floor < above:
+                            crossing = entry.first_at + beta * entry.gap / (above - floor)
+                            if crossing < until:
+                                until = math.ceil(crossing)
+                    elif score + score * _STABLE_MARGIN > below and (
+                            entry.gap or score > top or entry.weighted != tie_weight
+                            or user < tie_user):
+                        break
+                else:
+                    self._stable_until = until
+                    return NO_CHANGE
+        self._dirty = None
+        self._stable_until = math.inf
         if len(entries) <= cfg.n:
             chosen = entries
             new = [(u, e) for u, e in entries.items() if u not in channels]
@@ -460,12 +521,13 @@ class SocialCache:
             else:
                 to_subscribe = (new[0][0],) if new else ()
             kept = len(entries) - len(new)
+        elif kind is Strategy.SOCIAL_SCORE and len(channels) == cfg.n and self._certify(
+                channels, now):
+            return NO_CHANGE
         else:
-            ranked = self.rank_users(now)
-            chosen = ranked[: cfg.n]
+            chosen = self.rank_users(now)[: cfg.n]
             if kind is Strategy.SOCIAL_SCORE:
-                self._last_ranking = (chosen, ranked[cfg.n], now)
-                self._stable_until = None
+                self._certify(set(chosen), now)
             to_subscribe = tuple([u for u in chosen if u not in channels])
             kept = len(chosen) - len(to_subscribe)
         to_unsubscribe: tuple[UserId, ...] = ()
@@ -486,57 +548,134 @@ class SocialCache:
 
         Set by ``__init__`` (never), by ``track`` (due now, 0) and by
         ``run_selection``, which ``track`` also runs under the lookup-count
-        trigger.  After a social-score ranking of more than ``n`` users it
-        is the certificate ``_crossing_tick``, computed on the first call:
-        most rankings are followed by a track, which makes the certificate
-        moot.
+        trigger.
         """
-        until = self._stable_until
-        if until is None:
-            until = self._stable_until = self._crossing_tick(*self._last_ranking)
-        return until
+        return self._stable_until
 
-    def _crossing_tick(self, chosen: list[UserId], runner_up: UserId, now: SimTime) -> float:
-        """The first tick at which a top ``n`` ranked at ``now`` may differ
-        from ``chosen`` while nothing is tracked; ``math.inf`` if never.
+    def _certify(self, chosen, now: SimTime) -> bool:
+        """Whether the ``n`` users ``chosen`` are exactly the top ``n`` of a
+        social-score ranking at ``now``, decided in one pass with no sort.
+        If they are, also sets ``stable_until`` and, when it can, the
+        certificate that ``run_selection`` re-checks after later tracks.
 
-        Between events (none later than ``now``) a user's score is
-        ``A + B / (t - first_at)`` with ``A = alpha * tie`` and
-        ``B = beta * gap`` fixed and non-negative, so no score rises, in
-        real numbers or in correctly rounded floats.  The chosen set holds
-        while every chosen score stays above ``M``, the best unchosen score
-        now (``runner_up``'s).  With ``M`` widened to ``M'`` by
-        ``_STABLE_MARGIN``, a chosen user with ``A < M'`` cannot fall to
-        ``M`` before ``first_at + B / (M' - A)``, and one with ``A >= M'``
-        never does.  The result is the earliest such time rounded up to a
-        tick.  Degenerate rankings record no window (the result is ``now``):
-        a zero weight or best unchosen score, or a chosen user first seen
-        at ``now``, whose spacing term is 0 rather than ``B / 0``.  A tie at
-        the boundary yields a tick at or before ``now`` by itself.
+        Scaled by the total event count ``T``, a score is ``alpha * w +
+        beta * T * gap / (t - first_at)``, so a track changes only the
+        tracked user's terms and ``T``.  For a fixed tick a score is a line
+        in ``x = 1 / T``, and no score rises as the tick grows.  So each
+        unchosen user that is not tracked stays below its line at ``now``,
+        and every such line lies below the chord through the best unchosen
+        scores at ``T`` and at the cap ``T + max(4, T // 32)``.  A chosen
+        user with a falling score (``gap > 0``) that is above both chord
+        ends, widened by ``_STABLE_MARGIN``, stays above the whole chord
+        until the earlier of its two crossing ticks ``first_at + beta * gap
+        / (M' - alpha * w / T')`` for a widened end ``M'`` at ``T'``.
+
+        A constant score (``gap == 0``) is ``alpha * w / T``, a line through
+        the origin, and equal weights give equal scores at every ``T``,
+        which the ranking orders by name.  So the lowest constant chosen
+        weight must be a margin above the highest constant unchosen one, or
+        equal to it with every other constant weight a margin away; and a
+        margin above every falling unchosen score at both ends.
+
+        The certificate covers ticks before the earliest crossing and
+        totals up to the cap.  A user tracked since must pass a direct check
+        at the current ``(t, T)``: a channel needs a falling score above the
+        widened best unchosen score at ``T``, which bounds the chord; an
+        unchosen user a score whose widening is at most every chosen score
+        over the range, or else a constant score no higher than the chord's
+        low end at the lowest constant chosen weight, after that level's
+        channels by name.  ``stable_until`` is the earliest crossing at
+        ``T`` alone, as it assumes no tracks; it is ``now`` (no window) when
+        a check fails, when alpha or beta is 0 or when the best unchosen
+        score is 0.
         """
-        alpha, beta = self.cfg.alpha, self.cfg.beta
-        if alpha <= 0 or beta <= 0:
-            return now
-        entries = self.muc.entries
+        cfg = self.cfg
+        alpha, beta = cfg.alpha, cfg.beta
         total = self.muc.total_events
-        entry = entries[runner_up]
-        elapsed = now - entry.first_at
-        spacing = entry.gap / elapsed if elapsed > 0 else 0.0
-        best = alpha * (entry.weighted / total) + beta * spacing
-        if best <= 0:
-            return now
-        widened = best + best * _STABLE_MARGIN
-        until = math.inf
-        for user in chosen:
-            entry = entries[user]
-            if entry.first_at >= now:
-                return now
+        cap = total + max(4, total // 32)
+        lo, lo_user = math.inf, ""  # the worst chosen score and name
+        hi, hi_user = -math.inf, ""  # the best unchosen score and name
+        found = 0
+        moving = []  # chosen entries with a falling score
+        top = top_at_cap = -math.inf  # best falling unchosen scores at T and cap
+        # Lowest constant chosen weight, its largest name and the next weight
+        # up; highest constant unchosen weight and the next weight down.
+        low, low_user, low_next = math.inf, "", math.inf
+        high, high_next = -math.inf, -math.inf
+        for user, entry in self.muc.entries.items():
+            elapsed = now - entry.first_at
+            gap = entry.gap
+            weighted = entry.weighted
+            spacing = gap / elapsed if elapsed > 0 else 0.0
+            score = alpha * (weighted / total) + beta * spacing
+            if user in chosen:
+                found += 1
+                if score < lo or (score == lo and user > lo_user):
+                    lo, lo_user = score, user
+                if gap:
+                    moving.append(entry)
+                elif weighted < low:
+                    low, low_user, low_next = weighted, user, low
+                elif weighted == low:
+                    if user > low_user:
+                        low_user = user
+                elif weighted < low_next:
+                    low_next = weighted
+            else:
+                if score > hi or (score == hi and user < hi_user):
+                    hi, hi_user = score, user
+                if gap:
+                    if score > top:
+                        top = score
+                    score = alpha * (weighted / cap) + beta * spacing
+                    if score > top_at_cap:
+                        top_at_cap = score
+                elif weighted > high:
+                    high, high_next = weighted, high
+                elif high > weighted > high_next:
+                    high_next = weighted
+        if found < cfg.n or lo < hi or (lo == hi and lo_user > hi_user):
+            return False
+        self._stable_until = now
+        if alpha <= 0 or beta <= 0:
+            return True
+        margin = _STABLE_MARGIN
+        best_at_cap = max(top_at_cap, alpha * (high / cap))
+        if best_at_cap <= 0:
+            return True
+        # Without constant channels ``low`` is inf and both checks pass.
+        if not (low > high + high * margin or (
+                low == high and low_next > high + high * margin
+                and high_next + high_next * margin < low)):
+            return True
+        if alpha * (low / total) <= top + top * margin:
+            return True
+        above = hi + hi * margin
+        above_at_cap = best_at_cap + best_at_cap * margin
+        until = until_at_cap = math.inf
+        for entry in moving:
             floor = alpha * (entry.weighted / total)
-            if floor < widened:
-                crossing = entry.first_at + beta * entry.gap / (widened - floor)
+            if floor < above:
+                crossing = entry.first_at + beta * entry.gap / (above - floor)
                 if crossing < until:
                     until = crossing
-        return until if until == math.inf else math.ceil(until)
+            floor = alpha * (entry.weighted / cap)
+            if floor < above_at_cap:
+                crossing = entry.first_at + beta * entry.gap / (above_at_cap - floor)
+                if crossing < until_at_cap:
+                    until_at_cap = crossing
+        until = _tick(until)
+        if until <= now:
+            return True
+        self._stable_until = until
+        until = min(until, _tick(until_at_cap))
+        if until <= now or alpha * (low / cap) <= top_at_cap + top_at_cap * margin:
+            return True
+        tie_weight = low if low_next > low + low * margin else None
+        self._cert = _Certificate(cap, until, above, min(above_at_cap, alpha * (low / cap)),
+                                  best_at_cap, tie_weight, low_user, alpha, beta)
+        self._dirty = set()
+        return True
 
     def apply_diff(self, diff: SubscriptionDiff, now: SimTime) -> None:
         """Send the subscription changes; rejected whole if it would exceed

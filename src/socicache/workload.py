@@ -13,12 +13,13 @@ tier receives a configurable share of that actor's lookups.
 """
 from __future__ import annotations
 
+import copy
 import enum
 import hashlib
 import random
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -619,8 +620,16 @@ def load_trace(path) -> Trace:
 
 
 def scenario_for_strategy(cfg: ScenarioConfig, kind: Strategy) -> ScenarioConfig:
-    return replace(cfg, strategy=replace(cfg.strategy, kind=kind))
+    """A copy of ``cfg`` that runs ``kind``; it shares no section with
+    ``cfg``, so an override on either leaves the other as it is."""
+    derived = copy.deepcopy(cfg)
+    derived.strategy.kind = kind
+    return derived
 
 
 def scenario_for_setup(cfg: ScenarioConfig, setup: CacheSetup) -> ScenarioConfig:
-    return replace(cfg, cache_setup=setup)
+    """A copy of ``cfg`` with the cache setup ``setup``; it shares no
+    section with ``cfg``."""
+    derived = copy.deepcopy(cfg)
+    derived.cache_setup = setup
+    return derived

@@ -5,6 +5,7 @@ scans lists, the scoring oracles recompute from raw event lists.
 """
 from __future__ import annotations
 
+import copy
 import math
 import random
 from dataclasses import replace
@@ -136,42 +137,148 @@ def reference_run_selection(cache, now: int) -> tuple[tuple[str, ...], tuple[str
     return to_subscribe, to_unsubscribe
 
 
-def reference_stable_until(cache, now: int) -> float:
-    """``SocialCache.stable_until()`` after a full social-score ranking at
-    ``now``, recomputed from ``social_score`` calls alone: the first tick
-    at which a chosen user's score, falling as ``A + B / (t - first_at)``,
-    may reach the best unchosen score widened by ``_STABLE_MARGIN``.
+def _score(cache, user, t, total=None, **zeroed):
+    """``SocialCache.social_score`` of ``user`` at ``t`` on a view of
+    ``cache``: the ``zeroed`` weights set to 0.0 and, if given, ``total``
+    events in the MUC list.  A score splits exactly into a constant part
+    ``alpha * tie`` (beta zeroed) and a spacing part ``beta * gap / elapsed``
+    (alpha zeroed; ``beta * gap`` one tick after the first event), because
+    adding or multiplying by 0.0 is exact."""
+    muc = cache.muc
+    if total is not None:
+        muc = copy.copy(muc)
+        muc.total_events = total
+    view = SimpleNamespace(cfg=replace(cache.cfg, **zeroed), muc=muc)
+    return SocialCache.social_score(view, user, t)
 
-    A score splits exactly into a constant part ``alpha * tie`` (the score
-    with beta zeroed) and a spacing part ``beta * gap / elapsed`` (the score
-    with alpha zeroed; at one tick past the first event it is
-    ``beta * gap``), because adding or multiplying by 0.0 is exact.  The
-    ranking is a sort by ``(-social_score, user)``."""
-    cfg = cache.cfg
-    if cfg.alpha <= 0 or cfg.beta <= 0:
-        return now
-    entries = cache.muc.entries
 
-    def score(user, t, **zeroed):
-        view = SimpleNamespace(cfg=replace(cfg, **zeroed), muc=cache.muc)
-        return SocialCache.social_score(view, user, t)
+def _widened(score: float) -> float:
+    return score + score * _STABLE_MARGIN
 
-    ranked = sorted(entries, key=lambda user: (-score(user, now), user))
-    chosen, runner_up = ranked[: cfg.n], ranked[cfg.n]
-    best = score(runner_up, now)
-    if best <= 0:
-        return now
-    widened = best + best * _STABLE_MARGIN
-    if any(entries[user].first_at >= now for user in chosen):
-        return now
-    until = math.inf
-    for user in chosen:
-        first_at = entries[user].first_at
-        constant = score(user, now, beta=0.0)
-        if constant < widened:
-            spacing = score(user, first_at + 1, alpha=0.0)
-            until = min(until, first_at + spacing / (widened - constant))
-    return until if until == math.inf else math.ceil(until)
+
+def _tick(crossing: float) -> float:
+    return crossing if crossing == math.inf else math.ceil(crossing)
+
+
+class ReferenceCertificate:
+    """``SocialCache.stable_until()`` after each applied social-score round
+    of one cache, recomputed from ``social_score`` calls and sorts.
+
+    Call ``after_round`` after every applied round of the cache that selects
+    from more than ``n`` users, in order; the MUC list must never evict.
+    The certificate is kept as plain facts: the tick, totals, chosen set
+    and event counts of the round that made it, and the thresholds taken
+    from the scores at that round.  A later round keeps it while the
+    totals stay at most the cap, the tick stays below its end and every
+    user tracked since (event count changed, or new) passes; otherwise the
+    state after the round makes a new one.
+    """
+
+    def __init__(self):
+        self.cert = None
+
+    def after_round(self, cache, now: int) -> float:
+        if self.cert is not None:
+            until = self._recheck(cache, now)
+            if until is not None:
+                return until
+        return self._make(cache, now)
+
+    def _recheck(self, cache, now):
+        cert, cfg, muc = self.cert, cache.cfg, cache.muc
+        assert len(muc) < muc.max_users
+        if ((cfg.alpha, cfg.beta) != cert["weights"] or muc.total_events > cert["cap"]
+                or now >= cert["until"]):
+            return None
+        until = cert["until"]
+        for user, entry in muc.entries.items():
+            if cert["counts"].get(user) == entry.event_count:
+                continue
+            score = _score(cache, user, now)
+            constant = _score(cache, user, entry.first_at + 1, alpha=0.0) == 0
+            if user in cert["chosen"]:
+                if constant or score <= cert["above"]:
+                    return None
+                floor = _score(cache, user, now, beta=0.0)
+                if floor < cert["above"]:
+                    spacing = _score(cache, user, entry.first_at + 1, alpha=0.0)
+                    until = min(until, _tick(entry.first_at + spacing / (cert["above"] - floor)))
+            elif _widened(score) > cert["below"] and not (
+                    constant and score <= cert["top"] and cert["tie"] is not None
+                    and entry.weighted == cert["tie"][0] and user > cert["tie"][1]):
+                return None
+        return until
+
+    def _make(self, cache, now):
+        self.cert = None
+        cfg, muc = cache.cfg, cache.muc
+        entries = muc.entries
+        if len(entries) <= cfg.n:
+            return math.inf
+        if cfg.alpha <= 0 or cfg.beta <= 0:
+            return now
+        total = muc.total_events
+        cap = total + max(4, total // 32)
+        ranked = sorted(entries, key=lambda user: (-_score(cache, user, now), user))
+        chosen, unchosen = ranked[: cfg.n], ranked[cfg.n:]
+        assert set(chosen) == set(cache.channels)
+        constant = {user: _score(cache, user, entries[user].first_at + 1, alpha=0.0) == 0
+                    for user in entries}
+        best = max(_score(cache, user, now) for user in unchosen)
+        best_at_cap = max(_score(cache, user, now, cap) for user in unchosen)
+        if best_at_cap <= 0:
+            return now
+        moving_best = max((_score(cache, user, now) for user in unchosen if not constant[user]),
+                          default=-math.inf)
+        moving_best_at_cap = max(
+            (_score(cache, user, now, cap) for user in unchosen if not constant[user]),
+            default=-math.inf)
+
+        # The weights of constant chosen users, rising, and of constant
+        # unchosen users, falling.  Equal weights at the boundary are in name
+        # order already: the channels are the top n.
+        lows = sorted(entries[u].weighted for u in chosen if constant[u])
+        highs = sorted((entries[u].weighted for u in unchosen if constant[u]), reverse=True)
+        tie = None
+        if lows:
+            low = lows[0]
+            low_user = max(u for u in chosen if constant[u] and entries[u].weighted == low)
+            low_next = min((w for w in lows if w != low), default=math.inf)
+            high = highs[0] if highs else -math.inf
+            high_next = max((w for w in highs if w != high), default=-math.inf)
+            apart = low > _widened(high)
+            tied = low == high and low_next > _widened(high) and _widened(high_next) < low
+            if not (apart or tied) or _score(cache, low_user, now) <= _widened(moving_best):
+                return now
+            if low_next > _widened(low):
+                tie = (low, low_user)
+
+        def crossing(user, at_total, ceiling):
+            first_at = entries[user].first_at
+            floor = _score(cache, user, now, at_total, beta=0.0)
+            if floor >= _widened(ceiling):
+                return math.inf
+            spacing = _score(cache, user, first_at + 1, alpha=0.0)
+            return first_at + spacing / (_widened(ceiling) - floor)
+
+        moving = [user for user in chosen if not constant[user]]
+        stable = _tick(min((crossing(u, total, best) for u in moving), default=math.inf))
+        if stable <= now:
+            return now
+        until = min(stable, _tick(min((crossing(u, cap, best_at_cap) for u in moving),
+                                      default=math.inf)))
+        if until <= now or (lows and _score(cache, low_user, now, cap)
+                            <= _widened(moving_best_at_cap)):
+            return stable
+        below = _widened(best_at_cap)
+        if lows:
+            below = min(below, _score(cache, low_user, now, cap))
+        self.cert = {
+            "weights": (cfg.alpha, cfg.beta), "cap": cap, "until": until,
+            "chosen": set(chosen), "counts": {u: e.event_count for u, e in entries.items()},
+            "above": _widened(best), "below": below, "top": best_at_cap, "tie": tie,
+        }
+        return stable
 
 
 def reference_selection_round(sim, now: int) -> None:

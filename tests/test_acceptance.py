@@ -27,7 +27,13 @@ from oracles import (
 )
 from socicache.cli import cache_comparison_profile, strategy_comparison_profile
 from socicache.info_cache import CurrentCache
-from socicache.metrics import Counters, cache_hit_ratio, hit_ratio
+from socicache.metrics import (
+    METRICS_COLUMNS,
+    Counters,
+    cache_hit_ratio,
+    hit_ratio,
+    write_rows,
+)
 from socicache.model import ContentObject, InteractionKind, StorageKey
 from socicache.sim import compare_caches, compare_strategies, run_scenario
 from socicache.social_cache import MucList, SocialCache, Strategy, StrategyConfig
@@ -69,7 +75,8 @@ PINNED_RUN_DIGESTS = {
 
 def run_output_digest(result) -> str:
     handle = io.StringIO()
-    result.ledger.write_csv(handle)
+    ledger = result.ledger
+    write_rows(handle, METRICS_COLUMNS, zip(ledger.sample_times, *ledger.series.values()))
     digest = hashlib.sha256(handle.getvalue().encode("utf-8"))
     digest.update(json.dumps(result.summary, sort_keys=True).encode("utf-8"))
     return digest.hexdigest()

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_schedule, reference_selection_round
+from socicache.metrics import METRICS_COLUMNS, write_rows
 from socicache.model import InteractionKind
 from socicache.sim import Simulation
 from socicache.social_cache import SelectionTrigger, Strategy, StrategyConfig
@@ -155,7 +156,8 @@ def replay_rounds(cfg: ScenarioConfig, trace: list[TraceEvent], *, reference: bo
     sim._run_selection_round = on_round
     result = sim.run()
     handle = io.StringIO()
-    result.ledger.write_csv(handle)
+    ledger = result.ledger
+    write_rows(handle, METRICS_COLUMNS, zip(ledger.sample_times, *ledger.series.values()))
     return rounds, (handle.getvalue(), result.summary), skipped
 
 

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    ReferenceCertificate,
     brute_force_top_n,
     direct_medium_interaction_length,
     direct_tie_strength,
     reference_run_selection,
-    reference_stable_until,
 )
 from socicache.model import ContentObject, InteractionKind, StorageKey
 from socicache.overlay import MessageDispatcher, MessageEnvelope, MessageKind
@@ -767,7 +767,7 @@ def test_stable_until_is_never_on_a_new_cache_and_now_after_every_track(kind):
 def test_stable_until_after_a_round(kind):
     """The tick an applied round leaves: never after a social-score round
     over at most n users or a trend round over an empty MUC list, the
-    certificate after a social-score ranking of more than n users, and no
+    certificate after a social-score selection of more than n users, and no
     later than the round after a trend round over a non-empty list.  A
     round before the tick selects what the channels hold."""
     rng = random.Random(f"stable-until-round/{kind.value}")
@@ -775,6 +775,7 @@ def test_stable_until_after_a_round(kind):
     for _ in range(300):
         n = rng.randrange(1, 4)
         cache, _ = make_cache(kind=kind, n=n)
+        reference = ReferenceCertificate()
         now = 0
         for _ in range(rng.randrange(1, 6)):
             for _ in range(rng.choice([0, 0, 1, 3, 8])):
@@ -793,7 +794,7 @@ def test_stable_until_after_a_round(kind):
                 assert until == math.inf
             else:
                 case = "social score, above n"
-                assert until == reference_stable_until(cache, now)
+                assert until == reference.after_round(cache, now)
             seen[case] += 1
             if until > now + 1:
                 assert reference_run_selection(cache, now + 1) == ((), ()), case
@@ -828,14 +829,15 @@ def certificate_cache(n, alpha, beta, friend_weight):
     return SocialCache("me", cfg, lambda *_: None)
 
 
-def select(cache, now):
+def select(cache, now, reference):
     """Apply a selection round at ``now`` and return ``stable_until()``,
-    checked against ``reference_stable_until`` after a full ranking."""
+    checked against the cache's ``reference`` (a ``ReferenceCertificate``)
+    after every selection of more than ``n`` users."""
     ranked_whole = len(cache.muc) > cache.cfg.n
     cache.apply_diff(cache.run_selection(now), now)
     until = cache.stable_until()
     if ranked_whole:
-        assert until == reference_stable_until(cache, now), (now, until)
+        assert until == reference.after_round(cache, now), (now, until)
     return until
 
 
@@ -857,7 +859,7 @@ def test_stable_until_stops_at_an_exact_crossing(history):
     for user, kind, at in tracks:
         cache.track(user, kind, at)
     assert len(cache.muc) > n
-    until = select(cache, now)
+    until = select(cache, now, ReferenceCertificate())
     assert until == first_change
     assert assert_selection_stable_below(cache, now, until, horizon=10_000) == until - now - 1
     assert reference_run_selection(cache, first_change) != ((), ())
@@ -873,6 +875,7 @@ def test_stable_until_certifies_unchanged_selection():
         alpha, beta = rng.choice([(0.9, 0.1), (0.5, 0.5), (0.25, 0.75), (0.6, 0.4),
                                   (rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0))])
         cache = certificate_cache(n, alpha, beta, rng.choice([0.5, 1.0, 2.0, 3.0]))
+        reference = ReferenceCertificate()
         users = [f"p{i}" for i in range(rng.randrange(n + 1, n + 5))]
         now = 0
         for _ in range(rng.randrange(1, 5)):
@@ -880,7 +883,7 @@ def test_stable_until_certifies_unchanged_selection():
                 now += rng.choice([0, 1, 2, 4])
                 cache.track(rng.choice(users), rng.choice([LOOKUP, FRIEND]), now)
             now += rng.choice([0, 1, 3])
-            until = select(cache, now)
+            until = select(cache, now, reference)
             if len(cache.muc) <= n:
                 continue
             seen["window" if until > now + 1 else "no window"] += 1
@@ -902,6 +905,7 @@ def test_stable_until_equals_reference_certificate():
         alpha = rng.choice([0.0, 0.9, 0.5, rng.uniform(0.001, 3.0)])
         beta = rng.choice([0.0, 0.1, 0.5, rng.uniform(0.001, 3.0)]) if alpha else 0.4
         cache = certificate_cache(n, alpha, beta, rng.uniform(0.1, 4.0))
+        reference = ReferenceCertificate()
         users = [f"p{i}" for i in range(rng.randrange(n + 1, n + 8))]
         now = 0
         for _ in range(rng.randrange(1, 4)):
@@ -910,7 +914,7 @@ def test_stable_until_equals_reference_certificate():
                 cache.track(rng.choice(users), rng.choice([LOOKUP, FRIEND]), now)
             if len(cache.muc) <= n:
                 continue
-            until = select(cache, now)
+            until = select(cache, now, reference)
             seen["window" if until > now else "no window"] += 1
             seen["never changes"] += until == math.inf
     assert seen["window"] > 100 and seen["no window"] > 100 and seen["never changes"], seen
@@ -925,11 +929,11 @@ def test_degenerate_rankings_record_no_window():
         return cache
 
     cache = strong_and_weak()
-    assert select(cache, 10) == math.inf
+    assert select(cache, 10, ReferenceCertificate()) == math.inf
     for weights in ((0.0, 0.1), (0.9, 0.0)):
         cache = strong_and_weak()
         cache.cfg.alpha, cache.cfg.beta = weights
-        assert select(cache, 10) == 10
+        assert select(cache, 10, ReferenceCertificate()) == 10
 
     # Equal scores at the n/n+1 boundary: "a" (falling) ties "b" (flat) at
     # tick 32 and is chosen by name, but loses from tick 33 on.
@@ -937,14 +941,86 @@ def test_degenerate_rankings_record_no_window():
     for user, at in [("a", 0), ("a", 0), ("a", 8)] + [("b", 8)] * 5:
         cache.track(user, LOOKUP, at)
     assert cache.social_score("a", 32) == cache.social_score("b", 32)
-    assert select(cache, 32) <= 32
+    assert select(cache, 32, ReferenceCertificate()) <= 32
     assert list(cache.channels) == ["a"]
     assert reference_run_selection(cache, 33) == (("b",), ("a",))
 
-    # A chosen user first seen at the ranking tick.
+    # A chosen user first seen at the ranking tick has a constant score, and
+    # "b"'s only falls: a window that never ends.
     cache = certificate_cache(1, 0.9, 0.1, 50.0)
     cache.track("b", LOOKUP, 0)
     cache.track("b", LOOKUP, 4)
     cache.track("a", FRIEND, 20)
-    assert select(cache, 20) == 20
+    assert select(cache, 20, ReferenceCertificate()) == math.inf
     assert list(cache.channels) == ["a"]
+    assert assert_selection_stable_below(cache, 20, math.inf, horizon=1_000) == 999
+
+    # Equal constant scores at the boundary stay ordered by name for good.
+    cache = certificate_cache(2, 0.9, 0.1, 1.0)
+    for user in ("c", "b", "a", "d"):
+        cache.track(user, LOOKUP, 3)
+    cache.track("d", LOOKUP, 3)
+    assert select(cache, 5, ReferenceCertificate()) == math.inf
+    assert sorted(cache.channels) == ["a", "d"]
+    assert assert_selection_stable_below(cache, 5, math.inf, horizon=1_000) == 999
+
+
+@pytest.mark.parametrize("trigger", list(SelectionTrigger))
+def test_certificate_survives_tracks_between_rounds(trigger):
+    """Random histories with tracks between rounds, every round checked
+    against the rank-everything reference, also the rounds ``track`` runs
+    under the lookup-count trigger.  Users tracked since a certificate pass
+    and fail its re-check, constant scores tie its weight level on both
+    sides of its name, and a full MUC list evicts channels."""
+    rng = random.Random(f"certificate-tracks/{trigger.value}")
+    seen = Counter()
+    for _ in range(600):
+        n = rng.randrange(1, 5)
+        alpha, beta = rng.choice([(0.9, 0.1), (0.5, 0.5), (0.3, 0.7),
+                                  (rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0))])
+        cfg = StrategyConfig(kind=Strategy.SOCIAL_SCORE, n=n, m=n + rng.randrange(1, 4),
+                             trigger=trigger, alpha=alpha, beta=beta,
+                             interaction_weights={LOOKUP: 1.0, FRIEND: rng.choice([0.5, 1.0, 2.0])})
+        cache = SocialCache("me", cfg, lambda *_: None,
+                            muc_capacity=rng.choice([n + 1, n + 3, DUNBAR_MUC_LIMIT]))
+        run_selection = cache.run_selection
+        in_track = False
+
+        def checked(now):
+            expected = reference_run_selection(cache, now)
+            cert, dirty = cache._cert, cache._dirty
+            live = bool(dirty) and cache.muc.total_events <= cert.cap and now < cert.until
+            for user in dirty if live else ():
+                entry = cache.muc.entries[user]
+                if (user not in cache.channels and not entry.gap
+                        and entry.weighted == cert.tie_weight):
+                    seen["tie, after the name" if user > cert.tie_user
+                         else "tie, before the name"] += 1
+            diff = run_selection(now)
+            assert (diff.to_subscribe, diff.to_unsubscribe) == expected, now
+            if live:
+                seen["re-check passes" if cache._dirty is dirty else "re-check fails"] += 1
+            seen["lookup-count round"] += in_track
+            return diff
+
+        cache.run_selection = checked
+        users = [f"p{i}" for i in range(rng.randrange(n + 1, n + 8))]
+        now = 0
+        for _ in range(rng.randrange(3, 12)):
+            for _ in range(rng.choice([0, 1, 1, 2, 3, 6])):
+                now += rng.choice([0, 0, 1, 2, 5])
+                user = rng.choice(users)
+                entries = cache.muc.entries
+                if user not in entries and len(entries) == cache.muc.max_users:
+                    seen["channel evicted"] += cache.rank_users(now)[-1] in cache.channels
+                in_track = True
+                cache.track(user, LOOKUP if rng.random() < 0.8 else FRIEND, now)
+                in_track = False
+            now += rng.choice([0, 1, 3, 20])
+            if trigger is SelectionTrigger.TIME_BASED or rng.random() < 0.3:
+                cache.apply_diff(checked(now), now)
+    required = ["re-check passes", "re-check fails", "tie, after the name",
+                "tie, before the name", "channel evicted"]
+    if trigger is SelectionTrigger.LOOKUP_COUNT_BASED:
+        required.append("lookup-count round")
+    assert all(seen[case] > 20 for case in required), seen

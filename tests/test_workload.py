@@ -1,13 +1,17 @@
 import hashlib
 import statistics
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_generate_trace, reference_trace_users
+import socicache
+from socicache.model import InteractionKind
 from socicache.sim import Simulation
+from socicache.social_cache import Strategy
 from socicache.workload import (
     FRIENDREQ,
     LOOKUP,
@@ -26,6 +30,8 @@ from socicache.workload import (
     peer_names,
     sampled_interval,
     save_trace,
+    scenario_for_setup,
+    scenario_for_strategy,
     trace_digest,
 )
 
@@ -230,6 +236,27 @@ def test_post_interarrival_mean_tracks_configured_gap():
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ConfigError):
         small_config(**kwargs).validate()
+
+
+@pytest.mark.parametrize("derive", [
+    lambda cfg: scenario_for_setup(cfg, CacheSetup.NONE),
+    lambda cfg: scenario_for_strategy(cfg, Strategy.TREND),
+], ids=["setup", "strategy"])
+def test_override_on_a_derived_config_leaves_its_base_unchanged(derive):
+    base = ScenarioConfig()
+    derived = derive(base)
+    derived.current_cache.capacity = 7
+    derived.dataset.avg_ts_interaction_days = 1.0
+    derived.strategy.interaction_weights[InteractionKind.LOOKUP] = 9.0
+    derived.strategy.alpha = 0.5
+    assert base == ScenarioConfig()
+    base.current_cache.ttl_ticks = 5
+    assert derived.current_cache.ttl_ticks == ScenarioConfig().current_cache.ttl_ticks
+
+
+def test_package_version_is_the_project_version():
+    project = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert f'\nversion = "{socicache.__version__}"\n' in project
 
 
 def test_cache_setup_flags():
