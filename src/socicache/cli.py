@@ -6,7 +6,8 @@ the same trace under each selection strategy (social cache only), and
 Config files are flat ``key=value`` text with dotted sections; precedence is
 command line ``--set`` over file values over built-in defaults.
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration error.
+Exit codes: 0 success, 1 runtime failure or a broken run invariant (the
+outputs are written first), 2 configuration error.
 """
 from __future__ import annotations
 
@@ -275,29 +276,44 @@ def _print_summary_line(result: RunResult) -> None:
     )
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args, default_run_profile)
-    out_dir = resolve_out_dir(args)
-    manifest = RunManifest.create(args.config, cfg, out_dir)
-    result = run_scenario(cfg, trace=_load_optional_trace(args, cfg), label="run")
-    write_run_outputs(result, out_dir, manifest.run_id)
-    manifest.write(out_dir / "manifest.json", result.trace_digest)
-    _print_summary_line(result)
-    return 0
+def _check_invariants(results: list[RunResult]) -> int:
+    """0 if every run keeps the paper's invariants (consistency, symmetry,
+    counters, caps), else 1 after their count and the first go to stderr."""
+    violations = []
+    for result in results:
+        sim, cfg = result.simulation, result.config
+        found = sim.verify_consistency() + sim.verify_subscription_symmetry()
+        try:
+            result.counters.validate()
+        except ValueError as exc:
+            found.append(str(exc))
+        if sim.max_channels > cfg.strategy.n:
+            found.append(f"max_channels {sim.max_channels} > n {cfg.strategy.n}")
+        if sim.max_muc_entries > cfg.muc_capacity:
+            found.append(f"max_muc_entries {sim.max_muc_entries} > {cfg.muc_capacity}")
+        violations += [f"{result.label}: {violation}" for violation in found]
+    if not violations:
+        return 0
+    print(f"socicache: {len(violations)} invariant violations, first: {violations[0]}",
+          file=sys.stderr)
+    return 1
 
 
-def _comparison_common(args: argparse.Namespace, profile, runner, table_writer) -> int:
+def _execute(args: argparse.Namespace, profile, runner, table_writer=None) -> int:
+    """Run a command, write its outputs (each run's under ``<out>/<label>``
+    beside a comparison table), then check every run's invariants."""
     cfg = resolve_config(args, profile)
     out_dir = resolve_out_dir(args)
     manifest = RunManifest.create(args.config, cfg, out_dir)
     results = runner(cfg, trace=_load_optional_trace(args, cfg))
-    out_dir.mkdir(parents=True, exist_ok=True)
     for result in results:
-        write_run_outputs(result, out_dir / result.label, manifest.run_id)
+        run_dir = out_dir if table_writer is None else out_dir / result.label
+        write_run_outputs(result, run_dir, manifest.run_id)
         _print_summary_line(result)
-    table_writer(results, out_dir)
+    if table_writer is not None:
+        table_writer(results, out_dir)
     manifest.write(out_dir / "manifest.json", results[0].trace_digest)
-    return 0
+    return _check_invariants(results)
 
 
 def _write_strategy_table(results: list[RunResult], out_dir: Path) -> None:
@@ -332,16 +348,18 @@ def _write_cache_table(results: list[RunResult], out_dir: Path) -> None:
     export_rows_csv(out_dir / "comparison.csv", columns, rows)
 
 
+def cmd_run(args: argparse.Namespace) -> int:
+    return _execute(args, default_run_profile,
+                    lambda cfg, trace: [run_scenario(cfg, trace, label="run")])
+
+
 def cmd_compare_strategies(args: argparse.Namespace) -> int:
-    return _comparison_common(
-        args, strategy_comparison_profile, compare_strategies, _write_strategy_table
-    )
+    return _execute(args, strategy_comparison_profile, compare_strategies,
+                    _write_strategy_table)
 
 
 def cmd_compare_caches(args: argparse.Namespace) -> int:
-    return _comparison_common(
-        args, cache_comparison_profile, compare_caches, _write_cache_table
-    )
+    return _execute(args, cache_comparison_profile, compare_caches, _write_cache_table)
 
 
 def build_parser() -> argparse.ArgumentParser:

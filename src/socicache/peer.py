@@ -16,6 +16,13 @@ from .model import ContentObject, InteractionKind, SimTime, StorageKey, UserId
 from .overlay import DhtStore, MessageDispatcher, MessageEnvelope, MessageKind
 from .social_cache import SocialCache, StrategyConfig
 
+# Enum members read per request or message, bound once (see ``social_cache``).
+_LOOKUP, _FRIEND_REQUEST = InteractionKind.LOOKUP, InteractionKind.FRIEND_REQUEST
+_SOCIAL_CACHE, _CURRENT_CACHE = LookupSource.SOCIAL_CACHE, LookupSource.CURRENT_CACHE
+_OVERLAY, _SYSTEM_NOTICE = LookupSource.OVERLAY, MessageKind.SYSTEM_NOTICE
+_SUBSCRIBE, _UNSUBSCRIBE = MessageKind.SUBSCRIBE, MessageKind.UNSUBSCRIBE
+_SOCIAL_UPDATE, _BOOTSTRAP_DUMP = MessageKind.SOCIAL_UPDATE, MessageKind.BOOTSTRAP_DUMP
+
 
 class NotOwnerError(PermissionError):
     """Attempt to publish under another user's key."""
@@ -70,20 +77,20 @@ class Peer:
         source = None
         if social is not None and social.lookup(key) is not None:
             ledger.social_hits += 1
-            source = LookupSource.SOCIAL_CACHE
-        elif self.current is not None and self.current.lookup(key, now) is not None:
+            source = _SOCIAL_CACHE
+        elif (current := self.current) is not None and current.lookup(key, now) is not None:
             ledger.current_hits += 1
-            source = LookupSource.CURRENT_CACHE
+            source = _CURRENT_CACHE
         else:
             content = self.dht.get(key)
             if content is not None:
                 ledger.overlay_replies += 1
-                source = LookupSource.OVERLAY
-                if self.current is not None:
-                    self.current.insert(content, now)
+                source = _OVERLAY
+                if current is not None:
+                    current.insert(content, now)
         owner = key.owner
         if social is not None and owner != self.user:
-            social.track(owner, InteractionKind.LOOKUP, now)
+            social.track(owner, _LOOKUP, now)
         return source
 
     # -- writes -------------------------------------------------------------
@@ -107,10 +114,10 @@ class Peer:
         """Friend requests travel as system messages and count as tracked
         interactions with the target."""
         self.dispatcher.dispatch(
-            MessageEnvelope(self.user, MessageKind.SYSTEM_NOTICE, "friend_request", now), target
+            MessageEnvelope(self.user, _SYSTEM_NOTICE, "friend_request", now), target
         )
         if self.social is not None and target != self.user:
-            self.social.track(target, InteractionKind.FRIEND_REQUEST, now)
+            self.social.track(target, _FRIEND_REQUEST, now)
 
     # -- inbound ------------------------------------------------------------
 
@@ -121,12 +128,12 @@ class Peer:
         if social is None:
             return
         kind = env.kind
-        if kind is MessageKind.SOCIAL_UPDATE:
+        if kind is _SOCIAL_UPDATE:
             social.on_social_update(env.sender, env.payload)
-        elif kind is MessageKind.SUBSCRIBE:
+        elif kind is _SUBSCRIBE:
             social.on_subscribe_received(env.sender, env.sent_at)
-        elif kind is MessageKind.UNSUBSCRIBE:
+        elif kind is _UNSUBSCRIBE:
             social.on_unsubscribe_received(env.sender)
-        elif kind is MessageKind.BOOTSTRAP_DUMP:
+        elif kind is _BOOTSTRAP_DUMP:
             social.on_bootstrap(env.sender, env.payload)
         # System notices only notify; nothing to store.

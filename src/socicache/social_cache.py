@@ -78,6 +78,14 @@ class SelectionTrigger(enum.Enum):
     LOOKUP_COUNT_BASED = "lookup_count"
 
 
+# Enum members read per event, message or round, bound once: on CPython 3.11
+# ``Enum.MEMBER`` costs more than ten times a module global.
+_LOOKUP, _LOOKUP_COUNT_BASED = InteractionKind.LOOKUP, SelectionTrigger.LOOKUP_COUNT_BASED
+_RANDOM, _TREND, _SOCIAL_SCORE = Strategy.RANDOM, Strategy.TREND, Strategy.SOCIAL_SCORE
+_SUBSCRIBE, _UNSUBSCRIBE = MessageKind.SUBSCRIBE, MessageKind.UNSUBSCRIBE
+_SOCIAL_UPDATE, _BOOTSTRAP_DUMP = MessageKind.SOCIAL_UPDATE, MessageKind.BOOTSTRAP_DUMP
+
+
 def default_interaction_weights() -> dict[InteractionKind, float]:
     return {kind: 1.0 for kind in InteractionKind}
 
@@ -130,25 +138,14 @@ class MucEntry:
     __slots__ = ("user", "event_count", "lookup_count", "weighted", "first_at", "last_at",
                  "gap")
 
-    def __init__(self, user: UserId):
+    def __init__(self, user: UserId, first_at: SimTime = 0):
         self.user = user
         self.event_count = 0
         self.lookup_count = 0
         self.weighted = 0.0
-        self.first_at: SimTime = 0
+        self.first_at = first_at
         self.last_at: SimTime = 0
         self.gap = 0.0
-
-    def append(self, kind: InteractionKind, at: SimTime, weight: float) -> None:
-        count = self.event_count + 1
-        if count == 1:
-            self.first_at = at
-        self.last_at = at
-        self.event_count = count
-        self.gap = (at - self.first_at) / (count - 2 if count > 2 else 1)
-        if kind is InteractionKind.LOOKUP:
-            self.lookup_count += 1
-        self.weighted += weight
 
 
 class MucList:
@@ -158,7 +155,7 @@ class MucList:
     events arrive; kinds missing from ``weights`` weigh 1.0.  The weights
     are read once, at construction, into a table keyed by each kind's
     string value: hashing an ``Enum`` member is a Python-level call, and
-    ``record`` runs once per tracked interaction.
+    ``SocialCache.track`` reads the table once per tracked interaction.
     """
 
     def __init__(
@@ -179,16 +176,6 @@ class MucList:
 
     def __contains__(self, user: UserId) -> bool:
         return user in self.entries
-
-    def record(self, user: UserId, kind: InteractionKind, at: SimTime) -> None:
-        entry = self.entries.get(user)
-        if entry is None:
-            if len(self.entries) >= self.max_users:
-                raise CapExceededError("MUC list full; evict before recording")
-            entry = MucEntry(user)
-            self.entries[user] = entry
-        entry.append(kind, at, self._weight_of[kind._value_])
-        self.total_events += 1
 
     def remove(self, user: UserId) -> None:
         entry = self.entries.pop(user, None)
@@ -265,23 +252,12 @@ class SubscriptionSet(dict):
 
 
 class SocialStore:
-    """Two-layer cache: subscribed user -> storage key -> latest object."""
+    """Two-layer cache: subscribed user -> storage key -> latest object.
+    ``SocialCache.lookup`` and ``on_social_update`` use ``by_user`` directly."""
 
     def __init__(self) -> None:
         self.by_user: dict[UserId, dict[StorageKey, ContentObject]] = {}
         self.item_count = 0
-
-    def store(self, user: UserId, content: ContentObject) -> None:
-        section = self.by_user.setdefault(user, {})
-        if content.key not in section:
-            self.item_count += 1
-        section[content.key] = content
-
-    def get(self, user: UserId, key: StorageKey) -> ContentObject | None:
-        section = self.by_user.get(user)
-        if section is None:
-            return None
-        return section.get(key)
 
     def merge(self, user: UserId, items: Sequence[ContentObject]) -> int:
         """Insert a batch of one user's content, never replacing a newer
@@ -395,7 +371,7 @@ class SocialCache:
         The social score is ``social_score`` inlined, with the same float
         operations in the same order, so both agree exactly.
         """
-        if self.cfg.kind is Strategy.SOCIAL_SCORE:
+        if self.cfg.kind is _SOCIAL_SCORE:
             alpha, beta = self.cfg.alpha, self.cfg.beta
             if alpha + beta <= 0:
                 raise InvalidWeightsError("alpha + beta must be positive")
@@ -413,7 +389,9 @@ class SocialCache:
     # -- tracking and per-lookup strategy actions -------------------------
 
     def track(self, user: UserId, kind: InteractionKind, now: SimTime) -> None:
-        """Record an interaction; lookups additionally drive subscriptions."""
+        """Record an interaction in the MUC list, in this frame as it runs per
+        tracked event: a new user first evicts the lowest-ranked user from a
+        full list.  Lookups additionally drive subscriptions."""
         if user == self.owner:
             raise ValueError("own interactions are not tracked")
         self._stable_until = 0
@@ -421,20 +399,30 @@ class SocialCache:
         if dirty is not None:
             dirty.add(user)
         muc = self.muc
-        if user not in muc.entries and len(muc.entries) >= muc.max_users:
-            muc.remove(self.rank_users(now)[-1])
-            self._dirty = None
-        muc.record(user, kind, now)
-        if kind is not InteractionKind.LOOKUP:
+        entries = muc.entries
+        entry = entries.get(user)
+        if entry is None:
+            if len(entries) >= muc.max_users:
+                muc.remove(self.rank_users(now)[-1])
+                self._dirty = None
+            entry = entries[user] = MucEntry(user, now)
+        count = entry.event_count + 1
+        entry.last_at = now
+        entry.event_count = count
+        entry.gap = (now - entry.first_at) / (count - 2 if count > 2 else 1)
+        muc.total_events += 1
+        entry.weighted += muc._weight_of[kind._value_]
+        if kind is not _LOOKUP:
             return
+        entry.lookup_count += 1
         cfg = self.cfg
         channels = self.channels
-        if cfg.kind is Strategy.RANDOM:
+        if cfg.kind is _RANDOM:
             if user not in channels:
                 self._random_replace(user, now)
         elif user not in channels and len(channels) < cfg.n:
             self._subscribe(user, now)
-        if cfg.trigger is SelectionTrigger.LOOKUP_COUNT_BASED:
+        if cfg.trigger is _LOOKUP_COUNT_BASED:
             self._lookups_since_selection += 1
             if self._lookups_since_selection >= cfg.m:
                 self._lookups_since_selection = 0
@@ -481,9 +469,9 @@ class SocialCache:
         """
         cfg = self.cfg
         kind = cfg.kind
-        if kind is Strategy.RANDOM:
+        if kind is _RANDOM:
             return NO_CHANGE
-        if kind is Strategy.SOCIAL_SCORE and cfg.alpha + cfg.beta <= 0:
+        if kind is _SOCIAL_SCORE and cfg.alpha + cfg.beta <= 0:
             raise InvalidWeightsError("alpha + beta must be positive")
         entries = self.muc.entries
         channels = self.channels
@@ -521,19 +509,19 @@ class SocialCache:
             else:
                 to_subscribe = (new[0][0],) if new else ()
             kept = len(entries) - len(new)
-        elif kind is Strategy.SOCIAL_SCORE and len(channels) == cfg.n and self._certify(
+        elif kind is _SOCIAL_SCORE and len(channels) == cfg.n and self._certify(
                 channels, now):
             return NO_CHANGE
         else:
             chosen = self.rank_users(now)[: cfg.n]
-            if kind is Strategy.SOCIAL_SCORE:
+            if kind is _SOCIAL_SCORE:
                 self._certify(set(chosen), now)
             to_subscribe = tuple([u for u in chosen if u not in channels])
             kept = len(chosen) - len(to_subscribe)
         to_unsubscribe: tuple[UserId, ...] = ()
         if kept < len(channels):
             to_unsubscribe = tuple([u for u in channels if u not in chosen])
-        if kind is Strategy.TREND and entries:
+        if kind is _TREND and entries:
             self.muc.clear()
             self._stable_until = 0
         if to_subscribe or to_unsubscribe:
@@ -696,7 +684,7 @@ class SocialCache:
     def _subscribe(self, user: UserId, now: SimTime) -> None:
         self.channels.add(user)
         self.ledger.subscriptions_sent += 1
-        self.dispatch(MessageEnvelope(self.owner, MessageKind.SUBSCRIBE, None, now), user)
+        self.dispatch(MessageEnvelope(self.owner, _SUBSCRIBE, None, now), user)
 
     def _unsubscribe(self, user: UserId, now: SimTime) -> None:
         """Drop a channel and purge its cached items immediately, keeping
@@ -704,7 +692,7 @@ class SocialCache:
         self.channels.remove(user)
         self.store.purge_user(user)
         self.ledger.unsubscriptions_sent += 1
-        self.dispatch(MessageEnvelope(self.owner, MessageKind.UNSUBSCRIBE, None, now), user)
+        self.dispatch(MessageEnvelope(self.owner, _UNSUBSCRIBE, None, now), user)
 
     # -- inbound message handling -----------------------------------------
 
@@ -720,7 +708,7 @@ class SocialCache:
             snapshot = tuple(self.own.values())
             self.ledger.bootstrap_dumps += 1
             self.dispatch(
-                MessageEnvelope(self.owner, MessageKind.BOOTSTRAP_DUMP, snapshot, now),
+                MessageEnvelope(self.owner, _BOOTSTRAP_DUMP, snapshot, now),
                 subscriber,
             )
 
@@ -732,7 +720,14 @@ class SocialCache:
         Updates from non-subscribed users are ignored."""
         if sender not in self.channels:
             return False
-        self.store.store(sender, content)
+        store = self.store
+        section = store.by_user.get(sender)
+        if section is None:
+            section = store.by_user[sender] = {}
+        key = content.key
+        if key not in section:
+            store.item_count += 1
+        section[key] = content
         return True
 
     def on_bootstrap(self, sender: UserId, items: Sequence[ContentObject]) -> int:
@@ -750,13 +745,15 @@ class SocialCache:
             raise ValueError(f"{content.author!r} is not {self.owner!r}")
         self.own[content.key] = content
         if self.receivers:
-            env = MessageEnvelope(self.owner, MessageKind.SOCIAL_UPDATE, content, now)
+            env = MessageEnvelope(self.owner, _SOCIAL_UPDATE, content, now)
             dispatch = self.dispatch
             for subscriber in self.receivers:
                 dispatch(env, subscriber)
 
     def lookup(self, key: StorageKey) -> ContentObject | None:
         """Own-content store first, then the subscription store."""
-        if key.owner == self.owner:
+        owner = key.owner
+        if owner == self.owner:
             return self.own.get(key)
-        return self.store.get(key.owner, key)
+        section = self.store.by_user.get(owner)
+        return None if section is None else section.get(key)

@@ -14,7 +14,9 @@ from types import SimpleNamespace
 from socicache.model import InteractionKind, UserId
 from socicache.social_cache import (
     _STABLE_MARGIN,
+    CapExceededError,
     InvalidWeightsError,
+    MucEntry,
     SocialCache,
     Strategy,
     SubscriptionDiff,
@@ -103,6 +105,32 @@ def brute_force_top_n(scores: dict[str, float], n: int) -> list[str]:
     strategies' rankings."""
     ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return [user for user, _ in ordered[:n]]
+
+
+def reference_record(muc, user: UserId, kind: InteractionKind, at: int) -> None:
+    """The MUC bookkeeping of one event in two steps, the list's and the
+    entry's, apart from ``SocialCache.track``, which does both in one
+    frame.  A full list refuses a new user: evicting is the caller's."""
+    entry = muc.entries.get(user)
+    if entry is None:
+        if len(muc.entries) >= muc.max_users:
+            raise CapExceededError("MUC list full; evict before recording")
+        entry = MucEntry(user)
+        muc.entries[user] = entry
+    _reference_append(entry, kind, at, muc._weight_of[kind._value_])
+    muc.total_events += 1
+
+
+def _reference_append(entry, kind: InteractionKind, at: int, weight: float) -> None:
+    count = entry.event_count + 1
+    if count == 1:
+        entry.first_at = at
+    entry.last_at = at
+    entry.event_count = count
+    entry.gap = (at - entry.first_at) / (count - 2 if count > 2 else 1)
+    if kind is InteractionKind.LOOKUP:
+        entry.lookup_count += 1
+    entry.weighted += weight
 
 
 def reference_run_selection(cache, now: int) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -24,8 +24,13 @@ from oracles import (
     brute_force_top_n,
     direct_medium_interaction_length,
     direct_tie_strength,
+    reference_record,
 )
-from socicache.cli import cache_comparison_profile, strategy_comparison_profile
+from socicache.cli import (
+    _check_invariants,
+    cache_comparison_profile,
+    strategy_comparison_profile,
+)
 from socicache.info_cache import CurrentCache
 from socicache.metrics import (
     METRICS_COLUMNS,
@@ -88,6 +93,14 @@ def test_default_profile_outputs_match_pinned_digests(strategy_results, cache_re
     assert got == PINNED_RUN_DIGESTS
 
 
+def test_default_profiles_keep_every_run_invariant(strategy_results, cache_results, capsys):
+    """The check the CLI makes after writing its outputs passes on the
+    default ``compare-strategies`` and ``compare-caches`` runs: exit 0 and
+    nothing on stderr."""
+    assert _check_invariants(strategy_results + cache_results) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_criterion_1_hit_ratio_reproduces_published_counters():
     start = time.perf_counter()
     random_row = hit_ratio(635663, 669476)
@@ -118,7 +131,7 @@ def test_criterion_2_interaction_length_matches_direct_oracle():
         now = times[-1] + rng.randrange(0, 1_000_000)
         muc = MucList()
         for t in times:
-            muc.record("x", LOOKUP, t)
+            reference_record(muc, "x", LOOKUP, t)
         got = muc.medium_interaction_length("x", now)
         want = direct_medium_interaction_length(times, now)
         if not math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12):
@@ -149,7 +162,7 @@ def _random_selection_case(rng: random.Random):
             events.append((rng.choice(list(InteractionKind)), t))
         raw[user] = events
         for k, t in events:
-            cache.muc.record(user, k, t)
+            reference_record(cache.muc, user, k, t)
         now = max(now, t)
     now += rng.randrange(1, 50)
     for user in rng.sample(users, min(len(users), rng.randrange(0, n + 1))):

@@ -6,6 +6,8 @@ import pytest
 
 from socicache import cli
 from socicache.cli import RunManifest, apply_setting, main, serialize_config
+from socicache.metrics import Counters
+from socicache.sim import Simulation
 from socicache.workload import generate_trace, save_trace, ScenarioConfig, trace_digest
 
 SMALL = [
@@ -178,6 +180,53 @@ def test_bad_trace_file_exits_two(tmp_path, capsys, body, line):
     code = main(["run", "--out", str(tmp_path / "out"), "--trace", str(trace_path), *SMALL])
     assert code == 2
     assert f"line {line}:" in capsys.readouterr().err
+
+
+def _asymmetric(self):
+    return ["u00 subscribes u01 but is not a receiver"]
+
+
+def _negative_counter(self):
+    raise ValueError("counter dht_puts is negative")
+
+
+def _past_both_caps(result):
+    def patched(self):
+        self.max_channels = self.cfg.strategy.n + 1
+        self.max_muc_entries = self.cfg.muc_capacity + 1
+        return result(self)
+    return patched
+
+
+@pytest.mark.parametrize("command,runs", [("run", 1), ("compare-caches", 4)])
+@pytest.mark.parametrize(
+    "patch,per_run,first",
+    [
+        pytest.param(lambda: (Simulation, "verify_subscription_symmetry", _asymmetric),
+                     1, "u00 subscribes u01 but is not a receiver", id="symmetry"),
+        pytest.param(lambda: (Counters, "validate", _negative_counter),
+                     1, "counter dht_puts is negative", id="counters"),
+        pytest.param(lambda: (Simulation, "_result", _past_both_caps(Simulation._result)),
+                     2, "max_channels 16 > n 15", id="caps"),
+    ],
+)
+def test_broken_invariant_exits_one_after_writing_outputs(tmp_path, capsys, monkeypatch,
+                                                          command, runs, patch, per_run,
+                                                          first):
+    monkeypatch.setattr(*patch())
+    out = tmp_path / "out"
+    code = main([command, "--out", str(out), *SMALL])
+    assert code == 1
+    label = "run" if command == "run" else "none"
+    assert capsys.readouterr().err == (
+        f"socicache: {runs * per_run} invariant violations, first: {label}: {first}\n")
+    assert (out / "manifest.json").exists()
+    if command == "run":
+        assert (out / "metrics.csv").exists() and (out / "summary.csv").exists()
+    else:
+        assert len(read_rows(out / "comparison.csv")) == runs
+        assert all((out / row / "summary.csv").exists()
+                   for row in ("none", "current_only", "social_only", "both"))
 
 
 def seeded_profile():

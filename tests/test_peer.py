@@ -98,7 +98,7 @@ def test_post_fans_out_to_subscribers():
     peers["a"].add_content(key("a"), b"post", now=1)
     assert dispatcher.messages - messages_before == 3  # one update per subscriber
     for name in ("b", "c", "d"):
-        stored = peers[name].social.store.get("a", key("a"))
+        stored = peers[name].social.lookup(key("a"))
         assert stored is not None and stored.payload == b"post"
     assert ledger.bootstrap_dumps == 3
 

@@ -11,6 +11,7 @@ from oracles import (
     brute_force_top_n,
     direct_medium_interaction_length,
     direct_tie_strength,
+    reference_record,
     reference_run_selection,
 )
 from socicache.model import ContentObject, InteractionKind, StorageKey
@@ -22,7 +23,6 @@ from socicache.social_cache import (
     MucList,
     SelectionTrigger,
     SocialCache,
-    SocialStore,
     Strategy,
     StrategyConfig,
     SubscriptionDiff,
@@ -78,15 +78,15 @@ def obj(owner, path, version=1):
 
 def test_first_record_creates_entry():
     muc = MucList()
-    muc.record("bob", LOOKUP, 0)
+    reference_record(muc, "bob", LOOKUP, 0)
     assert len(muc) == 1
     assert muc.entries["bob"].lookup_count == 1
 
 
 def test_records_append_in_time_order():
     muc = MucList()
-    muc.record("bob", LOOKUP, 5)
-    muc.record("bob", LOOKUP, 9)
+    reference_record(muc, "bob", LOOKUP, 5)
+    reference_record(muc, "bob", LOOKUP, 9)
     entry = muc.entries["bob"]
     assert (entry.first_at, entry.last_at, entry.event_count) == (5, 9, 2)
     assert entry.lookup_count == 2
@@ -104,6 +104,52 @@ def test_muc_capacity_evicts_lowest_ranked():
     assert len(cache.muc) == 150
     assert "u000" not in cache.muc
     assert "newcomer" in cache.muc
+
+
+def _muc_fields(entry):
+    return (entry.user, entry.event_count, entry.lookup_count, entry.weighted.hex(),
+            entry.first_at, entry.last_at, entry.gap.hex())
+
+
+@pytest.mark.parametrize("trigger", list(SelectionTrigger))
+def test_track_bookkeeping_matches_reference_record(trigger):
+    """``track`` leaves every MUC entry and the event total bit-identical to
+    a twin list fed by ``reference_record``, under non-default weights, a
+    list small enough to evict and selection rounds in between.  Each
+    eviction is replayed on the twin by removing the same user."""
+    rng = random.Random(f"track-bookkeeping/{trigger.value}")
+    friend_request = InteractionKind.FRIEND_REQUEST
+    evictions = 0
+    for _ in range(200):
+        weights = {LOOKUP: rng.choice([0.25, 0.75, 1.0, 1.5]),
+                   friend_request: rng.choice([0.5, 2.5, 3.0])}
+        capacity = rng.randrange(2, 6)
+        n = rng.randrange(1, 3)
+        cfg = StrategyConfig(kind=Strategy.SOCIAL_SCORE, n=n, m=n + rng.randrange(1, 4),
+                             trigger=trigger, interaction_weights=weights)
+        cache = SocialCache("me", cfg, Router().dispatch, muc_capacity=capacity)
+        twin = MucList(capacity, weights)
+        users = [f"p{i}" for i in range(rng.randrange(capacity + 1, 2 * capacity + 3))]
+        now = 0
+        for _ in range(rng.randrange(1, 60)):
+            now += rng.choice([0, 0, 1, 3, 17, 250])
+            user = rng.choice(users)
+            kind = rng.choice([LOOKUP, LOOKUP, friend_request])
+            victim = None
+            if user not in cache.muc and len(cache.muc) >= capacity:
+                victim = cache.rank_users(now)[-1]
+            cache.track(user, kind, now)
+            if victim is not None:
+                twin.remove(victim)
+                evictions += 1
+            reference_record(twin, user, kind, now)
+            if (trigger is SelectionTrigger.TIME_BASED and rng.random() < 0.2
+                    and now >= cache.stable_until()):
+                cache.apply_diff(cache.run_selection(now), now)
+            assert cache.muc.total_events == twin.total_events
+            assert ([_muc_fields(e) for e in cache.muc.entries.values()]
+                    == [_muc_fields(e) for e in twin.entries.values()])
+    assert evictions > 100
 
 
 def test_own_interactions_rejected():
@@ -271,7 +317,7 @@ def test_trend_selection_takes_top_n_and_clears():
     # stage the tracked counts directly so only c is currently subscribed
     for user, count in counts.items():
         for t in range(count):
-            cache.muc.record(user, LOOKUP, t)
+            reference_record(cache.muc, user, LOOKUP, t)
     cache.channels.add("c")
     diff = cache.run_selection(100)
     assert set(diff.to_subscribe) == {"a", "b"}
@@ -410,13 +456,17 @@ _store_ops = st.lists(
 @given(_store_ops)
 def test_store_merge_follows_per_item_rule(ops):
     """``merge`` equals storing each item in turn unless the stored version is
-    newer, under any interleaving with ``store`` and ``purge_user``."""
-    store = SocialStore()
+    newer, under any interleaving with pushed updates (``on_social_update``
+    from a subscribed user) and ``purge_user``."""
+    cache, _ = make_cache("me")
+    for user in "uv":
+        cache.channels.add(user)
+    store = cache.store
     want: dict[str, dict[str, int]] = {}
     for op in ops:
         user = op[1]
         if op[0] == "store":
-            store.store(user, obj(user, op[2], op[3]))
+            cache.on_social_update(user, obj(user, op[2], op[3]))
             want.setdefault(user, {})[op[2]] = op[3]
         elif op[0] == "purge":
             store.purge_user(user)
@@ -470,7 +520,7 @@ def test_update_overwrites_previous_version():
     cache.on_social_update("them", obj("them", "wall/0", version=1))
     cache.on_social_update("them", obj("them", "wall/0", version=2))
     assert cache.store.item_count == 1
-    assert cache.store.get("them", StorageKey("them", "wall/0")).version == 2
+    assert cache.lookup(StorageKey("them", "wall/0")).version == 2
 
 
 def test_update_from_non_subscribed_user_ignored():
@@ -485,10 +535,10 @@ def test_update_wins_over_bootstrap_for_same_key():
     cache.channels.add("them")
     cache.on_bootstrap("them", (obj("them", "wall/0", version=1),))
     cache.on_social_update("them", obj("them", "wall/0", version=2))
-    assert cache.store.get("them", StorageKey("them", "wall/0")).version == 2
+    assert cache.lookup(StorageKey("them", "wall/0")).version == 2
     # a stale dump never clobbers the newer pushed version
     cache.on_bootstrap("them", (obj("them", "wall/0", version=1),))
-    assert cache.store.get("them", StorageKey("them", "wall/0")).version == 2
+    assert cache.lookup(StorageKey("them", "wall/0")).version == 2
 
 
 @pytest.mark.parametrize("k", [0, 1, 4])
@@ -546,9 +596,9 @@ def random_muc_state(rng, kind):
             if kind_choice is LOOKUP and user not in cache.channels:
                 # route through the muc only; inline subscription side effects
                 # are irrelevant to ranking
-                cache.muc.record(user, kind_choice, now)
+                reference_record(cache.muc, user, kind_choice, now)
             else:
-                cache.muc.record(user, kind_choice, now)
+                reference_record(cache.muc, user, kind_choice, now)
     return cache, now + rng.randrange(1, 10)
 
 
