@@ -99,8 +99,6 @@ def _weight(kind: InteractionKind) -> _Key:
                 float, repr)
 
 
-# Every config key.  ``serialize_config`` skips a value of None, which only
-# an unset ``strategy.rng_seed`` has.
 _KEYS: dict[str, _Key] = {
     "peer_count": _attr("peer_count", int),
     "friends_per_user": _attr("friends_per_user", int),
@@ -129,7 +127,6 @@ _KEYS: dict[str, _Key] = {
     "strategy.m": _attr("strategy.m", int),
     "strategy.update_interval_ticks": _attr("strategy.update_interval", int),
     "strategy.trigger": _attr("strategy.trigger", SelectionTrigger, _enum_value),
-    "strategy.rng_seed": _attr("strategy.rng_seed", int),
     "dataset.avg_ts_interaction_days": _attr("dataset.avg_ts_interaction_days", float, repr),
     "dataset.experiment_span_days": _attr("dataset.experiment_span_days", float, repr),
     **{f"strategy.weight.{kind.value}": _weight(kind) for kind in InteractionKind},
@@ -165,12 +162,7 @@ def parse_config_file(path: Path) -> list[tuple[str, str]]:
 
 def serialize_config(cfg: ScenarioConfig) -> dict[str, str]:
     """Resolved config as the same flat keys the parser accepts."""
-    out = {}
-    for key, entry in _KEYS.items():
-        value = entry.get(cfg)
-        if value is not None:
-            out[key] = entry.fmt(value)
-    return out
+    return {key: entry.fmt(entry.get(cfg)) for key, entry in _KEYS.items()}
 
 
 @dataclass(frozen=True)

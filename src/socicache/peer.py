@@ -63,7 +63,6 @@ class Peer:
                 muc_capacity=muc_capacity,
                 seed=seed,
             )
-        self._versions: dict[StorageKey, int] = {}
         dispatcher.register(user, self.on_envelope)
 
     # -- lookup pipeline ----------------------------------------------------
@@ -100,8 +99,10 @@ class Peer:
         one social update per subscriber."""
         if key.owner != self.user:
             raise NotOwnerError(f"{self.user!r} cannot write {key}")
-        version = self._versions.get(key, 0) + 1
-        self._versions[key] = version
+        # The overlay holds the latest version of every key; read it without
+        # ``get``, which would count a lookup.
+        stored = self.dht.entries.get(key)
+        version = 1 if stored is None else stored.version + 1
         content = ContentObject(key, version, payload, self.user, now)
         if self.social is not None:
             self.social.publish(content, now)

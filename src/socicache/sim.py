@@ -131,10 +131,10 @@ class Simulation:
     def _run_selection_round(self, now: SimTime) -> None:
         """One time-triggered selection round; ``run`` schedules it only
         for the time trigger.  Peers go in sorted order, and a peer is
-        skipped before its ``stable_until()`` tick, where its selection
+        skipped before its ``stable_until`` tick, where its selection
         provably changes nothing."""
         for social in self._socials:
-            if now < social.stable_until():
+            if now < social.stable_until:
                 continue
             diff = social.run_selection(now)
             if diff.to_subscribe or diff.to_unsubscribe:
@@ -216,8 +216,8 @@ class Simulation:
         social_items = muc_total = 0
         max_channels, max_muc_entries = self.max_channels, self.max_muc_entries
         for social in self._socials:
-            social_items += social.store.item_count
-            muc_size = len(social.muc.entries)
+            social_items += social.store_items
+            muc_size = len(social.muc)
             muc_total += muc_size
             if muc_size > max_muc_entries:
                 max_muc_entries = muc_size
@@ -234,14 +234,18 @@ class Simulation:
 
     def verify_consistency(self) -> list[str]:
         """Social-store entries whose version disagrees with the overlay, or
-        that belong to users no longer subscribed."""
+        that belong to users no longer subscribed, and stores whose item
+        count (``social_cache_items``) disagrees with their items."""
         violations: list[str] = []
         for name in sorted(self.peers):
-            peer = self.peers[name]
-            if peer.social is None:
+            social = self.peers[name].social
+            if social is None:
                 continue
-            for user, section in peer.social.store.by_user.items():
-                if user not in peer.social.channels:
+            held = sum([len(section) for section in social.store.values()])
+            if social.store_items != held:
+                violations.append(f"{name}: counts {social.store_items} items, stores {held}")
+            for user, section in social.store.items():
+                if user not in social.channels:
                     violations.append(f"{name}: stores {user} without a subscription")
                 for key, obj in section.items():
                     stored = self.dht.entries.get(key)

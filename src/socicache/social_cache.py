@@ -5,13 +5,8 @@ Each peer tracks its outgoing interactions in a most-used-contacts (MUC)
 list, ranks the tracked users with one of three strategies (random, trend,
 social score) and maintains a bounded set of update channels.  Subscribed
 peers push content changes, so the two-layer store here stays consistent
-without overlay lookups.  Ranking math:
-
-* tie strength   -- weighted interaction volume with one user, normalised by
-  the total number of tracked events,
-* medium interaction length -- average gap between successive events with a
-  user relative to the time since the first event,
-* social score   -- ``alpha * tie_strength + beta * medium_interaction_length``.
+without overlay lookups.  The social score is ``alpha * tie strength + beta *
+medium interaction length`` (``SocialCache.social_score``).
 """
 from __future__ import annotations
 
@@ -53,10 +48,6 @@ class _Certificate(NamedTuple):
     tie_user: UserId  # and named after this channel
     alpha: float  # the weights it was made with
     beta: float
-
-
-class UnknownUserError(KeyError):
-    """Score requested for a user that is not tracked."""
 
 
 class InvalidWeightsError(ValueError):
@@ -109,7 +100,6 @@ class StrategyConfig:
     m: int = 150
     update_interval: SimTime = 50_000
     trigger: SelectionTrigger = SelectionTrigger.TIME_BASED
-    rng_seed: int | None = None
 
     def validate(self) -> None:
         if self.n < 1:
@@ -148,61 +138,29 @@ class MucEntry:
         self.gap = 0.0
 
 
-class MucList:
-    """Bounded registry of tracked interactions, keyed by user.
+class MucList(dict):
+    """Bounded registry of tracked interactions: user -> ``MucEntry``.
 
-    Weights are fixed per run, so each entry sums its weighted volume as
-    events arrive; kinds missing from ``weights`` weigh 1.0.  The weights
-    are read once, at construction, into a table keyed by each kind's
-    string value: hashing an ``Enum`` member is a Python-level call, and
-    ``SocialCache.track`` reads the table once per tracked interaction.
-    """
+    ``total_events`` is the sum of every entry's ``event_count``;
+    ``SocialCache.track`` adds to it, ``remove`` and ``clear`` take away."""
 
-    def __init__(
-        self,
-        max_users: int = DUNBAR_MUC_LIMIT,
-        weights: dict[InteractionKind, float] | None = None,
-    ):
+    __slots__ = ("max_users", "total_events")
+
+    def __init__(self, max_users: int = DUNBAR_MUC_LIMIT):
+        super().__init__()
         if max_users < 1:
             raise ValueError("max_users must be positive")
         self.max_users = max_users
-        weights = weights if weights is not None else {}
-        self._weight_of = {kind._value_: weights.get(kind, 1.0) for kind in InteractionKind}
-        self.entries: dict[UserId, MucEntry] = {}
         self.total_events = 0
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, user: UserId) -> bool:
-        return user in self.entries
-
     def remove(self, user: UserId) -> None:
-        entry = self.entries.pop(user, None)
+        entry = self.pop(user, None)
         if entry is not None:
             self.total_events -= entry.event_count
 
     def clear(self) -> None:
-        self.entries.clear()
+        super().clear()
         self.total_events = 0
-
-    def tie_strength(self, user: UserId) -> float:
-        """Weighted event volume for one user over the total event count."""
-        entry = self.entries.get(user)
-        if entry is None:
-            raise UnknownUserError(user)
-        return entry.weighted / self.total_events
-
-    def medium_interaction_length(self, user: UserId, now: SimTime) -> float:
-        """The entry's mean gap (``MucEntry.gap``) normalised by the time
-        since the first event.  Degenerate histories (a single event, or a
-        first event at the current instant) score 0.
-        """
-        entry = self.entries.get(user)
-        if entry is None:
-            raise UnknownUserError(user)
-        elapsed = now - entry.first_at
-        return entry.gap / elapsed if elapsed > 0 else 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,48 +209,6 @@ class SubscriptionSet(dict):
         self.pop(user, None)
 
 
-class SocialStore:
-    """Two-layer cache: subscribed user -> storage key -> latest object.
-    ``SocialCache.lookup`` and ``on_social_update`` use ``by_user`` directly."""
-
-    def __init__(self) -> None:
-        self.by_user: dict[UserId, dict[StorageKey, ContentObject]] = {}
-        self.item_count = 0
-
-    def merge(self, user: UserId, items: Sequence[ContentObject]) -> int:
-        """Insert a batch of one user's content, never replacing a newer
-        stored version; returns the number of items accepted.
-
-        A batch of distinct keys for a user with no section is taken whole:
-        every item is accepted.  Any other batch, a non-empty section or
-        a repeated key, goes through the per-item rule."""
-        if not items:
-            return 0
-        section = self.by_user.get(user)
-        if section is None:
-            section = {content.key: content for content in items}
-            if len(section) == len(items):
-                self.by_user[user] = section
-                self.item_count += len(section)
-                return len(section)
-            section = self.by_user[user] = {}
-        accepted = 0
-        for content in items:
-            existing = section.get(content.key)
-            if existing is None:
-                self.item_count += 1
-            elif content.version < existing.version:
-                continue
-            section[content.key] = content
-            accepted += 1
-        return accepted
-
-    def purge_user(self, user: UserId) -> None:
-        section = self.by_user.pop(user, None)
-        if section is not None:
-            self.item_count -= len(section)
-
-
 class SocialCache:
     """Per-peer social caching engine.
 
@@ -301,7 +217,9 @@ class SocialCache:
     to its recipients: one for subscription traffic, every receiver for a
     publish.  The owning peer routes incoming envelopes to the ``on_*``
     handlers.  ``own`` holds the latest version of every item the peer
-    itself published.
+    itself published; ``store`` the latest pushed or dumped version of each
+    subscribed user's items (user -> key -> object), ``store_items`` in
+    all.
 
     A selection round asks ``stable_until`` whether it can change anything.
     """
@@ -323,20 +241,31 @@ class SocialCache:
         self.dispatch = dispatch
         self.ledger = ledger if ledger is not None else MetricsLedger()
         self.bootstrapping = bootstrapping
-        self.muc = MucList(muc_capacity, cfg.interaction_weights)
+        self.muc = MucList(muc_capacity)
+        # Interaction weights keyed by each kind's string value, read once
+        # per tracked interaction: hashing an ``Enum`` member is a
+        # Python-level call.  Kinds missing from the config weigh 1.0.
+        weights = cfg.interaction_weights
+        self._weight_of = {kind._value_: weights.get(kind, 1.0) for kind in InteractionKind}
         self.channels = SubscriptionSet(owner, cfg.n)
         # Users subscribed to this peer's update channel, in subscription order.
         self.receivers: dict[UserId, None] = {}
-        self.store = SocialStore()
+        self.store: dict[UserId, dict[StorageKey, ContentObject]] = {}
+        self.store_items = 0
         self.own: dict[StorageKey, ContentObject] = {}
-        # The random strategy's generator, seeded by ``cfg.rng_seed`` or else
-        # the scenario ``seed``; built on its first draw, as only that
-        # strategy draws.
-        self._seed = cfg.rng_seed if cfg.rng_seed is not None else seed
+        # The random strategy's generator, seeded by the scenario ``seed``;
+        # built on its first draw, as only that strategy draws.
+        self._seed = seed
         self._rng: random.Random | None = None
         self._lookups_since_selection = 0
-        # Empty MUC list and channels: nothing to change.
-        self._stable_until: float = math.inf
+        # The first tick at which ``run_selection`` may change anything,
+        # provided nothing is tracked until then, the diff of the last
+        # selection was applied and alpha and beta stay as they are;
+        # ``math.inf`` if never.  A selection round skips the peer before
+        # it.  Set here (never: empty MUC list and channels), by ``track``
+        # (due now, 0) and by ``run_selection``, which ``track`` also runs
+        # under the lookup-count trigger.
+        self.stable_until: float = math.inf
         # The certificate ``_certify`` made (see ``run_selection``) and the
         # users tracked since; None while there is no certificate.
         self._cert: _Certificate | None = None
@@ -345,13 +274,20 @@ class SocialCache:
     # -- scoring ---------------------------------------------------------
 
     def social_score(self, user: UserId, now: SimTime) -> float:
-        if self.cfg.alpha + self.cfg.beta <= 0:
+        """``alpha * tie + beta * spacing`` of a tracked user (``KeyError``
+        if untracked).  The tie strength is the user's weighted event volume
+        over the total event count.  The medium interaction length is the
+        mean gap between the user's events (``MucEntry.gap``) over the time
+        since the first one; a single event, or a first event now, gives 0.
+        """
+        alpha, beta = self.cfg.alpha, self.cfg.beta
+        if alpha + beta <= 0:
             raise InvalidWeightsError("alpha + beta must be positive")
-        if user not in self.muc:
-            raise UnknownUserError(user)
-        tie = self.muc.tie_strength(user)
-        spacing = self.muc.medium_interaction_length(user, now)
-        return self.cfg.alpha * tie + self.cfg.beta * spacing
+        entry = self.muc[user]
+        tie = entry.weighted / self.muc.total_events
+        elapsed = now - entry.first_at
+        spacing = entry.gap / elapsed if elapsed > 0 else 0.0
+        return alpha * tie + beta * spacing
 
     def rank_users(self, now: SimTime) -> list[UserId]:
         """Tracked users, best first.
@@ -361,7 +297,7 @@ class SocialCache:
         counts (used only for MUC eviction).  Ties break by ascending user
         name so rankings are reproducible.
         """
-        return self._ranked(self.muc.entries.items(), now)
+        return self._ranked(self.muc.items(), now)
 
     def _ranked(self, tracked: Iterable[tuple[UserId, MucEntry]], now: SimTime) -> list[UserId]:
         """The users of ``tracked`` (user, entry) pairs in ``rank_users``
@@ -394,24 +330,23 @@ class SocialCache:
         full list.  Lookups additionally drive subscriptions."""
         if user == self.owner:
             raise ValueError("own interactions are not tracked")
-        self._stable_until = 0
+        self.stable_until = 0
         dirty = self._dirty
         if dirty is not None:
             dirty.add(user)
         muc = self.muc
-        entries = muc.entries
-        entry = entries.get(user)
+        entry = muc.get(user)
         if entry is None:
-            if len(entries) >= muc.max_users:
+            if len(muc) >= muc.max_users:
                 muc.remove(self.rank_users(now)[-1])
                 self._dirty = None
-            entry = entries[user] = MucEntry(user, now)
+            entry = muc[user] = MucEntry(user, now)
         count = entry.event_count + 1
         entry.last_at = now
         entry.event_count = count
         entry.gap = (now - entry.first_at) / (count - 2 if count > 2 else 1)
         muc.total_events += 1
-        entry.weighted += muc._weight_of[kind._value_]
+        entry.weighted += self._weight_of[kind._value_]
         if kind is not _LOOKUP:
             return
         entry.lookup_count += 1
@@ -473,15 +408,15 @@ class SocialCache:
             return NO_CHANGE
         if kind is _SOCIAL_SCORE and cfg.alpha + cfg.beta <= 0:
             raise InvalidWeightsError("alpha + beta must be positive")
-        entries = self.muc.entries
+        muc = self.muc
         channels = self.channels
         dirty = self._dirty
         if dirty is not None:
             cap, until, above, below, top, tie_weight, tie_user, alpha, beta = self._cert
-            total = self.muc.total_events
+            total = muc.total_events
             if total <= cap and now < until and alpha == cfg.alpha and beta == cfg.beta:
                 for user in dirty:
-                    entry = entries[user]
+                    entry = muc[user]
                     elapsed = now - entry.first_at
                     floor = alpha * (entry.weighted / total)
                     score = floor + beta * (entry.gap / elapsed if elapsed > 0 else 0.0)
@@ -497,18 +432,18 @@ class SocialCache:
                             or user < tie_user):
                         break
                 else:
-                    self._stable_until = until
+                    self.stable_until = until
                     return NO_CHANGE
         self._dirty = None
-        self._stable_until = math.inf
-        if len(entries) <= cfg.n:
-            chosen = entries
-            new = [(u, e) for u, e in entries.items() if u not in channels]
+        self.stable_until = math.inf
+        if len(muc) <= cfg.n:
+            chosen = muc
+            new = [(u, e) for u, e in muc.items() if u not in channels]
             if len(new) > 1:
                 to_subscribe = tuple(self._ranked(new, now))
             else:
                 to_subscribe = (new[0][0],) if new else ()
-            kept = len(entries) - len(new)
+            kept = len(muc) - len(new)
         elif kind is _SOCIAL_SCORE and len(channels) == cfg.n and self._certify(
                 channels, now):
             return NO_CHANGE
@@ -521,24 +456,12 @@ class SocialCache:
         to_unsubscribe: tuple[UserId, ...] = ()
         if kept < len(channels):
             to_unsubscribe = tuple([u for u in channels if u not in chosen])
-        if kind is _TREND and entries:
-            self.muc.clear()
-            self._stable_until = 0
+        if kind is _TREND and muc:
+            muc.clear()
+            self.stable_until = 0
         if to_subscribe or to_unsubscribe:
             return SubscriptionDiff(to_subscribe, to_unsubscribe)
         return NO_CHANGE
-
-    def stable_until(self) -> float:
-        """The first tick at which ``run_selection`` may change anything,
-        provided nothing is tracked until then, the diff of the last
-        selection was applied and alpha and beta stay as they are;
-        ``math.inf`` if never.  A selection round skips the peer before it.
-
-        Set by ``__init__`` (never), by ``track`` (due now, 0) and by
-        ``run_selection``, which ``track`` also runs under the lookup-count
-        trigger.
-        """
-        return self._stable_until
 
     def _certify(self, chosen, now: SimTime) -> bool:
         """Whether the ``n`` users ``chosen`` are exactly the top ``n`` of a
@@ -590,7 +513,7 @@ class SocialCache:
         # up; highest constant unchosen weight and the next weight down.
         low, low_user, low_next = math.inf, "", math.inf
         high, high_next = -math.inf, -math.inf
-        for user, entry in self.muc.entries.items():
+        for user, entry in self.muc.items():
             elapsed = now - entry.first_at
             gap = entry.gap
             weighted = entry.weighted
@@ -624,7 +547,7 @@ class SocialCache:
                     high_next = weighted
         if found < cfg.n or lo < hi or (lo == hi and lo_user > hi_user):
             return False
-        self._stable_until = now
+        self.stable_until = now
         if alpha <= 0 or beta <= 0:
             return True
         margin = _STABLE_MARGIN
@@ -655,7 +578,7 @@ class SocialCache:
         until = _tick(until)
         if until <= now:
             return True
-        self._stable_until = until
+        self.stable_until = until
         until = min(until, _tick(until_at_cap))
         if until <= now or alpha * (low / cap) <= top_at_cap + top_at_cap * margin:
             return True
@@ -690,7 +613,9 @@ class SocialCache:
         """Drop a channel and purge its cached items immediately, keeping
         the store's user set a subset of the channel set."""
         self.channels.remove(user)
-        self.store.purge_user(user)
+        section = self.store.pop(user, None)
+        if section is not None:
+            self.store_items -= len(section)
         self.ledger.unsubscriptions_sent += 1
         self.dispatch(MessageEnvelope(self.owner, _UNSUBSCRIBE, None, now), user)
 
@@ -720,21 +645,42 @@ class SocialCache:
         Updates from non-subscribed users are ignored."""
         if sender not in self.channels:
             return False
-        store = self.store
-        section = store.by_user.get(sender)
+        section = self.store.get(sender)
         if section is None:
-            section = store.by_user[sender] = {}
+            section = self.store[sender] = {}
         key = content.key
         if key not in section:
-            store.item_count += 1
+            self.store_items += 1
         section[key] = content
         return True
 
     def on_bootstrap(self, sender: UserId, items: Sequence[ContentObject]) -> int:
-        """Insert a bootstrap dump; never clobbers newer pushed versions."""
-        if sender not in self.channels:
+        """Insert a bootstrap dump, never replacing a newer stored version;
+        returns the number of items accepted.
+
+        A dump of distinct keys from a user with no section is taken whole:
+        every item is accepted.  Any other dump, into a non-empty section or
+        with a repeated key, goes through the per-item rule."""
+        if sender not in self.channels or not items:
             return 0
-        return self.store.merge(sender, items)
+        section = self.store.get(sender)
+        if section is None:
+            section = {content.key: content for content in items}
+            if len(section) == len(items):
+                self.store[sender] = section
+                self.store_items += len(section)
+                return len(section)
+            section = self.store[sender] = {}
+        accepted = 0
+        for content in items:
+            existing = section.get(content.key)
+            if existing is None:
+                self.store_items += 1
+            elif content.version < existing.version:
+                continue
+            section[content.key] = content
+            accepted += 1
+        return accepted
 
     # -- content ------------------------------------------------------------
 
@@ -755,5 +701,5 @@ class SocialCache:
         owner = key.owner
         if owner == self.owner:
             return self.own.get(key)
-        section = self.store.by_user.get(owner)
+        section = self.store.get(owner)
         return None if section is None else section.get(key)

@@ -107,17 +107,19 @@ def brute_force_top_n(scores: dict[str, float], n: int) -> list[str]:
     return [user for user, _ in ordered[:n]]
 
 
-def reference_record(muc, user: UserId, kind: InteractionKind, at: int) -> None:
+def reference_record(muc, user: UserId, kind: InteractionKind, at: int,
+                     weights: dict[InteractionKind, float] | None = None) -> None:
     """The MUC bookkeeping of one event in two steps, the list's and the
     entry's, apart from ``SocialCache.track``, which does both in one
-    frame.  A full list refuses a new user: evicting is the caller's."""
-    entry = muc.entries.get(user)
+    frame.  Kinds missing from ``weights`` weigh 1.0.  A full list refuses
+    a new user: evicting is the caller's."""
+    entry = muc.get(user)
     if entry is None:
-        if len(muc.entries) >= muc.max_users:
+        if len(muc) >= muc.max_users:
             raise CapExceededError("MUC list full; evict before recording")
         entry = MucEntry(user)
-        muc.entries[user] = entry
-    _reference_append(entry, kind, at, muc._weight_of[kind._value_])
+        muc[user] = entry
+    _reference_append(entry, kind, at, (weights or {}).get(kind, 1.0))
     muc.total_events += 1
 
 
@@ -142,7 +144,7 @@ def reference_run_selection(cache, now: int) -> tuple[tuple[str, ...], tuple[str
     cfg = cache.cfg
     if cfg.kind is Strategy.RANDOM:
         return (), ()
-    entries = cache.muc.entries
+    entries = cache.muc
     if cfg.kind is Strategy.SOCIAL_SCORE:
         if cfg.alpha + cfg.beta <= 0:
             raise InvalidWeightsError("alpha + beta must be positive")
@@ -189,7 +191,7 @@ def _tick(crossing: float) -> float:
 
 
 class ReferenceCertificate:
-    """``SocialCache.stable_until()`` after each applied social-score round
+    """``SocialCache.stable_until`` after each applied social-score round
     of one cache, recomputed from ``social_score`` calls and sorts.
 
     Call ``after_round`` after every applied round of the cache that selects
@@ -219,7 +221,7 @@ class ReferenceCertificate:
                 or now >= cert["until"]):
             return None
         until = cert["until"]
-        for user, entry in muc.entries.items():
+        for user, entry in muc.items():
             if cert["counts"].get(user) == entry.event_count:
                 continue
             score = _score(cache, user, now)
@@ -239,13 +241,12 @@ class ReferenceCertificate:
 
     def _make(self, cache, now):
         self.cert = None
-        cfg, muc = cache.cfg, cache.muc
-        entries = muc.entries
+        cfg, entries = cache.cfg, cache.muc
         if len(entries) <= cfg.n:
             return math.inf
         if cfg.alpha <= 0 or cfg.beta <= 0:
             return now
-        total = muc.total_events
+        total = entries.total_events
         cap = total + max(4, total // 32)
         ranked = sorted(entries, key=lambda user: (-_score(cache, user, now), user))
         chosen, unchosen = ranked[: cfg.n], ranked[cfg.n:]

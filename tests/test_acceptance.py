@@ -41,7 +41,7 @@ from socicache.metrics import (
 )
 from socicache.model import ContentObject, InteractionKind, StorageKey
 from socicache.sim import compare_caches, compare_strategies, run_scenario
-from socicache.social_cache import MucList, SocialCache, Strategy, StrategyConfig
+from socicache.social_cache import SocialCache, Strategy, StrategyConfig
 from socicache.workload import CacheSetup, ScenarioConfig
 
 LOOKUP = InteractionKind.LOOKUP
@@ -129,10 +129,11 @@ def test_criterion_2_interaction_length_matches_direct_oracle():
         count = rng.randrange(2, 51)
         times = sorted(rng.randrange(0, 10_000_000) for _ in range(count))
         now = times[-1] + rng.randrange(0, 1_000_000)
-        muc = MucList()
+        # With alpha 0 the social score is the medium interaction length.
+        cache = SocialCache("ego", StrategyConfig(alpha=0.0, beta=1.0), lambda *args: None)
         for t in times:
-            reference_record(muc, "x", LOOKUP, t)
-        got = muc.medium_interaction_length("x", now)
+            reference_record(cache.muc, "x", LOOKUP, t)
+        got = cache.social_score("x", now)
         want = direct_medium_interaction_length(times, now)
         if not math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12):
             report(2, False, f"mismatch {got!r} vs {want!r} for {count} events")
@@ -162,7 +163,7 @@ def _random_selection_case(rng: random.Random):
             events.append((rng.choice(list(InteractionKind)), t))
         raw[user] = events
         for k, t in events:
-            reference_record(cache.muc, user, k, t)
+            reference_record(cache.muc, user, k, t, weights)
         now = max(now, t)
     now += rng.randrange(1, 50)
     for user in rng.sample(users, min(len(users), rng.randrange(0, n + 1))):

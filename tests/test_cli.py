@@ -45,9 +45,11 @@ def test_invalid_config_exits_two(tmp_path, capsys):
 
 
 def test_unknown_key_exits_two_and_names_key(tmp_path, capsys):
-    code = main(["run", "--out", str(tmp_path), "--set", "no_such_key=1"])
-    assert code == 2
-    assert "no_such_key" in capsys.readouterr().err
+    # ``strategy.rng_seed`` is no key: the scenario seed is the only seed.
+    for key in ("no_such_key", "strategy.rng_seed"):
+        code = main(["run", "--out", str(tmp_path), "--set", f"{key}=1"])
+        assert code == 2
+        assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
 def test_override_beats_file_beats_default(tmp_path):
@@ -198,28 +200,46 @@ def _past_both_caps(result):
     return patched
 
 
+def _miscounted_store(result):
+    def patched(self):
+        if self._socials:
+            social = self._socials[0]
+            social.store.clear()
+            social.store_items = 1
+        return result(self)
+    return patched
+
+
 @pytest.mark.parametrize("command,runs", [("run", 1), ("compare-caches", 4)])
 @pytest.mark.parametrize(
-    "patch,per_run,first",
+    "patch,per_run,first,social",
     [
         pytest.param(lambda: (Simulation, "verify_subscription_symmetry", _asymmetric),
-                     1, "u00 subscribes u01 but is not a receiver", id="symmetry"),
+                     1, "u00 subscribes u01 but is not a receiver", False, id="symmetry"),
         pytest.param(lambda: (Counters, "validate", _negative_counter),
-                     1, "counter dht_puts is negative", id="counters"),
+                     1, "counter dht_puts is negative", False, id="counters"),
         pytest.param(lambda: (Simulation, "_result", _past_both_caps(Simulation._result)),
-                     2, "max_channels 16 > n 15", id="caps"),
+                     2, "max_channels 16 > n 15", False, id="caps"),
+        pytest.param(lambda: (Simulation, "_result", _miscounted_store(Simulation._result)),
+                     1, "u00: counts 1 items, stores 0", True, id="store-items"),
     ],
 )
 def test_broken_invariant_exits_one_after_writing_outputs(tmp_path, capsys, monkeypatch,
                                                           command, runs, patch, per_run,
-                                                          first):
+                                                          first, social):
+    """``social`` marks a fault in the social store, which only the
+    social_only and both runs of compare-caches have."""
     monkeypatch.setattr(*patch())
     out = tmp_path / "out"
     code = main([command, "--out", str(out), *SMALL])
     assert code == 1
-    label = "run" if command == "run" else "none"
+    faulty, label = runs, "none"
+    if command == "run":
+        label = "run"
+    elif social:
+        faulty, label = 2, "social_only"
     assert capsys.readouterr().err == (
-        f"socicache: {runs * per_run} invariant violations, first: {label}: {first}\n")
+        f"socicache: {faulty * per_run} invariant violations, first: {label}: {first}\n")
     assert (out / "manifest.json").exists()
     if command == "run":
         assert (out / "metrics.csv").exists() and (out / "summary.csv").exists()
@@ -229,16 +249,9 @@ def test_broken_invariant_exits_one_after_writing_outputs(tmp_path, capsys, monk
                    for row in ("none", "current_only", "social_only", "both"))
 
 
-def seeded_profile():
-    cfg = cli.cache_comparison_profile()
-    cfg.strategy.rng_seed = 9
-    return cfg
-
-
 @pytest.mark.parametrize(
     "profile",
-    [cli.default_run_profile, cli.strategy_comparison_profile, cli.cache_comparison_profile,
-     seeded_profile],
+    [cli.default_run_profile, cli.strategy_comparison_profile, cli.cache_comparison_profile],
 )
 def test_config_round_trip(tmp_path, profile):
     cfg = profile()
@@ -249,8 +262,7 @@ def test_config_round_trip(tmp_path, profile):
     assert serialize_config(fresh) == text
     assert (RunManifest.create(None, fresh, tmp_path).run_id
             == RunManifest.create(None, cfg, tmp_path).run_id)
-    unset = {"strategy.rng_seed"} if cfg.strategy.rng_seed is None else set()
-    assert set(text) == set(cli._KEYS) - unset
+    assert set(text) == set(cli._KEYS)
     # Apart from the resolved duration and phases, every setting came back.
     fresh.sim_duration_ticks = cfg.sim_duration_ticks
     fresh.friend_request_phases = cfg.friend_request_phases

@@ -85,7 +85,7 @@ def test_absent_key_counts_unanswered():
     assert ledger.total_requests - answered(ledger) == 1
     assert ledger.total_requests == 1
     # The unanswered request is still a tracked lookup of the key's owner.
-    entry = peers["a"].social.muc.entries["b"]
+    entry = peers["a"].social.muc["b"]
     assert (entry.event_count, entry.lookup_count) == (1, 1)
 
 

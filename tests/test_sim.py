@@ -107,9 +107,9 @@ def peer_states(sim: Simulation) -> list[tuple]:
     for name in sorted(sim.peers):
         social = sim.peers[name].social
         entries = [(u, e.event_count, e.lookup_count, e.weighted, e.first_at, e.last_at, e.gap)
-                   for u, e in social.muc.entries.items()]
+                   for u, e in social.muc.items()]
         stored = {u: sorted((str(k), c.version) for k, c in section.items())
-                  for u, section in social.store.by_user.items()}
+                  for u, section in social.store.items()}
         states.append((name, list(social.channels), list(social.receivers),
                        social.muc.total_events, entries, stored))
     return states
@@ -136,7 +136,7 @@ def replay_rounds(cfg: ScenarioConfig, trace: list[TraceEvent], *, reference: bo
         return run
 
     def own_round(now, run_round=sim._run_selection_round):
-        above_n = {s.owner for s in sim._socials if len(s.muc.entries) > cfg.strategy.n}
+        above_n = {s.owner for s in sim._socials if len(s.muc) > cfg.strategy.n}
         evaluated.clear()
         run_round(now)
         for social in sim._socials:

@@ -27,7 +27,6 @@ from socicache.social_cache import (
     StrategyConfig,
     SubscriptionDiff,
     SubscriptionSet,
-    UnknownUserError,
 )
 
 LOOKUP = InteractionKind.LOOKUP
@@ -80,14 +79,14 @@ def test_first_record_creates_entry():
     muc = MucList()
     reference_record(muc, "bob", LOOKUP, 0)
     assert len(muc) == 1
-    assert muc.entries["bob"].lookup_count == 1
+    assert muc["bob"].lookup_count == 1
 
 
 def test_records_append_in_time_order():
     muc = MucList()
     reference_record(muc, "bob", LOOKUP, 5)
     reference_record(muc, "bob", LOOKUP, 9)
-    entry = muc.entries["bob"]
+    entry = muc["bob"]
     assert (entry.first_at, entry.last_at, entry.event_count) == (5, 9, 2)
     assert entry.lookup_count == 2
 
@@ -128,7 +127,7 @@ def test_track_bookkeeping_matches_reference_record(trigger):
         cfg = StrategyConfig(kind=Strategy.SOCIAL_SCORE, n=n, m=n + rng.randrange(1, 4),
                              trigger=trigger, interaction_weights=weights)
         cache = SocialCache("me", cfg, Router().dispatch, muc_capacity=capacity)
-        twin = MucList(capacity, weights)
+        twin = MucList(capacity)
         users = [f"p{i}" for i in range(rng.randrange(capacity + 1, 2 * capacity + 3))]
         now = 0
         for _ in range(rng.randrange(1, 60)):
@@ -142,13 +141,13 @@ def test_track_bookkeeping_matches_reference_record(trigger):
             if victim is not None:
                 twin.remove(victim)
                 evictions += 1
-            reference_record(twin, user, kind, now)
+            reference_record(twin, user, kind, now, weights)
             if (trigger is SelectionTrigger.TIME_BASED and rng.random() < 0.2
-                    and now >= cache.stable_until()):
+                    and now >= cache.stable_until):
                 cache.apply_diff(cache.run_selection(now), now)
             assert cache.muc.total_events == twin.total_events
-            assert ([_muc_fields(e) for e in cache.muc.entries.values()]
-                    == [_muc_fields(e) for e in twin.entries.values()])
+            assert ([_muc_fields(e) for e in cache.muc.values()]
+                    == [_muc_fields(e) for e in twin.values()])
     assert evictions > 100
 
 
@@ -159,21 +158,24 @@ def test_own_interactions_rejected():
 
 
 # -- tie strength -------------------------------------------------------------
+# ``social_score`` with beta = 0 (alpha = 1) is the tie strength alone, and
+# with alpha = 0 (beta = 1) the medium interaction length alone: adding or
+# multiplying by 0.0 and multiplying by 1.0 are exact.
 
 def test_tie_strength_sole_interlocutor():
-    cache, _ = make_cache()
+    cache, _ = make_cache(alpha=1.0, beta=0.0)
     for t in range(5):
         cache.track("x", LOOKUP, t)
-    assert cache.muc.tie_strength("x") == 1.0
+    assert cache.social_score("x", 5) == 1.0
 
 
 def test_tie_strength_share_of_total():
-    cache, _ = make_cache()
+    cache, _ = make_cache(alpha=1.0, beta=0.0)
     for t in range(3):
         cache.track("x", LOOKUP, t)
     for t in range(7):
         cache.track("y", LOOKUP, t)
-    assert cache.muc.tie_strength("x") == pytest.approx(0.3)
+    assert cache.social_score("x", 7) == pytest.approx(0.3)
 
 
 def test_tie_strength_weighted_events():
@@ -183,7 +185,7 @@ def test_tie_strength_weighted_events():
         InteractionKind.LOOKUP: 1.0,
         InteractionKind.FRIEND_REQUEST: 2.0,
     }
-    cache, _ = make_cache(interaction_weights=weights)
+    cache, _ = make_cache(alpha=1.0, beta=0.0, interaction_weights=weights)
     cache.track("x", InteractionKind.FRIEND_REQUEST, 0)
     cache.track("x", LOOKUP, 1)
     for t in range(4):
@@ -194,7 +196,7 @@ def test_tie_strength_weighted_events():
     }
     expected = direct_tie_strength(events_by_user, "x", weights)
     assert expected == 0.5
-    assert cache.muc.tie_strength("x") == pytest.approx(expected)
+    assert cache.social_score("x", 4) == pytest.approx(expected)
 
 
 @given(
@@ -203,48 +205,48 @@ def test_tie_strength_weighted_events():
 )
 def test_tie_strength_monotone_in_own_lookups(extra, others):
     # With equal weights, one more tracked lookup for x never lowers x's share.
-    cache, _ = make_cache()
+    cache, _ = make_cache(alpha=1.0, beta=0.0)
     cache.track("x", LOOKUP, 0)
     for t in range(others):
         cache.track("other", LOOKUP, t)
-    before = cache.muc.tie_strength("x")
+    before = cache.social_score("x", 200)
     for t in range(extra):
         cache.track("x", LOOKUP, 100 + t)
-    after = cache.muc.tie_strength("x")
+    after = cache.social_score("x", 200)
     assert after >= before or abs(after - before) < 1e-12
 
 
 # -- medium interaction length --------------------------------------------------
 
 def test_interaction_length_three_events():
-    cache, _ = make_cache()
+    cache, _ = make_cache(alpha=0.0, beta=1.0)
     for t in (0, 10, 20):
         cache.track("x", LOOKUP, t)
     expected = direct_medium_interaction_length([0, 10, 20], 30)
     assert expected == pytest.approx(2 / 3)
-    assert cache.muc.medium_interaction_length("x", 30) == pytest.approx(expected)
+    assert cache.social_score("x", 30) == pytest.approx(expected)
 
 
 def test_interaction_length_single_event_is_zero():
-    cache, _ = make_cache()
+    cache, _ = make_cache(alpha=0.0, beta=1.0)
     cache.track("x", LOOKUP, 7)
-    assert cache.muc.medium_interaction_length("x", 30) == 0.0
+    assert cache.social_score("x", 30) == 0.0
 
 
 def test_interaction_length_two_events():
-    cache, _ = make_cache()
+    cache, _ = make_cache(alpha=0.0, beta=1.0)
     cache.track("x", LOOKUP, 0)
     cache.track("x", LOOKUP, 30)
     expected = direct_medium_interaction_length([0, 30], 30)
     assert expected == pytest.approx(1.0)
-    assert cache.muc.medium_interaction_length("x", 30) == pytest.approx(expected)
+    assert cache.social_score("x", 30) == pytest.approx(expected)
 
 
 def test_interaction_length_zero_elapsed_is_zero():
-    cache, _ = make_cache()
+    cache, _ = make_cache(alpha=0.0, beta=1.0)
     cache.track("x", LOOKUP, 30)
     cache.track("x", LOOKUP, 30)
-    assert cache.muc.medium_interaction_length("x", 30) == 0.0
+    assert cache.social_score("x", 30) == 0.0
 
 
 @given(
@@ -258,10 +260,10 @@ def test_interaction_length_matches_direct_evaluation(gaps, start, after):
     for gap in gaps:
         times.append(times[-1] + gap)
     now = times[-1] + after
-    cache, _ = make_cache()
+    cache, _ = make_cache(alpha=0.0, beta=1.0)
     for t in times:
         cache.track("x", LOOKUP, t)
-    got = cache.muc.medium_interaction_length("x", now)
+    got = cache.social_score("x", now)
     want = direct_medium_interaction_length(times, now)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -277,18 +279,24 @@ def build_score_state(cache):
 
 
 def test_social_score_combines_both_terms():
-    cache, _ = make_cache(alpha=0.5, beta=0.5)
-    build_score_state(cache)
-    assert cache.muc.tie_strength("x") == pytest.approx(0.3)
-    assert cache.muc.medium_interaction_length("x", 30) == pytest.approx(2 / 3)
-    assert cache.social_score("x", 30) == pytest.approx(0.5 * 0.3 + 0.5 * (2 / 3))
-    assert cache.social_score("x", 30) == pytest.approx(0.48333, abs=1e-5)
+    terms = []
+    for alpha, beta in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)):
+        cache, _ = make_cache(alpha=alpha, beta=beta)
+        build_score_state(cache)
+        terms.append(cache.social_score("x", 30))
+    tie, spacing, score = terms
+    assert tie == pytest.approx(0.3)
+    assert spacing == pytest.approx(2 / 3)
+    assert score == pytest.approx(0.5 * 0.3 + 0.5 * (2 / 3))
+    assert score == pytest.approx(0.48333, abs=1e-5)
 
 
 def test_social_score_alpha_only_degenerates_to_tie_strength():
     cache, _ = make_cache(alpha=1.0, beta=0.0)
     build_score_state(cache)
-    assert cache.social_score("x", 30) == pytest.approx(cache.muc.tie_strength("x"))
+    events_by_user = {"x": [LOOKUP] * 3, "y": [InteractionKind.FRIEND_REQUEST] * 7}
+    expected = direct_tie_strength(events_by_user, "x", cache.cfg.interaction_weights)
+    assert cache.social_score("x", 30) == pytest.approx(expected)
 
 
 def test_social_score_zero_weights_rejected():
@@ -305,7 +313,7 @@ def test_social_score_zero_weights_rejected():
 
 def test_social_score_unknown_user():
     cache, _ = make_cache()
-    with pytest.raises(UnknownUserError):
+    with pytest.raises(KeyError):
         cache.social_score("ghost", 30)
 
 
@@ -383,7 +391,7 @@ def test_apply_diff_bootstraps_new_subscription():
     for i in range(4):
         them.publish(obj("them", f"wall/{i}"), now=0)
     me.apply_diff(SubscriptionDiff(("them",), ()), now=1)
-    assert me.store.item_count == 4
+    assert me.store_items == 4
     assert "me" in them.receivers
 
 
@@ -393,10 +401,10 @@ def test_unsubscribe_purges_store():
     them, _ = make_cache("them", router)
     them.publish(obj("them", "wall/0"), now=0)
     me.apply_diff(SubscriptionDiff(("them",), ()), now=1)
-    assert me.store.item_count == 1
+    assert me.store_items == 1
     me.apply_diff(SubscriptionDiff((), ("them",)), now=2)
-    assert "them" not in me.store.by_user
-    assert me.store.item_count == 0
+    assert "them" not in me.store
+    assert me.store_items == 0
     assert "me" not in them.receivers
 
 
@@ -455,9 +463,10 @@ _store_ops = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(_store_ops)
 def test_store_merge_follows_per_item_rule(ops):
-    """``merge`` equals storing each item in turn unless the stored version is
-    newer, under any interleaving with pushed updates (``on_social_update``
-    from a subscribed user) and ``purge_user``."""
+    """``on_bootstrap`` equals storing each item in turn unless the stored
+    version is newer, under any interleaving with pushed updates
+    (``on_social_update`` from a subscribed user) and purges (unsubscribing
+    and subscribing again; no one answers with a dump)."""
     cache, _ = make_cache("me")
     for user in "uv":
         cache.channels.add(user)
@@ -469,10 +478,11 @@ def test_store_merge_follows_per_item_rule(ops):
             cache.on_social_update(user, obj(user, op[2], op[3]))
             want.setdefault(user, {})[op[2]] = op[3]
         elif op[0] == "purge":
-            store.purge_user(user)
+            cache.apply_diff(SubscriptionDiff((), (user,)), 0)
+            cache.apply_diff(SubscriptionDiff((user,), ()), 0)
             want.pop(user, None)
         else:
-            before = {k.path: c.version for k, c in store.by_user.get(user, {}).items()}
+            before = {k.path: c.version for k, c in store.get(user, {}).items()}
             section = dict(want.get(user, {}))
             accepted = 0
             for path, version in op[2]:
@@ -481,15 +491,15 @@ def test_store_merge_follows_per_item_rule(ops):
                     accepted += 1
             if section:
                 want[user] = section
-            assert store.merge(user, [obj(user, p, v) for p, v in op[2]]) == accepted
-            after = {k.path: c.version for k, c in store.by_user.get(user, {}).items()}
+            assert cache.on_bootstrap(user, [obj(user, p, v) for p, v in op[2]]) == accepted
+            after = {k.path: c.version for k, c in store.get(user, {}).items()}
             assert all(after[path] >= version for path, version in before.items())
         got = {
             u: {k.path: c.version for k, c in section.items()}
-            for u, section in store.by_user.items()
+            for u, section in store.items()
         }
         assert got == want
-        assert store.item_count == sum(len(section) for section in store.by_user.values())
+        assert cache.store_items == sum(len(section) for section in store.values())
 
 
 # -- inbound handlers ------------------------------------------------------------------
@@ -519,7 +529,7 @@ def test_update_overwrites_previous_version():
     cache.channels.add("them")
     cache.on_social_update("them", obj("them", "wall/0", version=1))
     cache.on_social_update("them", obj("them", "wall/0", version=2))
-    assert cache.store.item_count == 1
+    assert cache.store_items == 1
     assert cache.lookup(StorageKey("them", "wall/0")).version == 2
 
 
@@ -527,7 +537,7 @@ def test_update_from_non_subscribed_user_ignored():
     cache, _ = make_cache("me")
     accepted = cache.on_social_update("stranger", obj("stranger", "wall/0"))
     assert accepted is False
-    assert cache.store.item_count == 0
+    assert cache.store_items == 0
 
 
 def test_update_wins_over_bootstrap_for_same_key():
@@ -608,9 +618,9 @@ def test_selection_matches_brute_force(kind):
     for _ in range(300):
         cache, now = random_muc_state(rng, kind)
         if kind is Strategy.TREND:
-            scores = {u: float(e.lookup_count) for u, e in cache.muc.entries.items()}
+            scores = {u: float(e.lookup_count) for u, e in cache.muc.items()}
         else:
-            scores = {u: cache.social_score(u, now) for u in cache.muc.entries}
+            scores = {u: cache.social_score(u, now) for u in cache.muc}
         expected = brute_force_top_n(scores, cache.cfg.n)
         assert cache.rank_users(now)[: cache.cfg.n] == expected
 
@@ -668,9 +678,9 @@ def random_weighted_state(rng, kind, muc_capacity=DUNBAR_MUC_LIMIT):
 
 def reference_order(cache, now):
     if cache.cfg.kind is Strategy.TREND:
-        return sorted(cache.muc.entries,
-                      key=lambda u: (-float(cache.muc.entries[u].lookup_count), u))
-    return sorted(cache.muc.entries, key=lambda u: (-cache.social_score(u, now), u))
+        return sorted(cache.muc,
+                      key=lambda u: (-float(cache.muc[u].lookup_count), u))
+    return sorted(cache.muc, key=lambda u: (-cache.social_score(u, now), u))
 
 
 @pytest.mark.parametrize("kind", [Strategy.TREND, Strategy.SOCIAL_SCORE])
@@ -680,11 +690,11 @@ def test_inlined_ranking_equals_per_user_scores_exactly(kind):
     for _ in range(300):
         cache, events, last = random_weighted_state(rng, kind)
         weights = cache.cfg.interaction_weights
-        for user, entry in cache.muc.entries.items():
+        for user, entry in cache.muc.items():
             assert entry.weighted == sum(weights.get(k, 1.0) for k in events[user])
             seen_short += entry.event_count <= 2
         for now in (last, last + rng.choice([1, 7, 1000])):
-            seen_now_at_first += any(e.first_at == now for e in cache.muc.entries.values())
+            seen_now_at_first += any(e.first_at == now for e in cache.muc.values())
             assert cache.rank_users(now) == reference_order(cache, now)
             cache.cfg.alpha, cache.cfg.beta = rng.choice(
                 [(rng.uniform(0.0, 2.0), rng.uniform(0.01, 2.0)), (1.0, 0.0), (0.0, 1.0)])
@@ -713,7 +723,7 @@ def test_full_muc_track_evicts_last_ranked(kind):
 def muc_state(cache):
     return cache.muc.total_events, [
         (u, e.event_count, e.lookup_count, e.weighted, e.first_at, e.last_at)
-        for u, e in cache.muc.entries.items()
+        for u, e in cache.muc.items()
     ]
 
 
@@ -743,12 +753,12 @@ def test_run_selection_matches_rank_everything_reference(kind, muc_capacity):
                 user = rng.choice(users)
                 now += rng.choice([0, 0, 1, 3, 10])
                 interaction = rng.choice(list(InteractionKind))
-                if user not in cache.muc.entries:
+                if user not in cache.muc:
                     times[user] = []
                 times[user].append(now)
                 for c in pair:
                     c.track(user, interaction, now)
-            for user, entry in cache.muc.entries.items():
+            for user, entry in cache.muc.items():
                 ts = times[user]
                 assert entry.gap == (ts[-1] - ts[0]) / max(len(ts) - 2, 1)
             if rng.random() < 0.3:
@@ -759,7 +769,7 @@ def test_run_selection_matches_rank_everything_reference(kind, muc_capacity):
                 seen["alpha and beta changed"] += 1
             now += rng.choice([0, 1, 50])
 
-            entries, channels = cache.muc.entries, cache.channels
+            entries, channels = cache.muc, cache.channels
             seen["above n" if len(entries) > n else "at most n"] += 1
             seen["channel not tracked"] += any(u not in entries for u in channels)
             seen["empty MUC, live channels"] += not entries and bool(channels)
@@ -799,17 +809,17 @@ def test_stable_until_is_never_on_a_new_cache_and_now_after_every_track(kind):
     not_due_after_a_round = 0
     for _ in range(50):
         cache, _ = make_cache(kind=kind, n=rng.randrange(1, 4))
-        assert cache.stable_until() == math.inf
+        assert cache.stable_until == math.inf
         now = 0
         for _ in range(rng.randrange(1, 30)):
             now += rng.choice([0, 1, 5, 40])
             rounds = rng.choice([0, 0, 1, 2])
             for _ in range(rounds):
                 cache.apply_diff(cache.run_selection(now), now)
-            if rounds and cache.stable_until() > now:
+            if rounds and cache.stable_until > now:
                 not_due_after_a_round += 1
             cache.track(f"p{rng.randrange(6)}", rng.choice(list(InteractionKind)), now)
-            assert cache.stable_until() == 0
+            assert cache.stable_until == 0
     assert not_due_after_a_round > 20
 
 
@@ -835,7 +845,7 @@ def test_stable_until_after_a_round(kind):
             now += rng.choice([0, 1, 10])
             tracked = len(cache.muc)
             cache.apply_diff(cache.run_selection(now), now)
-            until = cache.stable_until()
+            until = cache.stable_until
             if kind is Strategy.TREND:
                 case = "trend, non-empty" if tracked else "trend, empty"
                 assert until <= now if tracked else until == math.inf
@@ -880,12 +890,12 @@ def certificate_cache(n, alpha, beta, friend_weight):
 
 
 def select(cache, now, reference):
-    """Apply a selection round at ``now`` and return ``stable_until()``,
+    """Apply a selection round at ``now`` and return ``stable_until``,
     checked against the cache's ``reference`` (a ``ReferenceCertificate``)
     after every selection of more than ``n`` users."""
     ranked_whole = len(cache.muc) > cache.cfg.n
     cache.apply_diff(cache.run_selection(now), now)
-    until = cache.stable_until()
+    until = cache.stable_until
     if ranked_whole:
         assert until == reference.after_round(cache, now), (now, until)
     return until
@@ -1041,7 +1051,7 @@ def test_certificate_survives_tracks_between_rounds(trigger):
             cert, dirty = cache._cert, cache._dirty
             live = bool(dirty) and cache.muc.total_events <= cert.cap and now < cert.until
             for user in dirty if live else ():
-                entry = cache.muc.entries[user]
+                entry = cache.muc[user]
                 if (user not in cache.channels and not entry.gap
                         and entry.weighted == cert.tie_weight):
                     seen["tie, after the name" if user > cert.tie_user
@@ -1060,7 +1070,7 @@ def test_certificate_survives_tracks_between_rounds(trigger):
             for _ in range(rng.choice([0, 1, 1, 2, 3, 6])):
                 now += rng.choice([0, 0, 1, 2, 5])
                 user = rng.choice(users)
-                entries = cache.muc.entries
+                entries = cache.muc
                 if user not in entries and len(entries) == cache.muc.max_users:
                     seen["channel evicted"] += cache.rank_users(now)[-1] in cache.channels
                 in_track = True
