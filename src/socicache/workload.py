@@ -18,9 +18,11 @@ import enum
 import hashlib
 import random
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress, cycle, islice, repeat
+from math import log, sqrt
+from operator import and_, lshift, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import StorageKey, UserId
@@ -79,6 +81,8 @@ FRIENDREQ = "FRIENDREQ"
 ACTIONS = (POST, LOOKUP, FRIENDREQ)
 POST_CODE, LOOKUP_CODE, FRIENDREQ_CODE = range(len(ACTIONS))
 _CODES = {action: code for code, action in enumerate(ACTIONS)}
+# Lines per chunk of trace-file text: one string to write or hash at a time.
+CHUNK_LINES = 8192
 
 
 class TraceEvent(NamedTuple):
@@ -100,8 +104,8 @@ class Trace:
     ``users`` is every user the trace names (actors, friend-request targets
     and key owners), sorted.
 
-    Iterating a Trace yields TraceEvent values made on demand; ``lines()``
-    formats the same events as trace-file lines without making them.  The
+    Iterating a Trace yields TraceEvent values made on demand; ``chunks()``
+    formats the same events as trace-file text without making them.  The
     columns are read-only, so ``trace_digest`` computes a Trace's digest
     once and keeps it.
     """
@@ -143,15 +147,19 @@ class Trace:
         return map(self._event, self.ticks, self.actors, self.actions,
                    self.target_ids, self.sizes)
 
-    def lines(self) -> Iterator[str]:
-        """Every event as its trace-file line, without the newline."""
+    def chunks(self) -> Iterator[str]:
+        """The trace-file text in chunks of at most ``CHUNK_LINES`` lines,
+        each line ending in a newline."""
         users, targets = self.users, self.targets
-        for at, actor, code, target, size in zip(self.ticks, self.actors, self.actions,
-                                                 self.target_ids, self.sizes):
-            if code == POST_CODE:
-                yield f"{at} {users[actor]} {POST} {targets[target]} {size}"
-            else:
-                yield f"{at} {users[actor]} {ACTIONS[code]} {targets[target]}"
+        for lo in range(0, len(self), CHUNK_LINES):
+            hi = lo + CHUNK_LINES
+            yield "".join([
+                f"{at} {users[actor]} {POST} {targets[target]} {size}\n" if code == POST_CODE
+                else f"{at} {users[actor]} {ACTIONS[code]} {targets[target]}\n"
+                for at, actor, code, target, size in zip(
+                    self.ticks[lo:hi], self.actors[lo:hi], self.actions[lo:hi],
+                    self.target_ids[lo:hi], self.sizes[lo:hi])
+            ])
 
 
 class _TraceBuilder:
@@ -374,47 +382,29 @@ def build_friend_graph(peer_count: int, friends_per_user: int) -> list[list[int]
     return friends
 
 
-def _exponential_times(rng: random.Random, mean_gap: float, duration: int,
-                       start: int = 0) -> Iterable[int]:
-    t = float(start)
+def _stream_ticks(rng: random.Random, mean_gap: float, duration: int) -> list[int]:
+    """Ticks of one event stream up to ``duration``: gaps drawn with the
+    float operations of ``rng.expovariate(1.0 / mean_gap)``, summed in
+    draw order, each sum rounded and lifted to at least 1.  The gaps are
+    drawn in blocks; ``rng`` serves this stream alone, so the draws a block
+    makes past the end change nothing else."""
+    random, lambd = rng.random, 1.0 / mean_gap
+    expected = duration / mean_gap
+    block = int(expected + 3 * sqrt(expected)) + 8  # one block, nearly always
+    ticks: list[int] = []
+    t = 0.0
     while True:
-        t += rng.expovariate(1.0 / mean_gap)
-        tick = round(t)
-        if tick > duration:
-            return
-        yield max(tick, 1)
-
-
-class _TierTable:
-    """Per-peer weighted friend selection over the currently active edges.
-    The choices are rebuilt once per ``draw`` that follows any number of
-    activations."""
-
-    def __init__(self, ordered_friends: list[UserId], weights: list[float]):
-        self.friends = ordered_friends
-        self.base_weights = weights
-        self.active: set[UserId] = set()
-        self._cum: list[float] = []
-        self._choices: list[UserId] | None = []
-
-    def activate(self, friend: UserId) -> None:
-        self.active.add(friend)
-        self._choices = None
-
-    def _rebuild(self) -> None:
-        pairs = [
-            (f, w) for f, w in zip(self.friends, self.base_weights) if f in self.active
-        ]
-        self._choices = [f for f, _ in pairs]
-        self._cum = list(accumulate(w for _, w in pairs))
-
-    def draw(self, rng: random.Random) -> UserId | None:
-        if self._choices is None:
-            self._rebuild()
-        if not self._choices:
-            return None
-        r = rng.random() * self._cum[-1]
-        return self._choices[bisect_left(self._cum, r)]
+        sums = list(accumulate([-log(1.0 - random()) / lambd for _ in range(block)],
+                               initial=t))
+        t = sums[-1]
+        rounded = list(map(round, islice(sums, 1, None)))
+        end = bisect_right(rounded, duration)
+        ticks += rounded[:end]
+        if end < block:
+            break
+    ones = bisect_right(ticks, 0)
+    ticks[:ones] = [1] * ones
+    return ticks
 
 
 def _tier_weights(count: int, sizes: Sequence[int], shares: Sequence[float]) -> list[float]:
@@ -434,6 +424,55 @@ def _tier_weights(count: int, sizes: Sequence[int], shares: Sequence[float]) -> 
             for i in range(lo, hi):
                 weights[i] = per
     return weights
+
+
+def _lookup_targets(times: list[int], friends: list[int], weights: list[float],
+                    active: set[int], pending: list[tuple[int, int]], per_user: int,
+                    rng: random.Random) -> list[int]:
+    """Target ids of one actor's lookups at ``times``.  ``friends`` is in
+    tier order with ``weights``; ``active`` holds the friends active from
+    the start and gains each ``(tick, friend)`` of ``pending`` at its tick.
+    A draw picks an active friend by ``rng.random()`` times their total
+    weight against their running sums, then a key slot by the rule of
+    ``rng.randrange(per_user)``.  One table serves every draw between two
+    activations.  A lookup before any friend is active draws nothing and
+    is dropped; friends only ever become active, so the targets are those
+    of the last lookups."""
+    rand, getrandbits, bits = rng.random, rng.getrandbits, per_user.bit_length()
+    first_keys = [f * per_user for f in friends]
+    drawn: list[int] = []
+    applied = lo = 0
+    while lo < len(times):
+        while applied < len(pending) and pending[applied][0] <= times[lo]:
+            active.add(pending[applied][1])
+            applied += 1
+        hi = bisect_left(times, pending[applied][0]) if applied < len(pending) else len(times)
+        is_active = list(map(active.__contains__, friends))
+        bases = list(compress(first_keys, is_active))
+        if bases:
+            cum = list(accumulate(compress(weights, is_active)))
+            total = cum[-1]
+            for _ in range(hi - lo):
+                base = bases[bisect_left(cum, rand() * total)]
+                slot = getrandbits(bits)
+                while slot >= per_user:
+                    slot = getrandbits(bits)
+                drawn.append(base + slot)
+        lo = hi
+    return drawn
+
+
+def _in_tick_order(ticks: array, actors: array, codes: bytes,
+                   target_ids: array) -> tuple[array, array, bytes, array]:
+    """The columns sorted stably by tick, that is by (tick, index): one
+    sorted list of ``tick << shift | index`` ints, with no index list and
+    no key list of Python ints beside it."""
+    shift = len(ticks).bit_length()
+    packed = sorted(map(or_, map(lshift, ticks, repeat(shift)), range(len(ticks))))
+    order = array("I", map(and_, packed, repeat((1 << shift) - 1)))
+    del packed
+    return (array("q", map(ticks.__getitem__, order)), array("I", map(actors.__getitem__, order)),
+            bytes(map(codes.__getitem__, order)), array("I", map(target_ids.__getitem__, order)))
 
 
 def generate_trace(cfg: ScenarioConfig) -> Trace:
@@ -471,12 +510,11 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
             phase = phases[(idx - initial_count) % len(phases)]
             activation[edge] = phase
 
-    tables: list[_TierTable] = []
-    for i, name in enumerate(names):
-        ordered = list(graph[i])
-        random.Random(f"{cfg.seed}/tiers/{name}").shuffle(ordered)
-        weights = _tier_weights(len(ordered), cfg.tier_sizes, cfg.tier_shares)
-        tables.append(_TierTable(ordered, weights))
+    # Each peer's friends in tier order (its graph row, shuffled); the
+    # graph is regular, so one weight list serves every peer.
+    for row, name in zip(graph, names):
+        random.Random(f"{cfg.seed}/tiers/{name}").shuffle(row)
+    weights = _tier_weights(cfg.friends_per_user, cfg.tier_sizes, cfg.tier_shares)
 
     # The three streams below are appended in priority order into one set
     # of columns, then sorted once by tick.
@@ -486,24 +524,24 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     post_gap = cfg.interaction_gap_ticks()
     for i, name in enumerate(names):
         rng = random.Random(f"{cfg.seed}/posts/{name}")
-        times = [0] * per_user
-        times.extend(_exponential_times(rng, post_gap, duration))
+        times = [0] * per_user + _stream_ticks(rng, post_gap, duration)
         ticks.extend(times)
         actors.extend([i] * len(times))
         first = i * per_user
-        target_ids.extend(first + k % per_user for k in range(len(times)))
+        target_ids.extend(islice(cycle(range(first, first + per_user)), len(times)))
     post_count = len(ticks)
 
     # Friend requests: one event per non-initial edge, jittered after its
     # phase; initial edges are silently active from the start.  An edge
     # becomes a lookup target exactly when its request event fires.
     req_rng = random.Random(f"{cfg.seed}/friendreq")
+    active: list[set[int]] = [set() for _ in names]
     activation_events: list[tuple[int, int, int]] = []
     for edge in sorted(activation):
         at = activation[edge]
         if at == 0:
-            tables[edge[0]].activate(edge[1])
-            tables[edge[1]].activate(edge[0])
+            active[edge[0]].add(edge[1])
+            active[edge[1]].add(edge[0])
             continue
         jitter = req_rng.randrange(0, 60 * TICKS_PER_SECOND)
         when = min(at + jitter, duration)
@@ -526,19 +564,13 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     # actors can go one after the other.
     lookup_gap = cfg.lookup_gap_ticks()
     for i, name in enumerate(names):
-        table, pending, applied = tables[i], activations_of[i], 0
-        times_rng = random.Random(f"{cfg.seed}/lookup-times/{name}")
-        draw_rng = random.Random(f"{cfg.seed}/lookup-draws/{name}")
-        for at in _exponential_times(times_rng, lookup_gap, duration):
-            while applied < len(pending) and pending[applied][0] <= at:
-                table.activate(pending[applied][1])
-                applied += 1
-            friend = table.draw(draw_rng)
-            if friend is None:
-                continue  # no active friends yet; nobody to look up
-            ticks.append(at)
-            actors.append(i)
-            target_ids.append(friend * per_user + draw_rng.randrange(per_user))
+        times = _stream_ticks(random.Random(f"{cfg.seed}/lookup-times/{name}"),
+                              lookup_gap, duration)
+        drawn = _lookup_targets(times, graph[i], weights, active[i], activations_of[i],
+                                per_user, random.Random(f"{cfg.seed}/lookup-draws/{name}"))
+        ticks.extend(times[len(times) - len(drawn):])
+        actors.extend([i] * len(drawn))
+        target_ids.extend(drawn)
 
     count = len(ticks)
     codes = (bytes([POST_CODE]) * post_count + bytes([FRIENDREQ_CODE]) * request_count
@@ -549,14 +581,10 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     # other).  The streams were appended in priority order, and within each
     # stream the append order is already (actor, seq) among equal ticks:
     # posts and lookups go actor by actor in time order, friend requests in
-    # sorted order.  A stable sort by tick alone keeps the append order at
-    # equal ticks, so it yields exactly that order with no tuple per event.
-    order = sorted(range(count), key=ticks.__getitem__)
+    # sorted order.  So the trace's order is (tick, append index).
+    ticks, actors, codes, target_ids = _in_tick_order(ticks, actors, codes, target_ids)
     return Trace(
-        array("q", map(ticks.__getitem__, order)),
-        array("I", map(actors.__getitem__, order)),
-        bytes(map(codes.__getitem__, order)),
-        array("I", map(target_ids.__getitem__, order)),
+        ticks, actors, codes, target_ids,
         array("I", [cfg.payload_bytes]) * count,
         tuple(names),
         tuple(map(str, keys)) + tuple(names),
@@ -565,22 +593,19 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
 
 
 def trace_digest(trace: Trace) -> str:
-    """SHA-256 over the trace's lines.  A Trace keeps its digest, so only
+    """SHA-256 of the trace-file text.  A Trace keeps its digest, so only
     the first call on it reads the events."""
     if trace._digest is None:
         digest = hashlib.sha256()
-        for line in trace.lines():
-            digest.update(line.encode("utf-8"))
-            digest.update(b"\n")
+        for chunk in trace.chunks():
+            digest.update(chunk.encode("utf-8"))
         trace._digest = digest.hexdigest()
     return trace._digest
 
 
 def save_trace(trace: Trace, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for line in trace.lines():
-            handle.write(line)
-            handle.write("\n")
+        handle.writelines(trace.chunks())
 
 
 def load_trace(path) -> Trace:

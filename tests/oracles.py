@@ -8,7 +8,9 @@ from __future__ import annotations
 import copy
 import math
 import random
+from bisect import bisect_left
 from dataclasses import replace
+from itertools import accumulate
 from types import SimpleNamespace
 
 from socicache.model import InteractionKind, UserId
@@ -28,9 +30,6 @@ from socicache.workload import (
     TICKS_PER_SECOND,
     ScenarioConfig,
     TraceEvent,
-    _exponential_times,
-    _TierTable,
-    _tier_weights,
     build_friend_graph,
     peer_names,
 )
@@ -360,6 +359,69 @@ def reference_schedule(event_times: list[int], duration: int, interval: int,
     return order
 
 
+def _reference_exponential_times(rng: random.Random, mean_gap: float, duration: int):
+    """Stream ticks one ``expovariate`` draw at a time: summed gaps,
+    rounded, lifted to at least 1, up to ``duration``."""
+    t = 0.0
+    while True:
+        t += rng.expovariate(1.0 / mean_gap)
+        tick = round(t)
+        if tick > duration:
+            return
+        yield max(tick, 1)
+
+
+class _ReferenceTierTable:
+    """Per-peer weighted friend selection over the currently active edges.
+    The choices are rebuilt once per ``draw`` that follows any number of
+    activations."""
+
+    def __init__(self, ordered_friends: list[UserId], weights: list[float]):
+        self.friends = ordered_friends
+        self.base_weights = weights
+        self.active: set[UserId] = set()
+        self._cum: list[float] = []
+        self._choices: list[UserId] | None = []
+
+    def activate(self, friend: UserId) -> None:
+        self.active.add(friend)
+        self._choices = None
+
+    def _rebuild(self) -> None:
+        pairs = [
+            (f, w) for f, w in zip(self.friends, self.base_weights) if f in self.active
+        ]
+        self._choices = [f for f, _ in pairs]
+        self._cum = list(accumulate(w for _, w in pairs))
+
+    def draw(self, rng: random.Random) -> UserId | None:
+        if self._choices is None:
+            self._rebuild()
+        if not self._choices:
+            return None
+        r = rng.random() * self._cum[-1]
+        return self._choices[bisect_left(self._cum, r)]
+
+
+def _reference_tier_weights(count: int, sizes, shares) -> list[float]:
+    """Per-friend weight for a friend list of ``count`` entries: tier share
+    spread uniformly inside the tier, remaining share over the rest."""
+    bounds = []
+    start = 0
+    for size in sizes:
+        end = min(start + size, count)
+        bounds.append((start, end))
+        start = end
+    bounds.append((start, count))
+    weights = [0.0] * count
+    for (lo, hi), share in zip(bounds, shares):
+        if hi > lo:
+            per = share / (hi - lo)
+            for i in range(lo, hi):
+                weights[i] = per
+    return weights
+
+
 def reference_generate_trace(cfg: ScenarioConfig) -> list[TraceEvent]:
     """The trace generator as first written: every stream pushes
     ``(at, prio, actor, seq, event)`` tuples and one tuple sort orders them.
@@ -395,12 +457,12 @@ def reference_generate_trace(cfg: ScenarioConfig) -> list[TraceEvent]:
             phase = phases[(idx - initial_count) % len(phases)]
             activation[edge] = phase
 
-    tables: dict[UserId, _TierTable] = {}
+    tables: dict[UserId, _ReferenceTierTable] = {}
     for i, name in enumerate(names):
         ordered = [names[j] for j in graph[i]]
         random.Random(f"{cfg.seed}/tiers/{name}").shuffle(ordered)
-        weights = _tier_weights(len(ordered), cfg.tier_sizes, cfg.tier_shares)
-        tables[name] = _TierTable(ordered, weights)
+        weights = _reference_tier_weights(len(ordered), cfg.tier_sizes, cfg.tier_shares)
+        tables[name] = _ReferenceTierTable(ordered, weights)
 
     events: list[tuple[int, int, UserId, int, TraceEvent]] = []
 
@@ -438,7 +500,7 @@ def reference_generate_trace(cfg: ScenarioConfig) -> list[TraceEvent]:
             push(0, 0, name, seq, TraceEvent(0, name, POST, key, cfg.payload_bytes))
         rng = random.Random(f"{cfg.seed}/posts/{name}")
         slot = 0
-        for seq, at in enumerate(_exponential_times(rng, post_gap, duration)):
+        for seq, at in enumerate(_reference_exponential_times(rng, post_gap, duration)):
             push(at, 0, name, seq + cfg.keys_per_user,
                  TraceEvent(at, name, POST, keys[slot], cfg.payload_bytes))
             slot = (slot + 1) % cfg.keys_per_user
@@ -448,7 +510,7 @@ def reference_generate_trace(cfg: ScenarioConfig) -> list[TraceEvent]:
     per_peer_lookups: dict[UserId, list[int]] = {}
     for name in names:
         rng = random.Random(f"{cfg.seed}/lookup-times/{name}")
-        per_peer_lookups[name] = list(_exponential_times(rng, lookup_gap, duration))
+        per_peer_lookups[name] = list(_reference_exponential_times(rng, lookup_gap, duration))
     draw_rngs = {name: random.Random(f"{cfg.seed}/lookup-draws/{name}") for name in names}
     keys_of = dict(zip(names, keyspace))
     merged: list[tuple[int, UserId]] = sorted(

@@ -1,6 +1,7 @@
 import hashlib
 import statistics
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from socicache.model import InteractionKind
 from socicache.sim import Simulation
 from socicache.social_cache import Strategy
 from socicache.workload import (
+    CHUNK_LINES,
     FRIENDREQ,
     LOOKUP,
     POST,
@@ -94,7 +96,7 @@ def test_generation_is_deterministic():
     a = generate_trace(cfg)
     b = generate_trace(cfg)
     assert trace_digest(a) == trace_digest(b)
-    assert list(a.lines()) == list(b.lines())
+    assert list(a.chunks()) == list(b.chunks())
 
 
 def test_different_seeds_differ():
@@ -273,7 +275,7 @@ def test_trace_file_round_trip(tmp_path):
     path = tmp_path / "trace.txt"
     save_trace(trace, path)
     loaded = load_trace(path)
-    assert list(loaded.lines()) == list(trace.lines())
+    assert list(loaded.chunks()) == list(trace.chunks())
 
 
 def test_load_well_formed_lines(tmp_path):
@@ -369,7 +371,7 @@ EVENTS = [
 
 def event_line(ev: TraceEvent) -> str:
     """The trace-file line of ``ev``, written out independently of
-    ``Trace.lines()``."""
+    ``Trace.chunks()``."""
     if ev.payload_size is None:
         return f"{ev.at} {ev.actor} {ev.action} {ev.target}"
     return f"{ev.at} {ev.actor} {ev.action} {ev.target} {ev.payload_size}"
@@ -380,7 +382,7 @@ def test_trace_sequence_matches_its_events():
     n = len(EVENTS)
     assert len(trace) == n
     assert list(trace) == EVENTS
-    assert list(trace.lines()) == [event_line(ev) for ev in EVENTS]
+    assert "".join(trace.chunks()) == "".join(event_line(ev) + "\n" for ev in EVENTS)
 
 
 def test_trace_users_follow_actor_target_and_owner_rule():
@@ -402,11 +404,23 @@ def test_trace_digest_is_sha256_of_lines():
     assert trace_digest(Trace.from_events(EVENTS)) == want.hexdigest()
 
 
+def test_trace_digest_is_sha256_of_the_saved_file_across_chunks(tmp_path):
+    trace = generate_trace(ScenarioConfig(peer_count=4, friends_per_user=2))
+    assert len(trace) > 3 * CHUNK_LINES and len(trace) % CHUNK_LINES
+    exact = Trace.from_events(islice(trace, 2 * CHUNK_LINES))
+    assert len(exact) == 2 * CHUNK_LINES
+    for case in (trace, exact, Trace.from_events([])):
+        path = tmp_path / "trace.txt"
+        save_trace(case, path)
+        assert trace_digest(case) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert trace_digest(Trace.from_events([])) == hashlib.sha256(b"").hexdigest()
+
+
 def test_second_simulation_reuses_the_trace_digest(monkeypatch):
     trace = Trace.from_events(EVENTS)
     reads = []
-    lines = Trace.lines
-    monkeypatch.setattr(Trace, "lines", lambda self: reads.append(self) or lines(self))
+    chunks = Trace.chunks
+    monkeypatch.setattr(Trace, "chunks", lambda self: reads.append(self) or chunks(self))
     cfg = ScenarioConfig(sim_duration_ticks=20)
     first = Simulation(cfg, trace).run()
     second = Simulation(cfg, trace).run()
@@ -425,15 +439,20 @@ def test_trace_columns_are_read_only():
 def test_generated_trace_retains_few_bytes_per_event():
     # The columns take 21 bytes per event (tick 8, actor, target and
     # payload size 4 each, action 1) plus array slack; an object per event
-    # would take several times that.
+    # would take several times that.  While generating, the unsorted
+    # columns, the order and one sorted list of packed ints (about 40 bytes
+    # per event) are alive at once: about 66 bytes per event, where a sort
+    # with an index list and a key list peaked near 105.
     cfg = ScenarioConfig(peer_count=16, friends_per_user=6, lookups_per_interaction=400.0,
                          new_experiment_time_days=0.25)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         trace = generate_trace(cfg)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert len(trace) > 100_000
     assert retained / len(trace) <= 32
+    assert peak / len(trace) <= 80
