@@ -27,6 +27,8 @@ class CurrentCache:
     entries sit at the end, the LRU victim at the front.
     """
 
+    __slots__ = ("capacity", "ttl", "entries")
+
     def __init__(self, capacity: int = 1000, ttl: SimTime = 60_000):
         if capacity < 1:
             raise ValueError("capacity must be positive")

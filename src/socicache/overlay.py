@@ -80,7 +80,7 @@ class MessageEnvelope(NamedTuple):
     sent_at: SimTime
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageDispatcher:
     """Delivers envelopes to registered users immediately: the recipient's
     handler runs in the same event-loop step, so delivery takes no

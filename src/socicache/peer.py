@@ -34,6 +34,8 @@ class Peer:
     recipient, and ``send_friend_request`` builds its own.  Inbound
     envelopes arrive at ``on_envelope``."""
 
+    __slots__ = ("user", "dht", "dispatcher", "ledger", "current", "social")
+
     def __init__(
         self,
         user: UserId,

@@ -14,7 +14,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .metrics import MetricsLedger
 from .model import ContentObject, InteractionKind, SimTime, StorageKey, UserId
@@ -163,8 +163,7 @@ class MucList(dict):
         self.total_events = 0
 
 
-@dataclass(frozen=True, slots=True)
-class SubscriptionDiff:
+class SubscriptionDiff(NamedTuple):
     to_subscribe: tuple[UserId, ...]
     to_unsubscribe: tuple[UserId, ...]
 
@@ -223,6 +222,10 @@ class SocialCache:
 
     A selection round asks ``stable_until`` whether it can change anything.
     """
+
+    __slots__ = ("owner", "cfg", "dispatch", "ledger", "bootstrapping", "muc", "_weight_of",
+                 "channels", "receivers", "store", "store_items", "own", "_seed", "_rng",
+                 "_lookups_since_selection", "stable_until", "_cert", "_dirty")
 
     def __init__(
         self,
@@ -593,15 +596,16 @@ class SocialCache:
         the channel cap."""
         if diff.empty:
             return
-        dropped = sum(1 for u in diff.to_unsubscribe if u in self.channels)
-        added = sum(1 for u in diff.to_subscribe if u not in self.channels)
-        if len(self.channels) - dropped + added > self.cfg.n:
+        channels = self.channels
+        dropped = len([u for u in diff.to_unsubscribe if u in channels])
+        added = len([u for u in diff.to_subscribe if u not in channels])
+        if len(channels) - dropped + added > self.cfg.n:
             raise CapExceededError("diff would exceed the channel limit")
         for user in diff.to_unsubscribe:
-            if user in self.channels:
+            if user in channels:
                 self._unsubscribe(user, now)
         for user in diff.to_subscribe:
-            if user not in self.channels:
+            if user not in channels:
                 self._subscribe(user, now)
 
     def _subscribe(self, user: UserId, now: SimTime) -> None:
@@ -630,10 +634,9 @@ class SocialCache:
             return
         self.receivers[subscriber] = None
         if self.bootstrapping:
-            snapshot = tuple(self.own.values())
             self.ledger.bootstrap_dumps += 1
             self.dispatch(
-                MessageEnvelope(self.owner, _BOOTSTRAP_DUMP, snapshot, now),
+                MessageEnvelope(self.owner, _BOOTSTRAP_DUMP, self.own.copy(), now),
                 subscriber,
             )
 
@@ -654,25 +657,20 @@ class SocialCache:
         section[key] = content
         return True
 
-    def on_bootstrap(self, sender: UserId, items: Sequence[ContentObject]) -> int:
-        """Insert a bootstrap dump, never replacing a newer stored version;
-        returns the number of items accepted.
-
-        A dump of distinct keys from a user with no section is taken whole:
-        every item is accepted.  Any other dump, into a non-empty section or
-        with a repeated key, goes through the per-item rule."""
+    def on_bootstrap(self, sender: UserId, items: dict[StorageKey, ContentObject]) -> int:
+        """Insert a bootstrap dump (a fresh key -> object dict), never
+        replacing a newer stored version; returns the number of items
+        accepted.  A dump from a user with no section becomes that section
+        whole; one into a section goes through the per-item rule."""
         if sender not in self.channels or not items:
             return 0
         section = self.store.get(sender)
         if section is None:
-            section = {content.key: content for content in items}
-            if len(section) == len(items):
-                self.store[sender] = section
-                self.store_items += len(section)
-                return len(section)
-            section = self.store[sender] = {}
+            self.store[sender] = items
+            self.store_items += len(items)
+            return len(items)
         accepted = 0
-        for content in items:
+        for content in items.values():
             existing = section.get(content.key)
             if existing is None:
                 self.store_items += 1

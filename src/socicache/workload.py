@@ -495,11 +495,11 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     keys = [StorageKey(name, f"wall/{slot}") for name in names for slot in range(per_user)]
     user_targets = len(keys)
 
-    # Friendship phases: a deterministic shuffle splits edges into the
-    # initially active set and one batch per configured phase time.
-    edges = sorted((i, j) for i, row in enumerate(graph) for j in row if i < j)
-    phase_rng = random.Random(f"{cfg.seed}/phases")
-    phase_rng.shuffle(edges)
+    # Friendship phases: a deterministic shuffle splits the sorted edges
+    # into the initially active set and one batch per configured phase time.
+    ordered = sorted((i, j) for i, row in enumerate(graph) for j in row if i < j)
+    edges = ordered.copy()
+    random.Random(f"{cfg.seed}/phases").shuffle(edges)
     initial_count = round(len(edges) * cfg.initial_friend_fraction)
     phases = sorted(cfg.phases)
     activation: dict[tuple[int, int], int] = {}
@@ -537,7 +537,7 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     req_rng = random.Random(f"{cfg.seed}/friendreq")
     active: list[set[int]] = [set() for _ in names]
     activation_events: list[tuple[int, int, int]] = []
-    for edge in sorted(activation):
+    for edge in ordered:
         at = activation[edge]
         if at == 0:
             active[edge[0]].add(edge[1])

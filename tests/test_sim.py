@@ -1,3 +1,4 @@
+import gc
 import io
 import random
 from collections import Counter
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from oracles import reference_schedule, reference_selection_round
 from socicache.metrics import METRICS_COLUMNS, write_rows
 from socicache.model import InteractionKind
+from socicache.peer import Peer
 from socicache.sim import Simulation
-from socicache.social_cache import SelectionTrigger, Strategy, StrategyConfig
+from socicache.social_cache import SelectionTrigger, SocialCache, Strategy, StrategyConfig
 from socicache.workload import (
     FRIENDREQ,
     LOOKUP,
@@ -19,6 +21,7 @@ from socicache.workload import (
     ScenarioConfig,
     Trace,
     TraceEvent,
+    generate_trace,
 )
 
 TIME_TRIGGER = SelectionTrigger.TIME_BASED
@@ -127,13 +130,11 @@ def replay_rounds(cfg: ScenarioConfig, trace: list[TraceEvent], *, reference: bo
     skipped: Counter = Counter()
     evaluated: set[str] = set()
 
-    def counted(social):
-        run_selection = social.run_selection
+    run_selection = SocialCache.run_selection
 
-        def run(now):
-            evaluated.add(social.owner)
-            return run_selection(now)
-        return run
+    def counted(social, now):
+        evaluated.add(social.owner)
+        return run_selection(social, now)
 
     def own_round(now, run_round=sim._run_selection_round):
         above_n = {s.owner for s in sim._socials if len(s.muc) > cfg.strategy.n}
@@ -151,10 +152,14 @@ def replay_rounds(cfg: ScenarioConfig, trace: list[TraceEvent], *, reference: bo
             own_round(now)
         rounds.append((now, peer_states(sim)))
 
-    for social in sim._socials:
-        social.run_selection = counted(social)
+    # ``SocialCache`` has slots, so the count is patched on the class and
+    # restored after the run.
+    SocialCache.run_selection = counted
     sim._run_selection_round = on_round
-    result = sim.run()
+    try:
+        result = sim.run()
+    finally:
+        SocialCache.run_selection = run_selection
     handle = io.StringIO()
     ledger = result.ledger
     write_rows(handle, METRICS_COLUMNS, zip(ledger.sample_times, *ledger.series.values()))
@@ -249,3 +254,73 @@ def test_round_at_an_exact_crossing_is_not_skipped():
     channels = {now: next(s[1] for s in states if s[0] == "me") for now, states in want_rounds}
     assert channels[24] == ["p3"] and channels[26] == ["p1"]
     assert skips["social_score, above n"] == 7
+
+
+def small_run_config(kind: Strategy, setup: CacheSetup, trigger: SelectionTrigger = TIME_TRIGGER,
+                     bootstrapping: bool = True) -> ScenarioConfig:
+    """Twelve peers for ten simulated minutes, with a friend-request phase,
+    bootstrap dumps (unless switched off) and selection rounds."""
+    return ScenarioConfig(
+        peer_count=12,
+        friends_per_user=4,
+        sim_duration_ticks=600_000,
+        lookups_per_interaction=50,
+        cache_setup=setup,
+        strategy=StrategyConfig(kind=kind, n=3, m=20, update_interval=20_000, trigger=trigger),
+        bootstrapping=bootstrapping,
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, setup, trigger, bootstrapping",
+    [(kind, CacheSetup.SOCIAL_ONLY, TIME_TRIGGER, True) for kind in Strategy]
+    + [(SOCIAL, setup, TIME_TRIGGER, True)
+       for setup in (CacheSetup.NONE, CacheSetup.CURRENT_ONLY, CacheSetup.BOTH)]
+    + [(kind, CacheSetup.BOTH, COUNT_TRIGGER, True) for kind in Strategy]
+    + [(SOCIAL, setup, trigger, False)
+       for setup in (CacheSetup.SOCIAL_ONLY, CacheSetup.BOTH)
+       for trigger in (TIME_TRIGGER, COUNT_TRIGGER)])
+def test_run_leaves_no_cyclic_garbage(kind, setup, trigger, bootstrapping):
+    """The premise of pausing the collector in ``Simulation.run``: a run
+    makes no reference cycles, so a collection right after it frees
+    nothing while the result is kept.  Lookup-count runs select inside
+    ``track``'s frame, so they are checked as well as time-based ones."""
+    cfg = small_run_config(kind, setup, trigger, bootstrapping)
+    trace = generate_trace(cfg)
+    gc.collect()
+    result = Simulation(cfg, trace).run()
+    assert gc.collect() == 0
+    assert result.counters.total_requests > 0
+    if setup.social_enabled:
+        assert result.counters.subscriptions_sent > 0
+        assert (result.counters.bootstrap_dumps > 0) == bootstrapping
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("fails", [False, True])
+def test_run_restores_the_collector_state(enabled, fails, monkeypatch):
+    """The collector is paused while the run's events are applied and left
+    as it was found afterwards, also when a handler raises."""
+    cfg = small_run_config(SOCIAL, CacheSetup.BOTH)
+    sim = Simulation(cfg, generate_trace(cfg))
+    during = []
+    handle_request = Peer.handle_request
+
+    def observed(peer, key, now):
+        during.append(gc.isenabled())
+        if fails:
+            raise RuntimeError("handler failed")
+        return handle_request(peer, key, now)
+
+    monkeypatch.setattr(Peer, "handle_request", observed)
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if fails:
+            with pytest.raises(RuntimeError, match="handler failed"):
+                sim.run()
+        else:
+            sim.run()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert during and not any(during)

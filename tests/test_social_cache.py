@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,11 @@ def make_cache(owner="me", router=None, **cfg_kwargs):
 
 def obj(owner, path, version=1):
     return ContentObject(StorageKey(owner, path), version, b"data", owner, 0)
+
+
+def dump(*items):
+    """A bootstrap dump of ``items``, as ``on_subscribe_received`` sends it."""
+    return {content.key: content for content in items}
 
 
 # -- MUC list -----------------------------------------------------------------
@@ -453,7 +459,7 @@ _store_ops = st.lists(
         st.tuples(st.just("store"), st.sampled_from("uv"), st.sampled_from("xyz"),
                   st.integers(1, 4)),
         st.tuples(st.just("merge"), st.sampled_from("uv"),
-                  st.lists(st.tuples(st.sampled_from("xyz"), st.integers(1, 4)), max_size=5)),
+                  st.dictionaries(st.sampled_from("xyz"), st.integers(1, 4), max_size=5)),
         st.tuples(st.just("purge"), st.sampled_from("uv")),
     ),
     max_size=30,
@@ -485,13 +491,14 @@ def test_store_merge_follows_per_item_rule(ops):
             before = {k.path: c.version for k, c in store.get(user, {}).items()}
             section = dict(want.get(user, {}))
             accepted = 0
-            for path, version in op[2]:
+            for path, version in op[2].items():
                 if path not in section or version >= section[path]:
                     section[path] = version
                     accepted += 1
             if section:
                 want[user] = section
-            assert cache.on_bootstrap(user, [obj(user, p, v) for p, v in op[2]]) == accepted
+            items = dump(*[obj(user, p, v) for p, v in op[2].items()])
+            assert cache.on_bootstrap(user, items) == accepted
             after = {k.path: c.version for k, c in store.get(user, {}).items()}
             assert all(after[path] >= version for path, version in before.items())
         got = {
@@ -543,11 +550,11 @@ def test_update_from_non_subscribed_user_ignored():
 def test_update_wins_over_bootstrap_for_same_key():
     cache, _ = make_cache("me")
     cache.channels.add("them")
-    cache.on_bootstrap("them", (obj("them", "wall/0", version=1),))
+    cache.on_bootstrap("them", dump(obj("them", "wall/0", version=1)))
     cache.on_social_update("them", obj("them", "wall/0", version=2))
     assert cache.lookup(StorageKey("them", "wall/0")).version == 2
     # a stale dump never clobbers the newer pushed version
-    cache.on_bootstrap("them", (obj("them", "wall/0", version=1),))
+    cache.on_bootstrap("them", dump(obj("them", "wall/0", version=1)))
     assert cache.lookup(StorageKey("them", "wall/0")).version == 2
 
 
@@ -1025,6 +1032,17 @@ def test_degenerate_rankings_record_no_window():
     assert assert_selection_stable_below(cache, 5, math.inf, horizon=1_000) == 999
 
 
+class _CheckedCache(SocialCache):
+    """A social cache whose ``run_selection``, also the one ``track`` runs,
+    goes through ``check``: ``SocialCache`` has slots, so an instance
+    attribute cannot replace the method."""
+
+    __slots__ = ("check",)
+
+    def run_selection(self, now):
+        return self.check(now)
+
+
 @pytest.mark.parametrize("trigger", list(SelectionTrigger))
 def test_certificate_survives_tracks_between_rounds(trigger):
     """Random histories with tracks between rounds, every round checked
@@ -1041,9 +1059,9 @@ def test_certificate_survives_tracks_between_rounds(trigger):
         cfg = StrategyConfig(kind=Strategy.SOCIAL_SCORE, n=n, m=n + rng.randrange(1, 4),
                              trigger=trigger, alpha=alpha, beta=beta,
                              interaction_weights={LOOKUP: 1.0, FRIEND: rng.choice([0.5, 1.0, 2.0])})
-        cache = SocialCache("me", cfg, lambda *_: None,
-                            muc_capacity=rng.choice([n + 1, n + 3, DUNBAR_MUC_LIMIT]))
-        run_selection = cache.run_selection
+        cache = _CheckedCache("me", cfg, lambda *_: None,
+                              muc_capacity=rng.choice([n + 1, n + 3, DUNBAR_MUC_LIMIT]))
+        run_selection = partial(SocialCache.run_selection, cache)
         in_track = False
 
         def checked(now):
@@ -1063,7 +1081,7 @@ def test_certificate_survives_tracks_between_rounds(trigger):
             seen["lookup-count round"] += in_track
             return diff
 
-        cache.run_selection = checked
+        cache.check = checked
         users = [f"p{i}" for i in range(rng.randrange(n + 1, n + 8))]
         now = 0
         for _ in range(rng.randrange(3, 12)):
