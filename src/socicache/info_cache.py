@@ -1,17 +1,15 @@
 """Per-peer "current" cache: fixed-validity entries evicted least recently
-used first, plus the tier names a lookup can be answered from."""
+used first, plus the tier names a lookup can be answered from.
+
+The cache is a plain dict whose insertion order is the recency order:
+a hit pops its entry and re-inserts it at the end, so the LRU victim is
+the first key.  Entries are plain ``(content, inserted_at)`` tuples.
+"""
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
-from typing import NamedTuple
 
 from .model import ContentObject, SimTime, StorageKey
-
-
-class CacheEntry(NamedTuple):
-    content: ContentObject
-    inserted_at: SimTime
 
 
 class LookupSource(enum.Enum):
@@ -23,7 +21,7 @@ class LookupSource(enum.Enum):
 class CurrentCache:
     """Bounded cache with per-entry time-to-live and LRU replacement.
 
-    The recency order lives in the OrderedDict itself: most recently used
+    The recency order is the dict's insertion order: most recently used
     entries sit at the end, the LRU victim at the front.
     """
 
@@ -36,36 +34,35 @@ class CurrentCache:
             raise ValueError("ttl must be positive")
         self.capacity = capacity
         self.ttl = ttl
-        self.entries: OrderedDict[StorageKey, CacheEntry] = OrderedDict()
+        self.entries: dict[StorageKey, tuple[ContentObject, SimTime]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def lookup(self, key: StorageKey, now: SimTime) -> ContentObject | None:
-        entry = self.entries.get(key)
+        entries = self.entries
+        entry = entries.pop(key, None)
         if entry is None:
             return None
-        if now - entry.inserted_at >= self.ttl:
+        if now - entry[1] >= self.ttl:
             # Validity is exclusive: an entry of age == ttl is expired;
-            # expired entries are dropped on access and count as misses.
-            del self.entries[key]
+            # expired entries stay dropped and count as misses.
             return None
-        self.entries.move_to_end(key)
-        return entry.content
+        entries[key] = entry
+        return entry[0]
 
     def insert(self, content: ContentObject, now: SimTime) -> StorageKey | None:
         """Store content, returning the evicted key if capacity was hit.
 
-        Re-inserting a present key replaces it in place (fresh validity,
-        most-recent position) and never evicts.
+        Re-inserting a present key replaces it (fresh validity,
+        most-recent position); the size does not grow, so it never evicts.
         """
         key = content.key
-        if key in self.entries:
-            self.entries[key] = CacheEntry(content, now)
-            self.entries.move_to_end(key)
-            return None
-        self.entries[key] = CacheEntry(content, now)
-        if len(self.entries) > self.capacity:
-            victim, _ = self.entries.popitem(last=False)
+        entries = self.entries
+        entries.pop(key, None)
+        entries[key] = (content, now)
+        if len(entries) > self.capacity:
+            victim = next(iter(entries))
+            del entries[victim]
             return victim
         return None

@@ -7,6 +7,7 @@ quiescent between events.
 from __future__ import annotations
 
 import gc
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 from .info_cache import CurrentCache
@@ -183,13 +184,14 @@ class Simulation:
         ticks, actors, actions = trace.ticks, trace.actors, trace.actions
         target_ids, sizes, resolved = trace.target_ids, trace.sizes, trace.resolved
         actor_peers = self._actor_peers
-        i, n = 0, len(trace)
+        i = 0
         while True:
-            limit = min(next_selection, next_sample, duration)
-            while i < n and (at := ticks[i]) <= limit:
-                apply_event(at, actor_peers[actors[i]], actions[i], resolved[target_ids[i]],
-                            sizes[i])
-                i += 1
+            # Ticks never decrease, so a segment's events are a column slice.
+            j = bisect_right(ticks, min(next_selection, next_sample, duration), i)
+            for at, actor, action, target_id, size in zip(
+                    ticks[i:j], actors[i:j], actions[i:j], target_ids[i:j], sizes[i:j]):
+                apply_event(at, actor_peers[actor], action, resolved[target_id], size)
+            i = j
             if next_selection <= next_sample:
                 if next_selection == end:
                     break

@@ -59,7 +59,7 @@ def test_reinsert_replaces_without_eviction():
     cache.insert(obj("a", version=1), 0)
     cache.insert(obj("b"), 1)
     assert cache.insert(obj("a", version=2), 2) is None
-    assert cache.entries[StorageKey("u", "a")].content.version == 2
+    assert cache.entries[StorageKey("u", "a")][0].version == 2
     assert len(cache) == 2
 
 
@@ -114,21 +114,39 @@ def test_ttl_safety_no_stale_hits(ops, capacity):
                 assert now - inserted_at[key] < ttl
 
 
-def test_randomized_sequence_matches_reference_cache():
-    rng = random.Random("lru-ttl-oracle")
-    cache = CurrentCache(capacity=8, ttl=25)
-    ref = ReferenceLruTtlCache(capacity=8, ttl=25)
+def replay_against_reference(seed, capacity, ttl, keys):
+    """Replay random operations on the cache and on the reference, checking
+    the result, a hit's version and the recency order after every step.
+    Returns the number of evictions and of expired lookups seen."""
+    rng = random.Random(seed)
+    cache = CurrentCache(capacity=capacity, ttl=ttl)
+    ref = ReferenceLruTtlCache(capacity=capacity, ttl=ttl)
+    evictions = expiries = 0
     now = 0
     for step in range(10_000):
         now += rng.randrange(0, 4)
-        path = f"k{rng.randrange(20)}"
+        path = f"k{rng.randrange(keys)}"
         key = StorageKey("u", path)
         if rng.random() < 0.5:
             version = step + 1
             got = cache.insert(obj(path, version), now)
             want = ref.insert(path, version, now)
-            assert (got.path if got else None) == want
+            assert (got.path if got else None) == want, f"step {step}"
+            evictions += want is not None
         else:
+            held = key in cache.entries
             got = cache.lookup(key, now)
             want = ref.lookup(path, now)
-            assert (got is not None) == (want is not None)
+            assert (got.version if got is not None else None) == want, f"step {step}"
+            expiries += held and want is None
+        assert [k.path for k in cache.entries] == [k for k, _, _ in ref.items], f"step {step}"
+    return evictions, expiries
+
+
+def test_randomized_sequence_matches_reference_cache():
+    replay_against_reference("lru-ttl-oracle", capacity=8, ttl=25, keys=20)
+
+
+def test_small_cache_interleaves_eviction_and_expiry():
+    evictions, expiries = replay_against_reference("lru-ttl-small", capacity=2, ttl=3, keys=5)
+    assert evictions > 500 and expiries > 500
