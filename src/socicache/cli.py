@@ -143,12 +143,26 @@ def apply_setting(cfg: ScenarioConfig, key: str, value: str) -> None:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
+def _first_bad_bytes(path: Path) -> tuple[int, str]:
+    """The 1-based line of the first bytes of ``path`` that are not UTF-8,
+    and why, for a file that failed to decode."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1, exc.reason
+    raise ConfigError(f"{path} changed while it was read")
+
+
 def parse_config_file(path: Path) -> list[tuple[str, str]]:
     items: list[tuple[str, str]] = []
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        line_no, reason = _first_bad_bytes(path)
+        raise ConfigError(f"{path}:{line_no}: not UTF-8 ({reason})") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -244,7 +258,13 @@ def _load_optional_trace(args: argparse.Namespace, cfg: ScenarioConfig) -> Trace
     its duration, so a trace that runs past it is rejected, not cut."""
     if args.trace is None:
         return None
-    trace = load_trace(args.trace)
+    try:
+        trace = load_trace(args.trace)
+    except OSError as exc:
+        raise ConfigError(f"cannot read trace file {args.trace}: {exc}") from exc
+    except UnicodeDecodeError:
+        line_no, reason = _first_bad_bytes(args.trace)
+        raise TraceFormatError(line_no, f"{args.trace} is not UTF-8 ({reason})") from None
     if len(trace) and trace.ticks[-1] > cfg.duration:
         raise ConfigError(f"trace {args.trace} runs to tick {trace.ticks[-1]}, past "
                           f"sim_duration_ticks={cfg.duration}")

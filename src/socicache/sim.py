@@ -136,11 +136,8 @@ class Simulation:
         skipped before its ``stable_until`` tick, where its selection
         provably changes nothing."""
         for social in self._socials:
-            if now < social.stable_until:
-                continue
-            diff = social.run_selection(now)
-            if diff.to_subscribe or diff.to_unsubscribe:
-                social.apply_diff(diff, now)
+            if now >= social.stable_until:
+                social.run_selection(now)
 
     def _sample(self, now: SimTime) -> None:
         counters = self.counters()

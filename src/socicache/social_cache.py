@@ -167,45 +167,9 @@ class SubscriptionDiff(NamedTuple):
     to_subscribe: tuple[UserId, ...]
     to_unsubscribe: tuple[UserId, ...]
 
-    @property
-    def empty(self) -> bool:
-        return not self.to_subscribe and not self.to_unsubscribe
-
 
 # The diff of every selection that changes nothing; the value is immutable.
 NO_CHANGE = SubscriptionDiff((), ())
-
-
-class SubscriptionSet(dict):
-    """Insertion-ordered set of subscribed channels, capped at ``limit``.
-
-    The keys are the channels, so membership, size and iteration are the
-    dict's own."""
-
-    __slots__ = ("owner", "limit")
-
-    def __init__(self, owner: UserId, limit: int = DEFAULT_CHANNEL_LIMIT):
-        super().__init__()
-        self.owner = owner
-        self.limit = limit
-
-    def at(self, index: int) -> UserId:
-        for i, user in enumerate(self):
-            if i == index:
-                return user
-        raise IndexError(index)
-
-    def add(self, user: UserId) -> None:
-        if user == self.owner:
-            raise ValueError("a peer never subscribes to itself")
-        if user in self:
-            return
-        if len(self) >= self.limit:
-            raise CapExceededError(f"channel limit {self.limit} reached")
-        self[user] = None
-
-    def remove(self, user: UserId) -> None:
-        self.pop(user, None)
 
 
 class SocialCache:
@@ -215,10 +179,12 @@ class SocialCache:
     recipient)`` callable.  Each send builds one envelope and dispatches it
     to its recipients: one for subscription traffic, every receiver for a
     publish.  The owning peer routes incoming envelopes to the ``on_*``
-    handlers.  ``own`` holds the latest version of every item the peer
-    itself published; ``store`` the latest pushed or dumped version of each
-    subscribed user's items (user -> key -> object), ``store_items`` in
-    all.
+    handlers.  ``channels`` holds the subscribed users in subscription
+    order, at most ``cfg.n``; only ``_subscribe`` and ``_unsubscribe``
+    change it, called from ``track`` and ``run_selection``.  ``own`` holds
+    the latest version of every item the peer itself published; ``store``
+    the latest pushed or dumped version of each subscribed user's items
+    (user -> key -> object), ``store_items`` in all.
 
     A selection round asks ``stable_until`` whether it can change anything.
     """
@@ -250,7 +216,7 @@ class SocialCache:
         # Python-level call.  Kinds missing from the config weigh 1.0.
         weights = cfg.interaction_weights
         self._weight_of = {kind._value_: weights.get(kind, 1.0) for kind in InteractionKind}
-        self.channels = SubscriptionSet(owner, cfg.n)
+        self.channels: dict[UserId, None] = {}
         # Users subscribed to this peer's update channel, in subscription order.
         self.receivers: dict[UserId, None] = {}
         self.store: dict[UserId, dict[StorageKey, ContentObject]] = {}
@@ -262,12 +228,11 @@ class SocialCache:
         self._rng: random.Random | None = None
         self._lookups_since_selection = 0
         # The first tick at which ``run_selection`` may change anything,
-        # provided nothing is tracked until then, the diff of the last
-        # selection was applied and alpha and beta stay as they are;
-        # ``math.inf`` if never.  A selection round skips the peer before
-        # it.  Set here (never: empty MUC list and channels), by ``track``
-        # (due now, 0) and by ``run_selection``, which ``track`` also runs
-        # under the lookup-count trigger.
+        # provided nothing is tracked until then and alpha and beta stay as
+        # they are; ``math.inf`` if never.  A selection round skips the peer
+        # before it.  Set here (never: empty MUC list and channels), by
+        # ``track`` (due now, 0) and by ``run_selection``, which ``track``
+        # also runs under the lookup-count trigger.
         self.stable_until: float = math.inf
         # The certificate ``_certify`` made (see ``run_selection``) and the
         # users tracked since; None while there is no certificate.
@@ -364,18 +329,19 @@ class SocialCache:
             self._lookups_since_selection += 1
             if self._lookups_since_selection >= cfg.m:
                 self._lookups_since_selection = 0
-                self.apply_diff(self.run_selection(now), now)
+                self.run_selection(now)
 
     def _random_replace(self, user: UserId, now: SimTime) -> None:
         """Subscribe a newly seen user, randomly displacing a channel when
         full; the displaced user is also dropped from the MUC list."""
-        if len(self.channels) < self.cfg.n:
+        channels = self.channels
+        if len(channels) < self.cfg.n:
             self._subscribe(user, now)
             return
         rng = self._rng
         if rng is None:
             rng = self._rng = random.Random(f"{self._seed}/strategy/{self.owner}")
-        victim = self.channels.at(rng.randrange(len(self.channels)))
+        victim = list(channels)[rng.randrange(len(channels))]
         self._unsubscribe(victim, now)
         self.muc.remove(victim)
         self._subscribe(user, now)
@@ -383,13 +349,16 @@ class SocialCache:
     # -- interval selection ------------------------------------------------
 
     def run_selection(self, now: SimTime) -> SubscriptionDiff:
-        """Pick the next channel set and diff it against the current one.
+        """Pick the next channel set, send the changes to it and return
+        them as a diff: first every unsubscribe, then every subscribe in
+        ``to_subscribe`` order, each answered by a bootstrap dump when the
+        sender bootstraps.
 
         The top ``n`` ranked users are selected, so a MUC list of at most
         ``n`` users is selected whole and only its unsubscribed users need
         ranking, for the order of ``to_subscribe``.  Trend clears the MUC
         list afterwards; social score keeps it.  The random strategy acts
-        per lookup instead and returns an empty diff.
+        per lookup instead and changes nothing here.
 
         A social-score selection of more than ``n`` users first re-checks
         only the users tracked since the last certificate (``_certify``):
@@ -398,8 +367,7 @@ class SocialCache:
         ``n`` and makes the next certificate; only a changed selection
         sorts.
 
-        Sets the ``stable_until`` tick on the assumption that the returned
-        diff gets applied, as both callers do: never after a social-score
+        Sets the ``stable_until`` tick: never after a social-score
         selection of every tracked user or a trend round over an empty MUC
         list; the certificate's tick after a social-score selection of more
         than ``n`` users; now after a trend round that cleared a non-empty
@@ -462,9 +430,13 @@ class SocialCache:
         if kind is _TREND and muc:
             muc.clear()
             self.stable_until = 0
-        if to_subscribe or to_unsubscribe:
-            return SubscriptionDiff(to_subscribe, to_unsubscribe)
-        return NO_CHANGE
+        if not (to_subscribe or to_unsubscribe):
+            return NO_CHANGE
+        for user in to_unsubscribe:
+            self._unsubscribe(user, now)
+        for user in to_subscribe:
+            self._subscribe(user, now)
+        return SubscriptionDiff(to_subscribe, to_unsubscribe)
 
     def _certify(self, chosen, now: SimTime) -> bool:
         """Whether the ``n`` users ``chosen`` are exactly the top ``n`` of a
@@ -591,32 +563,19 @@ class SocialCache:
         self._dirty = set()
         return True
 
-    def apply_diff(self, diff: SubscriptionDiff, now: SimTime) -> None:
-        """Send the subscription changes; rejected whole if it would exceed
-        the channel cap."""
-        if diff.empty:
-            return
-        channels = self.channels
-        dropped = len([u for u in diff.to_unsubscribe if u in channels])
-        added = len([u for u in diff.to_subscribe if u not in channels])
-        if len(channels) - dropped + added > self.cfg.n:
-            raise CapExceededError("diff would exceed the channel limit")
-        for user in diff.to_unsubscribe:
-            if user in channels:
-                self._unsubscribe(user, now)
-        for user in diff.to_subscribe:
-            if user not in channels:
-                self._subscribe(user, now)
-
     def _subscribe(self, user: UserId, now: SimTime) -> None:
-        self.channels.add(user)
+        """Add a channel that is not one yet and send the subscribe."""
+        channels = self.channels
+        if len(channels) >= self.cfg.n:
+            raise CapExceededError(f"channel limit {self.cfg.n} reached")
+        channels[user] = None
         self.ledger.subscriptions_sent += 1
         self.dispatch(MessageEnvelope(self.owner, _SUBSCRIBE, None, now), user)
 
     def _unsubscribe(self, user: UserId, now: SimTime) -> None:
         """Drop a channel and purge its cached items immediately, keeping
         the store's user set a subset of the channel set."""
-        self.channels.remove(user)
+        del self.channels[user]
         section = self.store.pop(user, None)
         if section is not None:
             self.store_items -= len(section)
@@ -628,8 +587,6 @@ class SocialCache:
     def on_subscribe_received(self, subscriber: UserId, now: SimTime) -> None:
         """Register a subscriber; each new subscription is answered with a
         dump of the own-content store when bootstrapping is on."""
-        if subscriber == self.owner:
-            raise ValueError("cannot subscribe to self")
         if subscriber in self.receivers:
             return
         self.receivers[subscriber] = None
@@ -658,27 +615,16 @@ class SocialCache:
         return True
 
     def on_bootstrap(self, sender: UserId, items: dict[StorageKey, ContentObject]) -> int:
-        """Insert a bootstrap dump (a fresh key -> object dict), never
-        replacing a newer stored version; returns the number of items
-        accepted.  A dump from a user with no section becomes that section
-        whole; one into a section goes through the per-item rule."""
+        """Store a bootstrap dump (a fresh key -> object dict) whole as the
+        sender's section; returns the number of items accepted.  A dump
+        answers this peer's own ``_subscribe`` to a user that was not a
+        channel, and only a channel has a section (``_unsubscribe`` purges
+        it), so the sender has none yet (``test_dumps_land_in_no_section``)."""
         if sender not in self.channels or not items:
             return 0
-        section = self.store.get(sender)
-        if section is None:
-            self.store[sender] = items
-            self.store_items += len(items)
-            return len(items)
-        accepted = 0
-        for content in items.values():
-            existing = section.get(content.key)
-            if existing is None:
-                self.store_items += 1
-            elif content.version < existing.version:
-                continue
-            section[content.key] = content
-            accepted += 1
-        return accepted
+        self.store[sender] = items
+        self.store_items += len(items)
+        return len(items)
 
     # -- content ------------------------------------------------------------
 

@@ -21,7 +21,6 @@ from socicache.social_cache import (
     MucEntry,
     SocialCache,
     Strategy,
-    SubscriptionDiff,
 )
 from socicache.workload import (
     FRIENDREQ,
@@ -309,17 +308,23 @@ class ReferenceCertificate:
         return stable
 
 
+def apply_reference_diff(cache, to_subscribe, to_unsubscribe, now: int) -> None:
+    """Send a reference selection's changes from ``cache``: every
+    unsubscribe, then every subscribe."""
+    for user in to_unsubscribe:
+        cache._unsubscribe(user, now)
+    for user in to_subscribe:
+        cache._subscribe(user, now)
+
+
 def reference_selection_round(sim, now: int) -> None:
     """A selection round that evaluates every peer of a ``Simulation``, in
-    sorted order, with ``reference_run_selection``, and applies each
-    non-empty diff; no peer is skipped."""
+    sorted order, with ``reference_run_selection``, and applies each diff;
+    no peer is skipped."""
     for name in sorted(sim.peers):
         social = sim.peers[name].social
-        if social is None:
-            continue
-        to_subscribe, to_unsubscribe = reference_run_selection(social, now)
-        if to_subscribe or to_unsubscribe:
-            social.apply_diff(SubscriptionDiff(to_subscribe, to_unsubscribe), now)
+        if social is not None:
+            apply_reference_diff(social, *reference_run_selection(social, now), now)
 
 
 def reference_schedule(event_times: list[int], duration: int, interval: int,

@@ -44,6 +44,26 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     assert "friends_per_user" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, line", [
+    pytest.param(b"peer_count=8\nfriends_per_user=4\xff\n", 2, id="not-utf8"),
+    pytest.param(b"# \xe2\x82\xac ok\npeer_count=8\n\xe2\x82\n", 3, id="truncated-utf8"),
+])
+def test_undecodable_config_file_exits_two_with_line(tmp_path, capsys, body, line):
+    config = tmp_path / "scenario.cfg"
+    config.write_bytes(body)
+    code = main(["run", "--out", str(tmp_path / "out"), "--config", str(config)])
+    assert code == 2
+    assert f"{config}:{line}: not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_trace_file_exits_two(tmp_path, capsys):
+    trace_path = tmp_path / "absent.txt"
+    code = main(["run", "--out", str(tmp_path / "out"), "--trace", str(trace_path), *SMALL])
+    assert code == 2
+    assert f"cannot read trace file {trace_path}" in capsys.readouterr().err
+
+
 def test_unknown_key_exits_two_and_names_key(tmp_path, capsys):
     # ``strategy.rng_seed`` is no key: the scenario seed is the only seed.
     for key in ("no_such_key", "strategy.rng_seed"):
@@ -174,11 +194,12 @@ def test_trace_past_the_duration_exits_two(tmp_path, capsys):
         pytest.param("0 b POST b/wall/0 10\n0 a POST b/wall/0 10\n", 2, id="post-not-owner"),
         pytest.param("5 a FRIENDREQ a\n", 1, id="friendreq-self"),
         pytest.param("0 b POST b/wall/0 10\n5 a FRIENDREQ b/wall/0\n", 2, id="friendreq-key"),
+        pytest.param(b"0 b POST b/wall/0 10\n5 a LOOKUP b/wall/\xff\n", 2, id="not-utf8"),
     ],
 )
 def test_bad_trace_file_exits_two(tmp_path, capsys, body, line):
     trace_path = tmp_path / "trace.txt"
-    trace_path.write_text(body)
+    trace_path.write_bytes(body if isinstance(body, bytes) else body.encode())
     code = main(["run", "--out", str(tmp_path / "out"), "--trace", str(trace_path), *SMALL])
     assert code == 2
     assert f"line {line}:" in capsys.readouterr().err

@@ -273,8 +273,8 @@ def small_run_config(kind: Strategy, setup: CacheSetup, trigger: SelectionTrigge
     )
 
 
-@pytest.mark.parametrize(
-    "kind, setup, trigger, bootstrapping",
+# Every strategy, setup and trigger, with bootstrapping on and off.
+RUN_CASES = (
     [(kind, CacheSetup.SOCIAL_ONLY, TIME_TRIGGER, True) for kind in Strategy]
     + [(SOCIAL, setup, TIME_TRIGGER, True)
        for setup in (CacheSetup.NONE, CacheSetup.CURRENT_ONLY, CacheSetup.BOTH)]
@@ -282,6 +282,9 @@ def small_run_config(kind: Strategy, setup: CacheSetup, trigger: SelectionTrigge
     + [(SOCIAL, setup, trigger, False)
        for setup in (CacheSetup.SOCIAL_ONLY, CacheSetup.BOTH)
        for trigger in (TIME_TRIGGER, COUNT_TRIGGER)])
+
+
+@pytest.mark.parametrize("kind, setup, trigger, bootstrapping", RUN_CASES)
 def test_run_leaves_no_cyclic_garbage(kind, setup, trigger, bootstrapping):
     """The premise of pausing the collector in ``Simulation.run``: a run
     makes no reference cycles, so a collection right after it frees
@@ -296,6 +299,41 @@ def test_run_leaves_no_cyclic_garbage(kind, setup, trigger, bootstrapping):
     if setup.social_enabled:
         assert result.counters.subscriptions_sent > 0
         assert (result.counters.bootstrap_dumps > 0) == bootstrapping
+
+
+@pytest.mark.parametrize(
+    "kind, setup, trigger",
+    [case[:3] for case in RUN_CASES if case[3] and case[1].social_enabled])
+def test_dumps_land_in_no_section(kind, setup, trigger, monkeypatch):
+    """The premise of ``SocialCache.on_bootstrap`` storing a dump whole: a
+    dump answers its peer's own subscribe to a user that was not a channel,
+    so the sender never has a section when it arrives, also when the peer
+    subscribes again to a user it unsubscribed earlier in the run."""
+    cfg = small_run_config(kind, setup, trigger)
+    dropped: set[tuple[str, str]] = set()
+    seen = Counter()
+    on_bootstrap, unsubscribe = SocialCache.on_bootstrap, SocialCache._unsubscribe
+
+    def observed_unsubscribe(social, user, now):
+        dropped.add((social.owner, user))
+        return unsubscribe(social, user, now)
+
+    def observed_bootstrap(social, sender, items):
+        seen["dumps"] += 1
+        seen["sections"] += sender in social.store
+        seen["re-subscribes"] += (social.owner, sender) in dropped
+        return on_bootstrap(social, sender, items)
+
+    # ``SocialCache`` has slots, so both are patched on the class.
+    monkeypatch.setattr(SocialCache, "_unsubscribe", observed_unsubscribe)
+    monkeypatch.setattr(SocialCache, "on_bootstrap", observed_bootstrap)
+    result = Simulation(cfg, generate_trace(cfg)).run()
+    assert seen["dumps"] == result.counters.bootstrap_dumps > 0
+    assert seen["sections"] == 0
+    # At this size a lookup-count run unsubscribes 4 times and subscribes to
+    # none of those users again; every time-triggered run does.
+    if trigger is TIME_TRIGGER:
+        assert seen["re-subscribes"] > 0, seen
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     ReferenceCertificate,
+    apply_reference_diff,
     brute_force_top_n,
     direct_medium_interaction_length,
     direct_tie_strength,
@@ -26,8 +27,6 @@ from socicache.social_cache import (
     SocialCache,
     Strategy,
     StrategyConfig,
-    SubscriptionDiff,
-    SubscriptionSet,
 )
 
 LOOKUP = InteractionKind.LOOKUP
@@ -150,7 +149,7 @@ def test_track_bookkeeping_matches_reference_record(trigger):
             reference_record(twin, user, kind, now, weights)
             if (trigger is SelectionTrigger.TIME_BASED and rng.random() < 0.2
                     and now >= cache.stable_until):
-                cache.apply_diff(cache.run_selection(now), now)
+                cache.run_selection(now)
             assert cache.muc.total_events == twin.total_events
             assert ([_muc_fields(e) for e in cache.muc.values()]
                     == [_muc_fields(e) for e in twin.values()])
@@ -332,22 +331,25 @@ def test_trend_selection_takes_top_n_and_clears():
     for user, count in counts.items():
         for t in range(count):
             reference_record(cache.muc, user, LOOKUP, t)
-    cache.channels.add("c")
+    cache.channels["c"] = None
     diff = cache.run_selection(100)
     assert set(diff.to_subscribe) == {"a", "b"}
     assert set(diff.to_unsubscribe) == {"c"}
+    assert list(cache.channels) == list(diff.to_subscribe)
     assert len(cache.muc) == 0
 
 
 def test_social_score_selection_fixed_point_keeps_muc():
-    cache, _ = make_cache(kind=Strategy.SOCIAL_SCORE, n=2)
+    """A round that selects the channels it has changes and sends nothing."""
+    cache, router = make_cache(kind=Strategy.SOCIAL_SCORE, n=2)
     for t in range(9):
         cache.track("a", LOOKUP, t)
     cache.track("b", LOOKUP, 0)
-    cache.channels.add("a")
-    cache.channels.add("b")
-    diff = cache.run_selection(100)
-    assert diff.empty
+    assert list(cache.channels) == ["a", "b"]
+    router.log.clear()
+    assert cache.run_selection(100) == ((), ())
+    assert router.log == []
+    assert list(cache.channels) == ["a", "b"]
     assert len(cache.muc) == 2
 
 
@@ -366,7 +368,7 @@ def test_random_strategy_swaps_full_channels():
 def test_random_selection_interval_is_noop():
     cache, _ = make_cache(kind=Strategy.RANDOM)
     cache.track("a", LOOKUP, 0)
-    assert cache.run_selection(100).empty
+    assert cache.run_selection(100) == ((), ())
 
 
 def test_fast_path_subscribes_below_limit():
@@ -390,13 +392,13 @@ def test_lookup_count_trigger_runs_selection():
 
 # -- subscription management ---------------------------------------------------------
 
-def test_apply_diff_bootstraps_new_subscription():
+def test_subscribe_bootstraps_new_subscription():
     router = Router()
     me, _ = make_cache("me", router)
     them, _ = make_cache("them", router)
     for i in range(4):
         them.publish(obj("them", f"wall/{i}"), now=0)
-    me.apply_diff(SubscriptionDiff(("them",), ()), now=1)
+    me._subscribe("them", now=1)
     assert me.store_items == 4
     assert "me" in them.receivers
 
@@ -406,59 +408,31 @@ def test_unsubscribe_purges_store():
     me, _ = make_cache("me", router)
     them, _ = make_cache("them", router)
     them.publish(obj("them", "wall/0"), now=0)
-    me.apply_diff(SubscriptionDiff(("them",), ()), now=1)
+    me._subscribe("them", now=1)
     assert me.store_items == 1
-    me.apply_diff(SubscriptionDiff((), ("them",)), now=2)
+    me._unsubscribe("them", now=2)
     assert "them" not in me.store
     assert me.store_items == 0
     assert "me" not in them.receivers
 
 
-def test_empty_diff_sends_nothing():
-    cache, router = make_cache()
-    cache.apply_diff(SubscriptionDiff((), ()), now=0)
-    assert router.log == []
-
-
-def test_diff_over_cap_rejected_whole():
+def test_subscribe_past_n_raises_and_sends_nothing():
     cache, router = make_cache(n=2)
+    cache._subscribe("a", now=0)
+    cache._subscribe("b", now=0)
+    sent = list(router.log)
     with pytest.raises(CapExceededError):
-        cache.apply_diff(SubscriptionDiff(("a", "b", "c"), ()), now=0)
-    assert len(cache.channels) == 0
-    assert router.log == []
-
-
-def test_subscription_set_rejects_self():
-    subs = SubscriptionSet("me", limit=3)
-    with pytest.raises(ValueError):
-        subs.add("me")
-
-
-def test_subscription_set_keeps_owner_and_cap_checks():
-    subs = SubscriptionSet("me", limit=2)
-    subs.add("a")
-    subs.add("b")
-    subs.add("a")  # re-adding a member is a no-op, not a cap breach
-    with pytest.raises(CapExceededError):
-        subs.add("c")
-    with pytest.raises(ValueError):
-        subs.add("me")
-    assert list(subs) == ["a", "b"] and len(subs) == 2
-    assert "c" not in subs and "me" not in subs
-    assert (subs.at(0), subs.at(1)) == ("a", "b")
-    subs.remove("a")
-    subs.remove("a")  # removing a non-member is a no-op
-    subs.add("c")
-    assert list(subs) == ["b", "c"]
-    with pytest.raises(IndexError):
-        subs.at(2)
+        cache._subscribe("c", now=0)
+    assert list(cache.channels) == ["a", "b"]
+    assert router.log == sent
+    assert cache.ledger.subscriptions_sent == 2
 
 
 _store_ops = st.lists(
     st.one_of(
         st.tuples(st.just("store"), st.sampled_from("uv"), st.sampled_from("xyz"),
                   st.integers(1, 4)),
-        st.tuples(st.just("merge"), st.sampled_from("uv"),
+        st.tuples(st.just("dump"), st.sampled_from("uv"),
                   st.dictionaries(st.sampled_from("xyz"), st.integers(1, 4), max_size=5)),
         st.tuples(st.just("purge"), st.sampled_from("uv")),
     ),
@@ -468,14 +442,16 @@ _store_ops = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(_store_ops)
-def test_store_merge_follows_per_item_rule(ops):
-    """``on_bootstrap`` equals storing each item in turn unless the stored
-    version is newer, under any interleaving with pushed updates
-    (``on_social_update`` from a subscribed user) and purges (unsubscribing
-    and subscribing again; no one answers with a dump)."""
+def test_store_follows_updates_purges_and_dumps(ops):
+    """The store under any interleaving of pushed updates
+    (``on_social_update`` from a subscribed user), purges (unsubscribing
+    and subscribing again; no one answers with a dump) and dumps, each
+    into the fresh section of a purged user, as in a run
+    (``test_dumps_land_in_no_section``): an update overwrites its key and a
+    dump becomes the section whole."""
     cache, _ = make_cache("me")
     for user in "uv":
-        cache.channels.add(user)
+        cache.channels[user] = None
     store = cache.store
     want: dict[str, dict[str, int]] = {}
     for op in ops:
@@ -483,24 +459,15 @@ def test_store_merge_follows_per_item_rule(ops):
         if op[0] == "store":
             cache.on_social_update(user, obj(user, op[2], op[3]))
             want.setdefault(user, {})[op[2]] = op[3]
-        elif op[0] == "purge":
-            cache.apply_diff(SubscriptionDiff((), (user,)), 0)
-            cache.apply_diff(SubscriptionDiff((user,), ()), 0)
-            want.pop(user, None)
         else:
-            before = {k.path: c.version for k, c in store.get(user, {}).items()}
-            section = dict(want.get(user, {}))
-            accepted = 0
-            for path, version in op[2].items():
-                if path not in section or version >= section[path]:
-                    section[path] = version
-                    accepted += 1
-            if section:
-                want[user] = section
+            cache._unsubscribe(user, 0)
+            cache._subscribe(user, 0)
+            want.pop(user, None)
+        if op[0] == "dump":
+            if op[2]:
+                want[user] = dict(op[2])
             items = dump(*[obj(user, p, v) for p, v in op[2].items()])
-            assert cache.on_bootstrap(user, items) == accepted
-            after = {k.path: c.version for k, c in store.get(user, {}).items()}
-            assert all(after[path] >= version for path, version in before.items())
+            assert cache.on_bootstrap(user, items) == len(items)
         got = {
             u: {k.path: c.version for k, c in section.items()}
             for u, section in store.items()
@@ -533,7 +500,7 @@ def test_subscribe_received_without_bootstrapping():
 
 def test_update_overwrites_previous_version():
     cache, _ = make_cache("me")
-    cache.channels.add("them")
+    cache.channels["them"] = None
     cache.on_social_update("them", obj("them", "wall/0", version=1))
     cache.on_social_update("them", obj("them", "wall/0", version=2))
     assert cache.store_items == 1
@@ -545,17 +512,6 @@ def test_update_from_non_subscribed_user_ignored():
     accepted = cache.on_social_update("stranger", obj("stranger", "wall/0"))
     assert accepted is False
     assert cache.store_items == 0
-
-
-def test_update_wins_over_bootstrap_for_same_key():
-    cache, _ = make_cache("me")
-    cache.channels.add("them")
-    cache.on_bootstrap("them", dump(obj("them", "wall/0", version=1)))
-    cache.on_social_update("them", obj("them", "wall/0", version=2))
-    assert cache.lookup(StorageKey("them", "wall/0")).version == 2
-    # a stale dump never clobbers the newer pushed version
-    cache.on_bootstrap("them", dump(obj("them", "wall/0", version=1)))
-    assert cache.lookup(StorageKey("them", "wall/0")).version == 2
 
 
 @pytest.mark.parametrize("k", [0, 1, 4])
@@ -589,7 +545,7 @@ def test_lookup_serves_own_content():
 
 def test_lookup_serves_subscribed_content():
     cache, _ = make_cache("me")
-    cache.channels.add("them")
+    cache.channels["them"] = None
     pushed = obj("them", "wall/2")
     cache.on_social_update("them", pushed)
     assert cache.lookup(StorageKey("them", "wall/2")) is pushed
@@ -786,8 +742,7 @@ def test_run_selection_matches_rank_everything_reference(kind, muc_capacity):
             diff = cache.run_selection(now)
             assert (diff.to_subscribe, diff.to_unsubscribe) == expected
             assert muc_state(cache) == muc_state(ref)
-            cache.apply_diff(diff, now)
-            ref.apply_diff(SubscriptionDiff(*expected), now)
+            apply_reference_diff(ref, *expected, now)
             assert list(cache.channels) == list(ref.channels)
 
         if kind is Strategy.SOCIAL_SCORE:
@@ -822,7 +777,7 @@ def test_stable_until_is_never_on_a_new_cache_and_now_after_every_track(kind):
             now += rng.choice([0, 1, 5, 40])
             rounds = rng.choice([0, 0, 1, 2])
             for _ in range(rounds):
-                cache.apply_diff(cache.run_selection(now), now)
+                cache.run_selection(now)
             if rounds and cache.stable_until > now:
                 not_due_after_a_round += 1
             cache.track(f"p{rng.randrange(6)}", rng.choice(list(InteractionKind)), now)
@@ -851,7 +806,7 @@ def test_stable_until_after_a_round(kind):
                             now)
             now += rng.choice([0, 1, 10])
             tracked = len(cache.muc)
-            cache.apply_diff(cache.run_selection(now), now)
+            cache.run_selection(now)
             until = cache.stable_until
             if kind is Strategy.TREND:
                 case = "trend, non-empty" if tracked else "trend, empty"
@@ -901,7 +856,7 @@ def select(cache, now, reference):
     checked against the cache's ``reference`` (a ``ReferenceCertificate``)
     after every selection of more than ``n`` users."""
     ranked_whole = len(cache.muc) > cache.cfg.n
-    cache.apply_diff(cache.run_selection(now), now)
+    cache.run_selection(now)
     until = cache.stable_until
     if ranked_whole:
         assert until == reference.after_round(cache, now), (now, until)
@@ -1096,7 +1051,7 @@ def test_certificate_survives_tracks_between_rounds(trigger):
                 in_track = False
             now += rng.choice([0, 1, 3, 20])
             if trigger is SelectionTrigger.TIME_BASED or rng.random() < 0.3:
-                cache.apply_diff(checked(now), now)
+                checked(now)
     required = ["re-check passes", "re-check fails", "tie, after the name",
                 "tie, before the name", "channel evicted"]
     if trigger is SelectionTrigger.LOOKUP_COUNT_BASED:

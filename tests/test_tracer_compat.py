@@ -41,4 +41,9 @@ def test_traced_message_counts_match_the_simulation():
     assert sum(by_kind.values()) == messages
     assert all(by_kind.values()), by_kind
     assert by_kind["social_update"] == tracer.count("social_cache.on_social_update")
+    # Selection sends its own changes from inside ``run_selection``; each
+    # still passes the dispatch boundary once.
+    assert by_kind["subscribe"] == summary["subscriptions_sent"]
+    assert by_kind["unsubscribe"] == summary["unsubscriptions_sent"]
+    assert by_kind["bootstrap_dump"] == summary["bootstrap_dumps"]
     assert tracer.count("peer.on_envelope") == messages
