@@ -18,14 +18,13 @@ import json
 import os
 import platform
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .metrics import export_rows_csv
 from .model import InteractionKind
 from .sim import SUMMARY_COLUMNS, RunResult, compare_caches, compare_strategies, run_scenario
-from .social_cache import InvalidWeightsError, SelectionTrigger, Strategy
+from .social_cache import SelectionTrigger, Strategy
 from .workload import (
     CacheSetup,
     ConfigError,
@@ -179,42 +178,10 @@ def serialize_config(cfg: ScenarioConfig) -> dict[str, str]:
     return {key: entry.fmt(entry.get(cfg)) for key, entry in _KEYS.items()}
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Identity of one invocation: the resolved config and its hash.  The
-    written manifest adds the trace digest and the interpreter version."""
-
-    config_path: str | None
-    config: ScenarioConfig
-    seed: int
-    output_dir: str
-    run_id: str
-
-    @classmethod
-    def create(cls, config_path: Path | None, cfg: ScenarioConfig, out_dir: Path) -> "RunManifest":
-        canonical = "\n".join(
-            f"{key}={value}" for key, value in sorted(serialize_config(cfg).items())
-        )
-        run_id = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-        return cls(
-            config_path=str(config_path) if config_path else None,
-            config=cfg,
-            seed=cfg.seed,
-            output_dir=str(out_dir),
-            run_id=run_id,
-        )
-
-    def write(self, path: Path, trace_digest: str) -> None:
-        payload = {
-            "run_id": self.run_id,
-            "seed": self.seed,
-            "config_path": self.config_path,
-            "output_dir": self.output_dir,
-            "config": serialize_config(self.config),
-            "trace_digest": trace_digest,
-            "python": f"{platform.python_implementation()} {platform.python_version()}",
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def run_id(cfg: ScenarioConfig) -> str:
+    """Identity of a resolved config: a hash of its sorted flat keys."""
+    canonical = "\n".join(f"{k}={v}" for k, v in sorted(serialize_config(cfg).items()))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
 # -- command plumbing ---------------------------------------------------------
@@ -313,18 +280,30 @@ def _check_invariants(results: list[RunResult]) -> int:
 
 def _execute(args: argparse.Namespace, profile, runner, table_writer=None) -> int:
     """Run a command, write its outputs (each run's under ``<out>/<label>``
-    beside a comparison table), then check every run's invariants."""
+    beside a comparison table) and a manifest of the resolved config, its
+    ``run_id``, the trace digest and the interpreter, then check every
+    run's invariants."""
     cfg = resolve_config(args, profile)
     out_dir = resolve_out_dir(args)
-    manifest = RunManifest.create(args.config, cfg, out_dir)
+    cfg_id = run_id(cfg)
     results = runner(cfg, trace=_load_optional_trace(args, cfg))
     for result in results:
         run_dir = out_dir if table_writer is None else out_dir / result.label
-        write_run_outputs(result, run_dir, manifest.run_id)
+        write_run_outputs(result, run_dir, cfg_id)
         _print_summary_line(result)
     if table_writer is not None:
         table_writer(results, out_dir)
-    manifest.write(out_dir / "manifest.json", results[0].trace_digest)
+    manifest = {
+        "run_id": cfg_id,
+        "seed": cfg.seed,
+        "config_path": str(args.config) if args.config else None,
+        "output_dir": str(out_dir),
+        "config": serialize_config(cfg),
+        "trace_digest": results[0].trace_digest,
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+    }
+    (out_dir / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return _check_invariants(results)
 
 
@@ -406,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TraceFormatError, InvalidWeightsError) as exc:
+    except (ConfigError, TraceFormatError) as exc:
         print(f"socicache: config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive runtime guard

@@ -1,5 +1,5 @@
 """Per-peer "current" cache: fixed-validity entries evicted least recently
-used first, plus the tier names a lookup can be answered from.
+used first.
 
 The cache is a plain dict whose insertion order is the recency order:
 a hit pops its entry and re-inserts it at the end, so the LRU victim is
@@ -7,15 +7,7 @@ the first key.  Entries are plain ``(content, inserted_at)`` tuples.
 """
 from __future__ import annotations
 
-import enum
-
 from .model import ContentObject, SimTime, StorageKey
-
-
-class LookupSource(enum.Enum):
-    SOCIAL_CACHE = "social_cache"
-    CURRENT_CACHE = "current_cache"
-    OVERLAY = "overlay"
 
 
 class CurrentCache:
@@ -35,9 +27,6 @@ class CurrentCache:
         self.capacity = capacity
         self.ttl = ttl
         self.entries: dict[StorageKey, tuple[ContentObject, SimTime]] = {}
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def lookup(self, key: StorageKey, now: SimTime) -> ContentObject | None:
         entries = self.entries

@@ -43,14 +43,12 @@ class StorageKey(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class ContentObject:
-    """A versioned stored item; versions per key strictly increase and the
-    author is always the key owner."""
+    """A versioned stored item, written only by its key's owner; versions
+    per key strictly increase."""
 
     key: StorageKey
     version: int
     payload: bytes
-    author: UserId
-    created_at: SimTime
 
 
 class InteractionKind(enum.Enum):

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
-from .model import ContentObject, SimTime, StorageKey, UserId
+from .model import ContentObject, StorageKey, UserId
 
 
 class StaleWriteError(ValueError):
@@ -71,13 +71,13 @@ class MessageKind(enum.Enum):
 
 
 class MessageEnvelope(NamedTuple):
-    """A message as sent, without its recipient; the payload is opaque to
+    """A message as sent: its sender, kind and payload, with no recipient
+    and no send time, as delivery is immediate.  The payload is opaque to
     the dispatcher."""
 
     sender: UserId
     kind: MessageKind
     payload: Any
-    sent_at: SimTime
 
 
 @dataclass(slots=True)

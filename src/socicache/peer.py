@@ -2,15 +2,15 @@
 tiers plus the authoritative write path for its own content.
 
 Request resolution order is social cache (own content, then subscribed
-content), then the current cache, then the overlay; a request reports the
-tier that answered it as a ``LookupSource``.  Interaction tracking
+content), then the current cache, then the overlay; a request counts one
+hit of the tier that answered it in the ledger.  Interaction tracking
 and the per-lookup subscription actions run after the request has been
 answered, so a cold key is always served by the overlay even when the
 triggered subscription would have pushed it a moment later.
 """
 from __future__ import annotations
 
-from .info_cache import CurrentCache, LookupSource
+from .info_cache import CurrentCache
 from .metrics import MetricsLedger
 from .model import ContentObject, InteractionKind, SimTime, StorageKey, UserId
 from .overlay import DhtStore, MessageDispatcher, MessageEnvelope, MessageKind
@@ -18,8 +18,7 @@ from .social_cache import SocialCache, StrategyConfig
 
 # Enum members read per request or message, bound once (see ``social_cache``).
 _LOOKUP, _FRIEND_REQUEST = InteractionKind.LOOKUP, InteractionKind.FRIEND_REQUEST
-_SOCIAL_CACHE, _CURRENT_CACHE = LookupSource.SOCIAL_CACHE, LookupSource.CURRENT_CACHE
-_OVERLAY, _SYSTEM_NOTICE = LookupSource.OVERLAY, MessageKind.SYSTEM_NOTICE
+_SYSTEM_NOTICE = MessageKind.SYSTEM_NOTICE
 _SUBSCRIBE, _UNSUBSCRIBE = MessageKind.SUBSCRIBE, MessageKind.UNSUBSCRIBE
 _SOCIAL_UPDATE, _BOOTSTRAP_DUMP = MessageKind.SOCIAL_UPDATE, MessageKind.BOOTSTRAP_DUMP
 
@@ -41,7 +40,7 @@ class Peer:
         user: UserId,
         dht: DhtStore,
         dispatcher: MessageDispatcher,
-        ledger: MetricsLedger | None = None,
+        ledger: MetricsLedger,
         *,
         current_cache: CurrentCache | None = None,
         strategy: StrategyConfig | None = None,
@@ -52,7 +51,7 @@ class Peer:
         self.user = user
         self.dht = dht
         self.dispatcher = dispatcher
-        self.ledger = ledger if ledger is not None else MetricsLedger()
+        self.ledger = ledger
         self.current = current_cache
         self.social: SocialCache | None = None
         if strategy is not None:
@@ -69,30 +68,25 @@ class Peer:
 
     # -- lookup pipeline ----------------------------------------------------
 
-    def handle_request(self, key: StorageKey, now: SimTime) -> LookupSource | None:
-        """Resolve a plugin request; returns the answering tier, or None
-        when the key exists nowhere."""
+    def handle_request(self, key: StorageKey, now: SimTime) -> None:
+        """Resolve a plugin request and count it, and its answering tier if
+        the key exists anywhere, in the ledger."""
         ledger = self.ledger
         ledger.total_requests += 1
         social = self.social
-        source = None
         if social is not None and social.lookup(key) is not None:
             ledger.social_hits += 1
-            source = _SOCIAL_CACHE
         elif (current := self.current) is not None and current.lookup(key, now) is not None:
             ledger.current_hits += 1
-            source = _CURRENT_CACHE
         else:
             content = self.dht.get(key)
             if content is not None:
                 ledger.overlay_replies += 1
-                source = _OVERLAY
                 if current is not None:
                     current.insert(content, now)
         owner = key.owner
         if social is not None and owner != self.user:
             social.track(owner, _LOOKUP, now)
-        return source
 
     # -- writes -------------------------------------------------------------
 
@@ -105,20 +99,18 @@ class Peer:
         # ``get``, which would count a lookup.
         stored = self.dht.entries.get(key)
         version = 1 if stored is None else stored.version + 1
-        content = ContentObject(key, version, payload, self.user, now)
+        content = ContentObject(key, version, payload)
         if self.social is not None:
-            self.social.publish(content, now)
+            self.social.publish(content)
         if self.current is not None:
             self.current.insert(content, now)
         self.dht.put(content)
         return content
 
     def send_friend_request(self, target: UserId, now: SimTime) -> None:
-        """Friend requests travel as system messages and count as tracked
-        interactions with the target."""
-        self.dispatcher.dispatch(
-            MessageEnvelope(self.user, _SYSTEM_NOTICE, "friend_request", now), target
-        )
+        """Friend requests travel as system messages without a payload and
+        count as tracked interactions with the target."""
+        self.dispatcher.dispatch(MessageEnvelope(self.user, _SYSTEM_NOTICE, None), target)
         if self.social is not None and target != self.user:
             self.social.track(target, _FRIEND_REQUEST, now)
 
@@ -134,7 +126,7 @@ class Peer:
         if kind is _SOCIAL_UPDATE:
             social.on_social_update(env.sender, env.payload)
         elif kind is _SUBSCRIBE:
-            social.on_subscribe_received(env.sender, env.sent_at)
+            social.on_subscribe_received(env.sender)
         elif kind is _UNSUBSCRIBE:
             social.on_unsubscribe_received(env.sender)
         elif kind is _BOOTSTRAP_DUMP:

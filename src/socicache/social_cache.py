@@ -125,11 +125,9 @@ class MucEntry:
     event count minus two, at least 1, so a single event has gap 0.
     """
 
-    __slots__ = ("user", "event_count", "lookup_count", "weighted", "first_at", "last_at",
-                 "gap")
+    __slots__ = ("event_count", "lookup_count", "weighted", "first_at", "last_at", "gap")
 
-    def __init__(self, user: UserId, first_at: SimTime = 0):
-        self.user = user
+    def __init__(self, first_at: SimTime = 0):
         self.event_count = 0
         self.lookup_count = 0
         self.weighted = 0.0
@@ -308,7 +306,7 @@ class SocialCache:
             if len(muc) >= muc.max_users:
                 muc.remove(self.rank_users(now)[-1])
                 self._dirty = None
-            entry = muc[user] = MucEntry(user, now)
+            entry = muc[user] = MucEntry(now)
         count = entry.event_count + 1
         entry.last_at = now
         entry.event_count = count
@@ -322,29 +320,29 @@ class SocialCache:
         channels = self.channels
         if cfg.kind is _RANDOM:
             if user not in channels:
-                self._random_replace(user, now)
+                self._random_replace(user)
         elif user not in channels and len(channels) < cfg.n:
-            self._subscribe(user, now)
+            self._subscribe(user)
         if cfg.trigger is _LOOKUP_COUNT_BASED:
             self._lookups_since_selection += 1
             if self._lookups_since_selection >= cfg.m:
                 self._lookups_since_selection = 0
                 self.run_selection(now)
 
-    def _random_replace(self, user: UserId, now: SimTime) -> None:
+    def _random_replace(self, user: UserId) -> None:
         """Subscribe a newly seen user, randomly displacing a channel when
         full; the displaced user is also dropped from the MUC list."""
         channels = self.channels
         if len(channels) < self.cfg.n:
-            self._subscribe(user, now)
+            self._subscribe(user)
             return
         rng = self._rng
         if rng is None:
             rng = self._rng = random.Random(f"{self._seed}/strategy/{self.owner}")
         victim = list(channels)[rng.randrange(len(channels))]
-        self._unsubscribe(victim, now)
+        self._unsubscribe(victim)
         self.muc.remove(victim)
-        self._subscribe(user, now)
+        self._subscribe(user)
 
     # -- interval selection ------------------------------------------------
 
@@ -433,9 +431,9 @@ class SocialCache:
         if not (to_subscribe or to_unsubscribe):
             return NO_CHANGE
         for user in to_unsubscribe:
-            self._unsubscribe(user, now)
+            self._unsubscribe(user)
         for user in to_subscribe:
-            self._subscribe(user, now)
+            self._subscribe(user)
         return SubscriptionDiff(to_subscribe, to_unsubscribe)
 
     def _certify(self, chosen, now: SimTime) -> bool:
@@ -563,16 +561,16 @@ class SocialCache:
         self._dirty = set()
         return True
 
-    def _subscribe(self, user: UserId, now: SimTime) -> None:
+    def _subscribe(self, user: UserId) -> None:
         """Add a channel that is not one yet and send the subscribe."""
         channels = self.channels
         if len(channels) >= self.cfg.n:
             raise CapExceededError(f"channel limit {self.cfg.n} reached")
         channels[user] = None
         self.ledger.subscriptions_sent += 1
-        self.dispatch(MessageEnvelope(self.owner, _SUBSCRIBE, None, now), user)
+        self.dispatch(MessageEnvelope(self.owner, _SUBSCRIBE, None), user)
 
-    def _unsubscribe(self, user: UserId, now: SimTime) -> None:
+    def _unsubscribe(self, user: UserId) -> None:
         """Drop a channel and purge its cached items immediately, keeping
         the store's user set a subset of the channel set."""
         del self.channels[user]
@@ -580,11 +578,11 @@ class SocialCache:
         if section is not None:
             self.store_items -= len(section)
         self.ledger.unsubscriptions_sent += 1
-        self.dispatch(MessageEnvelope(self.owner, _UNSUBSCRIBE, None, now), user)
+        self.dispatch(MessageEnvelope(self.owner, _UNSUBSCRIBE, None), user)
 
     # -- inbound message handling -----------------------------------------
 
-    def on_subscribe_received(self, subscriber: UserId, now: SimTime) -> None:
+    def on_subscribe_received(self, subscriber: UserId) -> None:
         """Register a subscriber; each new subscription is answered with a
         dump of the own-content store when bootstrapping is on."""
         if subscriber in self.receivers:
@@ -592,10 +590,7 @@ class SocialCache:
         self.receivers[subscriber] = None
         if self.bootstrapping:
             self.ledger.bootstrap_dumps += 1
-            self.dispatch(
-                MessageEnvelope(self.owner, _BOOTSTRAP_DUMP, self.own.copy(), now),
-                subscriber,
-            )
+            self.dispatch(MessageEnvelope(self.owner, _BOOTSTRAP_DUMP, self.own.copy()), subscriber)
 
     def on_unsubscribe_received(self, subscriber: UserId) -> None:
         self.receivers.pop(subscriber, None)
@@ -628,14 +623,15 @@ class SocialCache:
 
     # -- content ------------------------------------------------------------
 
-    def publish(self, content: ContentObject, now: SimTime) -> None:
+    def publish(self, content: ContentObject) -> None:
         """Keep own content locally and push an update to every subscriber:
         one envelope, dispatched once per receiver."""
-        if content.author != self.owner:
-            raise ValueError(f"{content.author!r} is not {self.owner!r}")
-        self.own[content.key] = content
+        key = content.key
+        if key.owner != self.owner:
+            raise ValueError(f"{self.owner!r} cannot publish {key}")
+        self.own[key] = content
         if self.receivers:
-            env = MessageEnvelope(self.owner, _SOCIAL_UPDATE, content, now)
+            env = MessageEnvelope(self.owner, _SOCIAL_UPDATE, content)
             dispatch = self.dispatch
             for subscriber in self.receivers:
                 dispatch(env, subscriber)

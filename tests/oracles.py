@@ -115,7 +115,7 @@ def reference_record(muc, user: UserId, kind: InteractionKind, at: int,
     if entry is None:
         if len(muc) >= muc.max_users:
             raise CapExceededError("MUC list full; evict before recording")
-        entry = MucEntry(user)
+        entry = MucEntry()
         muc[user] = entry
     _reference_append(entry, kind, at, (weights or {}).get(kind, 1.0))
     muc.total_events += 1
@@ -308,13 +308,13 @@ class ReferenceCertificate:
         return stable
 
 
-def apply_reference_diff(cache, to_subscribe, to_unsubscribe, now: int) -> None:
+def apply_reference_diff(cache, to_subscribe, to_unsubscribe) -> None:
     """Send a reference selection's changes from ``cache``: every
     unsubscribe, then every subscribe."""
     for user in to_unsubscribe:
-        cache._unsubscribe(user, now)
+        cache._unsubscribe(user)
     for user in to_subscribe:
-        cache._subscribe(user, now)
+        cache._subscribe(user)
 
 
 def reference_selection_round(sim, now: int) -> None:
@@ -324,7 +324,7 @@ def reference_selection_round(sim, now: int) -> None:
     for name in sorted(sim.peers):
         social = sim.peers[name].social
         if social is not None:
-            apply_reference_diff(social, *reference_run_selection(social, now), now)
+            apply_reference_diff(social, *reference_run_selection(social, now))
 
 
 def reference_schedule(event_times: list[int], duration: int, interval: int,

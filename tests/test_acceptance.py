@@ -335,7 +335,7 @@ def test_criterion_9_lru_ttl_matches_reference():
         key = StorageKey("u", path)
         if rng.random() < 0.5:
             version = step + 1
-            content = ContentObject(key, version, b"x", "u", now)
+            content = ContentObject(key, version, b"x")
             got = cache.insert(content, now)
             want = ref.insert(path, version, now)
             assert (got.path if got is not None else None) == want, f"step {step}"

@@ -5,7 +5,7 @@ import platform
 import pytest
 
 from socicache import cli
-from socicache.cli import RunManifest, apply_setting, main, serialize_config
+from socicache.cli import apply_setting, main, run_id, serialize_config
 from socicache.metrics import Counters
 from socicache.sim import Simulation
 from socicache.workload import generate_trace, save_trace, ScenarioConfig, trace_digest
@@ -42,6 +42,24 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     ])
     assert code == 2
     assert "friends_per_user" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("run", "social_score"),
+    ("compare-strategies", "trend"),
+    ("compare-caches", "trend"),
+])
+def test_zero_weights_exit_two(tmp_path, capsys, command, kind):
+    """Zero social-score weights are a config error wherever a run scores
+    users: the comparisons run social score whatever ``strategy.kind`` says
+    (a lone trend run reads no weights)."""
+    code = main([command, "--out", str(tmp_path / "out"), *SMALL,
+                 "--set", f"strategy.kind={kind}",
+                 "--set", "strategy.alpha=0", "--set", "strategy.beta=0"])
+    assert code == 2
+    assert ("config error: strategy: alpha + beta must be positive for social score"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("body, line", [
@@ -281,8 +299,7 @@ def test_config_round_trip(tmp_path, profile):
     for key, value in text.items():
         apply_setting(fresh, key, value)
     assert serialize_config(fresh) == text
-    assert (RunManifest.create(None, fresh, tmp_path).run_id
-            == RunManifest.create(None, cfg, tmp_path).run_id)
+    assert run_id(fresh) == run_id(cfg)
     assert set(text) == set(cli._KEYS)
     # Apart from the resolved duration and phases, every setting came back.
     fresh.sim_duration_ticks = cfg.sim_duration_ticks

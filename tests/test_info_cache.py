@@ -9,7 +9,7 @@ from socicache.model import ContentObject, StorageKey
 
 
 def obj(path, version=1):
-    return ContentObject(StorageKey("u", path), version, b"x", "u", 0)
+    return ContentObject(StorageKey("u", path), version, b"x")
 
 
 def test_hit_within_ttl():
@@ -31,7 +31,7 @@ def test_expiry_boundary_is_exclusive():
 def test_lookup_of_absent_key_misses():
     cache = CurrentCache(capacity=10, ttl=100)
     assert cache.lookup(StorageKey("u", "nope"), now=0) is None
-    assert len(cache) == 0
+    assert len(cache.entries) == 0
 
 
 def test_lru_eviction_order():
@@ -60,7 +60,7 @@ def test_reinsert_replaces_without_eviction():
     cache.insert(obj("b"), 1)
     assert cache.insert(obj("a", version=2), 2) is None
     assert cache.entries[StorageKey("u", "a")][0].version == 2
-    assert len(cache) == 2
+    assert len(cache.entries) == 2
 
 
 def test_reinsert_refreshes_validity():

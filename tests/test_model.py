@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -68,6 +70,6 @@ def test_key_round_trip(owner, path):
 
 def test_content_object_fields():
     key = StorageKey("alice", "wall/1")
-    obj = ContentObject(key, 3, b"hi", "alice", 1000)
-    assert obj.key.owner == obj.author
-    assert obj.version == 3
+    obj = ContentObject(key, 3, b"hi")
+    assert [f.name for f in dataclasses.fields(obj)] == ["key", "version", "payload"]
+    assert (obj.key.owner, obj.version, obj.payload) == ("alice", 3, b"hi")

@@ -15,7 +15,7 @@ from socicache.overlay import (
 
 def obj(owner="alice", path="wall/1", version=1, payload=b"x" * 10):
     key = StorageKey(owner, path)
-    return ContentObject(key, version, payload, owner, 0)
+    return ContentObject(key, version, payload)
 
 
 def test_put_then_get_round_trip():
@@ -76,8 +76,8 @@ def test_bytes_written_matches_sum_over_puts(sizes, factor):
     assert store.bytes_written == sum(sizes) * factor
 
 
-def env(sender="a", kind=MessageKind.SYSTEM_NOTICE, payload=None, at=0):
-    return MessageEnvelope(sender, kind, payload, at)
+def env(sender="a", kind=MessageKind.SYSTEM_NOTICE, payload=None):
+    return MessageEnvelope(sender, kind, payload)
 
 
 def test_dispatch_to_online_peer_runs_handler_in_step():
@@ -85,7 +85,7 @@ def test_dispatch_to_online_peer_runs_handler_in_step():
     seen = []
     md.register("b", seen.append)
     md.dispatch(env(), "b")
-    assert len(seen) == 1
+    assert seen == [("a", MessageKind.SYSTEM_NOTICE, None)]  # sender, kind, payload
     assert md.messages == 1
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from socicache.info_cache import CurrentCache, LookupSource
+from socicache.info_cache import CurrentCache
 from socicache.metrics import MetricsLedger
 from socicache.model import StorageKey
 from socicache.overlay import DhtStore, MessageDispatcher
@@ -33,34 +33,39 @@ def answered(ledger):
     return ledger.social_hits + ledger.current_hits + ledger.overlay_replies
 
 
+def tiers(ledger):
+    """Requests answered so far by the social cache, the current cache and
+    the overlay."""
+    return ledger.social_hits, ledger.current_hits, ledger.overlay_replies
+
+
 def test_social_hit_after_pushed_update_uses_no_overlay():
     dht, dispatcher, ledger, peers = build_net(["a", "b"])
     peers["b"].add_content(key("b"), b"v1", now=0)
     # first lookup subscribes a to b (fast path) and bootstraps the content
-    first = peers["a"].handle_request(key("b"), now=1)
-    assert first is LookupSource.OVERLAY
+    peers["a"].handle_request(key("b"), now=1)
+    assert tiers(ledger) == (0, 0, 1)
     lookups_before = dht.lookups
-    result = peers["a"].handle_request(key("b"), now=2)
-    assert result is LookupSource.SOCIAL_CACHE
+    peers["a"].handle_request(key("b"), now=2)
+    assert tiers(ledger) == (1, 0, 1)
     assert dht.lookups == lookups_before  # answered without the overlay
-    assert ledger.social_hits == 1
 
 
 def test_current_hit_when_owner_not_subscribed():
     dht, dispatcher, ledger, peers = build_net(["a", "b"], setup="current")
     peers["b"].add_content(key("b"), b"v1", now=0)
-    assert peers["a"].handle_request(key("b"), now=1) is LookupSource.OVERLAY
-    assert peers["a"].handle_request(key("b"), now=2) is LookupSource.CURRENT_CACHE
-    assert ledger.current_hits == 1
+    peers["a"].handle_request(key("b"), now=1)
+    assert tiers(ledger) == (0, 0, 1)
+    peers["a"].handle_request(key("b"), now=2)
+    assert tiers(ledger) == (0, 1, 1)
 
 
 def test_cold_key_served_by_overlay_and_cached():
     dht, dispatcher, ledger, peers = build_net(["a", "b"])
     peers["b"].add_content(key("b"), b"v1", now=0)
-    result = peers["a"].handle_request(key("b"), now=1)
-    assert result is LookupSource.OVERLAY
+    peers["a"].handle_request(key("b"), now=1)
+    assert tiers(ledger) == (0, 0, 1)
     assert key("b") in peers["a"].current.entries
-    assert ledger.overlay_replies == 1
 
 
 def test_tier_exclusivity_per_request():
@@ -68,12 +73,11 @@ def test_tier_exclusivity_per_request():
     peers["b"].add_content(key("b"), b"v1", now=0)
     unanswered = 0
     for now in range(1, 30):
-        before = (ledger.social_hits, ledger.current_hits, ledger.overlay_replies,
-                  ledger.total_requests - answered(ledger))
-        source = peers["a"].handle_request(key("b", f"wall/{now % 3}"), now)
-        unanswered += source is None
-        after = (ledger.social_hits, ledger.current_hits, ledger.overlay_replies,
-                 ledger.total_requests - answered(ledger))
+        before = (*tiers(ledger), ledger.total_requests - answered(ledger))
+        requested = key("b", f"wall/{now % 3}")
+        peers["a"].handle_request(requested, now)
+        unanswered += requested not in dht.entries
+        after = (*tiers(ledger), ledger.total_requests - answered(ledger))
         assert sum(after) - sum(before) == 1
         assert sorted(a - b for a, b in zip(after, before)) == [0, 0, 0, 1]
     assert ledger.total_requests - answered(ledger) == unanswered
@@ -81,8 +85,8 @@ def test_tier_exclusivity_per_request():
 
 def test_absent_key_counts_unanswered():
     dht, dispatcher, ledger, peers = build_net(["a", "b"])
-    assert peers["a"].handle_request(key("b", "wall/9"), now=1) is None
-    assert ledger.total_requests - answered(ledger) == 1
+    peers["a"].handle_request(key("b", "wall/9"), now=1)
+    assert tiers(ledger) == (0, 0, 0)
     assert ledger.total_requests == 1
     # The unanswered request is still a tracked lookup of the key's owner.
     entry = peers["a"].social.muc["b"]
@@ -93,7 +97,7 @@ def test_post_fans_out_to_subscribers():
     dht, dispatcher, ledger, peers = build_net(["a", "b", "c", "d"])
     # subscribe b, c, d to a's channel
     for name in ("b", "c", "d"):
-        peers[name].social._subscribe("a", now=0)
+        peers[name].social._subscribe("a")
     messages_before = dispatcher.messages
     peers["a"].add_content(key("a"), b"post", now=1)
     assert dispatcher.messages - messages_before == 3  # one update per subscriber
@@ -115,8 +119,8 @@ def test_own_content_served_from_social_cache():
     dht, dispatcher, ledger, peers = build_net(["a", "b"])
     peers["a"].add_content(key("a"), b"mine", now=0)
     lookups_before = dht.lookups
-    result = peers["a"].handle_request(key("a"), now=1)
-    assert result is LookupSource.SOCIAL_CACHE
+    peers["a"].handle_request(key("a"), now=1)
+    assert tiers(ledger) == (1, 0, 0)
     assert dht.lookups == lookups_before
 
 

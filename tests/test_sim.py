@@ -314,9 +314,9 @@ def test_dumps_land_in_no_section(kind, setup, trigger, monkeypatch):
     seen = Counter()
     on_bootstrap, unsubscribe = SocialCache.on_bootstrap, SocialCache._unsubscribe
 
-    def observed_unsubscribe(social, user, now):
+    def observed_unsubscribe(social, user):
         dropped.add((social.owner, user))
-        return unsubscribe(social, user, now)
+        return unsubscribe(social, user)
 
     def observed_bootstrap(social, sender, items):
         seen["dumps"] += 1

@@ -51,7 +51,7 @@ class Router:
         if cache is None:
             return
         if kind is MessageKind.SUBSCRIBE:
-            cache.on_subscribe_received(name, env.sent_at)
+            cache.on_subscribe_received(name)
         elif kind is MessageKind.UNSUBSCRIBE:
             cache.on_unsubscribe_received(name)
         elif kind is MessageKind.SOCIAL_UPDATE:
@@ -70,7 +70,7 @@ def make_cache(owner="me", router=None, **cfg_kwargs):
 
 
 def obj(owner, path, version=1):
-    return ContentObject(StorageKey(owner, path), version, b"data", owner, 0)
+    return ContentObject(StorageKey(owner, path), version, b"data")
 
 
 def dump(*items):
@@ -110,8 +110,8 @@ def test_muc_capacity_evicts_lowest_ranked():
     assert "newcomer" in cache.muc
 
 
-def _muc_fields(entry):
-    return (entry.user, entry.event_count, entry.lookup_count, entry.weighted.hex(),
+def _muc_fields(user, entry):
+    return (user, entry.event_count, entry.lookup_count, entry.weighted.hex(),
             entry.first_at, entry.last_at, entry.gap.hex())
 
 
@@ -151,8 +151,8 @@ def test_track_bookkeeping_matches_reference_record(trigger):
                     and now >= cache.stable_until):
                 cache.run_selection(now)
             assert cache.muc.total_events == twin.total_events
-            assert ([_muc_fields(e) for e in cache.muc.values()]
-                    == [_muc_fields(e) for e in twin.values()])
+            assert ([_muc_fields(*item) for item in cache.muc.items()]
+                    == [_muc_fields(*item) for item in twin.items()])
     assert evictions > 100
 
 
@@ -397,8 +397,8 @@ def test_subscribe_bootstraps_new_subscription():
     me, _ = make_cache("me", router)
     them, _ = make_cache("them", router)
     for i in range(4):
-        them.publish(obj("them", f"wall/{i}"), now=0)
-    me._subscribe("them", now=1)
+        them.publish(obj("them", f"wall/{i}"))
+    me._subscribe("them")
     assert me.store_items == 4
     assert "me" in them.receivers
 
@@ -407,10 +407,10 @@ def test_unsubscribe_purges_store():
     router = Router()
     me, _ = make_cache("me", router)
     them, _ = make_cache("them", router)
-    them.publish(obj("them", "wall/0"), now=0)
-    me._subscribe("them", now=1)
+    them.publish(obj("them", "wall/0"))
+    me._subscribe("them")
     assert me.store_items == 1
-    me._unsubscribe("them", now=2)
+    me._unsubscribe("them")
     assert "them" not in me.store
     assert me.store_items == 0
     assert "me" not in them.receivers
@@ -418,11 +418,11 @@ def test_unsubscribe_purges_store():
 
 def test_subscribe_past_n_raises_and_sends_nothing():
     cache, router = make_cache(n=2)
-    cache._subscribe("a", now=0)
-    cache._subscribe("b", now=0)
+    cache._subscribe("a")
+    cache._subscribe("b")
     sent = list(router.log)
     with pytest.raises(CapExceededError):
-        cache._subscribe("c", now=0)
+        cache._subscribe("c")
     assert list(cache.channels) == ["a", "b"]
     assert router.log == sent
     assert cache.ledger.subscriptions_sent == 2
@@ -460,8 +460,8 @@ def test_store_follows_updates_purges_and_dumps(ops):
             cache.on_social_update(user, obj(user, op[2], op[3]))
             want.setdefault(user, {})[op[2]] = op[3]
         else:
-            cache._unsubscribe(user, 0)
-            cache._subscribe(user, 0)
+            cache._unsubscribe(user)
+            cache._subscribe(user)
             want.pop(user, None)
         if op[0] == "dump":
             if op[2]:
@@ -480,9 +480,9 @@ def test_store_follows_updates_purges_and_dumps(ops):
 
 def test_subscribe_received_sends_one_dump():
     cache, router = make_cache("me")
-    cache.publish(obj("me", "wall/0"), 0)
-    cache.on_subscribe_received("sub", 1)
-    cache.on_subscribe_received("sub", 2)  # duplicate is idempotent
+    cache.publish(obj("me", "wall/0"))
+    cache.on_subscribe_received("sub")
+    cache.on_subscribe_received("sub")  # duplicate is idempotent
     dumps = [e for e in router.log if e[1] is MessageKind.BOOTSTRAP_DUMP]
     assert len(dumps) == 1
     assert len(cache.receivers) == 1
@@ -493,7 +493,7 @@ def test_subscribe_received_without_bootstrapping():
     router = Router()
     cache = SocialCache("me", cfg, router.dispatch, bootstrapping=False)
     router.add(cache)
-    cache.on_subscribe_received("sub", 1)
+    cache.on_subscribe_received("sub")
     assert len(cache.receivers) == 1
     assert all(e[1] is not MessageKind.BOOTSTRAP_DUMP for e in router.log)
 
@@ -526,12 +526,23 @@ def test_publish_shares_one_envelope_across_receivers(k):
         cache.receivers[user] = None
     before = dispatcher.messages
     posted = obj("me", "wall/0")
-    cache.publish(posted, 7)
+    cache.publish(posted)
     assert dispatcher.messages - before == k
     assert [user for user, _ in seen] == subscribers
     assert len({id(env) for _, env in seen}) == min(k, 1)
     for _, env in seen:
-        assert env == MessageEnvelope("me", MessageKind.SOCIAL_UPDATE, posted, 7)
+        assert env == MessageEnvelope("me", MessageKind.SOCIAL_UPDATE, posted)
+
+
+def test_publish_refuses_another_users_key():
+    cache, router = make_cache("me")
+    posted = obj("me", "wall/0")
+    cache.publish(posted)
+    cache.receivers["sub"] = None
+    with pytest.raises(ValueError):
+        cache.publish(obj("them", "wall/1"))
+    assert cache.own == {posted.key: posted}
+    assert router.log == []
 
 
 # -- social lookup ------------------------------------------------------------------------
@@ -539,7 +550,7 @@ def test_publish_shares_one_envelope_across_receivers(k):
 def test_lookup_serves_own_content():
     cache, _ = make_cache("me")
     posted = obj("me", "wall/1")
-    cache.publish(posted, 0)
+    cache.publish(posted)
     assert cache.lookup(StorageKey("me", "wall/1")) is posted
 
 
@@ -742,7 +753,7 @@ def test_run_selection_matches_rank_everything_reference(kind, muc_capacity):
             diff = cache.run_selection(now)
             assert (diff.to_subscribe, diff.to_unsubscribe) == expected
             assert muc_state(cache) == muc_state(ref)
-            apply_reference_diff(ref, *expected, now)
+            apply_reference_diff(ref, *expected)
             assert list(cache.channels) == list(ref.channels)
 
         if kind is Strategy.SOCIAL_SCORE:
