@@ -344,15 +344,15 @@ SETUP_ORDER = (
 
 def compare_strategies(cfg: ScenarioConfig,
                        trace: Trace | None = None) -> list[RunResult]:
-    """Run the same trace once per selection strategy, social cache only."""
+    """Run the same trace once per selection strategy, social cache only.
+    Every run's config is checked before the trace is made."""
     base = scenario_for_setup(cfg, CacheSetup.SOCIAL_ONLY)
-    base.validate()
+    runs = [scenario_for_strategy(base, kind) for kind in STRATEGY_ORDER]
+    for run in runs:
+        run.validate()
     if trace is None:
         trace = generate_trace(base)
-    return [
-        run_scenario(scenario_for_strategy(base, kind), trace, label=kind.value)
-        for kind in STRATEGY_ORDER
-    ]
+    return [run_scenario(run, trace) for run in runs]
 
 
 def compare_caches(cfg: ScenarioConfig,

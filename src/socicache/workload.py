@@ -98,23 +98,24 @@ class Trace:
 
     Event ``i`` happens at tick ``ticks[i]``.  Its actor is
     ``users[actors[i]]`` and its action ``ACTIONS[actions[i]]``.  Its target
-    is ``targets[target_ids[i]]``, which ``resolved`` holds parsed: a
-    StorageKey for a key, the plain name for a friend-request target.  A
-    POST's payload size is ``sizes[i]``; other actions do not read it.
+    is ``resolved[target_ids[i]]``: a StorageKey for a key, the plain name
+    for a friend-request target; ``str`` of either is its trace-file text.
+    A POST's payload size is ``sizes[i]``; other actions do not read it.
     ``users`` is every user the trace names (actors, friend-request targets
     and key owners), sorted.
 
     Iterating a Trace yields TraceEvent values made on demand; ``chunks()``
-    formats the same events as trace-file text without making them.  The
-    columns are read-only, so ``trace_digest`` computes a Trace's digest
-    once and keeps it.
+    formats the same events as trace-file text without making them.  Each
+    pass of either formats every target's text once.  The columns are
+    read-only, so ``trace_digest`` computes a Trace's digest once and keeps
+    it.
     """
 
     __slots__ = ("ticks", "actors", "actions", "target_ids", "sizes",
-                 "users", "targets", "resolved", "_digest")
+                 "users", "resolved", "_digest")
 
     def __init__(self, ticks: array, actors: array, actions: bytes, target_ids: array,
-                 sizes: array, users: tuple[UserId, ...], targets: tuple[str, ...],
+                 sizes: array, users: tuple[UserId, ...],
                  resolved: tuple[StorageKey | UserId, ...]):
         self.ticks = memoryview(ticks).toreadonly()
         self.actors = memoryview(actors).toreadonly()
@@ -122,7 +123,6 @@ class Trace:
         self.target_ids = memoryview(target_ids).toreadonly()
         self.sizes = memoryview(sizes).toreadonly()
         self.users = users
-        self.targets = targets
         self.resolved = resolved
         self._digest: str | None = None
 
@@ -139,18 +139,17 @@ class Trace:
     def __len__(self) -> int:
         return len(self.actions)
 
-    def _event(self, at: int, actor: int, code: int, target: int, size: int) -> TraceEvent:
-        return TraceEvent(at, self.users[actor], ACTIONS[code], self.targets[target],
-                          size if code == POST_CODE else None)
-
     def __iter__(self) -> Iterator[TraceEvent]:
-        return map(self._event, self.ticks, self.actors, self.actions,
-                   self.target_ids, self.sizes)
+        users, targets = self.users, list(map(str, self.resolved))
+        for at, actor, code, target, size in zip(self.ticks, self.actors, self.actions,
+                                                 self.target_ids, self.sizes):
+            yield TraceEvent(at, users[actor], ACTIONS[code], targets[target],
+                             size if code == POST_CODE else None)
 
     def chunks(self) -> Iterator[str]:
         """The trace-file text in chunks of at most ``CHUNK_LINES`` lines,
         each line ending in a newline."""
-        users, targets = self.users, self.targets
+        users, targets = self.users, list(map(str, self.resolved))
         for lo in range(0, len(self), CHUNK_LINES):
             hi = lo + CHUNK_LINES
             yield "".join([
@@ -235,8 +234,7 @@ class _TraceBuilder:
         position = {name: i for i, name in enumerate(users)}
         renumber = [position[name] for name in self.names]
         return Trace(self.ticks, array("I", map(renumber.__getitem__, self.actors)),
-                     self.actions, self.target_ids, self.sizes, users,
-                     tuple(self.target_ids_of), tuple(self.resolved))
+                     self.actions, self.target_ids, self.sizes, users, tuple(self.resolved))
 
 
 class CacheSetup(enum.Enum):
@@ -492,7 +490,8 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     per_user = cfg.keys_per_user
     # Target table: key ``slot`` of peer ``i`` is entry ``i * per_user +
     # slot``; peer ``j`` as a friend-request target follows all the keys.
-    keys = [StorageKey(name, f"wall/{slot}") for name in names for slot in range(per_user)]
+    paths = [f"wall/{slot}" for slot in range(per_user)]
+    keys = [StorageKey(name, path) for name in names for path in paths]
     user_targets = len(keys)
 
     # Friendship phases: a deterministic shuffle splits the sorted edges
@@ -587,7 +586,6 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
         ticks, actors, codes, target_ids,
         array("I", [cfg.payload_bytes]) * count,
         tuple(names),
-        tuple(map(str, keys)) + tuple(names),
         tuple(keys) + tuple(names),
     )
 

@@ -11,13 +11,14 @@ from oracles import reference_schedule, reference_selection_round
 from socicache.metrics import METRICS_COLUMNS, write_rows
 from socicache.model import InteractionKind
 from socicache.peer import Peer
-from socicache.sim import Simulation
+from socicache.sim import Simulation, compare_strategies
 from socicache.social_cache import SelectionTrigger, SocialCache, Strategy, StrategyConfig
 from socicache.workload import (
     FRIENDREQ,
     LOOKUP,
     POST,
     CacheSetup,
+    ConfigError,
     ScenarioConfig,
     Trace,
     TraceEvent,
@@ -364,3 +365,15 @@ def test_run_restores_the_collector_state(enabled, fails, monkeypatch):
     finally:
         gc.enable()
     assert during and not any(during)
+
+
+def test_compare_strategies_checks_every_run_before_the_trace(monkeypatch):
+    """Zero social-score weights are refused before the trace is made,
+    although the base config runs trend, which reads no weights."""
+    generated = []
+    monkeypatch.setattr("socicache.sim.generate_trace", generated.append)
+    cfg = ScenarioConfig(peer_count=8, friends_per_user=4, sim_duration_ticks=60_000)
+    cfg.strategy = StrategyConfig(kind=Strategy.TREND, alpha=0.0, beta=0.0)
+    with pytest.raises(ConfigError, match="alpha \\+ beta must be positive"):
+        compare_strategies(cfg)
+    assert generated == []

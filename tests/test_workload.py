@@ -395,6 +395,17 @@ def test_trace_file_round_trip_keeps_every_event(tmp_path):
     path = tmp_path / "trace.txt"
     save_trace(Trace.from_events(EVENTS), path)
     assert list(load_trace(path)) == EVENTS
+    # A key's text is rebuilt from its parsed form, so paths with several
+    # (or empty) segments and a friend-request name must come back as is.
+    text = path.read_text() + ("13 alice LOOKUP carol/photos/2020/a\n"
+                               "14 carol POST carol/photos/2020/a 5\n"
+                               "15 bob LOOKUP alice//x/\n"
+                               "16 carol FRIENDREQ erin\n")
+    path.write_text(text)
+    loaded = load_trace(path)
+    assert [ev.target for ev in loaded] == [line.split()[3] for line in text.splitlines()]
+    save_trace(loaded, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
 def test_trace_digest_is_sha256_of_lines():
@@ -456,3 +467,22 @@ def test_generated_trace_retains_few_bytes_per_event():
     assert len(trace) > 100_000
     assert retained / len(trace) <= 32
     assert peak / len(trace) <= 80
+
+
+def test_generated_trace_retains_few_bytes_per_target():
+    # Many keys and few events, so the per-target tables dominate.  A
+    # target is a StorageKey sharing its owner's name and one path string
+    # per key slot, plus its entry in ``resolved``: about 80 bytes.  A
+    # second copy of each key's text would add about 120.
+    cfg = ScenarioConfig(peer_count=1024, friends_per_user=6, lookups_per_interaction=1.0,
+                         new_experiment_time_days=0.001)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = generate_trace(cfg)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    targets = len(trace.resolved)
+    assert targets == 1024 * 21 and len(trace) < 3 * targets
+    assert (retained - 21 * len(trace)) / targets <= 120
