@@ -15,6 +15,7 @@ import argparse
 import enum
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -47,6 +48,15 @@ def _parse_bool(raw: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _parse_float(raw: str) -> float:
+    """Every float key's parser: NaN and the infinities would pass each
+    range check in ``validate``, so they are refused here."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_tuple(conv: Callable[[str], object]) -> Callable[[str], tuple]:
@@ -95,24 +105,24 @@ def _attr(path: str, parse: Callable[[str], object], fmt: Callable[[object], str
 def _weight(kind: InteractionKind) -> _Key:
     return _Key(lambda cfg: cfg.strategy.interaction_weights.get(kind, 1.0),
                 lambda cfg, value: cfg.strategy.interaction_weights.__setitem__(kind, value),
-                float, repr)
+                _parse_float, repr)
 
 
 _KEYS: dict[str, _Key] = {
     "peer_count": _attr("peer_count", int),
     "friends_per_user": _attr("friends_per_user", int),
-    "new_experiment_time_days": _attr("new_experiment_time_days", float, repr),
+    "new_experiment_time_days": _attr("new_experiment_time_days", _parse_float, repr),
     "sim_duration_ticks": _attr("sim_duration_ticks", int, resolved="duration"),
     "friend_request_phases": _attr("friend_request_phases", _parse_tuple(int), _join(str),
                                    resolved="phases"),
-    "initial_friend_fraction": _attr("initial_friend_fraction", float, repr),
+    "initial_friend_fraction": _attr("initial_friend_fraction", _parse_float, repr),
     "cache_setup": _attr("cache_setup", CacheSetup, _enum_value),
     "seed": _attr("seed", int),
     "keys_per_user": _attr("keys_per_user", int),
     "payload_bytes": _attr("payload_bytes", int),
-    "lookups_per_interaction": _attr("lookups_per_interaction", float, repr),
+    "lookups_per_interaction": _attr("lookups_per_interaction", _parse_float, repr),
     "tier_sizes": _attr("tier_sizes", _parse_tuple(int), _join(str)),
-    "tier_shares": _attr("tier_shares", _parse_tuple(float), _join(repr)),
+    "tier_shares": _attr("tier_shares", _parse_tuple(_parse_float), _join(repr)),
     "replication_factor": _attr("replication_factor", int),
     "bootstrapping": _attr("bootstrapping", _parse_bool, lambda value: str(value).lower()),
     "muc_capacity": _attr("muc_capacity", int),
@@ -120,14 +130,15 @@ _KEYS: dict[str, _Key] = {
     "current_cache.ttl_ticks": _attr("current_cache.ttl_ticks", int),
     "current_cache.capacity": _attr("current_cache.capacity", int),
     "strategy.kind": _attr("strategy.kind", Strategy, _enum_value),
-    "strategy.alpha": _attr("strategy.alpha", float, repr),
-    "strategy.beta": _attr("strategy.beta", float, repr),
+    "strategy.alpha": _attr("strategy.alpha", _parse_float, repr),
+    "strategy.beta": _attr("strategy.beta", _parse_float, repr),
     "strategy.n": _attr("strategy.n", int),
     "strategy.m": _attr("strategy.m", int),
     "strategy.update_interval_ticks": _attr("strategy.update_interval", int),
     "strategy.trigger": _attr("strategy.trigger", SelectionTrigger, _enum_value),
-    "dataset.avg_ts_interaction_days": _attr("dataset.avg_ts_interaction_days", float, repr),
-    "dataset.experiment_span_days": _attr("dataset.experiment_span_days", float, repr),
+    "dataset.avg_ts_interaction_days": _attr("dataset.avg_ts_interaction_days", _parse_float,
+                                             repr),
+    "dataset.experiment_span_days": _attr("dataset.experiment_span_days", _parse_float, repr),
     **{f"strategy.weight.{kind.value}": _weight(kind) for kind in InteractionKind},
 }
 

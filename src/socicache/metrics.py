@@ -30,7 +30,8 @@ def responses_per_item(cache_replies: int, items: int) -> float | None:
 
 @dataclass(slots=True)
 class Counters:
-    """Final counters of one run."""
+    """The counters of one run, and the only place they are defined: the
+    simulation builds one and every layer bumps its fields directly."""
 
     social_hits: int = 0
     current_hits: int = 0
@@ -63,6 +64,11 @@ class Counters:
                 raise ValueError(f"counter {f.name} is negative")
         if self.answered > self.total_requests:
             raise ValueError("answered replies exceed total requests")
+        # A request that no cache answers asks the overlay exactly once.
+        missed = self.total_requests - self.cache_replies
+        if self.dht_lookups != missed:
+            raise ValueError(f"overlay lookups {self.dht_lookups} != requests missed by "
+                             f"every cache {missed}")
 
 
 def cache_hit_ratio(counters: Counters) -> float | None:
@@ -92,20 +98,10 @@ METRICS_COLUMNS = (
 )
 
 class MetricsLedger:
-    """Pipeline counters plus the sampled metrics of one run.
-
-    The lookup pipeline and the social caches bump the counters directly;
-    the simulation records one row per sampling step.
-    """
+    """The sampled metrics of one run: the simulation records one row per
+    sampling step."""
 
     def __init__(self) -> None:
-        self.total_requests = 0
-        self.social_hits = 0
-        self.current_hits = 0
-        self.overlay_replies = 0
-        self.subscriptions_sent = 0
-        self.unsubscriptions_sent = 0
-        self.bootstrap_dumps = 0
         # One value list per metrics column in column order, aligned with
         # ``sample_times``.
         self.series: dict[str, list[object]] = {name: [] for name in METRICS_COLUMNS[1:]}

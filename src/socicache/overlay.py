@@ -1,5 +1,5 @@
 """Simulated overlay: a key-value store plus a synchronous user-to-user
-message dispatcher, with traffic counters read by the simulation.
+message dispatcher, both counting their traffic into the run's ``Counters``.
 
 An envelope carries no recipient: the sender builds it once per send and
 the dispatcher delivers it to each recipient in turn, so a publish to k
@@ -15,6 +15,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
+from .metrics import Counters
 from .model import ContentObject, StorageKey, UserId
 
 
@@ -33,15 +34,12 @@ class DhtStore:
     replication factor; ``bytes_read`` is charged per successful get.
     """
 
-    def __init__(self, replication_factor: int = 4):
+    def __init__(self, counters: Counters, replication_factor: int = 4):
         if replication_factor < 1:
             raise ValueError("replication_factor must be positive")
+        self.counters = counters
         self.replication_factor = replication_factor
         self.entries: dict[StorageKey, ContentObject] = {}
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.lookups = 0
-        self.puts = 0
 
     def put(self, content: ContentObject) -> None:
         stored = self.entries.get(content.key)
@@ -50,15 +48,17 @@ class DhtStore:
                 f"version {content.version} <= stored {stored.version} for {content.key}"
             )
         self.entries[content.key] = content
-        self.puts += 1
-        self.bytes_written += len(content.payload) * self.replication_factor
+        counters = self.counters
+        counters.dht_puts += 1
+        counters.bytes_written += len(content.payload) * self.replication_factor
 
     def get(self, key: StorageKey) -> ContentObject | None:
         """Overlay lookup; a miss is counted but is not an error."""
-        self.lookups += 1
+        counters = self.counters
+        counters.dht_lookups += 1
         obj = self.entries.get(key)
         if obj is not None:
-            self.bytes_read += len(obj.payload)
+            counters.bytes_read += len(obj.payload)
         return obj
 
 
@@ -86,8 +86,8 @@ class MessageDispatcher:
     handler runs in the same event-loop step, so delivery takes no
     simulated time and the system is quiescent between events."""
 
+    counters: Counters
     handlers: dict[UserId, Callable[[MessageEnvelope], None]] = field(default_factory=dict)
-    messages: int = 0
 
     def register(self, user: UserId, handler: Callable[[MessageEnvelope], None]) -> None:
         self.handlers[user] = handler
@@ -98,5 +98,5 @@ class MessageDispatcher:
         handler = self.handlers.get(recipient)
         if handler is None:
             raise InvalidEnvelopeError(f"no registered recipient {recipient!r}")
-        self.messages += 1
+        self.counters.dispatcher_messages += 1
         handler(env)

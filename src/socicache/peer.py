@@ -3,15 +3,15 @@ tiers plus the authoritative write path for its own content.
 
 Request resolution order is social cache (own content, then subscribed
 content), then the current cache, then the overlay; a request counts one
-hit of the tier that answered it in the ledger.  Interaction tracking
-and the per-lookup subscription actions run after the request has been
-answered, so a cold key is always served by the overlay even when the
+hit of the tier that answered it in the run's ``Counters``.  Interaction
+tracking and the per-lookup subscription actions run after the request has
+been answered, so a cold key is always served by the overlay even when the
 triggered subscription would have pushed it a moment later.
 """
 from __future__ import annotations
 
 from .info_cache import CurrentCache
-from .metrics import MetricsLedger
+from .metrics import Counters
 from .model import ContentObject, InteractionKind, SimTime, StorageKey, UserId
 from .overlay import DhtStore, MessageDispatcher, MessageEnvelope, MessageKind
 from .social_cache import SocialCache, StrategyConfig
@@ -33,14 +33,14 @@ class Peer:
     recipient, and ``send_friend_request`` builds its own.  Inbound
     envelopes arrive at ``on_envelope``."""
 
-    __slots__ = ("user", "dht", "dispatcher", "ledger", "current", "social")
+    __slots__ = ("user", "dht", "dispatcher", "counters", "current", "social")
 
     def __init__(
         self,
         user: UserId,
         dht: DhtStore,
         dispatcher: MessageDispatcher,
-        ledger: MetricsLedger,
+        counters: Counters,
         *,
         current_cache: CurrentCache | None = None,
         strategy: StrategyConfig | None = None,
@@ -51,7 +51,7 @@ class Peer:
         self.user = user
         self.dht = dht
         self.dispatcher = dispatcher
-        self.ledger = ledger
+        self.counters = counters
         self.current = current_cache
         self.social: SocialCache | None = None
         if strategy is not None:
@@ -59,7 +59,7 @@ class Peer:
                 user,
                 strategy,
                 dispatcher.dispatch,
-                self.ledger,
+                counters,
                 bootstrapping=bootstrapping,
                 muc_capacity=muc_capacity,
                 seed=seed,
@@ -70,18 +70,18 @@ class Peer:
 
     def handle_request(self, key: StorageKey, now: SimTime) -> None:
         """Resolve a plugin request and count it, and its answering tier if
-        the key exists anywhere, in the ledger."""
-        ledger = self.ledger
-        ledger.total_requests += 1
+        the key exists anywhere, in the run's counters."""
+        counters = self.counters
+        counters.total_requests += 1
         social = self.social
         if social is not None and social.lookup(key) is not None:
-            ledger.social_hits += 1
+            counters.social_hits += 1
         elif (current := self.current) is not None and current.lookup(key, now) is not None:
-            ledger.current_hits += 1
+            counters.current_hits += 1
         else:
             content = self.dht.get(key)
             if content is not None:
-                ledger.overlay_replies += 1
+                counters.overlay_replies += 1
                 if current is not None:
                     current.insert(content, now)
         owner = key.owner
@@ -109,9 +109,10 @@ class Peer:
 
     def send_friend_request(self, target: UserId, now: SimTime) -> None:
         """Friend requests travel as system messages without a payload and
-        count as tracked interactions with the target."""
+        count as tracked interactions with the target.  A request to oneself
+        raises in ``dispatch`` before anything is counted or tracked."""
         self.dispatcher.dispatch(MessageEnvelope(self.user, _SYSTEM_NOTICE, None), target)
-        if self.social is not None and target != self.user:
+        if self.social is not None:
             self.social.track(target, _FRIEND_REQUEST, now)
 
     # -- inbound ------------------------------------------------------------

@@ -79,8 +79,10 @@ class Simulation:
         self.cfg = cfg
         self.trace = trace
         self.label = label
-        self.dht = DhtStore(cfg.replication_factor)
-        self.dispatcher = MessageDispatcher()
+        # The run's one counter record; every layer bumps it directly.
+        self.counters = Counters()
+        self.dht = DhtStore(self.counters, cfg.replication_factor)
+        self.dispatcher = MessageDispatcher(self.counters)
         self.ledger = MetricsLedger()
         self.peers: dict[UserId, Peer] = {}
         self._payloads: dict[int, bytes] = {}
@@ -98,7 +100,7 @@ class Simulation:
                 name,
                 self.dht,
                 self.dispatcher,
-                self.ledger,
+                self.counters,
                 current_cache=current,
                 strategy=strategy,
                 bootstrapping=cfg.bootstrapping,
@@ -140,7 +142,7 @@ class Simulation:
                 social.run_selection(now)
 
     def _sample(self, now: SimTime) -> None:
-        counters = self.counters()
+        counters = self.counters
         row = {name: getattr(counters, name) for name in _COUNTER_NAMES}
         row["hit_ratio"] = cache_hit_ratio(counters)
         row.update(self._gauges())
@@ -204,23 +206,6 @@ class Simulation:
         return self._result()
 
     # -- results ------------------------------------------------------------
-
-    def counters(self) -> Counters:
-        ledger = self.ledger
-        return Counters(
-            social_hits=ledger.social_hits,
-            current_hits=ledger.current_hits,
-            overlay_replies=ledger.overlay_replies,
-            total_requests=ledger.total_requests,
-            subscriptions_sent=ledger.subscriptions_sent,
-            unsubscriptions_sent=ledger.unsubscriptions_sent,
-            bootstrap_dumps=ledger.bootstrap_dumps,
-            dispatcher_messages=self.dispatcher.messages,
-            dht_lookups=self.dht.lookups,
-            dht_puts=self.dht.puts,
-            bytes_read=self.dht.bytes_read,
-            bytes_written=self.dht.bytes_written,
-        )
 
     def _gauges(self) -> dict[str, float]:
         """Cache sizes and mean MUC size now; also folds the current channel
@@ -292,7 +277,7 @@ class Simulation:
         return violations
 
     def _result(self) -> RunResult:
-        counters = self.counters()
+        counters = self.counters
         gauges = self._gauges()
         total_items = gauges["social_cache_items"] + gauges["current_cache_items"]
         summary = {

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
-from .metrics import MetricsLedger
+from .metrics import Counters
 from .model import ContentObject, InteractionKind, SimTime, StorageKey, UserId
 from .overlay import MessageEnvelope, MessageKind
 
@@ -187,7 +187,7 @@ class SocialCache:
     A selection round asks ``stable_until`` whether it can change anything.
     """
 
-    __slots__ = ("owner", "cfg", "dispatch", "ledger", "bootstrapping", "muc", "_weight_of",
+    __slots__ = ("owner", "cfg", "dispatch", "counters", "bootstrapping", "muc", "_weight_of",
                  "channels", "receivers", "store", "store_items", "own", "_seed", "_rng",
                  "_lookups_since_selection", "stable_until", "_cert", "_dirty")
 
@@ -196,7 +196,7 @@ class SocialCache:
         owner: UserId,
         cfg: StrategyConfig,
         dispatch: Callable[[MessageEnvelope, UserId], None],
-        ledger: MetricsLedger | None = None,
+        counters: Counters,
         *,
         bootstrapping: bool = True,
         muc_capacity: int = DUNBAR_MUC_LIMIT,
@@ -206,7 +206,7 @@ class SocialCache:
         self.owner = owner
         self.cfg = cfg
         self.dispatch = dispatch
-        self.ledger = ledger if ledger is not None else MetricsLedger()
+        self.counters = counters
         self.bootstrapping = bootstrapping
         self.muc = MucList(muc_capacity)
         # Interaction weights keyed by each kind's string value, read once
@@ -567,7 +567,7 @@ class SocialCache:
         if len(channels) >= self.cfg.n:
             raise CapExceededError(f"channel limit {self.cfg.n} reached")
         channels[user] = None
-        self.ledger.subscriptions_sent += 1
+        self.counters.subscriptions_sent += 1
         self.dispatch(MessageEnvelope(self.owner, _SUBSCRIBE, None), user)
 
     def _unsubscribe(self, user: UserId) -> None:
@@ -577,7 +577,7 @@ class SocialCache:
         section = self.store.pop(user, None)
         if section is not None:
             self.store_items -= len(section)
-        self.ledger.unsubscriptions_sent += 1
+        self.counters.unsubscriptions_sent += 1
         self.dispatch(MessageEnvelope(self.owner, _UNSUBSCRIBE, None), user)
 
     # -- inbound message handling -----------------------------------------
@@ -589,7 +589,7 @@ class SocialCache:
             return
         self.receivers[subscriber] = None
         if self.bootstrapping:
-            self.ledger.bootstrap_dumps += 1
+            self.counters.bootstrap_dumps += 1
             self.dispatch(MessageEnvelope(self.owner, _BOOTSTRAP_DUMP, self.own.copy()), subscriber)
 
     def on_unsubscribe_received(self, subscriber: UserId) -> None:

@@ -90,6 +90,42 @@ def test_unknown_key_exits_two_and_names_key(tmp_path, capsys):
         assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
+def _is_float_key(value):
+    floats = value if isinstance(value, tuple) else (value,)
+    return bool(floats) and all(type(v) is float for v in floats)
+
+
+# Every key whose value is a float or a tuple of floats, from the keys
+# themselves, so a new float key is covered without being listed here.
+FLOAT_KEYS = sorted(key for key, entry in cli._KEYS.items()
+                    if _is_float_key(entry.get(ScenarioConfig())))
+
+
+def test_float_keys_found():
+    assert {"strategy.alpha", "strategy.beta", "tier_shares", "new_experiment_time_days",
+            "dataset.experiment_span_days", "strategy.weight.lookup"} <= set(FLOAT_KEYS)
+
+
+@pytest.mark.parametrize("via", ["set", "file"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_exits_two_and_names_key(tmp_path, capsys, key, bad, via):
+    """NaN and the infinities pass every range check, so each float key's
+    parser refuses them, whether they come from ``--set`` or a file."""
+    default = cli._KEYS[key].get(ScenarioConfig())
+    value = ",".join([bad, *map(repr, default[1:])]) if isinstance(default, tuple) else bad
+    if via == "set":
+        source = ["--set", f"{key}={value}"]
+    else:
+        config = tmp_path / "scenario.cfg"
+        config.write_text(f"{key}={value}\n", encoding="utf-8")
+        source = ["--config", str(config)]
+    code = main(["run", "--out", str(tmp_path / "out"), *SMALL, *source])
+    assert code == 2
+    assert f"bad value for {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_override_beats_file_beats_default(tmp_path):
     config = tmp_path / "scenario.cfg"
     config.write_text(

@@ -64,7 +64,7 @@ def test_responses_per_item_undefined_for_empty_cache():
 
 def test_counter_conservation_fields():
     counters = Counters(
-        social_hits=5, current_hits=3, overlay_replies=2, total_requests=12
+        social_hits=5, current_hits=3, overlay_replies=2, total_requests=12, dht_lookups=4
     )
     assert counters.answered == 10
     assert counters.unanswered == 2
@@ -74,6 +74,16 @@ def test_counter_conservation_fields():
 def test_counters_reject_negative():
     with pytest.raises(ValueError):
         Counters(social_hits=-1).validate()
+
+
+@pytest.mark.parametrize("dht_lookups", [0, 3, 5])
+def test_counters_reject_overlay_lookups_other_than_cache_misses(dht_lookups):
+    """Every request no cache answers asks the overlay exactly once: 12
+    requests with 8 cache hits make 4 overlay lookups, no more, no fewer."""
+    counters = Counters(social_hits=5, current_hits=3, overlay_replies=2, total_requests=12,
+                        dht_lookups=dht_lookups)
+    with pytest.raises(ValueError, match="overlay lookups"):
+        counters.validate()
 
 
 # -- series and CSV export ---------------------------------------------------------

@@ -16,6 +16,7 @@ from oracles import (
     reference_record,
     reference_run_selection,
 )
+from socicache.metrics import Counters
 from socicache.model import ContentObject, InteractionKind, StorageKey
 from socicache.overlay import MessageDispatcher, MessageEnvelope, MessageKind
 from socicache.social_cache import (
@@ -64,7 +65,7 @@ def make_cache(owner="me", router=None, **cfg_kwargs):
     cfg_kwargs.setdefault("kind", Strategy.SOCIAL_SCORE)
     cfg = StrategyConfig(**cfg_kwargs)
     router = router or Router()
-    cache = SocialCache(owner, cfg, router.dispatch)
+    cache = SocialCache(owner, cfg, router.dispatch, Counters())
     router.add(cache)
     return cache, router
 
@@ -131,7 +132,7 @@ def test_track_bookkeeping_matches_reference_record(trigger):
         n = rng.randrange(1, 3)
         cfg = StrategyConfig(kind=Strategy.SOCIAL_SCORE, n=n, m=n + rng.randrange(1, 4),
                              trigger=trigger, interaction_weights=weights)
-        cache = SocialCache("me", cfg, Router().dispatch, muc_capacity=capacity)
+        cache = SocialCache("me", cfg, Router().dispatch, Counters(), muc_capacity=capacity)
         twin = MucList(capacity)
         users = [f"p{i}" for i in range(rng.randrange(capacity + 1, 2 * capacity + 3))]
         now = 0
@@ -425,7 +426,7 @@ def test_subscribe_past_n_raises_and_sends_nothing():
         cache._subscribe("c")
     assert list(cache.channels) == ["a", "b"]
     assert router.log == sent
-    assert cache.ledger.subscriptions_sent == 2
+    assert cache.counters.subscriptions_sent == 2
 
 
 _store_ops = st.lists(
@@ -491,7 +492,7 @@ def test_subscribe_received_sends_one_dump():
 def test_subscribe_received_without_bootstrapping():
     cfg = StrategyConfig()
     router = Router()
-    cache = SocialCache("me", cfg, router.dispatch, bootstrapping=False)
+    cache = SocialCache("me", cfg, router.dispatch, Counters(), bootstrapping=False)
     router.add(cache)
     cache.on_subscribe_received("sub")
     assert len(cache.receivers) == 1
@@ -516,18 +517,19 @@ def test_update_from_non_subscribed_user_ignored():
 
 @pytest.mark.parametrize("k", [0, 1, 4])
 def test_publish_shares_one_envelope_across_receivers(k):
-    dispatcher = MessageDispatcher()
+    counters = Counters()
+    dispatcher = MessageDispatcher(counters)
     seen = []
     subscribers = [f"s{i}" for i in range(k)]
     for user in subscribers:
         dispatcher.register(user, lambda env, user=user: seen.append((user, env)))
-    cache = SocialCache("me", StrategyConfig(), dispatcher.dispatch)
+    cache = SocialCache("me", StrategyConfig(), dispatcher.dispatch, counters)
     for user in subscribers:
         cache.receivers[user] = None
-    before = dispatcher.messages
+    before = counters.dispatcher_messages
     posted = obj("me", "wall/0")
     cache.publish(posted)
-    assert dispatcher.messages - before == k
+    assert counters.dispatcher_messages - before == k
     assert [user for user, _ in seen] == subscribers
     assert len({id(env) for _, env in seen}) == min(k, 1)
     for _, env in seen:
@@ -632,7 +634,7 @@ def random_weighted_state(rng, kind, muc_capacity=DUNBAR_MUC_LIMIT):
     weights = {k: rng.uniform(0.0, 3.0) for k in InteractionKind if rng.random() < 0.8}
     router = Router()
     cfg = StrategyConfig(kind=kind, n=rng.randrange(1, 6), interaction_weights=weights)
-    cache = SocialCache("me", cfg, router.dispatch, muc_capacity=muc_capacity)
+    cache = SocialCache("me", cfg, router.dispatch, Counters(), muc_capacity=muc_capacity)
     router.add(cache)
     users = [f"p{i}" for i in range(rng.randrange(1, 12))]
     remaining = {u: rng.choice([1, 1, 2, 2, 3, 5, 8]) for u in users}
@@ -714,7 +716,7 @@ def test_run_selection_matches_rank_everything_reference(kind, muc_capacity):
         n = rng.randrange(1, 7)
         pair = [
             SocialCache("me", StrategyConfig(kind=kind, n=n, interaction_weights=dict(weights)),
-                        lambda *_: None, muc_capacity=muc_capacity)
+                        lambda *_: None, Counters(), muc_capacity=muc_capacity)
             for _ in range(2)
         ]
         cache, ref = pair
@@ -859,7 +861,7 @@ BOUNDARY_HISTORIES = [
 def certificate_cache(n, alpha, beta, friend_weight):
     cfg = StrategyConfig(kind=Strategy.SOCIAL_SCORE, n=n, alpha=alpha, beta=beta,
                          interaction_weights={LOOKUP: 1.0, FRIEND: friend_weight})
-    return SocialCache("me", cfg, lambda *_: None)
+    return SocialCache("me", cfg, lambda *_: None, Counters())
 
 
 def select(cache, now, reference):
@@ -1025,7 +1027,7 @@ def test_certificate_survives_tracks_between_rounds(trigger):
         cfg = StrategyConfig(kind=Strategy.SOCIAL_SCORE, n=n, m=n + rng.randrange(1, 4),
                              trigger=trigger, alpha=alpha, beta=beta,
                              interaction_weights={LOOKUP: 1.0, FRIEND: rng.choice([0.5, 1.0, 2.0])})
-        cache = _CheckedCache("me", cfg, lambda *_: None,
+        cache = _CheckedCache("me", cfg, lambda *_: None, Counters(),
                               muc_capacity=rng.choice([n + 1, n + 3, DUNBAR_MUC_LIMIT]))
         run_selection = partial(SocialCache.run_selection, cache)
         in_track = False

@@ -1,8 +1,10 @@
 """The benchmark tracer (perfbench/tracer.py) counts messages where they pass
-``MessageDispatcher.dispatch``.  A message path that bypasses that boundary
-would leave the per-layer message metrics reading low without any error, so
-this runs a small simulation under the tracer, unchanged, and checks its
-counts against the simulation's own."""
+``MessageDispatcher.dispatch`` and overlay traffic where it passes
+``DhtStore.get`` and ``put``.  A path that bypasses those boundaries would
+leave the per-layer metrics reading low without any error, and a count lost
+or doubled in the run's ``Counters`` would leave the summary wrong, so this
+runs a small simulation under the tracer, unchanged, and checks its counts
+against the simulation's own."""
 import importlib.util
 from pathlib import Path
 
@@ -47,3 +49,6 @@ def test_traced_message_counts_match_the_simulation():
     assert by_kind["unsubscribe"] == summary["unsubscriptions_sent"]
     assert by_kind["bootstrap_dump"] == summary["bootstrap_dumps"]
     assert tracer.count("peer.on_envelope") == messages
+    assert summary["dht_lookups"] > 0 and summary["dht_puts"] > 0
+    assert tracer.count("overlay.get") == summary["dht_lookups"]
+    assert tracer.count("overlay.put") == summary["dht_puts"]
