@@ -19,7 +19,7 @@ class CurrentCache:
 
     __slots__ = ("capacity", "ttl", "entries")
 
-    def __init__(self, capacity: int = 1000, ttl: SimTime = 60_000):
+    def __init__(self, capacity: int, ttl: SimTime):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         if ttl < 1:

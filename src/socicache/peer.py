@@ -14,7 +14,7 @@ from .info_cache import CurrentCache
 from .metrics import Counters
 from .model import ContentObject, InteractionKind, SimTime, StorageKey, UserId
 from .overlay import DhtStore, MessageDispatcher, MessageEnvelope, MessageKind
-from .social_cache import SocialCache, StrategyConfig
+from .social_cache import DUNBAR_MUC_LIMIT, SocialCache, StrategyConfig
 
 # Enum members read per request or message, bound once (see ``social_cache``).
 _LOOKUP, _FRIEND_REQUEST = InteractionKind.LOOKUP, InteractionKind.FRIEND_REQUEST
@@ -45,7 +45,7 @@ class Peer:
         current_cache: CurrentCache | None = None,
         strategy: StrategyConfig | None = None,
         bootstrapping: bool = True,
-        muc_capacity: int = 150,
+        muc_capacity: int = DUNBAR_MUC_LIMIT,
         seed: int = 0,
     ):
         self.user = user

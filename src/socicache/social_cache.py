@@ -37,7 +37,7 @@ def _tick(crossing: float) -> float:
 
 class _Certificate(NamedTuple):
     """What ``run_selection`` re-checks each user tracked since against;
-    made and derived by ``SocialCache._certify``."""
+    ``SocialCache._certify`` reads it off a sorted ranking."""
 
     cap: int  # the largest total event count covered
     until: float  # the first tick not covered
@@ -263,30 +263,32 @@ class SocialCache:
         counts (used only for MUC eviction).  Ties break by ascending user
         name so rankings are reproducible.
         """
-        return self._ranked(self.muc.items(), now)
+        return [key[1] for key in sorted(self._keys(self.muc.items(), now))]
 
-    def _ranked(self, tracked: Iterable[tuple[UserId, MucEntry]], now: SimTime) -> list[UserId]:
-        """The users of ``tracked`` (user, entry) pairs in ``rank_users``
-        order.  The key ``(-score, user)`` is a total order, so ranking a
-        subset keeps the subset's order in the full ranking.
+    def _keys(self, tracked: Iterable[tuple[UserId, MucEntry]], now: SimTime) -> list[tuple]:
+        """The ranking key of each (user, entry) pair of ``tracked``, best
+        lowest: ``(-score, user, entry, spacing)`` for social score, whose
+        entry and spacing ``_certify`` reads, and ``(-lookup count, user)``
+        otherwise.  Names are unique, so ``(-score, user)`` decides every
+        comparison and is a total order: ranking a subset keeps the subset's
+        order in the full ranking.
 
         The social score is ``social_score`` inlined, with the same float
         operations in the same order, so both agree exactly.
         """
-        if self.cfg.kind is _SOCIAL_SCORE:
-            alpha, beta = self.cfg.alpha, self.cfg.beta
-            if alpha + beta <= 0:
-                raise InvalidWeightsError("alpha + beta must be positive")
-            total = self.muc.total_events
-            scored = []
-            for user, entry in tracked:
-                elapsed = now - entry.first_at
-                spacing = entry.gap / elapsed if elapsed > 0 else 0.0
-                scored.append((-(alpha * (entry.weighted / total) + beta * spacing), user))
-        else:
-            scored = [(-float(e.lookup_count), u) for u, e in tracked]
-        scored.sort()
-        return [user for _, user in scored]
+        if self.cfg.kind is not _SOCIAL_SCORE:
+            return [(-float(e.lookup_count), u) for u, e in tracked]
+        alpha, beta = self.cfg.alpha, self.cfg.beta
+        if alpha + beta <= 0:
+            raise InvalidWeightsError("alpha + beta must be positive")
+        total = self.muc.total_events
+        keys = []
+        for user, entry in tracked:
+            elapsed = now - entry.first_at
+            spacing = entry.gap / elapsed if elapsed > 0 else 0.0
+            score = alpha * (entry.weighted / total) + beta * spacing
+            keys.append((-score, user, entry, spacing))
+        return keys
 
     # -- tracking and per-lookup strategy actions -------------------------
 
@@ -304,7 +306,7 @@ class SocialCache:
         entry = muc.get(user)
         if entry is None:
             if len(muc) >= muc.max_users:
-                muc.remove(self.rank_users(now)[-1])
+                muc.remove(max(self._keys(muc.items(), now))[1])
                 self._dirty = None
             entry = muc[user] = MucEntry(now)
         count = entry.event_count + 1
@@ -358,12 +360,12 @@ class SocialCache:
         list afterwards; social score keeps it.  The random strategy acts
         per lookup instead and changes nothing here.
 
-        A social-score selection of more than ``n`` users first re-checks
-        only the users tracked since the last certificate (``_certify``):
-        while they pass, the channels are still the top ``n``.  Otherwise one
-        pass over the MUC list decides whether the channels are the top
-        ``n`` and makes the next certificate; only a changed selection
-        sorts.
+        A selection of more than ``n`` users scores every tracked user once
+        (``_keys``), sorts the keys and takes the first ``n``; a social-score
+        one also reads the next certificate off that ranking (``_certify``).
+        Before that, a social-score round re-checks only the users tracked
+        since the last certificate: while they pass, the channels are still
+        the top ``n`` and nothing is ranked.
 
         Sets the ``stable_until`` tick: never after a social-score
         selection of every tracked user or a trend round over an empty MUC
@@ -409,17 +411,15 @@ class SocialCache:
             chosen = muc
             new = [(u, e) for u, e in muc.items() if u not in channels]
             if len(new) > 1:
-                to_subscribe = tuple(self._ranked(new, now))
+                to_subscribe = tuple([key[1] for key in sorted(self._keys(new, now))])
             else:
                 to_subscribe = (new[0][0],) if new else ()
             kept = len(muc) - len(new)
-        elif kind is _SOCIAL_SCORE and len(channels) == cfg.n and self._certify(
-                channels, now):
-            return NO_CHANGE
         else:
-            chosen = self.rank_users(now)[: cfg.n]
+            ranking = sorted(self._keys(muc.items(), now))
+            chosen = [key[1] for key in ranking[: cfg.n]]
             if kind is _SOCIAL_SCORE:
-                self._certify(set(chosen), now)
+                self._certify(ranking, now)
             to_subscribe = tuple([u for u in chosen if u not in channels])
             kept = len(chosen) - len(to_subscribe)
         to_unsubscribe: tuple[UserId, ...] = ()
@@ -436,11 +436,14 @@ class SocialCache:
             self._subscribe(user)
         return SubscriptionDiff(to_subscribe, to_unsubscribe)
 
-    def _certify(self, chosen, now: SimTime) -> bool:
-        """Whether the ``n`` users ``chosen`` are exactly the top ``n`` of a
-        social-score ranking at ``now``, decided in one pass with no sort.
-        If they are, also sets ``stable_until`` and, when it can, the
-        certificate that ``run_selection`` re-checks after later tracks.
+    def _certify(self, ranking: list[tuple], now: SimTime) -> None:
+        """Set ``stable_until`` and, when it can, the certificate that
+        ``run_selection`` re-checks after later tracks, for the sorted
+        social-score ``ranking`` of ``_keys`` over the whole MUC list at
+        ``now``.  Its first ``n`` users are chosen, and ``ranking[n]`` holds
+        the best unchosen score.  Every score at ``(now, T)`` is read off its
+        key; only the chord end at the cap below is evaluated, from the
+        key's spacing.
 
         Scaled by the total event count ``T``, a score is ``alpha * w +
         beta * T * gap / (t - first_at)``, so a track changes only the
@@ -473,68 +476,56 @@ class SocialCache:
         a check fails, when alpha or beta is 0 or when the best unchosen
         score is 0.
         """
+        self.stable_until = now
         cfg = self.cfg
         alpha, beta = cfg.alpha, cfg.beta
+        if alpha <= 0 or beta <= 0:
+            return
+        n = cfg.n
         total = self.muc.total_events
         cap = total + max(4, total // 32)
-        lo, lo_user = math.inf, ""  # the worst chosen score and name
-        hi, hi_user = -math.inf, ""  # the best unchosen score and name
-        found = 0
         moving = []  # chosen entries with a falling score
-        top = top_at_cap = -math.inf  # best falling unchosen scores at T and cap
-        # Lowest constant chosen weight, its largest name and the next weight
-        # up; highest constant unchosen weight and the next weight down.
+        # Lowest constant chosen weight, its largest name and the next weight up.
         low, low_user, low_next = math.inf, "", math.inf
-        high, high_next = -math.inf, -math.inf
-        for user, entry in self.muc.items():
-            elapsed = now - entry.first_at
-            gap = entry.gap
+        for _, user, entry, _ in ranking[:n]:
             weighted = entry.weighted
-            spacing = gap / elapsed if elapsed > 0 else 0.0
-            score = alpha * (weighted / total) + beta * spacing
-            if user in chosen:
-                found += 1
-                if score < lo or (score == lo and user > lo_user):
-                    lo, lo_user = score, user
-                if gap:
-                    moving.append(entry)
-                elif weighted < low:
-                    low, low_user, low_next = weighted, user, low
-                elif weighted == low:
-                    if user > low_user:
-                        low_user = user
-                elif weighted < low_next:
-                    low_next = weighted
-            else:
-                if score > hi or (score == hi and user < hi_user):
-                    hi, hi_user = score, user
-                if gap:
-                    if score > top:
-                        top = score
-                    score = alpha * (weighted / cap) + beta * spacing
-                    if score > top_at_cap:
-                        top_at_cap = score
-                elif weighted > high:
-                    high, high_next = weighted, high
-                elif high > weighted > high_next:
-                    high_next = weighted
-        if found < cfg.n or lo < hi or (lo == hi and lo_user > hi_user):
-            return False
-        self.stable_until = now
-        if alpha <= 0 or beta <= 0:
-            return True
+            if entry.gap:
+                moving.append(entry)
+            elif weighted < low:
+                low, low_user, low_next = weighted, user, low
+            elif weighted == low:
+                if user > low_user:
+                    low_user = user
+            elif weighted < low_next:
+                low_next = weighted
+        top = top_at_cap = -math.inf  # best falling unchosen scores at T and cap
+        # Highest constant unchosen weight and the next weight down.
+        high = high_next = -math.inf
+        for key, _, entry, spacing in ranking[n:]:
+            weighted = entry.weighted
+            if entry.gap:
+                if -key > top:
+                    top = -key
+                at_cap = alpha * (weighted / cap) + beta * spacing
+                if at_cap > top_at_cap:
+                    top_at_cap = at_cap
+            elif weighted > high:
+                high, high_next = weighted, high
+            elif high > weighted > high_next:
+                high_next = weighted
         margin = _STABLE_MARGIN
         best_at_cap = max(top_at_cap, alpha * (high / cap))
         if best_at_cap <= 0:
-            return True
+            return
         # Without constant channels ``low`` is inf and both checks pass.
         if not (low > high + high * margin or (
                 low == high and low_next > high + high * margin
                 and high_next + high_next * margin < low)):
-            return True
+            return
         if alpha * (low / total) <= top + top * margin:
-            return True
-        above = hi + hi * margin
+            return
+        best = -ranking[n][0]
+        above = best + best * margin
         above_at_cap = best_at_cap + best_at_cap * margin
         until = until_at_cap = math.inf
         for entry in moving:
@@ -550,16 +541,15 @@ class SocialCache:
                     until_at_cap = crossing
         until = _tick(until)
         if until <= now:
-            return True
+            return
         self.stable_until = until
         until = min(until, _tick(until_at_cap))
         if until <= now or alpha * (low / cap) <= top_at_cap + top_at_cap * margin:
-            return True
+            return
         tie_weight = low if low_next > low + low * margin else None
         self._cert = _Certificate(cap, until, above, min(above_at_cap, alpha * (low / cap)),
                                   best_at_cap, tie_weight, low_user, alpha, beta)
         self._dirty = set()
-        return True
 
     def _subscribe(self, user: UserId) -> None:
         """Add a channel that is not one yet and send the subscribe."""

@@ -26,7 +26,7 @@ from operator import and_, lshift, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import StorageKey, UserId
-from .social_cache import Strategy, StrategyConfig
+from .social_cache import DUNBAR_MUC_LIMIT, Strategy, StrategyConfig
 
 TICKS_PER_DAY = 86_400_000
 TICKS_PER_SECOND = 1_000
@@ -181,10 +181,10 @@ class _TraceBuilder:
             size: int | None) -> None:
         """Append one event; only a POST reads ``size``.  An event that
         cannot run raises TraceFormatError numbered by its position: a
-        negative or decreasing tick, an unknown action, an empty actor, a
-        malformed key, a POST under another user's key or without a
-        non-negative size, a FRIENDREQ to the actor or to a key, or a tick
-        or size past its column."""
+        negative or decreasing tick, an unknown action, an actor that is
+        empty or holds a ``/``, a malformed key, a POST under another user's
+        key or without a non-negative size, a FRIENDREQ to the actor or to a
+        key, or a tick or size past its column."""
         n = len(self.actions) + 1
         if at < 0:
             raise TraceFormatError(n, "timestamp must be non-negative")
@@ -193,8 +193,8 @@ class _TraceBuilder:
         code = _CODES.get(action)
         if code is None:
             raise TraceFormatError(n, f"unknown action {action!r}")
-        if not actor:
-            raise TraceFormatError(n, "empty actor")
+        if not actor or "/" in actor:
+            raise TraceFormatError(n, f"actor must be a name without '/', got {actor!r}")
         t = self.target_ids_of.get(target)
         if code == FRIENDREQ_CODE:
             if target == actor or "/" in target:
@@ -280,7 +280,7 @@ class ScenarioConfig:
     tier_shares: tuple[float, ...] = (0.65, 0.32, 0.03)
     replication_factor: int = 4
     bootstrapping: bool = True
-    muc_capacity: int = 150
+    muc_capacity: int = DUNBAR_MUC_LIMIT
     sample_cadence_ticks: int = 60_000
     dataset: DatasetStats = field(default_factory=DatasetStats)
 
@@ -328,10 +328,12 @@ class ScenarioConfig:
             raise ConfigError("lookups_per_interaction must be positive")
         if len(self.tier_shares) != len(self.tier_sizes) + 1:
             raise ConfigError("tier_shares must have one more entry than tier_sizes")
-        if any(s < 0 for s in self.tier_shares) or sum(self.tier_shares) <= 0:
-            raise ConfigError("tier_shares must be non-negative with a positive sum")
+        if any(s < 0 for s in self.tier_shares):
+            raise ConfigError("tier_shares must be non-negative")
         if any(s < 1 for s in self.tier_sizes):
             raise ConfigError("tier_sizes must be positive")
+        if sum(_tier_weights(self.friends_per_user, self.tier_sizes, self.tier_shares)) <= 0:
+            raise ConfigError("tier_shares must give some friend a positive weight")
         if self.replication_factor < 1:
             raise ConfigError("replication_factor must be positive")
         if self.muc_capacity < 1:
@@ -433,9 +435,9 @@ def _lookup_targets(times: list[int], friends: list[int], weights: list[float],
     A draw picks an active friend by ``rng.random()`` times their total
     weight against their running sums, then a key slot by the rule of
     ``rng.randrange(per_user)``.  One table serves every draw between two
-    activations.  A lookup before any friend is active draws nothing and
-    is dropped; friends only ever become active, so the targets are those
-    of the last lookups."""
+    activations.  A lookup while no active friend has a positive weight
+    draws nothing and is dropped; friends only ever become active, so the
+    targets are those of the last lookups."""
     rand, getrandbits, bits = rng.random, rng.getrandbits, per_user.bit_length()
     first_keys = [f * per_user for f in friends]
     drawn: list[int] = []
@@ -447,9 +449,9 @@ def _lookup_targets(times: list[int], friends: list[int], weights: list[float],
         hi = bisect_left(times, pending[applied][0]) if applied < len(pending) else len(times)
         is_active = list(map(active.__contains__, friends))
         bases = list(compress(first_keys, is_active))
-        if bases:
-            cum = list(accumulate(compress(weights, is_active)))
-            total = cum[-1]
+        cum = list(accumulate(compress(weights, is_active)))
+        total = cum[-1] if cum else 0.0
+        if total > 0:
             for _ in range(hi - lo):
                 base = bases[bisect_left(cum, rand() * total)]
                 slot = getrandbits(bits)

@@ -402,7 +402,7 @@ class _ReferenceTierTable:
     def draw(self, rng: random.Random) -> UserId | None:
         if self._choices is None:
             self._rebuild()
-        if not self._choices:
+        if not self._choices or self._cum[-1] <= 0:
             return None
         r = rng.random() * self._cum[-1]
         return self._choices[bisect_left(self._cum, r)]
@@ -532,7 +532,7 @@ def reference_generate_trace(cfg: ScenarioConfig) -> list[TraceEvent]:
         rng = draw_rngs[name]
         friend = tables[name].draw(rng)
         if friend is None:
-            continue  # no active friends yet; nobody to look up
+            continue  # no active friend of positive weight yet; nobody to look up
         key = keys_of[friend][rng.randrange(cfg.keys_per_user)]
         push(at, 2, name, seqs[name], TraceEvent(at, name, LOOKUP, key))
         seqs[name] += 1

@@ -687,7 +687,7 @@ def test_full_muc_track_evicts_last_ranked(kind):
         if len(cache.muc) < cache.muc.max_users:
             continue
         now = last + rng.randrange(0, 20)
-        victim = cache.rank_users(now)[-1]
+        victim = reference_order(cache, now)[-1]
         cache.track("newcomer", rng.choice(list(InteractionKind)), now)
         assert victim not in cache.muc
         assert "newcomer" in cache.muc
@@ -772,6 +772,53 @@ def test_run_selection_matches_rank_everything_reference(kind, muc_capacity):
     elif muc_capacity < DUNBAR_MUC_LIMIT:
         required += ["channel not tracked"]
     assert all(seen[case] for case in required), seen
+
+
+@pytest.mark.parametrize("kind", [Strategy.TREND, Strategy.SOCIAL_SCORE])
+def test_selection_at_the_dunbar_cap_matches_reference(kind):
+    """A 150-slot MUC list filled from 200 users, with n = 15: every track
+    of a new user into the full list evicts the last user of the reference
+    ranking, and every round's diff and channels equal those of the
+    rank-everything reference on a twin cache."""
+    rng = random.Random(f"dunbar-cap/{kind.value}")
+    pair = [
+        SocialCache("me", StrategyConfig(kind=kind, n=15, interaction_weights={FRIEND: 2.0}),
+                    lambda *_: None, Counters())
+        for _ in range(2)
+    ]
+    cache, ref = pair
+    assert cache.muc.max_users == DUNBAR_MUC_LIMIT
+    users = [f"p{i:03d}" for i in range(200)]
+    seen = Counter()
+    now = 0
+    # Trend clears the list every round, so a batch that fills it needs
+    # more than 150 distinct users.
+    for batch in (800, 5, 40, 800, 250, 5, 800, 40, 400, 5, 800, 40) * 3:
+        for _ in range(batch):
+            now += rng.choice([0, 1, 3, 10])
+            # A skewed choice gives a spread of event counts.
+            user = users[min(rng.randrange(200), rng.randrange(200))]
+            victim = None
+            if user not in cache.muc and len(cache.muc) == DUNBAR_MUC_LIMIT:
+                victim = reference_order(cache, now)[-1]
+            interaction = LOOKUP if rng.random() < 0.8 else FRIEND
+            for c in pair:
+                c.track(user, interaction, now)
+            if victim is not None:
+                assert victim not in cache.muc and user in cache.muc
+                assert len(cache.muc) == DUNBAR_MUC_LIMIT
+                seen["evictions"] += 1
+        now += rng.choice([1, 50])
+        seen["full list round"] += len(cache.muc) == DUNBAR_MUC_LIMIT
+        expected = reference_run_selection(ref, now)
+        diff = cache.run_selection(now)
+        assert (diff.to_subscribe, diff.to_unsubscribe) == expected
+        seen["changed round"] += bool(diff.to_subscribe or diff.to_unsubscribe)
+        apply_reference_diff(ref, *expected)
+        assert list(cache.channels) == list(ref.channels)
+        assert muc_state(cache) == muc_state(ref)
+    assert seen["evictions"] > 100 and seen["full list round"] > 3, seen
+    assert seen["changed round"] > 3, seen
 
 
 # -- selection-round skipping -----------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import statistics
 import tracemalloc
 from itertools import islice
@@ -191,6 +192,27 @@ def test_generator_matches_tuple_sort_reference(cfg):
     assert list(generate_trace(cfg)) == reference_generate_trace(cfg)
 
 
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+def test_lookups_never_target_a_friend_of_weight_zero(fraction):
+    """Only the middle tier weighs anything: each peer's first two and last
+    two friends in tier order are never looked up, also while they are its
+    only active friends."""
+    cfg = small_config(friends_per_user=6, tier_sizes=(2, 2), tier_shares=(0.0, 1.0, 0.0),
+                       initial_friend_fraction=fraction)
+    names = peer_names(cfg.peer_count)
+    graph = build_friend_graph(cfg.peer_count, cfg.friends_per_user)
+    weighted = {}
+    for name, row in zip(names, graph):
+        ordered = [names[j] for j in row]
+        random.Random(f"{cfg.seed}/tiers/{name}").shuffle(ordered)
+        weighted[name] = set(ordered[2:4])
+    trace = generate_trace(cfg)
+    lookups = [ev for ev in trace if ev.action == LOOKUP]
+    assert lookups
+    assert all(ev.target.split("/", 1)[0] in weighted[ev.actor] for ev in lookups)
+    assert list(trace) == reference_generate_trace(cfg)
+
+
 def test_post_interarrival_mean_tracks_configured_gap():
     # Law-of-large-numbers check over >= 10k generated gaps.
     cfg = ScenarioConfig(
@@ -229,6 +251,7 @@ def test_post_interarrival_mean_tracks_configured_gap():
         {"keys_per_user": 0},
         {"lookups_per_interaction": 0},
         {"tier_shares": (1.0,)},
+        {"tier_sizes": (5, 10), "tier_shares": (0.0, 0.0, 1.0)},  # every friend weighs 0
         {"replication_factor": 0},
         {"payload_bytes": -1},
         {"payload_bytes": 2**32},
@@ -333,6 +356,7 @@ def test_load_rejects_malformed_lines(tmp_path, line):
         pytest.param(TraceEvent(10, "a", FRIENDREQ, "a"), id="friendreq-self"),
         pytest.param(TraceEvent(10, "a", FRIENDREQ, "b/wall/0"), id="friendreq-key"),
         pytest.param(TraceEvent(10, "a", LOOKUP, "noslash"), id="malformed-key"),
+        pytest.param(TraceEvent(10, "a/b", LOOKUP, "c/wall/0"), id="actor-with-slash"),
         # "b" was interned as the first event's friend-request target.
         pytest.param(TraceEvent(10, "a", LOOKUP, "b"), id="friendreq-name-as-key"),
         pytest.param(TraceEvent(10, "a", "NOSUCH", "b/wall/0"), id="unknown-action"),
