@@ -312,7 +312,6 @@ class Simulation:
 
 def run_scenario(cfg: ScenarioConfig, trace: Trace | None = None,
                  label: str | None = None) -> RunResult:
-    cfg.validate()
     if trace is None:
         trace = generate_trace(cfg)
     return Simulation(cfg, trace, label or cfg.strategy.kind.value).run()
@@ -345,7 +344,6 @@ def compare_caches(cfg: ScenarioConfig,
     """Run the same trace once per cache setup with the social-score
     strategy."""
     base = scenario_for_strategy(cfg, Strategy.SOCIAL_SCORE)
-    base.validate()
     if trace is None:
         trace = generate_trace(base)
     return [

@@ -43,9 +43,6 @@ class _Certificate(NamedTuple):
     until: float  # the first tick not covered
     above: float  # a tracked channel's falling score must exceed this
     below: float  # a tracked unchosen score, widened, must not exceed this
-    top: float  # unless it is constant, at most this, of weight
-    tie_weight: float | None  # tie_weight (None if no such level)
-    tie_user: UserId  # and named after this channel
     alpha: float  # the weights it was made with
     beta: float
 
@@ -369,9 +366,10 @@ class SocialCache:
 
         Sets the ``stable_until`` tick: never after a social-score
         selection of every tracked user or a trend round over an empty MUC
-        list; the certificate's tick after a social-score selection of more
-        than ``n`` users; now after a trend round that cleared a non-empty
-        list, because the next round unsubscribes every channel.
+        list; ``_certify``'s tick after a social-score ranking, and the
+        certificate's earliest crossing after a re-check that passes; now
+        after a trend round that cleared a non-empty list, because the next
+        round unsubscribes every channel.
         """
         cfg = self.cfg
         kind = cfg.kind
@@ -383,7 +381,7 @@ class SocialCache:
         channels = self.channels
         dirty = self._dirty
         if dirty is not None:
-            cap, until, above, below, top, tie_weight, tie_user, alpha, beta = self._cert
+            cap, until, above, below, alpha, beta = self._cert
             total = muc.total_events
             if total <= cap and now < until and alpha == cfg.alpha and beta == cfg.beta:
                 for user in dirty:
@@ -398,9 +396,7 @@ class SocialCache:
                             crossing = entry.first_at + beta * entry.gap / (above - floor)
                             if crossing < until:
                                 until = math.ceil(crossing)
-                    elif score + score * _STABLE_MARGIN > below and (
-                            entry.gap or score > top or entry.weighted != tie_weight
-                            or user < tie_user):
+                    elif score + score * _STABLE_MARGIN > below:
                         break
                 else:
                     self.stable_until = until
@@ -445,62 +441,59 @@ class SocialCache:
         key; only the chord end at the cap below is evaluated, from the
         key's spacing.
 
-        Scaled by the total event count ``T``, a score is ``alpha * w +
-        beta * T * gap / (t - first_at)``, so a track changes only the
-        tracked user's terms and ``T``.  For a fixed tick a score is a line
-        in ``x = 1 / T``, and no score rises as the tick grows.  So each
-        unchosen user that is not tracked stays below its line at ``now``,
-        and every such line lies below the chord through the best unchosen
-        scores at ``T`` and at the cap ``T + max(4, T // 32)``.  A chosen
-        user with a falling score (``gap > 0``) that is above both chord
-        ends, widened by ``_STABLE_MARGIN``, stays above the whole chord
-        until the earlier of its two crossing ticks ``first_at + beta * gap
-        / (M' - alpha * w / T')`` for a widened end ``M'`` at ``T'``.
+        Until a track, the total event count ``T`` stays fixed and no score
+        rises, so no unchosen user passes a constant chosen score (``gap ==
+        0``).  ``stable_until`` is the first whole tick at which a chosen
+        falling score (``gap > 0``) can reach the best unchosen score at
+        ``T`` widened by ``_STABLE_MARGIN``, ``M'``: ``first_at + beta * gap
+        / (M' - alpha * w / T)``.  It is ``now`` (no window) when that best
+        score is 0 or a chosen score is within the margin of it.
 
-        A constant score (``gap == 0``) is ``alpha * w / T``, a line through
-        the origin, and equal weights give equal scores at every ``T``,
-        which the ranking orders by name.  So the lowest constant chosen
-        weight must be a margin above the highest constant unchosen one, or
-        equal to it with every other constant weight a margin away; and a
-        margin above every falling unchosen score at both ends.
+        Scaled by ``T``, a score is ``alpha * w + beta * T * gap / (t -
+        first_at)``: a track changes only the tracked user's terms and
+        ``T``, and at a fixed tick a score is a line in ``x = 1 / T``.  So
+        every unchosen user that is not tracked stays below the chord
+        through the best unchosen scores at ``T`` and at the cap ``T +
+        max(4, T // 32)``, and a chosen falling score above both widened
+        ends stays above it until the earlier of its crossing ticks at ``T``
+        and at the cap.  A constant score ``alpha * w / T`` is a line
+        through the origin, and equal weights tie at every ``T`` in name
+        order.  So a certificate also needs the lowest constant chosen
+        weight a margin above the highest constant unchosen one, or equal to
+        it with every other constant weight a margin away, and its score a
+        margin above every falling unchosen score at both chord ends.
 
-        The certificate covers ticks before the earliest crossing and
-        totals up to the cap.  A user tracked since must pass a direct check
-        at the current ``(t, T)``: a channel needs a falling score above the
-        widened best unchosen score at ``T``, which bounds the chord; an
-        unchosen user a score whose widening is at most every chosen score
-        over the range, or else a constant score no higher than the chord's
-        low end at the lowest constant chosen weight, after that level's
-        channels by name.  ``stable_until`` is the earliest crossing at
-        ``T`` alone, as it assumes no tracks; it is ``now`` (no window) when
-        a check fails, when alpha or beta is 0 or when the best unchosen
-        score is 0.
+        The certificate covers ticks before the earliest crossing and totals
+        up to the cap.  A user tracked since must pass a direct check at the
+        current ``(t, T)``: a channel needs a falling score above the widened
+        best unchosen score at ``T``, which bounds the chord; an unchosen
+        user a score whose widening is at most every chosen score over the
+        range.
         """
         self.stable_until = now
         cfg = self.cfg
-        alpha, beta = cfg.alpha, cfg.beta
-        if alpha <= 0 or beta <= 0:
-            return
         n = cfg.n
+        best = -ranking[n][0]
+        if best <= 0:
+            return
+        alpha, beta = cfg.alpha, cfg.beta
         total = self.muc.total_events
         cap = total + max(4, total // 32)
         moving = []  # chosen entries with a falling score
-        # Lowest constant chosen weight, its largest name and the next weight up.
-        low, low_user, low_next = math.inf, "", math.inf
-        for _, user, entry, _ in ranking[:n]:
+        # Lowest constant chosen weight and the next weight up.
+        low = low_next = math.inf
+        for _, _, entry, _ in ranking[:n]:
             weighted = entry.weighted
             if entry.gap:
                 moving.append(entry)
             elif weighted < low:
-                low, low_user, low_next = weighted, user, low
-            elif weighted == low:
-                if user > low_user:
-                    low_user = user
-            elif weighted < low_next:
+                low, low_next = weighted, low
+            elif low < weighted < low_next:
                 low_next = weighted
-        top = top_at_cap = -math.inf  # best falling unchosen scores at T and cap
-        # Highest constant unchosen weight and the next weight down.
-        high = high_next = -math.inf
+        # Best falling unchosen scores at T and cap, highest constant
+        # unchosen weight and the next weight down.  No score or weight is
+        # negative, so 0 stands for none.
+        top = top_at_cap = high = high_next = 0.0
         for key, _, entry, spacing in ranking[n:]:
             weighted = entry.weighted
             if entry.gap:
@@ -514,18 +507,8 @@ class SocialCache:
             elif high > weighted > high_next:
                 high_next = weighted
         margin = _STABLE_MARGIN
-        best_at_cap = max(top_at_cap, alpha * (high / cap))
-        if best_at_cap <= 0:
-            return
-        # Without constant channels ``low`` is inf and both checks pass.
-        if not (low > high + high * margin or (
-                low == high and low_next > high + high * margin
-                and high_next + high_next * margin < low)):
-            return
-        if alpha * (low / total) <= top + top * margin:
-            return
-        best = -ranking[n][0]
         above = best + best * margin
+        best_at_cap = max(top_at_cap, alpha * (high / cap))
         above_at_cap = best_at_cap + best_at_cap * margin
         until = until_at_cap = math.inf
         for entry in moving:
@@ -544,11 +527,19 @@ class SocialCache:
             return
         self.stable_until = until
         until = min(until, _tick(until_at_cap))
-        if until <= now or alpha * (low / cap) <= top_at_cap + top_at_cap * margin:
+        if until <= now:
             return
-        tie_weight = low if low_next > low + low * margin else None
-        self._cert = _Certificate(cap, until, above, min(above_at_cap, alpha * (low / cap)),
-                                  best_at_cap, tie_weight, low_user, alpha, beta)
+        below = above_at_cap
+        if low < math.inf:  # constant channels
+            if not (low > high + high * margin or (
+                    low == high and low_next > high + high * margin
+                    and high_next + high_next * margin < low)):
+                return
+            if (alpha * (low / total) <= top + top * margin
+                    or alpha * (low / cap) <= top_at_cap + top_at_cap * margin):
+                return
+            below = min(below, alpha * (low / cap))
+        self._cert = _Certificate(cap, until, above, below, alpha, beta)
         self._dirty = set()
 
     def _subscribe(self, user: UserId) -> None:

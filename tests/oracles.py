@@ -5,13 +5,10 @@ scans lists, the scoring oracles recompute from raw event lists.
 """
 from __future__ import annotations
 
-import copy
 import math
 import random
 from bisect import bisect_left
-from dataclasses import replace
 from itertools import accumulate
-from types import SimpleNamespace
 
 from socicache.model import InteractionKind, UserId
 from socicache.social_cache import (
@@ -19,7 +16,6 @@ from socicache.social_cache import (
     CapExceededError,
     InvalidWeightsError,
     MucEntry,
-    SocialCache,
     Strategy,
 )
 from socicache.workload import (
@@ -133,12 +129,32 @@ def _reference_append(entry, kind: InteractionKind, at: int, weight: float) -> N
     entry.weighted += weight
 
 
+def reference_score(entry, total: int, now: int, alpha: float, beta: float) -> float:
+    """The social score of a tracked user from its raw ``MucEntry`` fields
+    and ``total`` events in the MUC list: ``alpha`` times the weighted share
+    of the events, plus ``beta`` times the mean gap between the user's
+    events over the time since the first (0 for a single event or a first
+    event now).  The float operations are those of
+    ``SocialCache.social_score``, in the same order, so the two agree
+    exactly."""
+    spacing = 0.0
+    elapsed = now - entry.first_at
+    if entry.event_count >= 2 and elapsed > 0:
+        spacing = _reference_gap(entry) / elapsed
+    tie = entry.weighted / total
+    return alpha * tie + beta * spacing
+
+
+def _reference_gap(entry) -> float:
+    return (entry.last_at - entry.first_at) / max(entry.event_count - 2, 1)
+
+
 def reference_run_selection(cache, now: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Interval selection by ranking every tracked user: score each entry
-    from its raw first/last times and event count, sort by
-    ``(-score, user)``, take the top ``n`` and diff them against the
-    channels.  Trend clears the MUC list afterwards.  Returns the
-    ``(to_subscribe, to_unsubscribe)`` tuples; applies nothing."""
+    with ``reference_score``, sort by ``(-score, user)``, take the top ``n``
+    and diff them against the channels.  Trend clears the MUC list
+    afterwards.  Returns the ``(to_subscribe, to_unsubscribe)`` tuples;
+    applies nothing."""
     cfg = cache.cfg
     if cfg.kind is Strategy.RANDOM:
         return (), ()
@@ -146,15 +162,9 @@ def reference_run_selection(cache, now: int) -> tuple[tuple[str, ...], tuple[str
     if cfg.kind is Strategy.SOCIAL_SCORE:
         if cfg.alpha + cfg.beta <= 0:
             raise InvalidWeightsError("alpha + beta must be positive")
-        keys = []
-        for user, entry in entries.items():
-            spacing = 0.0
-            elapsed = now - entry.first_at
-            if entry.event_count >= 2 and elapsed > 0:
-                gap = (entry.last_at - entry.first_at) / max(entry.event_count - 2, 1)
-                spacing = gap / elapsed
-            tie = entry.weighted / cache.muc.total_events
-            keys.append((-(cfg.alpha * tie + cfg.beta * spacing), user))
+        total = entries.total_events
+        keys = [(-reference_score(entry, total, now, cfg.alpha, cfg.beta), user)
+                for user, entry in entries.items()]
     else:
         keys = [(-float(entry.lookup_count), user) for user, entry in entries.items()]
     selected = [user for _, user in sorted(keys)][: cfg.n]
@@ -165,21 +175,6 @@ def reference_run_selection(cache, now: int) -> tuple[tuple[str, ...], tuple[str
     return to_subscribe, to_unsubscribe
 
 
-def _score(cache, user, t, total=None, **zeroed):
-    """``SocialCache.social_score`` of ``user`` at ``t`` on a view of
-    ``cache``: the ``zeroed`` weights set to 0.0 and, if given, ``total``
-    events in the MUC list.  A score splits exactly into a constant part
-    ``alpha * tie`` (beta zeroed) and a spacing part ``beta * gap / elapsed``
-    (alpha zeroed; ``beta * gap`` one tick after the first event), because
-    adding or multiplying by 0.0 is exact."""
-    muc = cache.muc
-    if total is not None:
-        muc = copy.copy(muc)
-        muc.total_events = total
-    view = SimpleNamespace(cfg=replace(cache.cfg, **zeroed), muc=muc)
-    return SocialCache.social_score(view, user, t)
-
-
 def _widened(score: float) -> float:
     return score + score * _STABLE_MARGIN
 
@@ -188,18 +183,29 @@ def _tick(crossing: float) -> float:
     return crossing if crossing == math.inf else math.ceil(crossing)
 
 
+def _crossing(cfg, entry, total: int, ceiling: float) -> float:
+    """The tick at which the falling score of ``entry`` at ``total`` events
+    reaches ``ceiling``; inf if its constant part is at least that."""
+    floor = cfg.alpha * (entry.weighted / total)
+    if floor >= ceiling:
+        return math.inf
+    return entry.first_at + cfg.beta * _reference_gap(entry) / (ceiling - floor)
+
+
 class ReferenceCertificate:
     """``SocialCache.stable_until`` after each applied social-score round
-    of one cache, recomputed from ``social_score`` calls and sorts.
+    of one cache, recomputed from ``reference_score`` calls and sorts.
 
     Call ``after_round`` after every applied round of the cache that selects
     from more than ``n`` users, in order; the MUC list must never evict.
-    The certificate is kept as plain facts: the tick, totals, chosen set
-    and event counts of the round that made it, and the thresholds taken
-    from the scores at that round.  A later round keeps it while the
-    totals stay at most the cap, the tick stays below its end and every
-    user tracked since (event count changed, or new) passes; otherwise the
-    state after the round makes a new one.
+    A round that ranks sets the tick at which a chosen falling score first
+    reaches the widened best unchosen score at the current total (now if
+    that score is 0).  The certificate is kept as plain facts: the tick,
+    totals, chosen set and event counts of the round that made it, and the
+    thresholds taken from the scores at that round.  A later round keeps it
+    while the totals stay at most the cap, the tick stays below its end and
+    every user tracked since (event count changed, or new) passes;
+    otherwise the state after the round makes a new one.
     """
 
     def __init__(self):
@@ -222,19 +228,14 @@ class ReferenceCertificate:
         for user, entry in muc.items():
             if cert["counts"].get(user) == entry.event_count:
                 continue
-            score = _score(cache, user, now)
-            constant = _score(cache, user, entry.first_at + 1, alpha=0.0) == 0
-            if user in cert["chosen"]:
-                if constant or score <= cert["above"]:
+            score = reference_score(entry, muc.total_events, now, cfg.alpha, cfg.beta)
+            if user not in cert["chosen"]:
+                if _widened(score) > cert["below"]:
                     return None
-                floor = _score(cache, user, now, beta=0.0)
-                if floor < cert["above"]:
-                    spacing = _score(cache, user, entry.first_at + 1, alpha=0.0)
-                    until = min(until, _tick(entry.first_at + spacing / (cert["above"] - floor)))
-            elif _widened(score) > cert["below"] and not (
-                    constant and score <= cert["top"] and cert["tie"] is not None
-                    and entry.weighted == cert["tie"][0] and user > cert["tie"][1]):
+            elif entry.last_at == entry.first_at or score <= cert["above"]:
                 return None
+            else:
+                until = min(until, _tick(_crossing(cfg, entry, muc.total_events, cert["above"])))
         return until
 
     def _make(self, cache, now):
@@ -242,68 +243,56 @@ class ReferenceCertificate:
         cfg, entries = cache.cfg, cache.muc
         if len(entries) <= cfg.n:
             return math.inf
-        if cfg.alpha <= 0 or cfg.beta <= 0:
-            return now
         total = entries.total_events
         cap = total + max(4, total // 32)
-        ranked = sorted(entries, key=lambda user: (-_score(cache, user, now), user))
+
+        def score(user, at_total=total):
+            return reference_score(entries[user], at_total, now, cfg.alpha, cfg.beta)
+
+        ranked = sorted(entries, key=lambda user: (-score(user), user))
         chosen, unchosen = ranked[: cfg.n], ranked[cfg.n:]
         assert set(chosen) == set(cache.channels)
-        constant = {user: _score(cache, user, entries[user].first_at + 1, alpha=0.0) == 0
-                    for user in entries}
-        best = max(_score(cache, user, now) for user in unchosen)
-        best_at_cap = max(_score(cache, user, now, cap) for user in unchosen)
-        if best_at_cap <= 0:
+        best = max(score(user) for user in unchosen)
+        if best <= 0:
             return now
-        moving_best = max((_score(cache, user, now) for user in unchosen if not constant[user]),
-                          default=-math.inf)
-        moving_best_at_cap = max(
-            (_score(cache, user, now, cap) for user in unchosen if not constant[user]),
-            default=-math.inf)
+        constant = {user: entry.last_at == entry.first_at for user, entry in entries.items()}
+        moving = [entries[user] for user in chosen if not constant[user]]
+        stable = _tick(min((_crossing(cfg, e, total, _widened(best)) for e in moving),
+                           default=math.inf))
+        if stable <= now:
+            return now
+        best_at_cap = max(score(user, cap) for user in unchosen)
+        until = min(stable, _tick(min((_crossing(cfg, e, cap, _widened(best_at_cap))
+                                       for e in moving), default=math.inf)))
+        if until <= now:
+            return stable
+        below = _widened(best_at_cap)
 
         # The weights of constant chosen users, rising, and of constant
         # unchosen users, falling.  Equal weights at the boundary are in name
         # order already: the channels are the top n.
         lows = sorted(entries[u].weighted for u in chosen if constant[u])
-        highs = sorted((entries[u].weighted for u in unchosen if constant[u]), reverse=True)
-        tie = None
         if lows:
+            highs = sorted((entries[u].weighted for u in unchosen if constant[u]), reverse=True)
             low = lows[0]
-            low_user = max(u for u in chosen if constant[u] and entries[u].weighted == low)
+            low_user = next(u for u in chosen if constant[u] and entries[u].weighted == low)
             low_next = min((w for w in lows if w != low), default=math.inf)
             high = highs[0] if highs else -math.inf
             high_next = max((w for w in highs if w != high), default=-math.inf)
             apart = low > _widened(high)
             tied = low == high and low_next > _widened(high) and _widened(high_next) < low
-            if not (apart or tied) or _score(cache, low_user, now) <= _widened(moving_best):
-                return now
-            if low_next > _widened(low):
-                tie = (low, low_user)
-
-        def crossing(user, at_total, ceiling):
-            first_at = entries[user].first_at
-            floor = _score(cache, user, now, at_total, beta=0.0)
-            if floor >= _widened(ceiling):
-                return math.inf
-            spacing = _score(cache, user, first_at + 1, alpha=0.0)
-            return first_at + spacing / (_widened(ceiling) - floor)
-
-        moving = [user for user in chosen if not constant[user]]
-        stable = _tick(min((crossing(u, total, best) for u in moving), default=math.inf))
-        if stable <= now:
-            return now
-        until = min(stable, _tick(min((crossing(u, cap, best_at_cap) for u in moving),
-                                      default=math.inf)))
-        if until <= now or (lows and _score(cache, low_user, now, cap)
-                            <= _widened(moving_best_at_cap)):
-            return stable
-        below = _widened(best_at_cap)
-        if lows:
-            below = min(below, _score(cache, low_user, now, cap))
+            moving_best = max((score(u) for u in unchosen if not constant[u]),
+                              default=-math.inf)
+            moving_best_at_cap = max((score(u, cap) for u in unchosen if not constant[u]),
+                                     default=-math.inf)
+            if (not (apart or tied) or score(low_user) <= _widened(moving_best)
+                    or score(low_user, cap) <= _widened(moving_best_at_cap)):
+                return stable
+            below = min(below, score(low_user, cap))
         self.cert = {
             "weights": (cfg.alpha, cfg.beta), "cap": cap, "until": until,
             "chosen": set(chosen), "counts": {u: e.event_count for u, e in entries.items()},
-            "above": _widened(best), "below": below, "top": best_at_cap, "tie": tie,
+            "above": _widened(best), "below": below,
         }
         return stable
 

@@ -234,7 +234,8 @@ def test_skipped_rounds_match_every_peer_rounds(kind):
 def test_round_at_an_exact_crossing_is_not_skipped():
     """The first boundary history of ``test_social_cache``, as a trace: the
     round at tick 26 changes the channel, and the six rounds from 14 to 24
-    before it are skipped (so is the round at 30)."""
+    before it are skipped.  So are the rounds at 28 and 30: the new channel
+    has a constant score, and the other scores only fall."""
     cfg = ScenarioConfig(
         peer_count=5,
         friends_per_user=1,
@@ -256,7 +257,7 @@ def test_round_at_an_exact_crossing_is_not_skipped():
     assert got_outputs == want_outputs
     channels = {now: next(s[1] for s in states if s[0] == "me") for now, states in want_rounds}
     assert channels[24] == ["p3"] and channels[26] == ["p1"]
-    assert skips["social_score, above n"] == 7
+    assert skips["social_score, above n"] == 8
 
 
 def small_run_config(kind: Strategy, setup: CacheSetup, trigger: SelectionTrigger = TIME_TRIGGER,
@@ -335,6 +336,34 @@ def test_dumps_land_in_no_section(kind, setup, trigger, monkeypatch):
     # none of those users again; every time-triggered run does.
     if trigger is TIME_TRIGGER:
         assert seen["re-subscribes"] > 0, seen
+
+
+@pytest.mark.parametrize(
+    "kind, setup, trigger, bootstrapping",
+    [case for case in RUN_CASES if case[1].social_enabled])
+def test_social_hits_are_never_stale(kind, setup, trigger, bootstrapping, monkeypatch):
+    """Every social-cache hit returns the overlay's version of its key at
+    serve time.  The experiment is short enough that users re-post inside
+    the run, so hits are served after updates, not only from the first
+    posts."""
+    cfg = small_run_config(kind, setup, trigger, bootstrapping)
+    cfg.new_experiment_time_days = 0.005
+    sim = Simulation(cfg, generate_trace(cfg))
+    versions = []
+    lookup = SocialCache.lookup
+
+    def observed(social, key):
+        content = lookup(social, key)
+        if content is not None:
+            assert content.version == sim.dht.entries[key].version, (social.owner, key)
+            versions.append(content.version)
+        return content
+
+    # ``SocialCache`` has slots, so the lookup is patched on the class.
+    monkeypatch.setattr(SocialCache, "lookup", observed)
+    result = sim.run()
+    assert len(versions) == result.counters.social_hits
+    assert max(versions) > 1
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -955,7 +955,8 @@ def test_stable_until_certifies_unchanged_selection():
     for _ in range(400):
         n = rng.randrange(1, 4)
         alpha, beta = rng.choice([(0.9, 0.1), (0.5, 0.5), (0.25, 0.75), (0.6, 0.4),
-                                  (rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0))])
+                                  (rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0)),
+                                  (0.0, rng.uniform(0.01, 2.0)), (rng.uniform(0.01, 2.0), 0.0)])
         cache = certificate_cache(n, alpha, beta, rng.choice([0.5, 1.0, 2.0, 3.0]))
         reference = ReferenceCertificate()
         users = [f"p{i}" for i in range(rng.randrange(n + 1, n + 5))]
@@ -976,13 +977,13 @@ def test_stable_until_certifies_unchanged_selection():
 
 
 def test_stable_until_equals_reference_certificate():
-    """The certificate's inlined scores agree exactly with ``social_score``
-    (through ``reference_stable_until``, called by ``select``) over random
+    """The certificate's inlined scores agree exactly with ``reference_score``
+    (through ``ReferenceCertificate``, called by ``select``) over random
     histories with random weights, including zero weights, users first
     seen at the ranking tick and users seen only once."""
     rng = random.Random("certificate-reference")
     seen = Counter()
-    for _ in range(300):
+    for _ in range(600):
         n = rng.randrange(1, 5)
         alpha = rng.choice([0.0, 0.9, 0.5, rng.uniform(0.001, 3.0)])
         beta = rng.choice([0.0, 0.1, 0.5, rng.uniform(0.001, 3.0)]) if alpha else 0.4
@@ -1012,10 +1013,17 @@ def test_degenerate_rankings_record_no_window():
 
     cache = strong_and_weak()
     assert select(cache, 10, ReferenceCertificate()) == math.inf
-    for weights in ((0.0, 0.1), (0.9, 0.0)):
-        cache = strong_and_weak()
-        cache.cfg.alpha, cache.cfg.beta = weights
-        assert select(cache, 10, ReferenceCertificate()) == 10
+    # With alpha 0, "b"'s single event scores 0: the best unchosen score is
+    # 0, so there is no window.
+    cache = strong_and_weak()
+    cache.cfg.alpha = 0.0
+    assert select(cache, 10, ReferenceCertificate()) == 10
+    # With beta 0 every score is constant, so the untracked order never
+    # changes.
+    cache = strong_and_weak()
+    cache.cfg.beta = 0.0
+    assert select(cache, 10, ReferenceCertificate()) == math.inf
+    assert assert_selection_stable_below(cache, 10, math.inf, horizon=1_000) == 999
 
     # Equal scores at the n/n+1 boundary: "a" (falling) ties "b" (flat) at
     # tick 32 and is chosen by name, but loses from tick 33 on.
@@ -1063,14 +1071,15 @@ def test_certificate_survives_tracks_between_rounds(trigger):
     """Random histories with tracks between rounds, every round checked
     against the rank-everything reference, also the rounds ``track`` runs
     under the lookup-count trigger.  Users tracked since a certificate pass
-    and fail its re-check, constant scores tie its weight level on both
-    sides of its name, and a full MUC list evicts channels."""
+    and fail its re-check, also re-checks of certificates made with a zero
+    weight, and a full MUC list evicts channels."""
     rng = random.Random(f"certificate-tracks/{trigger.value}")
     seen = Counter()
     for _ in range(600):
         n = rng.randrange(1, 5)
         alpha, beta = rng.choice([(0.9, 0.1), (0.5, 0.5), (0.3, 0.7),
-                                  (rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0))])
+                                  (rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0)),
+                                  (0.0, rng.uniform(0.01, 2.0)), (rng.uniform(0.01, 2.0), 0.0)])
         cfg = StrategyConfig(kind=Strategy.SOCIAL_SCORE, n=n, m=n + rng.randrange(1, 4),
                              trigger=trigger, alpha=alpha, beta=beta,
                              interaction_weights={LOOKUP: 1.0, FRIEND: rng.choice([0.5, 1.0, 2.0])})
@@ -1083,16 +1092,12 @@ def test_certificate_survives_tracks_between_rounds(trigger):
             expected = reference_run_selection(cache, now)
             cert, dirty = cache._cert, cache._dirty
             live = bool(dirty) and cache.muc.total_events <= cert.cap and now < cert.until
-            for user in dirty if live else ():
-                entry = cache.muc[user]
-                if (user not in cache.channels and not entry.gap
-                        and entry.weighted == cert.tie_weight):
-                    seen["tie, after the name" if user > cert.tie_user
-                         else "tie, before the name"] += 1
             diff = run_selection(now)
             assert (diff.to_subscribe, diff.to_unsubscribe) == expected, now
             if live:
                 seen["re-check passes" if cache._dirty is dirty else "re-check fails"] += 1
+                if cache._dirty is dirty and not (cert.alpha and cert.beta):
+                    seen["zero-weight re-check passes"] += 1
             seen["lookup-count round"] += in_track
             return diff
 
@@ -1112,8 +1117,8 @@ def test_certificate_survives_tracks_between_rounds(trigger):
             now += rng.choice([0, 1, 3, 20])
             if trigger is SelectionTrigger.TIME_BASED or rng.random() < 0.3:
                 checked(now)
-    required = ["re-check passes", "re-check fails", "tie, after the name",
-                "tie, before the name", "channel evicted"]
+    required = ["re-check passes", "re-check fails", "zero-weight re-check passes",
+                "channel evicted"]
     if trigger is SelectionTrigger.LOOKUP_COUNT_BASED:
         required.append("lookup-count round")
     assert all(seen[case] > 20 for case in required), seen
