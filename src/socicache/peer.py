@@ -41,6 +41,7 @@ class Peer:
         dht: DhtStore,
         dispatcher: MessageDispatcher,
         counters: Counters,
+        slot_of: dict[StorageKey, int],
         *,
         current_cache: CurrentCache | None = None,
         strategy: StrategyConfig | None = None,
@@ -60,6 +61,7 @@ class Peer:
                 strategy,
                 dispatcher.dispatch,
                 counters,
+                slot_of,
                 bootstrapping=bootstrapping,
                 muc_capacity=muc_capacity,
                 seed=seed,

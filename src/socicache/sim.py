@@ -83,6 +83,7 @@ class Simulation:
         self.counters = Counters()
         self.dht = DhtStore(self.counters, cfg.replication_factor)
         self.dispatcher = MessageDispatcher(self.counters)
+        self.slot_of: dict[StorageKey, int] = {}  # see ``SocialCache``
         self.ledger = MetricsLedger()
         self.peers: dict[UserId, Peer] = {}
         self._payloads: dict[int, bytes] = {}
@@ -101,6 +102,7 @@ class Simulation:
                 self.dht,
                 self.dispatcher,
                 self.counters,
+                self.slot_of,
                 current_cache=current,
                 strategy=strategy,
                 bootstrapping=cfg.bootstrapping,
@@ -231,21 +233,27 @@ class Simulation:
         }
 
     def verify_consistency(self) -> list[str]:
-        """Social-store entries whose version disagrees with the overlay, or
-        that belong to users no longer subscribed, and stores whose item
-        count (``social_cache_items``) disagrees with their items."""
+        """Social-store entries whose version disagrees with the overlay,
+        that belong to users no longer subscribed or that sit outside their
+        key's slot in their owner's section, and stores whose item count
+        (``social_cache_items``) disagrees with their items."""
         violations: list[str] = []
         for name in sorted(self.peers):
             social = self.peers[name].social
             if social is None:
                 continue
-            held = sum([len(section) for section in social.store.values()])
+            held = sum([obj is not None for section in social.store.values() for obj in section])
             if social.store_items != held:
                 violations.append(f"{name}: counts {social.store_items} items, stores {held}")
             for user, section in social.store.items():
                 if user not in social.channels:
                     violations.append(f"{name}: stores {user} without a subscription")
-                for key, obj in section.items():
+                for slot, obj in enumerate(section):
+                    if obj is None:
+                        continue
+                    key = obj.key
+                    if key.owner != user or self.slot_of.get(key) != slot:
+                        violations.append(f"{name}: {key} at slot {slot} of {user}'s section")
                     stored = self.dht.entries.get(key)
                     if stored is None:
                         violations.append(f"{name}: {key} missing from the overlay")

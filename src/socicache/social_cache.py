@@ -179,14 +179,17 @@ class SocialCache:
     change it, called from ``track`` and ``run_selection``.  ``own`` holds
     the latest version of every item the peer itself published; ``store``
     the latest pushed or dumped version of each subscribed user's items
-    (user -> key -> object), ``store_items`` in all.
+    (user -> section), ``store_items`` in all.  Both are lists indexed by a
+    key's slot, its index in its owner's publish order, recorded in the
+    run's shared ``slot_of`` map; only a section that began without a dump
+    holds ``None``, at the slots it skipped.
 
     A selection round asks ``stable_until`` whether it can change anything.
     """
 
-    __slots__ = ("owner", "cfg", "dispatch", "counters", "bootstrapping", "muc", "_weight_of",
-                 "channels", "receivers", "store", "store_items", "own", "_seed", "_rng",
-                 "_lookups_since_selection", "stable_until", "_cert", "_dirty")
+    __slots__ = ("owner", "cfg", "dispatch", "counters", "slot_of", "bootstrapping", "muc",
+                 "_weight_of", "channels", "receivers", "store", "store_items", "own", "_seed",
+                 "_rng", "_lookups_since_selection", "stable_until", "_cert", "_dirty")
 
     def __init__(
         self,
@@ -194,6 +197,7 @@ class SocialCache:
         cfg: StrategyConfig,
         dispatch: Callable[[MessageEnvelope, UserId], None],
         counters: Counters,
+        slot_of: dict[StorageKey, int],
         *,
         bootstrapping: bool = True,
         muc_capacity: int = DUNBAR_MUC_LIMIT,
@@ -204,6 +208,7 @@ class SocialCache:
         self.cfg = cfg
         self.dispatch = dispatch
         self.counters = counters
+        self.slot_of = slot_of
         self.bootstrapping = bootstrapping
         self.muc = MucList(muc_capacity)
         # Interaction weights keyed by each kind's string value, read once
@@ -214,9 +219,9 @@ class SocialCache:
         self.channels: dict[UserId, None] = {}
         # Users subscribed to this peer's update channel, in subscription order.
         self.receivers: dict[UserId, None] = {}
-        self.store: dict[UserId, dict[StorageKey, ContentObject]] = {}
+        self.store: dict[UserId, list[ContentObject | None]] = {}
         self.store_items = 0
-        self.own: dict[StorageKey, ContentObject] = {}
+        self.own: list[ContentObject] = []
         # The random strategy's generator, seeded by the scenario ``seed``;
         # built on its first draw, as only that strategy draws.
         self._seed = seed
@@ -557,7 +562,11 @@ class SocialCache:
         del self.channels[user]
         section = self.store.pop(user, None)
         if section is not None:
-            self.store_items -= len(section)
+            # Every cache of a run shares ``bootstrapping``: with it on, no
+            # section is padded.  Without it an identity scan counts the items,
+            # as ``count(None)`` would call each item's ``__eq__``.
+            self.store_items -= (len(section) if self.bootstrapping
+                                 else len([item for item in section if item is not None]))
         self.counters.unsubscriptions_sent += 1
         self.dispatch(MessageEnvelope(self.owner, _UNSUBSCRIBE, None), user)
 
@@ -577,22 +586,25 @@ class SocialCache:
         self.receivers.pop(subscriber, None)
 
     def on_social_update(self, sender: UserId, content: ContentObject) -> bool:
-        """Store a pushed update, overwriting older content for the same key.
+        """Store a pushed update at its key's slot, overwriting older content
+        for the same key, and pad a section that lacks the slots below it.
         Updates from non-subscribed users are ignored."""
         if sender not in self.channels:
             return False
         section = self.store.get(sender)
         if section is None:
-            section = self.store[sender] = {}
-        key = content.key
-        if key not in section:
+            section = self.store[sender] = []
+        slot = self.slot_of[content.key]
+        if slot >= len(section):
+            section.extend([None] * (slot + 1 - len(section)))
+        if section[slot] is None:
             self.store_items += 1
-        section[key] = content
+        section[slot] = content
         return True
 
-    def on_bootstrap(self, sender: UserId, items: dict[StorageKey, ContentObject]) -> int:
-        """Store a bootstrap dump (a fresh key -> object dict) whole as the
-        sender's section; returns the number of items accepted.  A dump
+    def on_bootstrap(self, sender: UserId, items: list[ContentObject]) -> int:
+        """Store a bootstrap dump (a fresh copy of the sender's ``own``) whole
+        as the sender's section; returns the number of items accepted.  A dump
         answers this peer's own ``_subscribe`` to a user that was not a
         channel, and only a channel has a section (``_unsubscribe`` purges
         it), so the sender has none yet (``test_dumps_land_in_no_section``)."""
@@ -605,12 +617,19 @@ class SocialCache:
     # -- content ------------------------------------------------------------
 
     def publish(self, content: ContentObject) -> None:
-        """Keep own content locally and push an update to every subscriber:
-        one envelope, dispatched once per receiver."""
+        """Keep own content locally, at its key's slot (a new key takes the
+        next one), and push an update to every subscriber: one envelope,
+        dispatched once per receiver."""
         key = content.key
         if key.owner != self.owner:
             raise ValueError(f"{self.owner!r} cannot publish {key}")
-        self.own[key] = content
+        own = self.own
+        slot = self.slot_of.get(key)
+        if slot is None:
+            self.slot_of[key] = len(own)
+            own.append(content)
+        else:
+            own[slot] = content
         if self.receivers:
             env = MessageEnvelope(self.owner, _SOCIAL_UPDATE, content)
             dispatch = self.dispatch
@@ -620,7 +639,8 @@ class SocialCache:
     def lookup(self, key: StorageKey) -> ContentObject | None:
         """Own-content store first, then the subscription store."""
         owner = key.owner
-        if owner == self.owner:
-            return self.own.get(key)
-        section = self.store.get(owner)
-        return None if section is None else section.get(key)
+        section = self.own if owner == self.owner else self.store.get(owner)
+        if section is None:
+            return None
+        slot = self.slot_of.get(key)
+        return None if slot is None or slot >= len(section) else section[slot]

@@ -131,7 +131,7 @@ def test_criterion_2_interaction_length_matches_direct_oracle():
         now = times[-1] + rng.randrange(0, 1_000_000)
         # With alpha 0 the social score is the medium interaction length.
         cache = SocialCache("ego", StrategyConfig(alpha=0.0, beta=1.0), lambda *args: None,
-                            Counters())
+                            Counters(), {})
         for t in times:
             reference_record(cache.muc, "x", LOOKUP, t)
         got = cache.social_score("x", now)
@@ -152,7 +152,7 @@ def _random_selection_case(rng: random.Random):
     weights = {k: rng.choice([0.25, 0.5, 1.0, 2.0]) for k in InteractionKind}
     cfg = StrategyConfig(kind=kind, n=n, alpha=alpha, beta=beta,
                          interaction_weights=weights)
-    cache = SocialCache("ego", cfg, lambda *args: None, Counters())
+    cache = SocialCache("ego", cfg, lambda *args: None, Counters(), {})
     users = [f"p{i:02d}" for i in range(rng.randrange(1, 21))]
     raw: dict[str, list[tuple[InteractionKind, int]]] = {}
     now = 0

@@ -12,6 +12,7 @@ def build_net(users, setup="both", strategy=Strategy.SOCIAL_SCORE, n=15):
     counters = Counters()
     dht = DhtStore(counters)
     dispatcher = MessageDispatcher(counters)
+    slot_of = {}  # shared, as in a run: subscribers find a key at its owner's slot
     peers = {}
     for user in users:
         peers[user] = Peer(
@@ -19,6 +20,7 @@ def build_net(users, setup="both", strategy=Strategy.SOCIAL_SCORE, n=15):
             dht,
             dispatcher,
             counters,
+            slot_of,
             current_cache=CurrentCache(100, 60_000) if setup in ("both", "current") else None,
             strategy=StrategyConfig(kind=strategy, n=n) if setup in ("both", "social") else None,
         )

@@ -1,6 +1,7 @@
 import gc
 import io
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -114,7 +115,7 @@ def peer_states(sim: Simulation) -> list[tuple]:
         social = sim.peers[name].social
         entries = [(u, e.event_count, e.lookup_count, e.weighted, e.first_at, e.last_at, e.gap)
                    for u, e in social.muc.items()]
-        stored = {u: sorted((str(k), c.version) for k, c in section.items())
+        stored = {u: [None if c is None else (str(c.key), c.version) for c in section]
                   for u, section in social.store.items()}
         states.append((name, list(social.channels), list(social.receivers),
                        social.muc.total_events, entries, stored))
@@ -301,6 +302,36 @@ def test_run_leaves_no_cyclic_garbage(kind, setup, trigger, bootstrapping):
     if setup.social_enabled:
         assert result.counters.subscriptions_sent > 0
         assert (result.counters.bootstrap_dumps > 0) == bootstrapping
+
+
+@pytest.mark.parametrize(
+    "kind, setup, trigger, bootstrapping",
+    [case for case in RUN_CASES if case[1].social_enabled])
+def test_runs_end_consistent(kind, setup, trigger, bootstrapping):
+    """Every social store agrees with the overlay, holds each item at its
+    key's slot and counts exactly its items.  Only a run without bootstrap
+    dumps pads a section, where an update's slot lies past its end."""
+    cfg = small_run_config(kind, setup, trigger, bootstrapping)
+    sim = Simulation(cfg, generate_trace(cfg))
+    sim.run()
+    assert sim.verify_consistency() == []
+    assert sim.verify_subscription_symmetry() == []
+    padded = any(item is None for social in sim._socials
+                 for section in social.store.values() for item in section)
+    assert padded != bootstrapping
+
+
+def test_bootstrapped_sections_cost_at_most_16_bytes_per_item():
+    """A section is a list of one 8-byte reference per slot; as a key ->
+    object dict it cost about 32 bytes per item."""
+    cfg = small_run_config(SOCIAL, CacheSetup.SOCIAL_ONLY)
+    sim = Simulation(cfg, generate_trace(cfg))
+    sim.run()
+    items = sum(social.store_items for social in sim._socials)
+    size = sum(sys.getsizeof(section) for social in sim._socials
+               for section in social.store.values())
+    assert items > 100
+    assert size / items <= 16
 
 
 @pytest.mark.parametrize(

@@ -35,11 +35,13 @@ LOOKUP = InteractionKind.LOOKUP
 
 class Router:
     """Synchronous in-test message fabric between social caches; ``dispatch``
-    is the ``(env, recipient)`` hook every cache is built with.  The log
-    holds one ``(sender, kind, recipient, env)`` entry per delivery."""
+    is the ``(env, recipient)`` hook every cache is built with, and
+    ``slot_of`` the key -> slot map they share.  The log holds one
+    ``(sender, kind, recipient, env)`` entry per delivery."""
 
     def __init__(self):
         self.caches = {}
+        self.slot_of = {}
         self.log = []
 
     def add(self, cache):
@@ -61,11 +63,12 @@ class Router:
             cache.on_bootstrap(name, env.payload)
 
 
-def make_cache(owner="me", router=None, **cfg_kwargs):
+def make_cache(owner="me", router=None, bootstrapping=True, **cfg_kwargs):
     cfg_kwargs.setdefault("kind", Strategy.SOCIAL_SCORE)
     cfg = StrategyConfig(**cfg_kwargs)
     router = router or Router()
-    cache = SocialCache(owner, cfg, router.dispatch, Counters())
+    cache = SocialCache(owner, cfg, router.dispatch, Counters(), router.slot_of,
+                        bootstrapping=bootstrapping)
     router.add(cache)
     return cache, router
 
@@ -74,9 +77,14 @@ def obj(owner, path, version=1):
     return ContentObject(StorageKey(owner, path), version, b"data")
 
 
-def dump(*items):
-    """A bootstrap dump of ``items``, as ``on_subscribe_received`` sends it."""
-    return {content.key: content for content in items}
+def slotted(slot_of, *items):
+    """``items``, with each key given its owner's next slot in ``slot_of``
+    unless it has one, as the owner's first ``publish`` does."""
+    for content in items:
+        key = content.key
+        if key not in slot_of:
+            slot_of[key] = sum(k.owner == key.owner for k in slot_of)
+    return items
 
 
 # -- MUC list -----------------------------------------------------------------
@@ -132,7 +140,7 @@ def test_track_bookkeeping_matches_reference_record(trigger):
         n = rng.randrange(1, 3)
         cfg = StrategyConfig(kind=Strategy.SOCIAL_SCORE, n=n, m=n + rng.randrange(1, 4),
                              trigger=trigger, interaction_weights=weights)
-        cache = SocialCache("me", cfg, Router().dispatch, Counters(), muc_capacity=capacity)
+        cache = SocialCache("me", cfg, Router().dispatch, Counters(), {}, muc_capacity=capacity)
         twin = MucList(capacity)
         users = [f"p{i}" for i in range(rng.randrange(capacity + 1, 2 * capacity + 3))]
         now = 0
@@ -433,8 +441,9 @@ _store_ops = st.lists(
     st.one_of(
         st.tuples(st.just("store"), st.sampled_from("uv"), st.sampled_from("xyz"),
                   st.integers(1, 4)),
+        # A dump is its owner's ``own``: the versions at slots 0, 1, ...
         st.tuples(st.just("dump"), st.sampled_from("uv"),
-                  st.dictionaries(st.sampled_from("xyz"), st.integers(1, 4), max_size=5)),
+                  st.lists(st.integers(1, 4), max_size=3)),
         st.tuples(st.just("purge"), st.sampled_from("uv")),
     ),
     max_size=30,
@@ -449,10 +458,14 @@ def test_store_follows_updates_purges_and_dumps(ops):
     and subscribing again; no one answers with a dump) and dumps, each
     into the fresh section of a purged user, as in a run
     (``test_dumps_land_in_no_section``): an update overwrites its key and a
-    dump becomes the section whole."""
-    cache, _ = make_cache("me")
+    dump becomes the section whole.  Paths ``x``, ``y``, ``z`` have slots 0,
+    1, 2, so an update after a purge can land past the section's end; the
+    padding is no item and every item sits at its key's slot.  The peer does
+    not bootstrap, as a run that pads does not."""
+    cache, _ = make_cache("me", bootstrapping=False)
     for user in "uv":
         cache.channels[user] = None
+        slotted(cache.slot_of, *[obj(user, path) for path in "xyz"])
     store = cache.store
     want: dict[str, dict[str, int]] = {}
     for op in ops:
@@ -466,15 +479,59 @@ def test_store_follows_updates_purges_and_dumps(ops):
             want.pop(user, None)
         if op[0] == "dump":
             if op[2]:
-                want[user] = dict(op[2])
-            items = dump(*[obj(user, p, v) for p, v in op[2].items()])
+                want[user] = dict(zip("xyz", op[2]))
+            items = [obj(user, p, v) for p, v in zip("xyz", op[2])]
             assert cache.on_bootstrap(user, items) == len(items)
         got = {
-            u: {k.path: c.version for k, c in section.items()}
+            u: {c.key.path: c.version for c in section if c is not None}
             for u, section in store.items()
         }
         assert got == want
-        assert cache.store_items == sum(len(section) for section in store.values())
+        assert all(cache.slot_of[c.key] == slot for section in store.values()
+                   for slot, c in enumerate(section) if c is not None)
+        assert cache.store_items == sum(len(paths) for paths in want.values())
+
+
+def test_a_dump_is_a_copy_of_the_senders_own():
+    """After "me" holds "them"'s dump, "them" publishes a new version whose
+    update is lost: "me" still serves the version it was sent.  A dump that
+    shared the sender's ``own`` would serve the new one; whole runs cannot
+    tell, as every update there reaches every subscriber."""
+    router = Router()
+    me, _ = make_cache("me", router)
+    them, _ = make_cache("them", router)
+    sent = obj("them", "wall/0", version=1)
+    them.publish(sent)
+    me._subscribe("them")
+    del router.caches["me"]  # every later delivery to "me" is dropped
+    them.publish(obj("them", "wall/0", version=2))
+    assert router.log[-1][1:3] == (MessageKind.SOCIAL_UPDATE, "me")
+    assert me.lookup(sent.key) is sent
+    assert me.store_items == 1
+
+
+def test_a_section_without_a_dump_pads_and_counts_only_items():
+    """With bootstrapping off a section begins at its first update, which can
+    sit at any slot: the slots it skips hold ``None``, which neither
+    ``store_items`` nor a lookup counts as an item, and a purge takes away
+    exactly the section's items."""
+    cache, _ = make_cache("me", bootstrapping=False)
+    for user in ("them", "you"):
+        cache.channels[user] = None
+    theirs = slotted(cache.slot_of, *[obj("them", f"wall/{i}") for i in range(6)])
+    yours = slotted(cache.slot_of, *[obj("you", f"wall/{i}") for i in range(4)])
+    for i in (4, 1, 5, 1, 2):
+        assert cache.on_social_update("them", theirs[i])
+    assert cache.on_social_update("you", yours[2])
+    assert cache.store["them"] == [None, theirs[1], theirs[2], None, theirs[4], theirs[5]]
+    assert cache.store["you"] == [None, None, yours[2]]
+    assert cache.store_items == 5
+    assert [cache.lookup(c.key) for c in theirs] == [None, *theirs[1:3], None, *theirs[4:]]
+    assert cache.lookup(yours[3].key) is None  # past the section's end
+    cache._unsubscribe("them")
+    assert cache.store_items == 1
+    cache._unsubscribe("you")
+    assert cache.store_items == 0
 
 
 # -- inbound handlers ------------------------------------------------------------------
@@ -492,7 +549,8 @@ def test_subscribe_received_sends_one_dump():
 def test_subscribe_received_without_bootstrapping():
     cfg = StrategyConfig()
     router = Router()
-    cache = SocialCache("me", cfg, router.dispatch, Counters(), bootstrapping=False)
+    cache = SocialCache("me", cfg, router.dispatch, Counters(), router.slot_of,
+                        bootstrapping=False)
     router.add(cache)
     cache.on_subscribe_received("sub")
     assert len(cache.receivers) == 1
@@ -502,8 +560,10 @@ def test_subscribe_received_without_bootstrapping():
 def test_update_overwrites_previous_version():
     cache, _ = make_cache("me")
     cache.channels["them"] = None
-    cache.on_social_update("them", obj("them", "wall/0", version=1))
-    cache.on_social_update("them", obj("them", "wall/0", version=2))
+    first, second = slotted(cache.slot_of, obj("them", "wall/0", version=1),
+                            obj("them", "wall/0", version=2))
+    cache.on_social_update("them", first)
+    cache.on_social_update("them", second)
     assert cache.store_items == 1
     assert cache.lookup(StorageKey("them", "wall/0")).version == 2
 
@@ -523,7 +583,7 @@ def test_publish_shares_one_envelope_across_receivers(k):
     subscribers = [f"s{i}" for i in range(k)]
     for user in subscribers:
         dispatcher.register(user, lambda env, user=user: seen.append((user, env)))
-    cache = SocialCache("me", StrategyConfig(), dispatcher.dispatch, counters)
+    cache = SocialCache("me", StrategyConfig(), dispatcher.dispatch, counters, {})
     for user in subscribers:
         cache.receivers[user] = None
     before = counters.dispatcher_messages
@@ -543,7 +603,7 @@ def test_publish_refuses_another_users_key():
     cache.receivers["sub"] = None
     with pytest.raises(ValueError):
         cache.publish(obj("them", "wall/1"))
-    assert cache.own == {posted.key: posted}
+    assert cache.own == [posted]
     assert router.log == []
 
 
@@ -559,7 +619,7 @@ def test_lookup_serves_own_content():
 def test_lookup_serves_subscribed_content():
     cache, _ = make_cache("me")
     cache.channels["them"] = None
-    pushed = obj("them", "wall/2")
+    (pushed,) = slotted(cache.slot_of, obj("them", "wall/2"))
     cache.on_social_update("them", pushed)
     assert cache.lookup(StorageKey("them", "wall/2")) is pushed
 
@@ -634,7 +694,8 @@ def random_weighted_state(rng, kind, muc_capacity=DUNBAR_MUC_LIMIT):
     weights = {k: rng.uniform(0.0, 3.0) for k in InteractionKind if rng.random() < 0.8}
     router = Router()
     cfg = StrategyConfig(kind=kind, n=rng.randrange(1, 6), interaction_weights=weights)
-    cache = SocialCache("me", cfg, router.dispatch, Counters(), muc_capacity=muc_capacity)
+    cache = SocialCache("me", cfg, router.dispatch, Counters(), router.slot_of,
+                        muc_capacity=muc_capacity)
     router.add(cache)
     users = [f"p{i}" for i in range(rng.randrange(1, 12))]
     remaining = {u: rng.choice([1, 1, 2, 2, 3, 5, 8]) for u in users}
@@ -716,7 +777,7 @@ def test_run_selection_matches_rank_everything_reference(kind, muc_capacity):
         n = rng.randrange(1, 7)
         pair = [
             SocialCache("me", StrategyConfig(kind=kind, n=n, interaction_weights=dict(weights)),
-                        lambda *_: None, Counters(), muc_capacity=muc_capacity)
+                        lambda *_: None, Counters(), {}, muc_capacity=muc_capacity)
             for _ in range(2)
         ]
         cache, ref = pair
@@ -783,7 +844,7 @@ def test_selection_at_the_dunbar_cap_matches_reference(kind):
     rng = random.Random(f"dunbar-cap/{kind.value}")
     pair = [
         SocialCache("me", StrategyConfig(kind=kind, n=15, interaction_weights={FRIEND: 2.0}),
-                    lambda *_: None, Counters())
+                    lambda *_: None, Counters(), {})
         for _ in range(2)
     ]
     cache, ref = pair
@@ -908,7 +969,7 @@ BOUNDARY_HISTORIES = [
 def certificate_cache(n, alpha, beta, friend_weight):
     cfg = StrategyConfig(kind=Strategy.SOCIAL_SCORE, n=n, alpha=alpha, beta=beta,
                          interaction_weights={LOOKUP: 1.0, FRIEND: friend_weight})
-    return SocialCache("me", cfg, lambda *_: None, Counters())
+    return SocialCache("me", cfg, lambda *_: None, Counters(), {})
 
 
 def select(cache, now, reference):
@@ -1055,6 +1116,29 @@ def test_degenerate_rankings_record_no_window():
     assert assert_selection_stable_below(cache, 5, math.inf, horizon=1_000) == 999
 
 
+def test_a_constant_channel_within_the_margin_at_t_gets_no_certificate():
+    """The certificate's check that the lowest constant channel, at the
+    ranking's total ``T``, stays a margin above the best falling unchosen
+    score.  Every score is a line in ``1 / T`` whose intercept is not
+    negative, so in real numbers the same check at the cap implies it; it
+    decides alone only where rounding lands.  Here "c" (one friend request)
+    is chosen over "u" (two lookups) by a ratio of about 1 + 1e-9, and with
+    beta 0 the check at T fails while the one at the cap passes."""
+    weight, alpha = 2.0000000019999997, 0.3
+    cache = certificate_cache(1, alpha, 0.0, weight)
+    for user, kind, at in (("u", LOOKUP, 1), ("u", LOOKUP, 3), ("c", FRIEND, 5)):
+        cache.track(user, kind, at)
+    total, cap = 3, 7
+    assert (cache.muc.total_events, cache.muc["u"].weighted) == (total, 2.0)
+    top, top_at_cap = alpha * (2.0 / total) + 0.0, alpha * (2.0 / cap) + 0.0
+    assert alpha * (weight / total) <= top + top * 1e-9
+    assert alpha * (weight / cap) > top_at_cap + top_at_cap * 1e-9
+    reference = ReferenceCertificate()
+    assert select(cache, 6, reference) == math.inf
+    assert list(cache.channels) == ["c"]
+    assert cache._dirty is None and reference.cert is None
+
+
 class _CheckedCache(SocialCache):
     """A social cache whose ``run_selection``, also the one ``track`` runs,
     goes through ``check``: ``SocialCache`` has slots, so an instance
@@ -1083,7 +1167,7 @@ def test_certificate_survives_tracks_between_rounds(trigger):
         cfg = StrategyConfig(kind=Strategy.SOCIAL_SCORE, n=n, m=n + rng.randrange(1, 4),
                              trigger=trigger, alpha=alpha, beta=beta,
                              interaction_weights={LOOKUP: 1.0, FRIEND: rng.choice([0.5, 1.0, 2.0])})
-        cache = _CheckedCache("me", cfg, lambda *_: None, Counters(),
+        cache = _CheckedCache("me", cfg, lambda *_: None, Counters(), {},
                               muc_capacity=rng.choice([n + 1, n + 3, DUNBAR_MUC_LIMIT]))
         run_selection = partial(SocialCache.run_selection, cache)
         in_track = False

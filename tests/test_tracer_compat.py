@@ -8,6 +8,7 @@ against the simulation's own."""
 import importlib.util
 from pathlib import Path
 
+from socicache.overlay import MessageDispatcher, MessageKind
 from socicache.sim import Simulation
 from socicache.social_cache import StrategyConfig
 from socicache.workload import ScenarioConfig, generate_trace
@@ -23,8 +24,19 @@ def load_tracer_module():
     return module
 
 
-def test_traced_message_counts_match_the_simulation():
+def test_traced_message_counts_match_the_simulation(monkeypatch):
     tracer_module = load_tracer_module()
+    # The items the dumps carried, counted where they are sent, below the
+    # tracer's own wrapper of ``dispatch``.
+    carried = []
+    dispatch = MessageDispatcher.dispatch
+
+    def counting_dispatch(dispatcher, env, recipient):
+        if env.kind is MessageKind.BOOTSTRAP_DUMP:
+            carried.append(len(env.payload))
+        return dispatch(dispatcher, env, recipient)
+
+    monkeypatch.setattr(MessageDispatcher, "dispatch", counting_dispatch)
     # Three channels per peer make selection unsubscribe too, so every
     # message kind occurs.
     cfg = ScenarioConfig(peer_count=16, friends_per_user=6, lookups_per_interaction=20.0,
@@ -48,6 +60,8 @@ def test_traced_message_counts_match_the_simulation():
     assert by_kind["subscribe"] == summary["subscriptions_sent"]
     assert by_kind["unsubscribe"] == summary["unsubscriptions_sent"]
     assert by_kind["bootstrap_dump"] == summary["bootstrap_dumps"]
+    assert tracer.count("social_cache.on_bootstrap") == summary["bootstrap_dumps"]
+    assert tracer.notes["social_cache.bootstrap_items"] == sum(carried) > 0
     assert tracer.count("peer.on_envelope") == messages
     assert summary["dht_lookups"] > 0 and summary["dht_puts"] > 0
     assert tracer.count("overlay.get") == summary["dht_lookups"]
