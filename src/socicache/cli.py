@@ -19,6 +19,7 @@ import math
 import os
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -89,17 +90,18 @@ class _Key(NamedTuple):
 
 def _attr(path: str, parse: Callable[[str], object], fmt: Callable[[object], str] = str,
           resolved: str | None = None) -> _Key:
-    """Key for the dotted attribute ``path`` of the config.  ``resolved``
-    names a derived attribute that is serialized in place of an unset one."""
-    *parents, name = path.split(".")
-
-    def owner(cfg):
-        for part in parents:
-            cfg = getattr(cfg, part)
-        return cfg
-
-    return _Key(lambda cfg: getattr(owner(cfg), resolved or name),
-                lambda cfg, value: setattr(owner(cfg), name, value), parse, fmt)
+    """Key for the attribute ``path`` of the config, ``section.name`` for a
+    field of a section; setting it replaces the section with a copy, as a
+    frozen section cannot be assigned into.  ``resolved`` names a derived
+    attribute that is serialized in place of an unset one."""
+    section, _, name = path.rpartition(".")
+    if not section:
+        return _Key(lambda cfg: getattr(cfg, resolved or name),
+                    lambda cfg, value: setattr(cfg, name, value), parse, fmt)
+    return _Key(lambda cfg: getattr(getattr(cfg, section), resolved or name),
+                lambda cfg, value: setattr(cfg, section,
+                                           replace(getattr(cfg, section), **{name: value})),
+                parse, fmt)
 
 
 def _weight(kind: InteractionKind) -> _Key:

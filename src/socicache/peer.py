@@ -14,7 +14,7 @@ from .info_cache import CurrentCache
 from .metrics import Counters
 from .model import ContentObject, InteractionKind, SimTime, StorageKey, UserId
 from .overlay import DhtStore, MessageDispatcher, MessageEnvelope, MessageKind
-from .social_cache import DUNBAR_MUC_LIMIT, SocialCache, StrategyConfig
+from .social_cache import SocialCache
 
 # Enum members read per request or message, bound once (see ``social_cache``).
 _LOOKUP, _FRIEND_REQUEST = InteractionKind.LOOKUP, InteractionKind.FRIEND_REQUEST
@@ -28,10 +28,12 @@ class NotOwnerError(PermissionError):
 
 
 class Peer:
-    """One user's node.  Outbound messages go straight to the dispatcher:
-    the social cache builds one envelope per send and dispatches it per
-    recipient, and ``send_friend_request`` builds its own.  Inbound
-    envelopes arrive at ``on_envelope``."""
+    """One user's node over the caches of its run's enabled tiers, each
+    built by ``Simulation`` (``None`` for a disabled tier).  Outbound
+    messages go straight to the dispatcher: the social cache builds one
+    envelope per send and dispatches it per recipient, and
+    ``send_friend_request`` builds its own.  Inbound envelopes arrive at
+    ``on_envelope``."""
 
     __slots__ = ("user", "dht", "dispatcher", "counters", "current", "social")
 
@@ -41,31 +43,16 @@ class Peer:
         dht: DhtStore,
         dispatcher: MessageDispatcher,
         counters: Counters,
-        slot_of: dict[StorageKey, int],
         *,
-        current_cache: CurrentCache | None = None,
-        strategy: StrategyConfig | None = None,
-        bootstrapping: bool = True,
-        muc_capacity: int = DUNBAR_MUC_LIMIT,
-        seed: int = 0,
+        current: CurrentCache | None = None,
+        social: SocialCache | None = None,
     ):
         self.user = user
         self.dht = dht
         self.dispatcher = dispatcher
         self.counters = counters
-        self.current = current_cache
-        self.social: SocialCache | None = None
-        if strategy is not None:
-            self.social = SocialCache(
-                user,
-                strategy,
-                dispatcher.dispatch,
-                counters,
-                slot_of,
-                bootstrapping=bootstrapping,
-                muc_capacity=muc_capacity,
-                seed=seed,
-            )
+        self.current = current
+        self.social = social
         dispatcher.register(user, self.on_envelope)
 
     # -- lookup pipeline ----------------------------------------------------

@@ -15,7 +15,7 @@ from .metrics import Counters, MetricsLedger, cache_hit_ratio, responses_per_ite
 from .model import SimTime, StorageKey, UserId
 from .overlay import DhtStore, MessageDispatcher
 from .peer import Peer
-from .social_cache import SelectionTrigger, Strategy
+from .social_cache import SelectionTrigger, SocialCache, Strategy
 from .workload import (
     LOOKUP_CODE,
     POST_CODE,
@@ -91,24 +91,18 @@ class Simulation:
         self.max_muc_entries = 0
         self._digest = trace_digest(trace)
 
+        # Each peer's caches, built here and nowhere else in the package.
         setup = cfg.cache_setup
         for name in trace.users:
-            current = None
+            current = social = None
             if setup.current_enabled:
                 current = CurrentCache(cfg.current_cache.capacity, cfg.current_cache.ttl_ticks)
-            strategy = cfg.strategy if setup.social_enabled else None
-            self.peers[name] = Peer(
-                name,
-                self.dht,
-                self.dispatcher,
-                self.counters,
-                self.slot_of,
-                current_cache=current,
-                strategy=strategy,
-                bootstrapping=cfg.bootstrapping,
-                muc_capacity=cfg.muc_capacity,
-                seed=cfg.seed,
-            )
+            if setup.social_enabled:
+                social = SocialCache(name, cfg.strategy, self.dispatcher.dispatch, self.counters,
+                                     self.slot_of, bootstrapping=cfg.bootstrapping,
+                                     muc_capacity=cfg.muc_capacity, seed=cfg.seed)
+            self.peers[name] = Peer(name, self.dht, self.dispatcher, self.counters,
+                                    current=current, social=social)
         # Users are sorted, so this is also the peers' sorted order.
         self._actor_peers = [self.peers[name] for name in trace.users]
         self._socials = [p.social for p in self._actor_peers if p.social is not None]

@@ -36,15 +36,14 @@ def _tick(crossing: float) -> float:
 
 
 class _Certificate(NamedTuple):
-    """What ``run_selection`` re-checks each user tracked since against;
-    ``SocialCache._certify`` reads it off a sorted ranking."""
+    """What ``run_selection`` re-checks each user tracked since against, with
+    the cache's fixed weights; ``SocialCache._certify`` reads it off a sorted
+    ranking."""
 
     cap: int  # the largest total event count covered
     until: float  # the first tick not covered
     above: float  # a tracked channel's falling score must exceed this
     below: float  # a tracked unchosen score, widened, must not exceed this
-    alpha: float  # the weights it was made with
-    beta: float
 
 
 class InvalidWeightsError(ValueError):
@@ -78,13 +77,14 @@ def default_interaction_weights() -> dict[InteractionKind, float]:
     return {kind: 1.0 for kind in InteractionKind}
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrategyConfig:
     """Tunables for subscription selection.
 
     ``n`` bounds the parallel update channels, ``m`` is the tracked-lookup
     count that fires selection under the lookup-count trigger, and
-    ``update_interval`` paces the time-based trigger.
+    ``update_interval`` paces the time-based trigger.  Frozen, as caches
+    read it for a whole run: change it with ``dataclasses.replace``.
     """
 
     kind: Strategy = Strategy.SOCIAL_SCORE
@@ -185,6 +185,8 @@ class SocialCache:
     holds ``None``, at the slots it skipped.
 
     A selection round asks ``stable_until`` whether it can change anything.
+    ``cfg`` is frozen and validated here, so no weight changes under a score
+    or a certificate; ``Simulation`` builds each peer's cache.
     """
 
     __slots__ = ("owner", "cfg", "dispatch", "counters", "slot_of", "bootstrapping", "muc",
@@ -228,11 +230,11 @@ class SocialCache:
         self._rng: random.Random | None = None
         self._lookups_since_selection = 0
         # The first tick at which ``run_selection`` may change anything,
-        # provided nothing is tracked until then and alpha and beta stay as
-        # they are; ``math.inf`` if never.  A selection round skips the peer
-        # before it.  Set here (never: empty MUC list and channels), by
-        # ``track`` (due now, 0) and by ``run_selection``, which ``track``
-        # also runs under the lookup-count trigger.
+        # provided nothing is tracked until then; ``math.inf`` if never.  A
+        # selection round skips the peer before it.  Set here (never: empty
+        # MUC list and channels), by ``track`` (due now, 0) and by
+        # ``run_selection``, which ``track`` also runs under the lookup-count
+        # trigger.
         self.stable_until: float = math.inf
         # The certificate ``_certify`` made (see ``run_selection``) and the
         # users tracked since; None while there is no certificate.
@@ -249,8 +251,6 @@ class SocialCache:
         since the first one; a single event, or a first event now, gives 0.
         """
         alpha, beta = self.cfg.alpha, self.cfg.beta
-        if alpha + beta <= 0:
-            raise InvalidWeightsError("alpha + beta must be positive")
         entry = self.muc[user]
         tie = entry.weighted / self.muc.total_events
         elapsed = now - entry.first_at
@@ -281,8 +281,6 @@ class SocialCache:
         if self.cfg.kind is not _SOCIAL_SCORE:
             return [(-float(e.lookup_count), u) for u, e in tracked]
         alpha, beta = self.cfg.alpha, self.cfg.beta
-        if alpha + beta <= 0:
-            raise InvalidWeightsError("alpha + beta must be positive")
         total = self.muc.total_events
         keys = []
         for user, entry in tracked:
@@ -380,15 +378,14 @@ class SocialCache:
         kind = cfg.kind
         if kind is _RANDOM:
             return NO_CHANGE
-        if kind is _SOCIAL_SCORE and cfg.alpha + cfg.beta <= 0:
-            raise InvalidWeightsError("alpha + beta must be positive")
         muc = self.muc
         channels = self.channels
         dirty = self._dirty
         if dirty is not None:
-            cap, until, above, below, alpha, beta = self._cert
+            cap, until, above, below = self._cert
+            alpha, beta = cfg.alpha, cfg.beta
             total = muc.total_events
-            if total <= cap and now < until and alpha == cfg.alpha and beta == cfg.beta:
+            if total <= cap and now < until:
                 for user in dirty:
                     entry = muc[user]
                     elapsed = now - entry.first_at
@@ -465,8 +462,10 @@ class SocialCache:
         through the origin, and equal weights tie at every ``T`` in name
         order.  So a certificate also needs the lowest constant chosen
         weight a margin above the highest constant unchosen one, or equal to
-        it with every other constant weight a margin away, and its score a
-        margin above every falling unchosen score at both chord ends.
+        it with every other constant weight a margin away, and its score at
+        the cap a margin above every falling unchosen score there.  A
+        falling score's intercept ``beta * spacing`` is not negative, so the
+        constant score then stays above it at every total from ``T`` to it.
 
         The certificate covers ticks before the earliest crossing and totals
         up to the cap.  A user tracked since must pass a direct check at the
@@ -495,15 +494,13 @@ class SocialCache:
                 low, low_next = weighted, low
             elif low < weighted < low_next:
                 low_next = weighted
-        # Best falling unchosen scores at T and cap, highest constant
-        # unchosen weight and the next weight down.  No score or weight is
+        # Best falling unchosen score at the cap, highest constant unchosen
+        # weight and the next weight down.  No score or weight is
         # negative, so 0 stands for none.
-        top = top_at_cap = high = high_next = 0.0
-        for key, _, entry, spacing in ranking[n:]:
+        top_at_cap = high = high_next = 0.0
+        for _, _, entry, spacing in ranking[n:]:
             weighted = entry.weighted
             if entry.gap:
-                if -key > top:
-                    top = -key
                 at_cap = alpha * (weighted / cap) + beta * spacing
                 if at_cap > top_at_cap:
                     top_at_cap = at_cap
@@ -540,11 +537,10 @@ class SocialCache:
                     low == high and low_next > high + high * margin
                     and high_next + high_next * margin < low)):
                 return
-            if (alpha * (low / total) <= top + top * margin
-                    or alpha * (low / cap) <= top_at_cap + top_at_cap * margin):
+            if alpha * (low / cap) <= top_at_cap + top_at_cap * margin:
                 return
             below = min(below, alpha * (low / cap))
-        self._cert = _Certificate(cap, until, above, below, alpha, beta)
+        self._cert = _Certificate(cap, until, above, below)
         self._dirty = set()
 
     def _subscribe(self, user: UserId) -> None:

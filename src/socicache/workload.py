@@ -19,7 +19,7 @@ import hashlib
 import random
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, compress, cycle, islice, repeat
 from math import log, sqrt
 from operator import and_, lshift, or_
@@ -648,7 +648,7 @@ def scenario_for_strategy(cfg: ScenarioConfig, kind: Strategy) -> ScenarioConfig
     """A copy of ``cfg`` that runs ``kind``; it shares no section with
     ``cfg``, so an override on either leaves the other as it is."""
     derived = copy.deepcopy(cfg)
-    derived.strategy.kind = kind
+    derived.strategy = replace(derived.strategy, kind=kind)
     return derived
 
 

@@ -14,7 +14,6 @@ from socicache.model import InteractionKind, UserId
 from socicache.social_cache import (
     _STABLE_MARGIN,
     CapExceededError,
-    InvalidWeightsError,
     MucEntry,
     Strategy,
 )
@@ -160,8 +159,6 @@ def reference_run_selection(cache, now: int) -> tuple[tuple[str, ...], tuple[str
         return (), ()
     entries = cache.muc
     if cfg.kind is Strategy.SOCIAL_SCORE:
-        if cfg.alpha + cfg.beta <= 0:
-            raise InvalidWeightsError("alpha + beta must be positive")
         total = entries.total_events
         keys = [(-reference_score(entry, total, now, cfg.alpha, cfg.beta), user)
                 for user, entry in entries.items()]
@@ -221,8 +218,7 @@ class ReferenceCertificate:
     def _recheck(self, cache, now):
         cert, cfg, muc = self.cert, cache.cfg, cache.muc
         assert len(muc) < muc.max_users
-        if ((cfg.alpha, cfg.beta) != cert["weights"] or muc.total_events > cert["cap"]
-                or now >= cert["until"]):
+        if muc.total_events > cert["cap"] or now >= cert["until"]:
             return None
         until = cert["until"]
         for user, entry in muc.items():
@@ -281,16 +277,13 @@ class ReferenceCertificate:
             high_next = max((w for w in highs if w != high), default=-math.inf)
             apart = low > _widened(high)
             tied = low == high and low_next > _widened(high) and _widened(high_next) < low
-            moving_best = max((score(u) for u in unchosen if not constant[u]),
-                              default=-math.inf)
             moving_best_at_cap = max((score(u, cap) for u in unchosen if not constant[u]),
                                      default=-math.inf)
-            if (not (apart or tied) or score(low_user) <= _widened(moving_best)
-                    or score(low_user, cap) <= _widened(moving_best_at_cap)):
+            if not (apart or tied) or score(low_user, cap) <= _widened(moving_best_at_cap):
                 return stable
             below = min(below, score(low_user, cap))
         self.cert = {
-            "weights": (cfg.alpha, cfg.beta), "cap": cap, "until": until,
+            "cap": cap, "until": until,
             "chosen": set(chosen), "counts": {u: e.event_count for u, e in entries.items()},
             "above": _widened(best), "below": below,
         }

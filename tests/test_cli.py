@@ -7,8 +7,18 @@ import pytest
 from socicache import cli
 from socicache.cli import apply_setting, main, run_id, serialize_config
 from socicache.metrics import Counters
+from socicache.model import InteractionKind
 from socicache.sim import Simulation
-from socicache.workload import generate_trace, save_trace, ScenarioConfig, trace_digest
+from socicache.social_cache import SelectionTrigger, Strategy, StrategyConfig
+from socicache.workload import (
+    CacheSetup,
+    CurrentCacheConfig,
+    DatasetStats,
+    ScenarioConfig,
+    generate_trace,
+    save_trace,
+    trace_digest,
+)
 
 SMALL = [
     "--set", "peer_count=8",
@@ -324,13 +334,35 @@ def test_broken_invariant_exits_one_after_writing_outputs(tmp_path, capsys, monk
                    for row in ("none", "current_only", "social_only", "both"))
 
 
+def every_key_changed() -> ScenarioConfig:
+    """A config that differs from the default at every key, built without
+    the key setters."""
+    strategy = StrategyConfig(
+        kind=Strategy.TREND, alpha=0.6, beta=0.3, n=5, m=20, update_interval=700,
+        trigger=SelectionTrigger.LOOKUP_COUNT_BASED,
+        interaction_weights={kind: 2.0 + i for i, kind in enumerate(InteractionKind)})
+    return ScenarioConfig(
+        peer_count=9, friends_per_user=4, new_experiment_time_days=0.5,
+        sim_duration_ticks=70_000, friend_request_phases=(100, 200),
+        initial_friend_fraction=0.5, strategy=strategy, cache_setup=CacheSetup.SOCIAL_ONLY,
+        current_cache=CurrentCacheConfig(ttl_ticks=30, capacity=12), seed=7, keys_per_user=3,
+        payload_bytes=64, lookups_per_interaction=50.0, tier_sizes=(2, 3),
+        tier_shares=(0.5, 0.3, 0.2), replication_factor=2, bootstrapping=False,
+        muc_capacity=40, sample_cadence_ticks=5_000,
+        dataset=DatasetStats(avg_ts_interaction_days=20.0, experiment_span_days=400.0))
+
+
 @pytest.mark.parametrize(
     "profile",
-    [cli.default_run_profile, cli.strategy_comparison_profile, cli.cache_comparison_profile],
+    [cli.default_run_profile, cli.strategy_comparison_profile, cli.cache_comparison_profile,
+     every_key_changed],
 )
 def test_config_round_trip(tmp_path, profile):
     cfg = profile()
     text = serialize_config(cfg)
+    if profile is every_key_changed:  # so a setter that drops a write shows
+        default = serialize_config(ScenarioConfig())
+        assert [key for key in text if text[key] == default[key]] == []
     fresh = ScenarioConfig()
     for key, value in text.items():
         apply_setting(fresh, key, value)

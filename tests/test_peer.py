@@ -15,15 +15,12 @@ def build_net(users, setup="both", strategy=Strategy.SOCIAL_SCORE, n=15):
     slot_of = {}  # shared, as in a run: subscribers find a key at its owner's slot
     peers = {}
     for user in users:
-        peers[user] = Peer(
-            user,
-            dht,
-            dispatcher,
-            counters,
-            slot_of,
-            current_cache=CurrentCache(100, 60_000) if setup in ("both", "current") else None,
-            strategy=StrategyConfig(kind=strategy, n=n) if setup in ("both", "social") else None,
-        )
+        current = CurrentCache(100, 60_000) if setup in ("both", "current") else None
+        social = None
+        if setup in ("both", "social"):
+            social = SocialCache(user, StrategyConfig(kind=strategy, n=n), dispatcher.dispatch,
+                                 counters, slot_of)
+        peers[user] = Peer(user, dht, dispatcher, counters, current=current, social=social)
     return dht, dispatcher, counters, peers
 
 

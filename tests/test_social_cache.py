@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -316,13 +317,16 @@ def test_social_score_alpha_only_degenerates_to_tie_strength():
 def test_social_score_zero_weights_rejected():
     with pytest.raises(InvalidWeightsError):
         StrategyConfig(kind=Strategy.SOCIAL_SCORE, alpha=0.0, beta=0.0).validate()
-    cache, _ = make_cache(alpha=0.5, beta=0.5)
-    build_score_state(cache)
-    cache.cfg.alpha = cache.cfg.beta = 0.0
+    # A built cache's weights cannot change, so they fail when it is built.
     with pytest.raises(InvalidWeightsError):
-        cache.social_score("x", 30)
-    with pytest.raises(InvalidWeightsError):
-        cache.rank_users(30)
+        make_cache(alpha=0.0, beta=0.0)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(StrategyConfig)])
+def test_strategy_fields_cannot_be_assigned(field):
+    cfg = StrategyConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, getattr(cfg, field))
 
 
 def test_social_score_unknown_user():
@@ -632,27 +636,38 @@ def test_lookup_misses_unknown_user():
 # -- ranking properties ---------------------------------------------------------------------
 
 def random_muc_state(rng, kind):
+    """A cache whose MUC list holds random events, recorded without
+    subscription side effects, which are irrelevant to ranking; returns it,
+    a tick to rank at and the ``(user, kind, at)`` events."""
     cache, _ = make_cache(kind=kind, n=rng.randrange(1, 6))
     users = [f"p{i}" for i in range(rng.randrange(1, 12))]
+    events = []
     now = 0
     for user in users:
         for _ in range(rng.randrange(1, 8)):
             now += rng.randrange(0, 5)
-            kind_choice = rng.choice(list(InteractionKind))
-            if kind_choice is LOOKUP and user not in cache.channels:
-                # route through the muc only; inline subscription side effects
-                # are irrelevant to ranking
-                reference_record(cache.muc, user, kind_choice, now)
-            else:
-                reference_record(cache.muc, user, kind_choice, now)
-    return cache, now + rng.randrange(1, 10)
+            events.append((user, rng.choice(list(InteractionKind)), now))
+            reference_record(cache.muc, *events[-1])
+    return cache, now + rng.randrange(1, 10), events
+
+
+def twin_cache(cache, events, **changes):
+    """A cache built like ``cache`` with the config ``changes`` that tracked
+    the same ``(user, kind, at)`` events: a built cache's weights cannot
+    change, so other weights need another cache."""
+    cfg = dataclasses.replace(cache.cfg, **changes)
+    twin = SocialCache(cache.owner, cfg, lambda *_: None, Counters(), {},
+                       muc_capacity=cache.muc.max_users)
+    for user, kind, at in events:
+        twin.track(user, kind, at)
+    return twin
 
 
 @pytest.mark.parametrize("kind", [Strategy.TREND, Strategy.SOCIAL_SCORE])
 def test_selection_matches_brute_force(kind):
     rng = random.Random(f"selection-oracle/{kind.value}")
     for _ in range(300):
-        cache, now = random_muc_state(rng, kind)
+        cache, now, _ = random_muc_state(rng, kind)
         if kind is Strategy.TREND:
             scores = {u: float(e.lookup_count) for u, e in cache.muc.items()}
         else:
@@ -665,14 +680,12 @@ def test_top_set_invariant_under_weight_scaling():
     # Scaling alpha and beta by the same power of two preserves the ranking.
     rng = random.Random("scale-invariance")
     for _ in range(100):
-        cache, now = random_muc_state(rng, Strategy.SOCIAL_SCORE)
-        baseline = cache.rank_users(now)[: cache.cfg.n]
+        cache, now, events = random_muc_state(rng, Strategy.SOCIAL_SCORE)
+        cfg = cache.cfg
+        baseline = cache.rank_users(now)[: cfg.n]
         for factor in (0.25, 0.5, 2.0, 8.0):
-            cache.cfg.alpha *= factor
-            cache.cfg.beta *= factor
-            assert cache.rank_users(now)[: cache.cfg.n] == baseline
-            cache.cfg.alpha /= factor
-            cache.cfg.beta /= factor
+            twin = twin_cache(cache, events, alpha=cfg.alpha * factor, beta=cfg.beta * factor)
+            assert twin.rank_users(now)[: cfg.n] == baseline
 
 
 def test_channel_cap_enforced_under_churn():
@@ -689,8 +702,8 @@ def test_channel_cap_enforced_under_churn():
 def random_weighted_state(rng, kind, muc_capacity=DUNBAR_MUC_LIMIT):
     """A cache with random non-default weights (some kinds left at the 1.0
     default) whose MUC was filled through ``track`` with interleaved events;
-    returns the cache, each user's events in order, and the time of the last
-    event."""
+    returns the cache, the ``(user, kind, at)`` tracks in order, and the
+    time of the last one."""
     weights = {k: rng.uniform(0.0, 3.0) for k in InteractionKind if rng.random() < 0.8}
     router = Router()
     cfg = StrategyConfig(kind=kind, n=rng.randrange(1, 6), interaction_weights=weights)
@@ -699,18 +712,17 @@ def random_weighted_state(rng, kind, muc_capacity=DUNBAR_MUC_LIMIT):
     router.add(cache)
     users = [f"p{i}" for i in range(rng.randrange(1, 12))]
     remaining = {u: rng.choice([1, 1, 2, 2, 3, 5, 8]) for u in users}
-    events = {u: [] for u in users}
+    tracks = []
     now = 0
     while remaining:
         user = rng.choice(sorted(remaining))
         now += rng.choice([0, 0, 1, 3, 10])
-        kind_choice = rng.choice(list(InteractionKind))
-        cache.track(user, kind_choice, now)
-        events[user].append(kind_choice)
+        tracks.append((user, rng.choice(list(InteractionKind)), now))
+        cache.track(*tracks[-1])
         remaining[user] -= 1
         if not remaining[user]:
             del remaining[user]
-    return cache, events, now
+    return cache, tracks, now
 
 
 def reference_order(cache, now):
@@ -725,17 +737,18 @@ def test_inlined_ranking_equals_per_user_scores_exactly(kind):
     rng = random.Random(f"inlined-ranking/{kind.value}")
     seen_short = seen_now_at_first = 0
     for _ in range(300):
-        cache, events, last = random_weighted_state(rng, kind)
+        cache, tracks, last = random_weighted_state(rng, kind)
         weights = cache.cfg.interaction_weights
         for user, entry in cache.muc.items():
-            assert entry.weighted == sum(weights.get(k, 1.0) for k in events[user])
+            assert entry.weighted == sum(weights.get(k, 1.0) for u, k, _ in tracks if u == user)
             seen_short += entry.event_count <= 2
         for now in (last, last + rng.choice([1, 7, 1000])):
             seen_now_at_first += any(e.first_at == now for e in cache.muc.values())
             assert cache.rank_users(now) == reference_order(cache, now)
-            cache.cfg.alpha, cache.cfg.beta = rng.choice(
+            alpha, beta = rng.choice(
                 [(rng.uniform(0.0, 2.0), rng.uniform(0.01, 2.0)), (1.0, 0.0), (0.0, 1.0)])
-            assert cache.rank_users(now) == reference_order(cache, now)
+            twin = twin_cache(cache, tracks, alpha=alpha, beta=beta)
+            assert twin.rank_users(now) == reference_order(twin, now)
     assert seen_short and seen_now_at_first
 
 
@@ -798,12 +811,6 @@ def test_run_selection_matches_rank_everything_reference(kind, muc_capacity):
             for user, entry in cache.muc.items():
                 ts = times[user]
                 assert entry.gap == (ts[-1] - ts[0]) / max(len(ts) - 2, 1)
-            if rng.random() < 0.3:
-                alpha, beta = rng.choice(
-                    [(rng.uniform(0.0, 2.0), rng.uniform(0.01, 2.0)), (1.0, 0.0), (0.0, 1.0)])
-                for c in pair:
-                    c.cfg.alpha, c.cfg.beta = alpha, beta
-                seen["alpha and beta changed"] += 1
             now += rng.choice([0, 1, 50])
 
             entries, channels = cache.muc, cache.channels
@@ -819,15 +826,7 @@ def test_run_selection_matches_rank_everything_reference(kind, muc_capacity):
             apply_reference_diff(ref, *expected)
             assert list(cache.channels) == list(ref.channels)
 
-        if kind is Strategy.SOCIAL_SCORE:
-            for c in pair:
-                c.cfg.alpha = c.cfg.beta = 0.0
-            with pytest.raises(InvalidWeightsError):
-                reference_run_selection(ref, now)
-            with pytest.raises(InvalidWeightsError):
-                cache.run_selection(now)
-
-    required = ["above n", "at most n", "one new user", "alpha and beta changed"]
+    required = ["above n", "at most n", "one new user"]
     if kind is Strategy.TREND:
         required += ["channel not tracked", "empty MUC, live channels"]
     elif muc_capacity < DUNBAR_MUC_LIMIT:
@@ -1065,9 +1064,9 @@ def test_stable_until_equals_reference_certificate():
 
 
 def test_degenerate_rankings_record_no_window():
-    def strong_and_weak():
+    def strong_and_weak(alpha=0.9, beta=0.1):
         # "a" is chosen for good, far above "b": a window that never ends.
-        cache = certificate_cache(1, 0.9, 0.1, 1.0)
+        cache = certificate_cache(1, alpha, beta, 1.0)
         for user, at in (("a", 0), ("a", 5), ("b", 9), ("a", 10)):
             cache.track(user, LOOKUP, at)
         return cache
@@ -1076,13 +1075,11 @@ def test_degenerate_rankings_record_no_window():
     assert select(cache, 10, ReferenceCertificate()) == math.inf
     # With alpha 0, "b"'s single event scores 0: the best unchosen score is
     # 0, so there is no window.
-    cache = strong_and_weak()
-    cache.cfg.alpha = 0.0
+    cache = strong_and_weak(alpha=0.0)
     assert select(cache, 10, ReferenceCertificate()) == 10
     # With beta 0 every score is constant, so the untracked order never
     # changes.
-    cache = strong_and_weak()
-    cache.cfg.beta = 0.0
+    cache = strong_and_weak(beta=0.0)
     assert select(cache, 10, ReferenceCertificate()) == math.inf
     assert assert_selection_stable_below(cache, 10, math.inf, horizon=1_000) == 999
 
@@ -1116,14 +1113,16 @@ def test_degenerate_rankings_record_no_window():
     assert assert_selection_stable_below(cache, 5, math.inf, horizon=1_000) == 999
 
 
-def test_a_constant_channel_within_the_margin_at_t_gets_no_certificate():
-    """The certificate's check that the lowest constant channel, at the
-    ranking's total ``T``, stays a margin above the best falling unchosen
-    score.  Every score is a line in ``1 / T`` whose intercept is not
-    negative, so in real numbers the same check at the cap implies it; it
-    decides alone only where rounding lands.  Here "c" (one friend request)
-    is chosen over "u" (two lookups) by a ratio of about 1 + 1e-9, and with
-    beta 0 the check at T fails while the one at the cap passes."""
+def test_a_constant_channel_within_the_margin_at_t_is_certified_soundly():
+    """A constant channel needs a margin over the falling unchosen scores
+    only at the cap: every score is a line in ``1 / T`` whose intercept is
+    not negative, so in real numbers that check implies the same one at the
+    ranking's total ``T``.  Here "c" (one friend request) is chosen over "u"
+    (two lookups) by a ratio of about 1 + 1e-9, and with beta 0 they are
+    within the margin at ``T`` but not at the cap.  The certificate made
+    there holds: every round below its tick, also after tracks of other
+    users up to the cap, selects what the rank-everything reference
+    selects."""
     weight, alpha = 2.0000000019999997, 0.3
     cache = certificate_cache(1, alpha, 0.0, weight)
     for user, kind, at in (("u", LOOKUP, 1), ("u", LOOKUP, 3), ("c", FRIEND, 5)):
@@ -1134,9 +1133,44 @@ def test_a_constant_channel_within_the_margin_at_t_gets_no_certificate():
     assert alpha * (weight / total) <= top + top * 1e-9
     assert alpha * (weight / cap) > top_at_cap + top_at_cap * 1e-9
     reference = ReferenceCertificate()
-    assert select(cache, 6, reference) == math.inf
+    now = 6
+    assert select(cache, now, reference) == math.inf
     assert list(cache.channels) == ["c"]
-    assert cache._dirty is None and reference.cert is None
+    assert cache._dirty == set() and reference.cert is not None
+    tracked = set()
+    for user in ("v", "w", "x", "y"):
+        assert assert_selection_stable_below(cache, now, math.inf, horizon=200) == 199
+        now += 1
+        cache.track(user, LOOKUP, now)
+        tracked.add(user)
+        assert reference_run_selection(cache, now) == ((), ())
+        assert select(cache, now, reference) == math.inf
+        assert cache._dirty == tracked  # the re-check passed
+    assert cache.muc.total_events == cap
+    assert list(cache.channels) == ["c"]
+    assert assert_selection_stable_below(cache, now, math.inf, horizon=200) == 199
+
+
+def test_a_constant_channel_overtaken_below_the_cap_gets_no_certificate():
+    """The certificate's check that the lowest constant channel stays a
+    margin above every falling unchosen score at the cap.  Here "c" (one
+    friend request of weight 4) is chosen over "u" (two lookups) at ``T =
+    3``, but a growing ``T`` shrinks only the tie strength, which is all of
+    "c"'s score: after two tracks of new users, at ``T = 5``, "u" ranks
+    first.  The check withholds the certificate, so the round at ``T = 5``
+    ranks again and swaps them."""
+    cache = certificate_cache(1, 0.5, 0.5, 4.0)
+    for user, kind, at in (("u", LOOKUP, 0), ("u", LOOKUP, 10), ("c", FRIEND, 10)):
+        cache.track(user, kind, at)
+    assert select(cache, 20, ReferenceCertificate()) == math.inf
+    assert list(cache.channels) == ["c"] and cache._dirty is None
+    for user, total, expected in (("v", 4, ((), ())), ("w", 5, (("u",), ("c",)))):
+        cache.track(user, LOOKUP, 20)
+        assert cache.muc.total_events == total
+        assert reference_run_selection(cache, 20) == expected
+        diff = cache.run_selection(20)
+        assert (diff.to_subscribe, diff.to_unsubscribe) == expected
+    assert list(cache.channels) == ["u"]
 
 
 class _CheckedCache(SocialCache):
@@ -1180,7 +1214,7 @@ def test_certificate_survives_tracks_between_rounds(trigger):
             assert (diff.to_subscribe, diff.to_unsubscribe) == expected, now
             if live:
                 seen["re-check passes" if cache._dirty is dirty else "re-check fails"] += 1
-                if cache._dirty is dirty and not (cert.alpha and cert.beta):
+                if cache._dirty is dirty and not (cfg.alpha and cfg.beta):
                     seen["zero-weight re-check passes"] += 1
             seen["lookup-count round"] += in_track
             return diff

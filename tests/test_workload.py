@@ -2,6 +2,7 @@ import hashlib
 import random
 import statistics
 import tracemalloc
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -273,7 +274,8 @@ def test_override_on_a_derived_config_leaves_its_base_unchanged(derive):
     derived.current_cache.capacity = 7
     derived.dataset.avg_ts_interaction_days = 1.0
     derived.strategy.interaction_weights[InteractionKind.LOOKUP] = 9.0
-    derived.strategy.alpha = 0.5
+    # The strategy is frozen: an override replaces it.
+    derived.strategy = replace(derived.strategy, alpha=0.5)
     assert base == ScenarioConfig()
     base.current_cache.ttl_ticks = 5
     assert derived.current_cache.ttl_ticks == ScenarioConfig().current_cache.ttl_ticks
