@@ -24,8 +24,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .metrics import export_rows_csv
-from .model import InteractionKind
-from .sim import SUMMARY_COLUMNS, RunResult, compare_caches, compare_strategies, run_scenario
+from .sim import RunResult, compare_caches, compare_strategies, run_scenario
 from .social_cache import SelectionTrigger, Strategy
 from .workload import (
     CacheSetup,
@@ -104,12 +103,6 @@ def _attr(path: str, parse: Callable[[str], object], fmt: Callable[[object], str
                 parse, fmt)
 
 
-def _weight(kind: InteractionKind) -> _Key:
-    return _Key(lambda cfg: cfg.strategy.interaction_weights.get(kind, 1.0),
-                lambda cfg, value: cfg.strategy.interaction_weights.__setitem__(kind, value),
-                _parse_float, repr)
-
-
 _KEYS: dict[str, _Key] = {
     "peer_count": _attr("peer_count", int),
     "friends_per_user": _attr("friends_per_user", int),
@@ -141,7 +134,9 @@ _KEYS: dict[str, _Key] = {
     "dataset.avg_ts_interaction_days": _attr("dataset.avg_ts_interaction_days", _parse_float,
                                              repr),
     "dataset.experiment_span_days": _attr("dataset.experiment_span_days", _parse_float, repr),
-    **{f"strategy.weight.{kind.value}": _weight(kind) for kind in InteractionKind},
+    "strategy.weight.lookup": _attr("strategy.lookup_weight", _parse_float, repr),
+    "strategy.weight.friend_request": _attr("strategy.friend_request_weight", _parse_float,
+                                            repr),
 }
 
 
@@ -254,8 +249,8 @@ def _load_optional_trace(args: argparse.Namespace, cfg: ScenarioConfig) -> Trace
 def write_run_outputs(result: RunResult, out_dir: Path, run_id: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     result.ledger.export_csv(out_dir / "metrics.csv")
-    row = [run_id, *(result.summary[column] for column in SUMMARY_COLUMNS)]
-    export_rows_csv(out_dir / "summary.csv", ("run_id",) + SUMMARY_COLUMNS, [row])
+    export_rows_csv(out_dir / "summary.csv", ("run_id", *result.summary),
+                    [(run_id, *result.summary.values())])
 
 
 def _print_summary_line(result: RunResult) -> None:

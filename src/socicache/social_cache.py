@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .metrics import Counters
@@ -73,26 +73,23 @@ _SUBSCRIBE, _UNSUBSCRIBE = MessageKind.SUBSCRIBE, MessageKind.UNSUBSCRIBE
 _SOCIAL_UPDATE, _BOOTSTRAP_DUMP = MessageKind.SOCIAL_UPDATE, MessageKind.BOOTSTRAP_DUMP
 
 
-def default_interaction_weights() -> dict[InteractionKind, float]:
-    return {kind: 1.0 for kind in InteractionKind}
-
-
 @dataclass(frozen=True)
 class StrategyConfig:
     """Tunables for subscription selection.
 
     ``n`` bounds the parallel update channels, ``m`` is the tracked-lookup
     count that fires selection under the lookup-count trigger, and
-    ``update_interval`` paces the time-based trigger.  Frozen, as caches
-    read it for a whole run: change it with ``dataclasses.replace``.
+    ``update_interval`` paces the time-based trigger.  Tie strength weighs
+    a tracked lookup ``lookup_weight`` and a friend request
+    ``friend_request_weight``.  Frozen, as caches read it for a whole run:
+    change it with ``dataclasses.replace``.
     """
 
     kind: Strategy = Strategy.SOCIAL_SCORE
     alpha: float = 0.9
     beta: float = 0.1
-    interaction_weights: dict[InteractionKind, float] = field(
-        default_factory=default_interaction_weights
-    )
+    lookup_weight: float = 1.0
+    friend_request_weight: float = 1.0
     n: int = DEFAULT_CHANNEL_LIMIT
     m: int = 150
     update_interval: SimTime = 50_000
@@ -107,7 +104,7 @@ class StrategyConfig:
             raise InvalidWeightsError("alpha + beta must be positive for social score")
         if self.trigger is SelectionTrigger.LOOKUP_COUNT_BASED and not self.n < self.m:
             raise ValueError("lookup-count trigger requires n < m")
-        if any(w < 0 for w in self.interaction_weights.values()):
+        if self.lookup_weight < 0 or self.friend_request_weight < 0:
             raise ValueError("interaction weights must be non-negative")
         if self.update_interval < 1:
             raise ValueError("update_interval must be positive")
@@ -190,8 +187,8 @@ class SocialCache:
     """
 
     __slots__ = ("owner", "cfg", "dispatch", "counters", "slot_of", "bootstrapping", "muc",
-                 "_weight_of", "channels", "receivers", "store", "store_items", "own", "_seed",
-                 "_rng", "_lookups_since_selection", "stable_until", "_cert", "_dirty")
+                 "channels", "receivers", "store", "store_items", "own", "_rng",
+                 "_lookups_since_selection", "stable_until", "_cert", "_dirty")
 
     def __init__(
         self,
@@ -213,11 +210,6 @@ class SocialCache:
         self.slot_of = slot_of
         self.bootstrapping = bootstrapping
         self.muc = MucList(muc_capacity)
-        # Interaction weights keyed by each kind's string value, read once
-        # per tracked interaction: hashing an ``Enum`` member is a
-        # Python-level call.  Kinds missing from the config weigh 1.0.
-        weights = cfg.interaction_weights
-        self._weight_of = {kind._value_: weights.get(kind, 1.0) for kind in InteractionKind}
         self.channels: dict[UserId, None] = {}
         # Users subscribed to this peer's update channel, in subscription order.
         self.receivers: dict[UserId, None] = {}
@@ -225,9 +217,8 @@ class SocialCache:
         self.store_items = 0
         self.own: list[ContentObject] = []
         # The random strategy's generator, seeded by the scenario ``seed``;
-        # built on its first draw, as only that strategy draws.
-        self._seed = seed
-        self._rng: random.Random | None = None
+        # only that strategy draws.
+        self._rng = random.Random(f"{seed}/strategy/{owner}") if cfg.kind is _RANDOM else None
         self._lookups_since_selection = 0
         # The first tick at which ``run_selection`` may change anything,
         # provided nothing is tracked until then; ``math.inf`` if never.  A
@@ -245,17 +236,9 @@ class SocialCache:
 
     def social_score(self, user: UserId, now: SimTime) -> float:
         """``alpha * tie + beta * spacing`` of a tracked user (``KeyError``
-        if untracked).  The tie strength is the user's weighted event volume
-        over the total event count.  The medium interaction length is the
-        mean gap between the user's events (``MucEntry.gap``) over the time
-        since the first one; a single event, or a first event now, gives 0.
-        """
-        alpha, beta = self.cfg.alpha, self.cfg.beta
-        entry = self.muc[user]
-        tie = entry.weighted / self.muc.total_events
-        elapsed = now - entry.first_at
-        spacing = entry.gap / elapsed if elapsed > 0 else 0.0
-        return alpha * tie + beta * spacing
+        if untracked), under every strategy: ``_score_keys`` of the user
+        alone."""
+        return -self._score_keys([(user, self.muc[user])], now)[0][0]
 
     def rank_users(self, now: SimTime) -> list[UserId]:
         """Tracked users, best first.
@@ -269,17 +252,24 @@ class SocialCache:
 
     def _keys(self, tracked: Iterable[tuple[UserId, MucEntry]], now: SimTime) -> list[tuple]:
         """The ranking key of each (user, entry) pair of ``tracked``, best
-        lowest: ``(-score, user, entry, spacing)`` for social score, whose
-        entry and spacing ``_certify`` reads, and ``(-lookup count, user)``
-        otherwise.  Names are unique, so ``(-score, user)`` decides every
-        comparison and is a total order: ranking a subset keeps the subset's
-        order in the full ranking.
-
-        The social score is ``social_score`` inlined, with the same float
-        operations in the same order, so both agree exactly.
-        """
+        lowest: ``_score_keys`` for social score and ``(-lookup count,
+        user)`` otherwise.  Names are unique, so ``(-score, user)`` decides
+        every comparison and is a total order: ranking a subset keeps the
+        subset's order in the full ranking."""
         if self.cfg.kind is not _SOCIAL_SCORE:
             return [(-float(e.lookup_count), u) for u, e in tracked]
+        return self._score_keys(tracked, now)
+
+    def _score_keys(self, tracked: Iterable[tuple[UserId, MucEntry]],
+                    now: SimTime) -> list[tuple]:
+        """``(-score, user, entry, spacing)`` of each (user, entry) pair of
+        ``tracked``; ``_certify`` reads the entry and spacing.  The score is
+        ``alpha * tie + beta * spacing``.  The tie strength is the user's
+        weighted event volume over the total event count.  The medium
+        interaction length ``spacing`` is the mean gap between the user's
+        events (``MucEntry.gap``) over the time since the first one; a
+        single event, or a first event now, gives 0.
+        """
         alpha, beta = self.cfg.alpha, self.cfg.beta
         total = self.muc.total_events
         keys = []
@@ -314,11 +304,12 @@ class SocialCache:
         entry.event_count = count
         entry.gap = (now - entry.first_at) / (count - 2 if count > 2 else 1)
         muc.total_events += 1
-        entry.weighted += self._weight_of[kind._value_]
-        if kind is not _LOOKUP:
-            return
-        entry.lookup_count += 1
         cfg = self.cfg
+        if kind is not _LOOKUP:
+            entry.weighted += cfg.friend_request_weight
+            return
+        entry.weighted += cfg.lookup_weight
+        entry.lookup_count += 1
         channels = self.channels
         if cfg.kind is _RANDOM:
             if user not in channels:
@@ -338,10 +329,7 @@ class SocialCache:
         if len(channels) < self.cfg.n:
             self._subscribe(user)
             return
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = random.Random(f"{self._seed}/strategy/{self.owner}")
-        victim = list(channels)[rng.randrange(len(channels))]
+        victim = list(channels)[self._rng.randrange(len(channels))]
         self._unsubscribe(victim)
         self.muc.remove(victim)
         self._subscribe(user)

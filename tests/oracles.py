@@ -85,6 +85,13 @@ def direct_medium_interaction_length(timestamps: list[int], now: int) -> float:
     return total / elapsed
 
 
+def weight_map(cfg) -> dict[InteractionKind, float]:
+    """The kind -> weight map of a ``StrategyConfig``'s two weight fields,
+    as the oracles below take it."""
+    return {InteractionKind.LOOKUP: cfg.lookup_weight,
+            InteractionKind.FRIEND_REQUEST: cfg.friend_request_weight}
+
+
 def direct_tie_strength(events_by_user: dict[str, list[InteractionKind]],
                         user: str, weights: dict[InteractionKind, float]) -> float:
     total = sum(len(evs) for evs in events_by_user.values())
@@ -134,7 +141,7 @@ def reference_score(entry, total: int, now: int, alpha: float, beta: float) -> f
     of the events, plus ``beta`` times the mean gap between the user's
     events over the time since the first (0 for a single event or a first
     event now).  The float operations are those of
-    ``SocialCache.social_score``, in the same order, so the two agree
+    ``SocialCache._score_keys``, in the same order, so the two agree
     exactly."""
     spacing = 0.0
     elapsed = now - entry.first_at

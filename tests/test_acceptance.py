@@ -25,6 +25,7 @@ from oracles import (
     direct_medium_interaction_length,
     direct_tie_strength,
     reference_record,
+    weight_map,
 )
 from socicache.cli import (
     _check_invariants,
@@ -149,9 +150,10 @@ def _random_selection_case(rng: random.Random):
     n = rng.randrange(1, 9)
     alpha = rng.choice([1.0, 0.75, 0.5, 0.25])
     beta = rng.choice([0.0, 0.25, 0.5, 1.0])
-    weights = {k: rng.choice([0.25, 0.5, 1.0, 2.0]) for k in InteractionKind}
+    lookup_weight, friend_weight = (rng.choice([0.25, 0.5, 1.0, 2.0]) for _ in range(2))
     cfg = StrategyConfig(kind=kind, n=n, alpha=alpha, beta=beta,
-                         interaction_weights=weights)
+                         lookup_weight=lookup_weight, friend_request_weight=friend_weight)
+    weights = weight_map(cfg)
     cache = SocialCache("ego", cfg, lambda *args: None, Counters(), {})
     users = [f"p{i:02d}" for i in range(rng.randrange(1, 21))]
     raw: dict[str, list[tuple[InteractionKind, int]]] = {}
@@ -179,7 +181,7 @@ def _oracle_scores(cache, raw, now):
         if cache.cfg.kind is Strategy.TREND:
             scores[user] = float(sum(1 for k, _ in events if k is LOOKUP))
         else:
-            tie = direct_tie_strength(events_by_user, user, cache.cfg.interaction_weights)
+            tie = direct_tie_strength(events_by_user, user, weight_map(cache.cfg))
             mil = direct_medium_interaction_length([t for _, t in events], now)
             scores[user] = cache.cfg.alpha * tie + cache.cfg.beta * mil
     return scores

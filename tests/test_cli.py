@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import platform
 
@@ -7,7 +8,6 @@ import pytest
 from socicache import cli
 from socicache.cli import apply_setting, main, run_id, serialize_config
 from socicache.metrics import Counters
-from socicache.model import InteractionKind
 from socicache.sim import Simulation
 from socicache.social_cache import SelectionTrigger, Strategy, StrategyConfig
 from socicache.workload import (
@@ -227,6 +227,19 @@ def test_run_replays_external_trace(tmp_path):
     assert manifest["python"].endswith(platform.python_version())
 
 
+def test_every_counter_reaches_both_output_files(tmp_path):
+    """Every ``Counters`` field is a column of the written ``summary.csv``
+    and ``metrics.csv``, so no new counter can be left out of either."""
+    cfg = ScenarioConfig(peer_count=6, friends_per_user=3, sim_duration_ticks=300_000)
+    result = Simulation(cfg, generate_trace(cfg)).run()
+    cli.write_run_outputs(result, tmp_path, run_id(cfg))
+    counters = {field.name for field in dataclasses.fields(Counters)}
+    for name in ("summary.csv", "metrics.csv"):
+        with open(tmp_path / name, newline="") as handle:
+            header = next(csv.reader(handle))
+        assert counters <= set(header), (name, counters - set(header))
+
+
 def test_trace_past_the_duration_exits_two(tmp_path, capsys):
     cfg = ScenarioConfig(peer_count=6, friends_per_user=3, sim_duration_ticks=300_000)
     trace_path = tmp_path / "trace.txt"
@@ -340,7 +353,7 @@ def every_key_changed() -> ScenarioConfig:
     strategy = StrategyConfig(
         kind=Strategy.TREND, alpha=0.6, beta=0.3, n=5, m=20, update_interval=700,
         trigger=SelectionTrigger.LOOKUP_COUNT_BASED,
-        interaction_weights={kind: 2.0 + i for i, kind in enumerate(InteractionKind)})
+        lookup_weight=2.0, friend_request_weight=3.0)
     return ScenarioConfig(
         peer_count=9, friends_per_user=4, new_experiment_time_days=0.5,
         sim_duration_ticks=70_000, friend_request_phases=(100, 200),

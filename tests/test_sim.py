@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from oracles import reference_schedule, reference_selection_round
 from socicache.metrics import METRICS_COLUMNS, write_rows
-from socicache.model import InteractionKind
 from socicache.peer import Peer
 from socicache.sim import Simulation, compare_strategies
 from socicache.social_cache import SelectionTrigger, SocialCache, Strategy, StrategyConfig
@@ -177,10 +176,9 @@ def random_selection_case(rng: random.Random, kind: Strategy):
     duration = rng.randrange(40, 240)
     alpha, beta = rng.choice([(0.9, 0.1), (0.5, 0.5),
                               (rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0))])
-    weights = {InteractionKind.LOOKUP: rng.choice([0.5, 1.0, 2.0]),
-               InteractionKind.FRIEND_REQUEST: rng.choice([0.5, 1.0, 3.0])}
+    lookup_weight, friend_weight = rng.choice([0.5, 1.0, 2.0]), rng.choice([0.5, 1.0, 3.0])
     strategy = StrategyConfig(kind=kind, n=rng.randrange(1, 4), alpha=alpha, beta=beta,
-                              interaction_weights=weights,
+                              lookup_weight=lookup_weight, friend_request_weight=friend_weight,
                               update_interval=rng.randrange(1, 12))
     cfg = ScenarioConfig(
         peer_count=len(users),
@@ -246,8 +244,7 @@ def test_round_at_an_exact_crossing_is_not_skipped():
         cache_setup=CacheSetup.SOCIAL_ONLY,
         strategy=StrategyConfig(
             kind=Strategy.SOCIAL_SCORE, n=1, alpha=0.6, beta=0.4, update_interval=2,
-            interaction_weights={InteractionKind.LOOKUP: 1.0,
-                                 InteractionKind.FRIEND_REQUEST: 2.0}),
+            friend_request_weight=2.0),
     )
     trace = [TraceEvent(at, "me", LOOKUP, f"{user}/wall/0")
              for at, user in ((2, "p3"), (6, "p0"), (8, "p3"), (10, "p2"))]

@@ -16,6 +16,8 @@ from oracles import (
     direct_tie_strength,
     reference_record,
     reference_run_selection,
+    reference_score,
+    weight_map,
 )
 from socicache.metrics import Counters
 from socicache.model import ContentObject, InteractionKind, StorageKey
@@ -135,12 +137,14 @@ def test_track_bookkeeping_matches_reference_record(trigger):
     friend_request = InteractionKind.FRIEND_REQUEST
     evictions = 0
     for _ in range(200):
-        weights = {LOOKUP: rng.choice([0.25, 0.75, 1.0, 1.5]),
-                   friend_request: rng.choice([0.5, 2.5, 3.0])}
+        lookup_weight = rng.choice([0.25, 0.75, 1.0, 1.5])
+        friend_weight = rng.choice([0.5, 2.5, 3.0])
         capacity = rng.randrange(2, 6)
         n = rng.randrange(1, 3)
         cfg = StrategyConfig(kind=Strategy.SOCIAL_SCORE, n=n, m=n + rng.randrange(1, 4),
-                             trigger=trigger, interaction_weights=weights)
+                             trigger=trigger, lookup_weight=lookup_weight,
+                             friend_request_weight=friend_weight)
+        weights = weight_map(cfg)
         cache = SocialCache("me", cfg, Router().dispatch, Counters(), {}, muc_capacity=capacity)
         twin = MucList(capacity)
         users = [f"p{i}" for i in range(rng.randrange(capacity + 1, 2 * capacity + 3))]
@@ -196,11 +200,7 @@ def test_tie_strength_share_of_total():
 def test_tie_strength_weighted_events():
     # x has one event at weight 2.0 and one at 1.0 among 6 total events;
     # direct evaluation gives (2+1)/6 = 0.5.
-    weights = {
-        InteractionKind.LOOKUP: 1.0,
-        InteractionKind.FRIEND_REQUEST: 2.0,
-    }
-    cache, _ = make_cache(alpha=1.0, beta=0.0, interaction_weights=weights)
+    cache, _ = make_cache(alpha=1.0, beta=0.0, friend_request_weight=2.0)
     cache.track("x", InteractionKind.FRIEND_REQUEST, 0)
     cache.track("x", LOOKUP, 1)
     for t in range(4):
@@ -209,7 +209,7 @@ def test_tie_strength_weighted_events():
         "x": [InteractionKind.FRIEND_REQUEST, LOOKUP],
         "y": [LOOKUP] * 4,
     }
-    expected = direct_tie_strength(events_by_user, "x", weights)
+    expected = direct_tie_strength(events_by_user, "x", weight_map(cache.cfg))
     assert expected == 0.5
     assert cache.social_score("x", 4) == pytest.approx(expected)
 
@@ -310,7 +310,7 @@ def test_social_score_alpha_only_degenerates_to_tie_strength():
     cache, _ = make_cache(alpha=1.0, beta=0.0)
     build_score_state(cache)
     events_by_user = {"x": [LOOKUP] * 3, "y": [InteractionKind.FRIEND_REQUEST] * 7}
-    expected = direct_tie_strength(events_by_user, "x", cache.cfg.interaction_weights)
+    expected = direct_tie_strength(events_by_user, "x", weight_map(cache.cfg))
     assert cache.social_score("x", 30) == pytest.approx(expected)
 
 
@@ -327,6 +327,16 @@ def test_strategy_fields_cannot_be_assigned(field):
     cfg = StrategyConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(cfg, field, getattr(cfg, field))
+
+
+def test_strategy_is_hashable():
+    """Immutable all the way down: equal strategies hash equal, and one
+    with another weight is another set member."""
+    cfg = StrategyConfig()
+    heavier = dataclasses.replace(cfg, lookup_weight=2.0)
+    assert hash(cfg) == hash(StrategyConfig())
+    assert hash(heavier) == hash(dataclasses.replace(StrategyConfig(), lookup_weight=2.0))
+    assert {cfg, heavier, StrategyConfig()} == {cfg, heavier} and heavier != cfg
 
 
 def test_social_score_unknown_user():
@@ -699,14 +709,21 @@ def test_channel_cap_enforced_under_churn():
         assert len(cache.muc) <= cache.muc.max_users
 
 
+def random_weights(rng):
+    """Random interaction-weight fields of a ``StrategyConfig``, each left
+    out (at its 1.0 default) one time in five."""
+    return {name: rng.uniform(0.0, 3.0) for name in ("lookup_weight", "friend_request_weight")
+            if rng.random() < 0.8}
+
+
 def random_weighted_state(rng, kind, muc_capacity=DUNBAR_MUC_LIMIT):
     """A cache with random non-default weights (some kinds left at the 1.0
     default) whose MUC was filled through ``track`` with interleaved events;
     returns the cache, the ``(user, kind, at)`` tracks in order, and the
     time of the last one."""
-    weights = {k: rng.uniform(0.0, 3.0) for k in InteractionKind if rng.random() < 0.8}
+    weights = random_weights(rng)
     router = Router()
-    cfg = StrategyConfig(kind=kind, n=rng.randrange(1, 6), interaction_weights=weights)
+    cfg = StrategyConfig(kind=kind, n=rng.randrange(1, 6), **weights)
     cache = SocialCache("me", cfg, router.dispatch, Counters(), router.slot_of,
                         muc_capacity=muc_capacity)
     router.add(cache)
@@ -726,10 +743,12 @@ def random_weighted_state(rng, kind, muc_capacity=DUNBAR_MUC_LIMIT):
 
 
 def reference_order(cache, now):
-    if cache.cfg.kind is Strategy.TREND:
-        return sorted(cache.muc,
-                      key=lambda u: (-float(cache.muc[u].lookup_count), u))
-    return sorted(cache.muc, key=lambda u: (-cache.social_score(u, now), u))
+    """The cache's tracked users, best first, ranked by the oracles alone."""
+    muc, cfg = cache.muc, cache.cfg
+    if cfg.kind is Strategy.TREND:
+        return sorted(muc, key=lambda u: (-float(muc[u].lookup_count), u))
+    return sorted(muc, key=lambda u: (
+        -reference_score(muc[u], muc.total_events, now, cfg.alpha, cfg.beta), u))
 
 
 @pytest.mark.parametrize("kind", [Strategy.TREND, Strategy.SOCIAL_SCORE])
@@ -738,9 +757,9 @@ def test_inlined_ranking_equals_per_user_scores_exactly(kind):
     seen_short = seen_now_at_first = 0
     for _ in range(300):
         cache, tracks, last = random_weighted_state(rng, kind)
-        weights = cache.cfg.interaction_weights
+        weights = weight_map(cache.cfg)
         for user, entry in cache.muc.items():
-            assert entry.weighted == sum(weights.get(k, 1.0) for u, k, _ in tracks if u == user)
+            assert entry.weighted == sum(weights[k] for u, k, _ in tracks if u == user)
             seen_short += entry.event_count <= 2
         for now in (last, last + rng.choice([1, 7, 1000])):
             seen_now_at_first += any(e.first_at == now for e in cache.muc.values())
@@ -750,6 +769,23 @@ def test_inlined_ranking_equals_per_user_scores_exactly(kind):
             twin = twin_cache(cache, tracks, alpha=alpha, beta=beta)
             assert twin.rank_users(now) == reference_order(twin, now)
     assert seen_short and seen_now_at_first
+
+
+def test_social_score_is_the_reference_score_under_every_strategy():
+    """``social_score`` stays the social score where the strategy ranks by
+    lookup count: on a trend and a random cache fed the same tracks, it
+    equals ``reference_score`` for every tracked user."""
+    rng = random.Random("social-score-every-strategy")
+    for _ in range(100):
+        trend, tracks, last = random_weighted_state(rng, Strategy.TREND)
+        alpha, beta = rng.uniform(0.0, 2.0), rng.uniform(0.01, 2.0)
+        for kind in (Strategy.TREND, Strategy.RANDOM):
+            cache = twin_cache(trend, tracks, kind=kind, alpha=alpha, beta=beta)
+            muc = cache.muc
+            for now in (last, last + rng.choice([1, 7, 1000])):
+                for user, entry in muc.items():
+                    assert cache.social_score(user, now) == reference_score(
+                        entry, muc.total_events, now, alpha, beta)
 
 
 @pytest.mark.parametrize("kind", [Strategy.TREND, Strategy.SOCIAL_SCORE])
@@ -786,10 +822,10 @@ def test_run_selection_matches_rank_everything_reference(kind, muc_capacity):
     rng = random.Random(f"selection-reference/{kind.value}/{muc_capacity}")
     seen = Counter()
     for _ in range(150):
-        weights = {k: rng.uniform(0.0, 3.0) for k in InteractionKind if rng.random() < 0.8}
+        weights = random_weights(rng)
         n = rng.randrange(1, 7)
         pair = [
-            SocialCache("me", StrategyConfig(kind=kind, n=n, interaction_weights=dict(weights)),
+            SocialCache("me", StrategyConfig(kind=kind, n=n, **weights),
                         lambda *_: None, Counters(), {}, muc_capacity=muc_capacity)
             for _ in range(2)
         ]
@@ -842,7 +878,7 @@ def test_selection_at_the_dunbar_cap_matches_reference(kind):
     rank-everything reference on a twin cache."""
     rng = random.Random(f"dunbar-cap/{kind.value}")
     pair = [
-        SocialCache("me", StrategyConfig(kind=kind, n=15, interaction_weights={FRIEND: 2.0}),
+        SocialCache("me", StrategyConfig(kind=kind, n=15, friend_request_weight=2.0),
                     lambda *_: None, Counters(), {})
         for _ in range(2)
     ]
@@ -967,7 +1003,7 @@ BOUNDARY_HISTORIES = [
 
 def certificate_cache(n, alpha, beta, friend_weight):
     cfg = StrategyConfig(kind=Strategy.SOCIAL_SCORE, n=n, alpha=alpha, beta=beta,
-                         interaction_weights={LOOKUP: 1.0, FRIEND: friend_weight})
+                         friend_request_weight=friend_weight)
     return SocialCache("me", cfg, lambda *_: None, Counters(), {})
 
 
@@ -1200,7 +1236,7 @@ def test_certificate_survives_tracks_between_rounds(trigger):
                                   (0.0, rng.uniform(0.01, 2.0)), (rng.uniform(0.01, 2.0), 0.0)])
         cfg = StrategyConfig(kind=Strategy.SOCIAL_SCORE, n=n, m=n + rng.randrange(1, 4),
                              trigger=trigger, alpha=alpha, beta=beta,
-                             interaction_weights={LOOKUP: 1.0, FRIEND: rng.choice([0.5, 1.0, 2.0])})
+                             friend_request_weight=rng.choice([0.5, 1.0, 2.0]))
         cache = _CheckedCache("me", cfg, lambda *_: None, Counters(), {},
                               muc_capacity=rng.choice([n + 1, n + 3, DUNBAR_MUC_LIMIT]))
         run_selection = partial(SocialCache.run_selection, cache)

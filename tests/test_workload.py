@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from oracles import reference_generate_trace, reference_trace_users
 import socicache
-from socicache.model import InteractionKind
 from socicache.sim import Simulation
 from socicache.social_cache import Strategy
 from socicache.workload import (
@@ -273,9 +272,8 @@ def test_override_on_a_derived_config_leaves_its_base_unchanged(derive):
     derived = derive(base)
     derived.current_cache.capacity = 7
     derived.dataset.avg_ts_interaction_days = 1.0
-    derived.strategy.interaction_weights[InteractionKind.LOOKUP] = 9.0
     # The strategy is frozen: an override replaces it.
-    derived.strategy = replace(derived.strategy, alpha=0.5)
+    derived.strategy = replace(derived.strategy, alpha=0.5, lookup_weight=9.0)
     assert base == ScenarioConfig()
     base.current_cache.ttl_ticks = 5
     assert derived.current_cache.ttl_ticks == ScenarioConfig().current_cache.ttl_ticks
