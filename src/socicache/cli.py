@@ -228,9 +228,8 @@ def resolve_out_dir(args: argparse.Namespace) -> Path:
     return Path(os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
 
 
-def _load_optional_trace(args: argparse.Namespace, cfg: ScenarioConfig) -> Trace | None:
-    """The ``--trace`` file, if given.  A run never applies an event after
-    its duration, so a trace that runs past it is rejected, not cut."""
+def _load_optional_trace(args: argparse.Namespace) -> Trace | None:
+    """The ``--trace`` file, if given."""
     if args.trace is None:
         return None
     try:
@@ -240,9 +239,6 @@ def _load_optional_trace(args: argparse.Namespace, cfg: ScenarioConfig) -> Trace
     except UnicodeDecodeError:
         line_no, reason = _first_bad_bytes(args.trace)
         raise TraceFormatError(line_no, f"{args.trace} is not UTF-8 ({reason})") from None
-    if len(trace) and trace.ticks[-1] > cfg.duration:
-        raise ConfigError(f"trace {args.trace} runs to tick {trace.ticks[-1]}, past "
-                          f"sim_duration_ticks={cfg.duration}")
     return trace
 
 
@@ -294,7 +290,7 @@ def _execute(args: argparse.Namespace, profile, runner, table_writer=None) -> in
     cfg = resolve_config(args, profile)
     out_dir = resolve_out_dir(args)
     cfg_id = run_id(cfg)
-    results = runner(cfg, trace=_load_optional_trace(args, cfg))
+    results = runner(cfg, trace=_load_optional_trace(args))
     for result in results:
         run_dir = out_dir if table_writer is None else out_dir / result.label
         write_run_outputs(result, run_dir, cfg_id)

@@ -20,6 +20,7 @@ from .workload import (
     LOOKUP_CODE,
     POST_CODE,
     CacheSetup,
+    ConfigError,
     ScenarioConfig,
     Trace,
     generate_trace,
@@ -45,6 +46,10 @@ class RunResult:
 class Simulation:
     def __init__(self, cfg: ScenarioConfig, trace: Trace, label: str = "run"):
         cfg.validate()
+        # A run applies no event after its duration: refuse, do not cut.
+        if len(trace) and trace.ticks[-1] > cfg.duration:
+            raise ConfigError(f"trace runs to tick {trace.ticks[-1]}, past "
+                              f"sim_duration_ticks={cfg.duration}")
         self.cfg = cfg
         self.trace = trace
         self.label = label
@@ -151,7 +156,7 @@ class Simulation:
         i = 0
         while True:
             # Ticks never decrease, so a segment's events are a column slice.
-            j = bisect_right(ticks, min(next_selection, next_sample, duration), i)
+            j = bisect_right(ticks, min(next_selection, next_sample), i)
             for at, actor, action, target_id, size in zip(
                     ticks[i:j], actors[i:j], actions[i:j], target_ids[i:j], sizes[i:j]):
                 apply_event(at, actor_peers[actor], action, resolved[target_id], size)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate, compress, cycle, islice, repeat
 from math import log, sqrt
 from operator import and_, lshift, or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .model import StorageKey, UserId
 from .social_cache import DUNBAR_MUC_LIMIT, Strategy, StrategyConfig
@@ -41,9 +41,7 @@ class InvalidArgumentError(ValueError):
 
 
 class TraceFormatError(ValueError):
-    """A trace line or event that cannot run.  ``line_no`` is the line of a
-    trace file, or the 1-based position of an event given to
-    ``Trace.from_events`` (its line in the saved trace)."""
+    """A trace-file line that cannot run; ``line_no`` is its line."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
@@ -126,16 +124,6 @@ class Trace:
         self.resolved = resolved
         self._digest: str | None = None
 
-    @classmethod
-    def from_events(cls, events: Iterable[TraceEvent]) -> "Trace":
-        """A Trace of ``events``, which must pass the checks ``load_trace``
-        makes of each line; the first that does not raises
-        TraceFormatError."""
-        builder = _TraceBuilder()
-        for ev in events:
-            builder.add(ev.at, ev.actor, ev.action, ev.target, ev.payload_size)
-        return builder.build()
-
     def __len__(self) -> int:
         return len(self.actions)
 
@@ -177,28 +165,27 @@ class _TraceBuilder:
         self.resolved: list[StorageKey | UserId] = []
         self.last_at = 0
 
-    def add(self, at: int, actor: UserId, action: str, target: str,
+    def add(self, line_no: int, at: int, actor: UserId, action: str, target: str,
             size: int | None) -> None:
-        """Append one event; only a POST reads ``size``.  An event that
-        cannot run raises TraceFormatError numbered by its position: a
-        negative or decreasing tick, an unknown action, an actor that is
-        empty or holds a ``/``, a malformed key, a POST under another user's
-        key or without a non-negative size, a FRIENDREQ to the actor or to a
-        key, or a tick or size past its column."""
-        n = len(self.actions) + 1
+        """Append the event of trace-file line ``line_no``; only a POST reads
+        ``size``.  An event that cannot run raises TraceFormatError for that
+        line: a negative or decreasing tick, an unknown action, an actor that
+        is empty or holds a ``/``, a malformed key, a POST under another
+        user's key or without a non-negative size, a FRIENDREQ to the actor or
+        to a key, or a tick or size past its column."""
         if at < 0:
-            raise TraceFormatError(n, "timestamp must be non-negative")
+            raise TraceFormatError(line_no, "timestamp must be non-negative")
         if at < self.last_at:
-            raise TraceFormatError(n, f"timestamp {at} before {self.last_at}")
+            raise TraceFormatError(line_no, f"timestamp {at} before {self.last_at}")
         code = _CODES.get(action)
         if code is None:
-            raise TraceFormatError(n, f"unknown action {action!r}")
+            raise TraceFormatError(line_no, f"unknown action {action!r}")
         if not actor or "/" in actor:
-            raise TraceFormatError(n, f"actor must be a name without '/', got {actor!r}")
+            raise TraceFormatError(line_no, f"actor must be a name without '/', got {actor!r}")
         t = self.target_ids_of.get(target)
         if code == FRIENDREQ_CODE:
             if target == actor or "/" in target:
-                raise TraceFormatError(n, f"FRIENDREQ needs another user, got {target!r}")
+                raise TraceFormatError(line_no, f"FRIENDREQ needs another user, got {target!r}")
             resolved = target
         else:
             resolved = None if t is None else self.resolved[t]
@@ -206,18 +193,18 @@ class _TraceBuilder:
                 try:
                     resolved = StorageKey.parse(target)
                 except ValueError as exc:
-                    raise TraceFormatError(n, str(exc)) from None
+                    raise TraceFormatError(line_no, str(exc)) from None
             if code == POST_CODE:
                 if resolved.owner != actor:
-                    raise TraceFormatError(n, f"{actor!r} cannot POST under {target}")
+                    raise TraceFormatError(line_no, f"{actor!r} cannot POST under {target}")
                 if size is None:
-                    raise TraceFormatError(n, "POST requires a payload size")
+                    raise TraceFormatError(line_no, "POST requires a payload size")
                 if size < 0:
-                    raise TraceFormatError(n, "payload size must be non-negative")
+                    raise TraceFormatError(line_no, "payload size must be non-negative")
         if code != POST_CODE:
             size = 0
         if at >= 2**63 or size >= 2**32:
-            raise TraceFormatError(n, "timestamp or payload size too large")
+            raise TraceFormatError(line_no, "timestamp or payload size too large")
         self.last_at = at
         self.ticks.append(at)
         self.actors.append(self.names.setdefault(actor, len(self.names)))
@@ -314,10 +301,12 @@ class ScenarioConfig:
             raise ConfigError("peer_count must be at least 2")
         if not 0 < self.friends_per_user < self.peer_count:
             raise ConfigError("friends_per_user must be positive and below peer_count")
-        if self.duration <= 0:
-            raise ConfigError("sim_duration_ticks must be positive")
         if self.new_experiment_time_days <= 0:
             raise ConfigError("new_experiment_time_days must be positive")
+        if self.duration <= 0:
+            if self.sim_duration_ticks is None:
+                raise ConfigError("new_experiment_time_days must give at least one tick")
+            raise ConfigError("sim_duration_ticks must be positive")
         if not 0 <= self.initial_friend_fraction <= 1:
             raise ConfigError("initial_friend_fraction must lie in [0, 1]")
         if self.keys_per_user < 1:
@@ -503,10 +492,10 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     random.Random(f"{cfg.seed}/phases").shuffle(edges)
     initial_count = round(len(edges) * cfg.initial_friend_fraction)
     phases = sorted(cfg.phases)
-    activation: dict[tuple[int, int], int] = {}
+    activation: dict[tuple[int, int], int | None] = {}
     for idx, edge in enumerate(edges):
         if idx < initial_count or not phases:
-            activation[edge] = 0
+            activation[edge] = None
         else:
             phase = phases[(idx - initial_count) % len(phases)]
             activation[edge] = phase
@@ -540,7 +529,7 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     activation_events: list[tuple[int, int, int]] = []
     for edge in ordered:
         at = activation[edge]
-        if at == 0:
+        if at is None:
             active[edge[0]].add(edge[1])
             active[edge[1]].add(edge[0])
             continue
@@ -609,9 +598,8 @@ def save_trace(trace: Trace, path) -> None:
 
 
 def load_trace(path) -> Trace:
-    """Parse a trace file: the field count of each line and its integers.
-    Every other check is the one ``Trace.from_events`` makes of an event;
-    its errors name the file's line.
+    """Parse a trace file: the field count of each line and its integers
+    here, every other check in ``_TraceBuilder.add``.
 
     Blank lines and ``#`` comments are permitted and skipped.
     """
@@ -637,10 +625,7 @@ def load_trace(path) -> Trace:
                     payload_size = int(parts[4])
                 except ValueError:
                     raise TraceFormatError(line_no, f"bad payload size {parts[4]!r}") from None
-            try:
-                builder.add(at, actor, action, target, payload_size)
-            except TraceFormatError as exc:
-                raise TraceFormatError(line_no, exc.reason) from None
+            builder.add(line_no, at, actor, action, target, payload_size)
     return builder.build()
 
 

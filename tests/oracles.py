@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import math
 import random
+import tempfile
 from bisect import bisect_left
 from itertools import accumulate
+from pathlib import Path
 
 from socicache.model import InteractionKind, UserId
 from socicache.social_cache import (
@@ -23,8 +25,10 @@ from socicache.workload import (
     POST,
     TICKS_PER_SECOND,
     ScenarioConfig,
+    Trace,
     TraceEvent,
     build_friend_graph,
+    load_trace,
     peer_names,
 )
 
@@ -443,10 +447,10 @@ def reference_generate_trace(cfg: ScenarioConfig) -> list[TraceEvent]:
     phase_rng.shuffle(edges)
     initial_count = round(len(edges) * cfg.initial_friend_fraction)
     phases = sorted(cfg.phases)
-    activation: dict[tuple[UserId, UserId], int] = {}
+    activation: dict[tuple[UserId, UserId], int | None] = {}
     for idx, edge in enumerate(edges):
         if idx < initial_count or not phases:
-            activation[edge] = 0
+            activation[edge] = None
         else:
             phase = phases[(idx - initial_count) % len(phases)]
             activation[edge] = phase
@@ -470,7 +474,7 @@ def reference_generate_trace(cfg: ScenarioConfig) -> list[TraceEvent]:
     activation_events: list[tuple[int, UserId, UserId]] = []
     for edge in sorted(activation):
         at = activation[edge]
-        if at == 0:
+        if at is None:
             tables[edge[0]].activate(edge[1])
             tables[edge[1]].activate(edge[0])
             continue
@@ -545,3 +549,21 @@ def reference_trace_users(events: list[TraceEvent]) -> list[UserId]:
         else:
             users.add(ev.target.split("/", 1)[0])
     return sorted(users)
+
+
+def event_line(ev: TraceEvent) -> str:
+    """The trace-file line of ``ev``, written out independently of
+    ``Trace.chunks()``."""
+    if ev.payload_size is None:
+        return f"{ev.at} {ev.actor} {ev.action} {ev.target}"
+    return f"{ev.at} {ev.actor} {ev.action} {ev.target} {ev.payload_size}"
+
+
+def trace_of(events) -> Trace:
+    """The Trace of ``events`` by the parser that ``--trace`` uses: their
+    trace-file lines, written to a temporary directory (hypothesis tests
+    cannot take ``tmp_path``), read back by ``load_trace``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.txt"
+        path.write_text("".join(event_line(ev) + "\n" for ev in events), encoding="utf-8")
+        return load_trace(path)

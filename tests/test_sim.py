@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_schedule, reference_selection_round
+from oracles import reference_schedule, reference_selection_round, trace_of
 from socicache.metrics import METRICS_COLUMNS, write_rows
 from socicache.peer import Peer
 from socicache.sim import Simulation, compare_strategies
@@ -20,7 +20,6 @@ from socicache.workload import (
     CacheSetup,
     ConfigError,
     ScenarioConfig,
-    Trace,
     TraceEvent,
     generate_trace,
 )
@@ -30,13 +29,17 @@ COUNT_TRIGGER = SelectionTrigger.LOOKUP_COUNT_BASED
 SOCIAL = Strategy.SOCIAL_SCORE
 
 
-def recorded_schedule(cfg: ScenarioConfig, times: list[int]) -> list[tuple[str, int]]:
-    """Run a two-peer lookup trace and record the loop's calls in order."""
-    trace = [
+def two_peer_lookups(times: list[int]):
+    """A trace of lookups at ``times``, the two peers taking turns."""
+    return trace_of([
         TraceEvent(t, "a" if k % 2 else "b", LOOKUP, ("b" if k % 2 else "a") + "/wall/0")
         for k, t in enumerate(times)
-    ]
-    sim = Simulation(cfg, Trace.from_events(trace))
+    ])
+
+
+def recorded_schedule(cfg: ScenarioConfig, times: list[int]) -> list[tuple[str, int]]:
+    """Run a two-peer lookup trace and record the loop's calls in order."""
+    sim = Simulation(cfg, two_peer_lookups(times))
     order: list[tuple[str, int]] = []
     apply_event, select, sample = sim._apply_event, sim._run_selection_round, sim._sample
 
@@ -103,8 +106,30 @@ def test_event_loop_matches_pending_list_merge(case):
     )
     time_selection = (setup.social_enabled and kind is not Strategy.RANDOM
                       and trigger is TIME_TRIGGER)
-    want = reference_schedule(times, duration, interval, time_selection, cadence)
-    assert recorded_schedule(cfg, times) == want
+    # A trace that runs past the duration is refused whole; the loop is
+    # compared on the events the run applies.
+    within = [t for t in times if t <= duration]
+    if within != times:
+        with pytest.raises(ConfigError,
+                           match=f"tick {times[-1]}, past sim_duration_ticks={duration}$"):
+            Simulation(cfg, two_peer_lookups(times))
+    want = reference_schedule(within, duration, interval, time_selection, cadence)
+    assert recorded_schedule(cfg, within) == want
+
+
+def test_simulation_refuses_a_trace_past_its_duration():
+    """A Trace given to ``Simulation`` directly is refused, as a ``--trace``
+    file is, when it runs past the duration, so no event is dropped; an
+    event at exactly the duration runs and is counted."""
+    trace = trace_of([TraceEvent(0, "b", POST, "b/wall/0", 8),
+                      TraceEvent(400, "a", LOOKUP, "b/wall/0"),
+                      TraceEvent(5_000, "a", LOOKUP, "b/wall/0")])
+    cfg = ScenarioConfig(peer_count=2, friends_per_user=1, sim_duration_ticks=1_000,
+                         friend_request_phases=())
+    with pytest.raises(ConfigError, match="tick 5000, past sim_duration_ticks=1000$"):
+        Simulation(cfg, trace)
+    cfg.sim_duration_ticks = 5_000
+    assert Simulation(cfg, trace).run().counters.total_requests == 2
 
 
 def peer_states(sim: Simulation) -> list[tuple]:
@@ -128,7 +153,7 @@ def replay_rounds(cfg: ScenarioConfig, trace: list[TraceEvent], *, reference: bo
     runs and each peer it skips is counted, by strategy and by whether the
     peer tracked more than ``n`` users.  Returns the round states, the
     ``metrics.csv`` text and summary of the run, and the skip counts."""
-    sim = Simulation(cfg, Trace.from_events(trace))
+    sim = Simulation(cfg, trace_of(trace))
     rounds: list[tuple[int, list[tuple]]] = []
     skipped: Counter = Counter()
     evaluated: set[str] = set()

@@ -26,3 +26,22 @@ def test_package_imports_only_the_standard_library():
         if names:
             foreign[path.name] = sorted(names)
     assert foreign == {}
+
+
+def test_package_modules_use_every_name_they_import():
+    """A deletion cannot leave an import behind: each name a module imports
+    (``__future__`` aside) is read somewhere in that module."""
+    unused = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_generate_trace, reference_trace_users
+from oracles import event_line, reference_generate_trace, reference_trace_users, trace_of
 import socicache
 from socicache.sim import Simulation
 from socicache.social_cache import Strategy
@@ -149,6 +149,22 @@ def test_friend_requests_fall_in_phases():
         assert any(start <= ev.at <= start + 60_000 for start in phase_starts)
 
 
+def test_friend_requests_in_a_phase_at_tick_zero_are_sent():
+    """A phase at tick 0 sends its edges' requests like any other phase;
+    only the initial edges are active without one."""
+    cfg = ScenarioConfig(peer_count=16, friends_per_user=6, new_experiment_time_days=0.01,
+                         friend_request_phases=(0,))
+    names = peer_names(cfg.peer_count)
+    graph = build_friend_graph(cfg.peer_count, cfg.friends_per_user)
+    edges = {frozenset((names[i], names[j])) for i, row in enumerate(graph) for j in row}
+    initial = round(len(edges) * cfg.initial_friend_fraction)
+    reqs = [ev for ev in generate_trace(cfg) if ev.action == FRIENDREQ]
+    requested = {frozenset((ev.actor, ev.target)) for ev in reqs}
+    assert len(reqs) == len(requested) == len(edges) - initial > 0
+    assert requested <= edges
+    assert all(0 <= ev.at <= 60_000 for ev in reqs)
+
+
 @st.composite
 def small_scenarios(draw):
     """Small configs whose short gaps put many events on shared ticks,
@@ -226,7 +242,7 @@ def test_post_interarrival_mean_tracks_configured_gap():
     target = cfg.interaction_gap_ticks()
     # lengthen the run so each user draws thousands of post gaps
     cfg.sim_duration_ticks = int(target * 3000)
-    cfg.friend_request_phases = (0, 0)
+    cfg.friend_request_phases = ()
     trace = generate_trace(cfg)
     gaps = []
     last_by_user: dict[str, int] = {}
@@ -261,6 +277,14 @@ def test_post_interarrival_mean_tracks_configured_gap():
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ConfigError):
         small_config(**kwargs).validate()
+
+
+@pytest.mark.parametrize("days", [-1, 1e-12])
+def test_a_run_too_short_names_the_key_that_set_it(days):
+    """With no ``sim_duration_ticks``, the run's length comes from
+    ``new_experiment_time_days``, so that is the key the error names."""
+    with pytest.raises(ConfigError, match="^new_experiment_time_days "):
+        ScenarioConfig(new_experiment_time_days=days).validate()
 
 
 @pytest.mark.parametrize("derive", [
@@ -364,17 +388,19 @@ def test_load_rejects_malformed_lines(tmp_path, line):
         pytest.param(TraceEvent(10, "a", POST, "a/wall/0", 2**32), id="size-out-of-range"),
     ],
 )
-def test_from_events_rejects_what_load_trace_rejects(tmp_path, event):
+def test_load_trace_names_the_file_line_of_a_rejected_event(tmp_path, event):
+    """Each event check names the event's line in the file, not its
+    position among the events: comments and blank lines count."""
     first = TraceEvent(10, "a", FRIENDREQ, "b")
-    with pytest.raises(TraceFormatError) as built:
-        Trace.from_events([first, event])
-    assert built.value.line_no == 2
+    with pytest.raises(TraceFormatError) as adjacent:
+        trace_of([first, event])
+    assert adjacent.value.line_no == 2
     path = tmp_path / "t.txt"
     path.write_text(f"# a comment\n{event_line(first)}\n\n{event_line(event)}\n")
-    with pytest.raises(TraceFormatError) as loaded:
+    with pytest.raises(TraceFormatError) as spaced:
         load_trace(path)
-    assert loaded.value.line_no == 4
-    assert loaded.value.reason == built.value.reason
+    assert spaced.value.line_no == 4
+    assert spaced.value.reason == adjacent.value.reason
 
 
 # -- the columnar trace --------------------------------------------------------------------
@@ -393,16 +419,8 @@ EVENTS = [
 ]
 
 
-def event_line(ev: TraceEvent) -> str:
-    """The trace-file line of ``ev``, written out independently of
-    ``Trace.chunks()``."""
-    if ev.payload_size is None:
-        return f"{ev.at} {ev.actor} {ev.action} {ev.target}"
-    return f"{ev.at} {ev.actor} {ev.action} {ev.target} {ev.payload_size}"
-
-
 def test_trace_sequence_matches_its_events():
-    trace = Trace.from_events(EVENTS)
+    trace = trace_of(EVENTS)
     n = len(EVENTS)
     assert len(trace) == n
     assert list(trace) == EVENTS
@@ -410,14 +428,14 @@ def test_trace_sequence_matches_its_events():
 
 
 def test_trace_users_follow_actor_target_and_owner_rule():
-    trace = Trace.from_events(EVENTS)
+    trace = trace_of(EVENTS)
     assert list(trace.users) == reference_trace_users(EVENTS)
     assert trace.users == ("alice", "bob", "carol", "dave")
 
 
 def test_trace_file_round_trip_keeps_every_event(tmp_path):
     path = tmp_path / "trace.txt"
-    save_trace(Trace.from_events(EVENTS), path)
+    save_trace(trace_of(EVENTS), path)
     assert list(load_trace(path)) == EVENTS
     # A key's text is rebuilt from its parsed form, so paths with several
     # (or empty) segments and a friend-request name must come back as is.
@@ -436,23 +454,23 @@ def test_trace_digest_is_sha256_of_lines():
     want = hashlib.sha256()
     for ev in EVENTS:
         want.update((event_line(ev) + "\n").encode("utf-8"))
-    assert trace_digest(Trace.from_events(EVENTS)) == want.hexdigest()
+    assert trace_digest(trace_of(EVENTS)) == want.hexdigest()
 
 
 def test_trace_digest_is_sha256_of_the_saved_file_across_chunks(tmp_path):
     trace = generate_trace(ScenarioConfig(peer_count=4, friends_per_user=2))
     assert len(trace) > 3 * CHUNK_LINES and len(trace) % CHUNK_LINES
-    exact = Trace.from_events(islice(trace, 2 * CHUNK_LINES))
+    exact = trace_of(islice(trace, 2 * CHUNK_LINES))
     assert len(exact) == 2 * CHUNK_LINES
-    for case in (trace, exact, Trace.from_events([])):
+    for case in (trace, exact, trace_of([])):
         path = tmp_path / "trace.txt"
         save_trace(case, path)
         assert trace_digest(case) == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert trace_digest(Trace.from_events([])) == hashlib.sha256(b"").hexdigest()
+    assert trace_digest(trace_of([])) == hashlib.sha256(b"").hexdigest()
 
 
 def test_second_simulation_reuses_the_trace_digest(monkeypatch):
-    trace = Trace.from_events(EVENTS)
+    trace = trace_of(EVENTS)
     reads = []
     chunks = Trace.chunks
     monkeypatch.setattr(Trace, "chunks", lambda self: reads.append(self) or chunks(self))
@@ -464,7 +482,7 @@ def test_second_simulation_reuses_the_trace_digest(monkeypatch):
 
 
 def test_trace_columns_are_read_only():
-    trace = Trace.from_events(EVENTS)
+    trace = trace_of(EVENTS)
     with pytest.raises(TypeError):
         trace.ticks[0] = 1
     with pytest.raises(TypeError):
