@@ -7,8 +7,10 @@ tier over all answered replies.  A ratio with a zero denominator is
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, fields
-from typing import IO, Iterable, Mapping, Sequence
+from operator import add, itemgetter
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .model import SimTime
 
@@ -97,28 +99,42 @@ METRICS_COLUMNS = (
     "bytes_written",
 )
 
+# ``hit_ratio`` can be undefined, so a ledger derives it when read.
+_STORED_COLUMNS = tuple(name for name in METRICS_COLUMNS[1:] if name != "hit_ratio")
+_stored_values = itemgetter(*_STORED_COLUMNS)
+
 class MetricsLedger:
     """The sampled metrics of one run: the simulation records one row per
-    sampling step."""
+    sampling step.  A column is a typed array: 8 bytes a value, no object."""
 
     def __init__(self) -> None:
-        # One value list per metrics column in column order, aligned with
-        # ``sample_times``.
-        self.series: dict[str, list[object]] = {name: [] for name in METRICS_COLUMNS[1:]}
-        self.sample_times: list[SimTime] = []
+        self.series: dict[str, array] = {  # aligned with ``sample_times``
+            name: array("d" if name == "muc_size_mean" else "q") for name in _STORED_COLUMNS}
+        self.sample_times = array("q")
 
     def record_sample(self, now: SimTime, values: Mapping[str, object]) -> None:
-        unknown = set(values) - set(self.series)
-        if unknown:
-            raise KeyError(f"unknown metric columns: {sorted(unknown)}")
+        """Append one full row.  A missing column raises ``KeyError`` naming
+        it, and a refused row leaves the ledger unchanged."""
+        row = _stored_values(values)
+        if len(values) != len(row):
+            raise KeyError(f"unknown metric columns: {sorted(set(values) - set(self.series))}")
         if self.sample_times and now <= self.sample_times[-1]:
             raise ValueError("sample times must strictly increase")
         self.sample_times.append(now)
-        for name, column in self.series.items():
-            column.append(values.get(name))
+        for column, value in zip(self.series.values(), row):
+            column.append(value)
+
+    def rows(self) -> Iterator[tuple]:
+        """The rows in ``METRICS_COLUMNS`` order; a row's ``hit_ratio`` is
+        the float ``cache_hit_ratio`` gave at its sample."""
+        s = self.series
+        ratios = (hit_ratio(cache, cache + overlay) for cache, overlay
+                  in zip(map(add, s["social_hits"], s["current_hits"]), s["overlay_replies"]))
+        return zip(self.sample_times, *[ratios if name == "hit_ratio" else s[name]
+                                        for name in METRICS_COLUMNS[1:]])
 
     def export_csv(self, path) -> None:
-        export_rows_csv(path, METRICS_COLUMNS, zip(self.sample_times, *self.series.values()))
+        export_rows_csv(path, METRICS_COLUMNS, self.rows())
 
 
 def write_rows(handle: IO[str], columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:

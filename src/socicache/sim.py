@@ -114,7 +114,6 @@ class Simulation:
     def _sample(self, now: SimTime) -> None:
         counters = self.counters
         row = {name: getattr(counters, name) for name in _COUNTER_NAMES}
-        row["hit_ratio"] = cache_hit_ratio(counters)
         row.update(self._gauges())
         self.ledger.record_sample(now, row)
 

@@ -81,8 +81,7 @@ PINNED_RUN_DIGESTS = {
 
 def run_output_digest(result) -> str:
     handle = io.StringIO()
-    ledger = result.ledger
-    write_rows(handle, METRICS_COLUMNS, zip(ledger.sample_times, *ledger.series.values()))
+    write_rows(handle, METRICS_COLUMNS, result.ledger.rows())
     digest = hashlib.sha256(handle.getvalue().encode("utf-8"))
     digest.update(json.dumps(result.summary, sort_keys=True).encode("utf-8"))
     return digest.hexdigest()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from socicache.metrics import (
@@ -88,11 +90,67 @@ def test_counters_reject_overlay_lookups_other_than_cache_misses(dht_lookups):
 
 # -- series and CSV export ---------------------------------------------------------
 
+def full_row(**values):
+    """A row of every stored column: all of ``METRICS_COLUMNS`` but
+    ``t_ticks`` and the derived ``hit_ratio``, zero unless given."""
+    row = {name: 0 for name in METRICS_COLUMNS[1:] if name != "hit_ratio"}
+    row["muc_size_mean"] = 0.0
+    row.update(values)
+    return row
+
+
+def ledger_state(ledger):
+    return list(ledger.sample_times), {name: list(v) for name, v in ledger.series.items()}
+
+
 def test_sampled_series_requires_increasing_times():
     ledger = MetricsLedger()
-    ledger.record_sample(10, {"hit_ratio": 1.0})
-    with pytest.raises(ValueError):
-        ledger.record_sample(10, {"hit_ratio": 2.0})
+    ledger.record_sample(10, full_row(social_hits=1))
+    before = ledger_state(ledger)
+    for now in (10, 9):
+        with pytest.raises(ValueError):
+            ledger.record_sample(now, full_row(social_hits=2))
+    assert ledger_state(ledger) == before
+
+
+@pytest.mark.parametrize("column, row", [
+    ("dht_puts", {name: v for name, v in full_row().items() if name != "dht_puts"}),
+    ("hit_ratio", full_row(hit_ratio=0.5)),
+    ("no_such_column", full_row(no_such_column=1)),
+])
+def test_refused_row_leaves_ledger_unchanged(column, row):
+    """A row missing a stored column or carrying an unknown one (the derived
+    ``hit_ratio`` included) raises ``KeyError`` naming it, before anything
+    is appended."""
+    ledger = MetricsLedger()
+    ledger.record_sample(10, full_row(social_hits=3, muc_size_mean=1.5))
+    before = ledger_state(ledger)
+    with pytest.raises(KeyError, match=column):
+        ledger.record_sample(20, row)
+    assert ledger_state(ledger) == before
+
+
+def test_ledger_stores_at_most_200_bytes_per_row():
+    """Each value is 8 bytes in a typed array.  As one object per value in
+    a list, a row of counters above 2**30 cost about 500 bytes."""
+    rows = 10_000
+    row = full_row()
+    names = list(row)
+    ledger = MetricsLedger()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(rows):
+            # New value objects each row: a ledger that kept them would grow.
+            first = (1 << 30) + len(names) * i
+            row.update(zip(names, range(first, first + len(names))))
+            row["muc_size_mean"] = float(i)
+            ledger.record_sample(i, row)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ledger.sample_times) == rows
+    assert grown / rows <= 200, grown / rows
 
 
 def test_empty_ledger_exports_header_only(tmp_path):
@@ -104,7 +162,7 @@ def test_empty_ledger_exports_header_only(tmp_path):
 
 def test_undefined_ratio_exports_empty_cell(tmp_path):
     ledger = MetricsLedger()
-    ledger.record_sample(60_000, {"hit_ratio": None, "social_hits": 0})
+    ledger.record_sample(60_000, full_row())
     path = tmp_path / "m.csv"
     ledger.export_csv(path)
     header, row = path.read_text().splitlines()
@@ -158,5 +216,5 @@ def test_counters_never_decrease_over_a_run():
         "bytes_written",
     )
     for name in cumulative:
-        values = ledger.series[name]
+        values = list(ledger.series[name])
         assert values == sorted(values), name

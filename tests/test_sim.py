@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_schedule, reference_selection_round, trace_of
-from socicache.metrics import METRICS_COLUMNS, write_rows
+from socicache.metrics import METRICS_COLUMNS, cache_hit_ratio, write_rows
 from socicache.peer import Peer
 from socicache.sim import Simulation, compare_strategies
 from socicache.social_cache import SelectionTrigger, SocialCache, Strategy, StrategyConfig
@@ -189,8 +189,7 @@ def replay_rounds(cfg: ScenarioConfig, trace: list[TraceEvent], *, reference: bo
     finally:
         SocialCache.run_selection = run_selection
     handle = io.StringIO()
-    ledger = result.ledger
-    write_rows(handle, METRICS_COLUMNS, zip(ledger.sample_times, *ledger.series.values()))
+    write_rows(handle, METRICS_COLUMNS, result.ledger.rows())
     return rounds, (handle.getvalue(), result.summary), skipped
 
 
@@ -324,6 +323,31 @@ def test_run_leaves_no_cyclic_garbage(kind, setup, trigger, bootstrapping):
     if setup.social_enabled:
         assert result.counters.subscriptions_sent > 0
         assert (result.counters.bootstrap_dumps > 0) == bootstrapping
+
+
+@pytest.mark.parametrize("kind, setup, trigger, bootstrapping", RUN_CASES)
+def test_derived_hit_ratio_is_the_sampled_one(kind, setup, trigger, bootstrapping):
+    """The ledger derives each row's ``hit_ratio`` when read; it is the
+    float ``cache_hit_ratio`` gives at that sample, or undefined alike."""
+    cfg = small_run_config(kind, setup, trigger, bootstrapping)
+    sim = Simulation(cfg, generate_trace(cfg))
+    sampled = []
+    sample = sim._sample
+
+    def on_sample(now):
+        sampled.append(cache_hit_ratio(sim.counters))
+        sample(now)
+
+    sim._sample = on_sample
+    result = sim.run()
+    column = METRICS_COLUMNS.index("hit_ratio")
+    derived = [row[column] for row in result.ledger.rows()]
+    assert len(derived) == len(sampled) > 0
+
+    def exact(ratio):
+        return None if ratio is None else ratio.hex()
+
+    assert [exact(r) for r in derived] == [exact(r) for r in sampled]
 
 
 @pytest.mark.parametrize(
