@@ -121,14 +121,20 @@ class Simulation:
         """Run the trace to the end of the duration with the cyclic garbage
         collector paused, restoring its state also on error.  Delivery is
         synchronous and no handler keeps a back-reference, so a run makes no
-        reference cycles (``test_run_leaves_no_cyclic_garbage``); the first
-        collection after it walks the objects the run left once."""
+        reference cycles (``test_run_leaves_no_cyclic_garbage``).  Before
+        the collector is turned back on, ``gc.freeze`` and ``gc.unfreeze``
+        move what the run built into the oldest generation without walking
+        it, so no young collection walks it next.  The move takes every
+        tracked object in the process, not only the run's: younger ones and
+        any frozen before also end in the oldest generation."""
         enabled = gc.isenabled()
         gc.disable()
         try:
             return self._run()
         finally:
             if enabled:
+                gc.freeze()
+                gc.unfreeze()
                 gc.enable()
 
     def _run(self) -> RunResult:

@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, compress, cycle, islice, repeat
 from math import log, sqrt
-from operator import and_, lshift, or_
+from operator import and_, itemgetter, lshift, or_
 from typing import Iterator, NamedTuple, Sequence
 
 from .model import StorageKey, UserId
@@ -81,6 +81,15 @@ POST_CODE, LOOKUP_CODE, FRIENDREQ_CODE = range(len(ACTIONS))
 _CODES = {action: code for code, action in enumerate(ACTIONS)}
 # Lines per chunk of trace-file text: one string to write or hash at a time.
 CHUNK_LINES = 8192
+
+
+def _typecode(largest: int) -> str:
+    """The smallest unsigned array typecode that holds ``largest`` (``q``,
+    signed, only from 2**32 on): the width of a trace's integer column."""
+    for code in "BHI":
+        if largest < 1 << 8 * array(code).itemsize:
+            return code
+    return "q"
 
 
 class TraceEvent(NamedTuple):
@@ -220,8 +229,14 @@ class _TraceBuilder:
         users = tuple(sorted(self.names.keys() | set(owners)))
         position = {name: i for i, name in enumerate(users)}
         renumber = [position[name] for name in self.names]
-        return Trace(self.ticks, array("I", map(renumber.__getitem__, self.actors)),
-                     self.actions, self.target_ids, self.sizes, users, tuple(self.resolved))
+        # One column at a time, so that beside the wide columns there is at
+        # most one narrowed copy.
+        self.actors = array(_typecode(len(users) - 1), map(renumber.__getitem__, self.actors))
+        self.ticks = array(_typecode(self.last_at), self.ticks)
+        self.target_ids = array(_typecode(len(self.resolved) - 1), self.target_ids)
+        self.sizes = array(_typecode(max(self.sizes, default=0)), self.sizes)
+        return Trace(self.ticks, self.actors, self.actions, self.target_ids, self.sizes,
+                     users, tuple(self.resolved))
 
 
 class CacheSetup(enum.Enum):
@@ -452,16 +467,26 @@ def _lookup_targets(times: list[int], friends: list[int], weights: list[float],
 
 
 def _in_tick_order(ticks: array, actors: array, codes: bytes,
-                   target_ids: array) -> tuple[array, array, bytes, array]:
+                   target_ids: array) -> tuple[array, array, array, array]:
     """The columns sorted stably by tick, that is by (tick, index): one
     sorted list of ``tick << shift | index`` ints, with no index list and
-    no key list of Python ints beside it."""
+    no key list of Python ints beside it.  Each column keeps its width (the
+    codes come back as an ``array("B")``); one itemgetter per
+    ``CHUNK_LINES`` indices gathers from every column."""
     shift = len(ticks).bit_length()
     packed = sorted(map(or_, map(lshift, ticks, repeat(shift)), range(len(ticks))))
     order = array("I", map(and_, packed, repeat((1 << shift) - 1)))
     del packed
-    return (array("q", map(ticks.__getitem__, order)), array("I", map(actors.__getitem__, order)),
-            bytes(map(codes.__getitem__, order)), array("I", map(target_ids.__getitem__, order)))
+    columns = (ticks, actors, codes, target_ids)
+    ordered = (array(ticks.typecode), array(actors.typecode), array("B"),
+               array(target_ids.typecode))
+    for lo in range(0, len(order), CHUNK_LINES):
+        chunk = order[lo:lo + CHUNK_LINES]
+        gather = itemgetter(*chunk)
+        for column, out in zip(columns, ordered):
+            # An itemgetter of one index gives the value, not a tuple.
+            out.extend(gather(column) if len(chunk) > 1 else (gather(column),))
+    return ordered
 
 
 def generate_trace(cfg: ScenarioConfig) -> Trace:
@@ -507,8 +532,12 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     weights = _tier_weights(cfg.friends_per_user, cfg.tier_sizes, cfg.tier_shares)
 
     # The three streams below are appended in priority order into one set
-    # of columns, then sorted once by tick.
-    ticks, actors, target_ids = array("q"), array("I"), array("I")
+    # of columns, then sorted once by tick.  Each column is as wide as its
+    # bound needs: ticks up to the duration, friend-request targets after
+    # the keys.
+    ticks = array(_typecode(duration))
+    actors = array(_typecode(cfg.peer_count - 1))
+    target_ids = array(_typecode(user_targets + cfg.peer_count - 1))
 
     # Posts: full key space at tick 0, then round-robin re-posts.
     post_gap = cfg.interaction_gap_ticks()
@@ -575,7 +604,7 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     ticks, actors, codes, target_ids = _in_tick_order(ticks, actors, codes, target_ids)
     return Trace(
         ticks, actors, codes, target_ids,
-        array("I", [cfg.payload_bytes]) * count,
+        array(_typecode(cfg.payload_bytes), [cfg.payload_bytes]) * count,
         tuple(names),
         tuple(keys) + tuple(names),
     )

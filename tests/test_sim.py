@@ -10,9 +10,16 @@ from hypothesis import strategies as st
 
 from oracles import reference_schedule, reference_selection_round, trace_of
 from socicache.metrics import METRICS_COLUMNS, cache_hit_ratio, write_rows
+from socicache.model import ContentObject
 from socicache.peer import Peer
 from socicache.sim import Simulation, compare_strategies
-from socicache.social_cache import SelectionTrigger, SocialCache, Strategy, StrategyConfig
+from socicache.social_cache import (
+    MucEntry,
+    SelectionTrigger,
+    SocialCache,
+    Strategy,
+    StrategyConfig,
+)
 from socicache.workload import (
     FRIENDREQ,
     LOOKUP,
@@ -323,6 +330,19 @@ def test_run_leaves_no_cyclic_garbage(kind, setup, trigger, bootstrapping):
     if setup.social_enabled:
         assert result.counters.subscriptions_sent > 0
         assert (result.counters.bootstrap_dumps > 0) == bootstrapping
+
+
+def test_run_leaves_its_objects_in_the_oldest_generation():
+    """What a run built is moved past the young generations, so the first
+    collection after ``run`` does not walk it."""
+    cfg = small_run_config(SOCIAL, CacheSetup.BOTH)
+    sim = Simulation(cfg, generate_trace(cfg))
+    sim.run()
+    young = gc.get_objects(generation=0)
+    assert not [obj for obj in young if isinstance(obj, (MucEntry, ContentObject))]
+    oldest = gc.get_objects(generation=2)
+    assert any(isinstance(obj, MucEntry) for obj in oldest)
+    assert any(isinstance(obj, ContentObject) for obj in oldest)
 
 
 @pytest.mark.parametrize("kind, setup, trigger, bootstrapping", RUN_CASES)

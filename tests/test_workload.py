@@ -2,6 +2,7 @@ import hashlib
 import random
 import statistics
 import tracemalloc
+from array import array
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from oracles import event_line, reference_generate_trace, reference_trace_users, trace_of
 import socicache
 from socicache.sim import Simulation
-from socicache.social_cache import Strategy
+from socicache.social_cache import Strategy, StrategyConfig
 from socicache.workload import (
     CHUNK_LINES,
     FRIENDREQ,
@@ -27,6 +28,7 @@ from socicache.workload import (
     Trace,
     TraceEvent,
     TraceFormatError,
+    _in_tick_order,
     build_friend_graph,
     generate_trace,
     load_trace,
@@ -316,6 +318,11 @@ def test_cache_setup_flags():
 
 # -- trace files ---------------------------------------------------------------------------
 
+def typecodes(trace: Trace) -> tuple[str, ...]:
+    return tuple(column.format for column in
+                 (trace.ticks, trace.actors, trace.target_ids, trace.sizes))
+
+
 def test_trace_file_round_trip(tmp_path):
     cfg = small_config(peer_count=4, friends_per_user=2)
     trace = generate_trace(cfg)
@@ -323,6 +330,7 @@ def test_trace_file_round_trip(tmp_path):
     save_trace(trace, path)
     loaded = load_trace(path)
     assert list(loaded.chunks()) == list(trace.chunks())
+    assert typecodes(loaded) == typecodes(trace) == ("I", "B", "B", "H")
 
 
 def test_load_well_formed_lines(tmp_path):
@@ -490,12 +498,14 @@ def test_trace_columns_are_read_only():
 
 
 def test_generated_trace_retains_few_bytes_per_event():
-    # The columns take 21 bytes per event (tick 8, actor, target and
-    # payload size 4 each, action 1) plus array slack; an object per event
-    # would take several times that.  While generating, the unsorted
-    # columns, the order and one sorted list of packed ints (about 40 bytes
-    # per event) are alive at once: about 66 bytes per event, where a sort
-    # with an index list and a key list peaked near 105.
+    # Each column is as wide as its bound needs: here tick 4 bytes, actor
+    # 1, action 1, target 2 and payload size 2, so 10 bytes per event plus
+    # array slack (21 with 8-byte ticks and 4-byte actors, targets and
+    # sizes); an object per event would take several times that.  While
+    # generating, the unsorted columns, the order and one sorted list of
+    # packed ints (about 40 bytes per event) are alive at once: about 57
+    # bytes per event, where full-width columns peaked near 66 and a sort
+    # with an index list and a key list near 105.
     cfg = ScenarioConfig(peer_count=16, friends_per_user=6, lookups_per_interaction=400.0,
                          new_experiment_time_days=0.25)
     tracemalloc.start()
@@ -507,8 +517,9 @@ def test_generated_trace_retains_few_bytes_per_event():
     finally:
         tracemalloc.stop()
     assert len(trace) > 100_000
-    assert retained / len(trace) <= 32
-    assert peak / len(trace) <= 80
+    assert typecodes(trace) == ("I", "B", "H", "H")
+    assert retained / len(trace) <= 16
+    assert peak / len(trace) <= 64
 
 
 def test_generated_trace_retains_few_bytes_per_target():
@@ -527,4 +538,63 @@ def test_generated_trace_retains_few_bytes_per_target():
         tracemalloc.stop()
     targets = len(trace.resolved)
     assert targets == 1024 * 21 and len(trace) < 3 * targets
-    assert (retained - 21 * len(trace)) / targets <= 120
+    columns = sum(column.nbytes for column in
+                  (trace.ticks, trace.actors, trace.target_ids, trace.sizes))
+    assert (retained - columns - len(trace.actions)) / targets <= 120
+
+
+def test_a_trace_past_2_32_ticks_keeps_8_byte_ticks(tmp_path):
+    far = 2**32 + 5
+    trace = trace_of(EVENTS + [TraceEvent(far, "bob", LOOKUP, "alice/x/y")])
+    assert typecodes(trace) == ("q", "B", "B", "H")
+    assert trace.ticks[-1] == far
+    path = tmp_path / "trace.txt"
+    save_trace(trace, path)
+    loaded = load_trace(path)
+    assert trace_digest(loaded) == trace_digest(trace)
+    assert typecodes(loaded) == typecodes(trace)
+    cfg = ScenarioConfig(sim_duration_ticks=far, sample_cadence_ticks=2**31,
+                         strategy=StrategyConfig(update_interval=2**31))
+    result = Simulation(cfg, loaded).run()
+    assert result.counters.total_requests == 4
+    assert result.ledger.sample_times.tolist() == [2**31, 2**32]
+
+
+def test_more_than_65535_targets_keep_4_byte_target_ids(tmp_path):
+    cfg = ScenarioConfig(peer_count=4, friends_per_user=2, keys_per_user=16_400,
+                         new_experiment_time_days=0.0001, lookups_per_interaction=1.0)
+    trace = generate_trace(cfg)
+    assert len(trace.resolved) == 4 * 16_400 + 4 > 2**16
+    assert typecodes(trace) == ("H", "B", "I", "H")
+    path = tmp_path / "trace.txt"
+    save_trace(trace, path)
+    loaded = load_trace(path)
+    assert trace_digest(loaded) == trace_digest(trace)
+    assert typecodes(loaded) == typecodes(trace)
+    result = Simulation(cfg, trace).run()
+    assert result.counters.total_requests == sum(ev.action == LOOKUP for ev in trace) > 0
+
+
+def map_gathers(ticks: array, actors: array, codes: bytes,
+                target_ids: array) -> tuple[array, array, array, array]:
+    """``_in_tick_order`` with one ``map`` gather per column over a stable
+    index sort: the chunked itemgetter gathers must give the same columns."""
+    order = sorted(range(len(ticks)), key=ticks.__getitem__)
+    return (array(ticks.typecode, map(ticks.__getitem__, order)),
+            array(actors.typecode, map(actors.__getitem__, order)),
+            array("B", map(codes.__getitem__, order)),
+            array(target_ids.typecode, map(target_ids.__getitem__, order)))
+
+
+@pytest.mark.parametrize("count", [0, 1, CHUNK_LINES, CHUNK_LINES + 1])
+def test_chunked_gathers_match_per_column_maps(count):
+    # Past a multiple of CHUNK_LINES by one, the last chunk holds one event,
+    # where an itemgetter gives a value instead of a tuple.
+    rng = random.Random(count)
+    columns = (array("I", (rng.randrange(count // 3 + 1) for _ in range(count))),
+               array("B", (rng.randrange(256) for _ in range(count))),
+               bytes(rng.randrange(3) for _ in range(count)),
+               array("H", (rng.randrange(2**16) for _ in range(count))))
+    got = _in_tick_order(*columns)
+    assert got == map_gathers(*columns)
+    assert [column.typecode for column in got] == ["I", "B", "B", "H"]
