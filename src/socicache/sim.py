@@ -67,12 +67,13 @@ class Simulation:
 
         # Each peer's caches, built here and nowhere else in the package.
         setup = cfg.cache_setup
+        dispatch = self.dispatcher.dispatch  # one bound method for every cache
         for name in trace.users:
             current = social = None
             if setup.current_enabled:
                 current = CurrentCache(cfg.current_cache.capacity, cfg.current_cache.ttl_ticks)
             if setup.social_enabled:
-                social = SocialCache(name, cfg.strategy, self.dispatcher.dispatch, self.counters,
+                social = SocialCache(name, cfg.strategy, dispatch, self.counters,
                                      self.slot_of, bootstrapping=cfg.bootstrapping,
                                      muc_capacity=cfg.muc_capacity, seed=cfg.seed)
             self.peers[name] = Peer(name, self.dht, self.dispatcher, self.counters,
@@ -206,21 +207,31 @@ class Simulation:
         }
 
     def verify_consistency(self) -> list[str]:
-        """Social-store entries whose version disagrees with the overlay,
-        that belong to users no longer subscribed or that sit outside their
-        key's slot in their owner's section, and stores whose item count
-        (``social_cache_items``) disagrees with their items."""
+        """Social caches whose item count (``social_cache_items``)
+        disagrees with their sections' items, and section items whose
+        version disagrees with the overlay or that sit outside their key's
+        slot in their owner's section.  With bootstrapping on, every section
+        must also be complete: as long as its owner's ``own`` and holding no
+        ``None`` (a ``None`` section only for an empty ``own``), so an update
+        lost for a new key is reported too, where no held item is stale."""
         violations: list[str] = []
+        complete = self.cfg.bootstrapping
         for name in sorted(self.peers):
             social = self.peers[name].social
             if social is None:
                 continue
-            held = sum([obj is not None for section in social.store.values() for obj in section])
+            held = sum([obj is not None for section in social.channels.values()
+                        if section for obj in section])
             if social.store_items != held:
                 violations.append(f"{name}: counts {social.store_items} items, stores {held}")
-            for user, section in social.store.items():
-                if user not in social.channels:
-                    violations.append(f"{name}: stores {user} without a subscription")
+            for user, section in social.channels.items():
+                section = section or []
+                if complete:
+                    owned = len(self.peers[user].social.own)
+                    items = len([obj for obj in section if obj is not None])
+                    if not items == len(section) == owned:
+                        violations.append(f"{name}: holds {items} items in {len(section)} slots of "
+                                          f"{user}'s {owned}")
                 for slot, obj in enumerate(section):
                     if obj is None:
                         continue

@@ -112,14 +112,12 @@ class StrategyConfig:
 
 class MucEntry:
     """Per-user interaction aggregates: event and lookup counts, weighted
-    event volume, first and last event time, and the mean gap between
-    successive events.
-
-    The gap sum telescopes to ``last_at - first_at``; it is divided by the
-    event count minus two, at least 1, so a single event has gap 0.
+    event volume, and first and last event time.  The mean gap between
+    successive events is derived from them where a score is computed
+    (``SocialCache._score_keys``), not stored.
     """
 
-    __slots__ = ("event_count", "lookup_count", "weighted", "first_at", "last_at", "gap")
+    __slots__ = ("event_count", "lookup_count", "weighted", "first_at", "last_at")
 
     def __init__(self, first_at: SimTime = 0):
         self.event_count = 0
@@ -127,7 +125,6 @@ class MucEntry:
         self.weighted = 0.0
         self.first_at = first_at
         self.last_at: SimTime = 0
-        self.gap = 0.0
 
 
 class MucList(dict):
@@ -171,15 +168,17 @@ class SocialCache:
     recipient)`` callable.  Each send builds one envelope and dispatches it
     to its recipients: one for subscription traffic, every receiver for a
     publish.  The owning peer routes incoming envelopes to the ``on_*``
-    handlers.  ``channels`` holds the subscribed users in subscription
-    order, at most ``cfg.n``; only ``_subscribe`` and ``_unsubscribe``
-    change it, called from ``track`` and ``run_selection``.  ``own`` holds
-    the latest version of every item the peer itself published; ``store``
-    the latest pushed or dumped version of each subscribed user's items
-    (user -> section), ``store_items`` in all.  Both are lists indexed by a
-    key's slot, its index in its owner's publish order, recorded in the
-    run's shared ``slot_of`` map; only a section that began without a dump
-    holds ``None``, at the slots it skipped.
+    handlers.  ``channels`` maps each subscribed user, in subscription
+    order and at most ``cfg.n``, to its section: the latest pushed or dumped
+    version of each of that user's items, or ``None`` until the first dump
+    or update arrives.  Only ``_subscribe`` and ``_unsubscribe`` add or drop
+    a channel, called from ``track`` and ``run_selection``.  ``own`` holds
+    the latest version of every item the peer itself published, and
+    ``store_items`` counts the items of every section.  Own content and
+    sections are lists indexed by a key's slot, its index in its owner's
+    publish order, recorded in the run's shared ``slot_of`` map; only a
+    section that began without a dump holds ``None``, at the slots it
+    skipped.
 
     A selection round asks ``stable_until`` whether it can change anything.
     ``cfg`` is frozen and validated here, so no weight changes under a score
@@ -187,7 +186,7 @@ class SocialCache:
     """
 
     __slots__ = ("owner", "cfg", "dispatch", "counters", "slot_of", "bootstrapping", "muc",
-                 "channels", "receivers", "store", "store_items", "own", "_rng",
+                 "channels", "receivers", "store_items", "own", "_rng",
                  "_lookups_since_selection", "stable_until", "_cert", "_dirty")
 
     def __init__(
@@ -210,10 +209,9 @@ class SocialCache:
         self.slot_of = slot_of
         self.bootstrapping = bootstrapping
         self.muc = MucList(muc_capacity)
-        self.channels: dict[UserId, None] = {}
+        self.channels: dict[UserId, list[ContentObject | None] | None] = {}
         # Users subscribed to this peer's update channel, in subscription order.
         self.receivers: dict[UserId, None] = {}
-        self.store: dict[UserId, list[ContentObject | None]] = {}
         self.store_items = 0
         self.own: list[ContentObject] = []
         # The random strategy's generator, seeded by the scenario ``seed``;
@@ -262,22 +260,25 @@ class SocialCache:
 
     def _score_keys(self, tracked: Iterable[tuple[UserId, MucEntry]],
                     now: SimTime) -> list[tuple]:
-        """``(-score, user, entry, spacing)`` of each (user, entry) pair of
-        ``tracked``; ``_certify`` reads the entry and spacing.  The score is
+        """``(-score, user, entry, spacing, gap)`` of each (user, entry) pair
+        of ``tracked``; ``_certify`` reads the last three.  The score is
         ``alpha * tie + beta * spacing``.  The tie strength is the user's
         weighted event volume over the total event count.  The medium
         interaction length ``spacing`` is the mean gap between the user's
-        events (``MucEntry.gap``) over the time since the first one; a
-        single event, or a first event now, gives 0.
+        events, ``last_at - first_at`` over the event count minus two (at
+        least 1), over the time since the first one; a single event, or a
+        first event now, gives 0.  ``run_selection``'s re-check repeats it.
         """
         alpha, beta = self.cfg.alpha, self.cfg.beta
         total = self.muc.total_events
         keys = []
         for user, entry in tracked:
+            count = entry.event_count
+            gap = (entry.last_at - entry.first_at) / (count - 2 if count > 2 else 1)
             elapsed = now - entry.first_at
-            spacing = entry.gap / elapsed if elapsed > 0 else 0.0
+            spacing = gap / elapsed if elapsed > 0 else 0.0
             score = alpha * (entry.weighted / total) + beta * spacing
-            keys.append((-score, user, entry, spacing))
+            keys.append((-score, user, entry, spacing, gap))
         return keys
 
     # -- tracking and per-lookup strategy actions -------------------------
@@ -299,10 +300,8 @@ class SocialCache:
                 muc.remove(max(self._keys(muc.items(), now))[1])
                 self._dirty = None
             entry = muc[user] = MucEntry(now)
-        count = entry.event_count + 1
         entry.last_at = now
-        entry.event_count = count
-        entry.gap = (now - entry.first_at) / (count - 2 if count > 2 else 1)
+        entry.event_count += 1
         muc.total_events += 1
         cfg = self.cfg
         if kind is not _LOOKUP:
@@ -376,14 +375,16 @@ class SocialCache:
             if total <= cap and now < until:
                 for user in dirty:
                     entry = muc[user]
+                    count = entry.event_count
+                    gap = (entry.last_at - entry.first_at) / (count - 2 if count > 2 else 1)
                     elapsed = now - entry.first_at
                     floor = alpha * (entry.weighted / total)
-                    score = floor + beta * (entry.gap / elapsed if elapsed > 0 else 0.0)
+                    score = floor + beta * (gap / elapsed if elapsed > 0 else 0.0)
                     if user in channels:
-                        if not entry.gap or score <= above:
+                        if not gap or score <= above:
                             break
                         if floor < above:
-                            crossing = entry.first_at + beta * entry.gap / (above - floor)
+                            crossing = entry.first_at + beta * gap / (above - floor)
                             if crossing < until:
                                 until = math.ceil(crossing)
                     elif score + score * _STABLE_MARGIN > below:
@@ -471,13 +472,13 @@ class SocialCache:
         alpha, beta = cfg.alpha, cfg.beta
         total = self.muc.total_events
         cap = total + max(4, total // 32)
-        moving = []  # chosen entries with a falling score
+        moving = []  # (entry, gap) of each chosen user with a falling score
         # Lowest constant chosen weight and the next weight up.
         low = low_next = math.inf
-        for _, _, entry, _ in ranking[:n]:
+        for _, _, entry, _, gap in ranking[:n]:
             weighted = entry.weighted
-            if entry.gap:
-                moving.append(entry)
+            if gap:
+                moving.append((entry, gap))
             elif weighted < low:
                 low, low_next = weighted, low
             elif low < weighted < low_next:
@@ -486,9 +487,9 @@ class SocialCache:
         # weight and the next weight down.  No score or weight is
         # negative, so 0 stands for none.
         top_at_cap = high = high_next = 0.0
-        for _, _, entry, spacing in ranking[n:]:
+        for _, _, entry, spacing, gap in ranking[n:]:
             weighted = entry.weighted
-            if entry.gap:
+            if gap:
                 at_cap = alpha * (weighted / cap) + beta * spacing
                 if at_cap > top_at_cap:
                     top_at_cap = at_cap
@@ -501,15 +502,15 @@ class SocialCache:
         best_at_cap = max(top_at_cap, alpha * (high / cap))
         above_at_cap = best_at_cap + best_at_cap * margin
         until = until_at_cap = math.inf
-        for entry in moving:
+        for entry, gap in moving:
             floor = alpha * (entry.weighted / total)
             if floor < above:
-                crossing = entry.first_at + beta * entry.gap / (above - floor)
+                crossing = entry.first_at + beta * gap / (above - floor)
                 if crossing < until:
                     until = crossing
             floor = alpha * (entry.weighted / cap)
             if floor < above_at_cap:
-                crossing = entry.first_at + beta * entry.gap / (above_at_cap - floor)
+                crossing = entry.first_at + beta * gap / (above_at_cap - floor)
                 if crossing < until_at_cap:
                     until_at_cap = crossing
         until = _tick(until)
@@ -541,10 +542,9 @@ class SocialCache:
         self.dispatch(MessageEnvelope(self.owner, _SUBSCRIBE, None), user)
 
     def _unsubscribe(self, user: UserId) -> None:
-        """Drop a channel and purge its cached items immediately, keeping
-        the store's user set a subset of the channel set."""
-        del self.channels[user]
-        section = self.store.pop(user, None)
+        """Drop a channel together with its section, so its cached items
+        are purged at once."""
+        section = self.channels.pop(user)
         if section is not None:
             # Every cache of a run shares ``bootstrapping``: with it on, no
             # section is padded.  Without it an identity scan counts the items,
@@ -573,11 +573,11 @@ class SocialCache:
         """Store a pushed update at its key's slot, overwriting older content
         for the same key, and pad a section that lacks the slots below it.
         Updates from non-subscribed users are ignored."""
-        if sender not in self.channels:
+        section = self.channels.get(sender, False)  # False: not a channel
+        if section is False:
             return False
-        section = self.store.get(sender)
         if section is None:
-            section = self.store[sender] = []
+            section = self.channels[sender] = []
         slot = self.slot_of[content.key]
         if slot >= len(section):
             section.extend([None] * (slot + 1 - len(section)))
@@ -590,11 +590,12 @@ class SocialCache:
         """Store a bootstrap dump (a fresh copy of the sender's ``own``) whole
         as the sender's section; returns the number of items accepted.  A dump
         answers this peer's own ``_subscribe`` to a user that was not a
-        channel, and only a channel has a section (``_unsubscribe`` purges
-        it), so the sender has none yet (``test_dumps_land_in_no_section``)."""
+        channel, and a section leaves with its channel (``_unsubscribe``), so
+        the sender's section is still ``None``
+        (``test_dumps_land_in_no_section``)."""
         if sender not in self.channels or not items:
             return 0
-        self.store[sender] = items
+        self.channels[sender] = items
         self.store_items += len(items)
         return len(items)
 
@@ -621,9 +622,9 @@ class SocialCache:
                 dispatch(env, subscriber)
 
     def lookup(self, key: StorageKey) -> ContentObject | None:
-        """Own-content store first, then the subscription store."""
+        """Own content first, then the owner's channel section."""
         owner = key.owner
-        section = self.own if owner == self.owner else self.store.get(owner)
+        section = self.own if owner == self.owner else self.channels.get(owner)
         if section is None:
             return None
         slot = self.slot_of.get(key)

@@ -161,14 +161,14 @@ class Trace:
 class _TraceBuilder:
     """Collects events one at a time, checking that each can run and
     interning actors and targets, for a trace whose user set is known only
-    at the end."""
+    at the end.  Each integer column starts one byte wide and is widened to
+    ``_typecode`` of the first value it cannot hold, so it ends as narrow as
+    its largest value allows."""
 
     def __init__(self) -> None:
-        self.ticks = array("q")
-        self.actors = array("I")  # first-seen actor numbers until build()
+        # Ticks, first-seen actor numbers (until build()), target ids, sizes.
+        self.columns = [array("B") for _ in range(4)]
         self.actions = bytearray()
-        self.target_ids = array("I")
-        self.sizes = array("I")
         self.names: dict[UserId, int] = {}
         self.target_ids_of: dict[str, int] = {}
         self.resolved: list[StorageKey | UserId] = []
@@ -215,28 +215,35 @@ class _TraceBuilder:
         if at >= 2**63 or size >= 2**32:
             raise TraceFormatError(line_no, "timestamp or payload size too large")
         self.last_at = at
-        self.ticks.append(at)
-        self.actors.append(self.names.setdefault(actor, len(self.names)))
         self.actions.append(code)
         if t is None:
             t = self.target_ids_of[target] = len(self.resolved)
             self.resolved.append(resolved)
-        self.target_ids.append(t)
-        self.sizes.append(size)
+        number = self.names.setdefault(actor, len(self.names))
+        columns = self.columns
+        ticks, actors, target_ids, sizes = columns
+        try:
+            ticks.append(at)
+            actors.append(number)
+            target_ids.append(t)
+            sizes.append(size)
+        except OverflowError:  # widen each column that cannot hold its value
+            for i, value in enumerate((at, number, t, size)):
+                if len(columns[i]) < len(self.actions):  # not appended yet
+                    if value >= 1 << 8 * columns[i].itemsize:
+                        columns[i] = array(_typecode(value), columns[i])
+                    columns[i].append(value)
 
     def build(self) -> Trace:
         owners = (r if isinstance(r, str) else r.owner for r in self.resolved)
         users = tuple(sorted(self.names.keys() | set(owners)))
         position = {name: i for i, name in enumerate(users)}
         renumber = [position[name] for name in self.names]
-        # One column at a time, so that beside the wide columns there is at
-        # most one narrowed copy.
-        self.actors = array(_typecode(len(users) - 1), map(renumber.__getitem__, self.actors))
-        self.ticks = array(_typecode(self.last_at), self.ticks)
-        self.target_ids = array(_typecode(len(self.resolved) - 1), self.target_ids)
-        self.sizes = array(_typecode(max(self.sizes, default=0)), self.sizes)
-        return Trace(self.ticks, self.actors, self.actions, self.target_ids, self.sizes,
-                     users, tuple(self.resolved))
+        del self.target_ids_of  # the largest table, not needed past parsing
+        ticks, actors, target_ids, sizes = self.columns
+        # A user named only as a target can sort before an actor.
+        actors = array(_typecode(len(users) - 1), map(renumber.__getitem__, actors))
+        return Trace(ticks, actors, self.actions, target_ids, sizes, users, tuple(self.resolved))
 
 
 class CacheSetup(enum.Enum):

@@ -133,7 +133,6 @@ def _reference_append(entry, kind: InteractionKind, at: int, weight: float) -> N
         entry.first_at = at
     entry.last_at = at
     entry.event_count = count
-    entry.gap = (at - entry.first_at) / (count - 2 if count > 2 else 1)
     if kind is InteractionKind.LOOKUP:
         entry.lookup_count += 1
     entry.weighted += weight
@@ -557,6 +556,28 @@ def event_line(ev: TraceEvent) -> str:
     if ev.payload_size is None:
         return f"{ev.at} {ev.actor} {ev.action} {ev.target}"
     return f"{ev.at} {ev.actor} {ev.action} {ev.target} {ev.payload_size}"
+
+
+# "a" subscribes to "b", who has posted one key, and to "c", who has posted
+# none; then each of them posts a new key, which "a" can only get by update.
+NEW_KEYS_AFTER_SUBSCRIBING = [
+    TraceEvent(0, "b", POST, "b/wall/0", 8),
+    TraceEvent(10, "a", LOOKUP, "b/wall/0"),
+    TraceEvent(20, "a", LOOKUP, "c/wall/0"),
+    TraceEvent(30, "b", POST, "b/wall/1", 8),
+    TraceEvent(40, "c", POST, "c/wall/0", 8),
+]
+
+
+def dropping_new_slots(update):
+    """``SocialCache.on_social_update`` made to lose every update for a slot
+    past its section's end (a key its owner published after the dump): the
+    item is then missing from the section, not stale in it."""
+    def patched(cache, sender, content):
+        if cache.slot_of[content.key] >= len(cache.channels.get(sender) or ()):
+            return False
+        return update(cache, sender, content)
+    return patched
 
 
 def trace_of(events) -> Trace:

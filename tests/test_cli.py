@@ -5,11 +5,12 @@ import platform
 
 import pytest
 
+from oracles import NEW_KEYS_AFTER_SUBSCRIBING, dropping_new_slots, event_line
 from socicache import cli
 from socicache.cli import apply_setting, main, run_id, serialize_config
 from socicache.metrics import Counters
 from socicache.sim import Simulation
-from socicache.social_cache import SelectionTrigger, Strategy, StrategyConfig
+from socicache.social_cache import SelectionTrigger, SocialCache, Strategy, StrategyConfig
 from socicache.workload import (
     CacheSetup,
     CurrentCacheConfig,
@@ -302,7 +303,7 @@ def _miscounted_store(result):
     def patched(self):
         if self._socials:
             social = self._socials[0]
-            social.store.clear()
+            social.channels.update(dict.fromkeys(social.channels))
             social.store_items = 1
         return result(self)
     return patched
@@ -310,26 +311,44 @@ def _miscounted_store(result):
 
 @pytest.mark.parametrize("command,runs", [("run", 1), ("compare-caches", 4)])
 @pytest.mark.parametrize(
-    "patch,per_run,first,social",
+    "patch,per_run,first,social,events",
     [
         pytest.param(lambda: (Simulation, "verify_subscription_symmetry", _asymmetric),
-                     1, "u00 subscribes u01 but is not a receiver", False, id="symmetry"),
+                     1, "u00 subscribes u01 but is not a receiver", False, None, id="symmetry"),
         pytest.param(lambda: (Counters, "validate", _negative_counter),
-                     1, "counter dht_puts is negative", False, id="counters"),
+                     1, "counter dht_puts is negative", False, None, id="counters"),
         pytest.param(lambda: (Simulation, "_result", _past_both_caps(Simulation._result)),
-                     2, "max_channels 16 > n 15", False, id="caps"),
+                     2, "max_channels 16 > n 15", False, None, id="caps"),
+        # The miscount, then each of u00's emptied channels: four under the
+        # run profile, three under compare-caches'.
         pytest.param(lambda: (Simulation, "_result", _miscounted_store(Simulation._result)),
-                     1, "u00: counts 1 items, stores 0", True, id="store-items"),
+                     {"run": 5, "compare-caches": 4}, "u00: counts 1 items, stores 0", True,
+                     None, id="store-items"),
+        # A generated trace publishes every key before any lookup, so only a
+        # trace file posts a key after a subscription.
+        pytest.param(lambda: (SocialCache, "on_social_update",
+                              dropping_new_slots(SocialCache.on_social_update)),
+                     2, "a: holds 1 items in 1 slots of b's 2", True,
+                     NEW_KEYS_AFTER_SUBSCRIBING, id="lost-new-key"),
     ],
 )
 def test_broken_invariant_exits_one_after_writing_outputs(tmp_path, capsys, monkeypatch,
                                                           command, runs, patch, per_run,
-                                                          first, social):
+                                                          first, social, events):
     """``social`` marks a fault in the social store, which only the
-    social_only and both runs of compare-caches have."""
+    social_only and both runs of compare-caches have.  ``per_run`` counts
+    the violations of a faulty run, by command where they differ.
+    ``events``, if given, are replayed from a trace file."""
+    if isinstance(per_run, dict):
+        per_run = per_run[command]
     monkeypatch.setattr(*patch())
     out = tmp_path / "out"
-    code = main([command, "--out", str(out), *SMALL])
+    trace = []
+    if events is not None:
+        trace_path = tmp_path / "trace.txt"
+        trace_path.write_text("".join(event_line(ev) + "\n" for ev in events), encoding="utf-8")
+        trace = ["--trace", str(trace_path)]
+    code = main([command, "--out", str(out), *trace, *SMALL])
     assert code == 1
     faulty, label = runs, "none"
     if command == "run":

@@ -2,13 +2,21 @@ import gc
 import io
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_schedule, reference_selection_round, trace_of
+from oracles import (
+    NEW_KEYS_AFTER_SUBSCRIBING,
+    dropping_new_slots,
+    reference_schedule,
+    reference_selection_round,
+    trace_of,
+)
+from socicache import social_cache
 from socicache.metrics import METRICS_COLUMNS, cache_hit_ratio, write_rows
 from socicache.model import ContentObject
 from socicache.peer import Peer
@@ -144,10 +152,11 @@ def peer_states(sim: Simulation) -> list[tuple]:
     states = []
     for name in sorted(sim.peers):
         social = sim.peers[name].social
-        entries = [(u, e.event_count, e.lookup_count, e.weighted, e.first_at, e.last_at, e.gap)
+        entries = [(u, e.event_count, e.lookup_count, e.weighted, e.first_at, e.last_at)
                    for u, e in social.muc.items()]
-        stored = {u: [None if c is None else (str(c.key), c.version) for c in section]
-                  for u, section in social.store.items()}
+        stored = {u: None if section is None else
+                  [None if c is None else (str(c.key), c.version) for c in section]
+                  for u, section in social.channels.items()}
         states.append((name, list(social.channels), list(social.receivers),
                        social.muc.total_events, entries, stored))
     return states
@@ -383,8 +392,62 @@ def test_runs_end_consistent(kind, setup, trigger, bootstrapping):
     assert sim.verify_consistency() == []
     assert sim.verify_subscription_symmetry() == []
     padded = any(item is None for social in sim._socials
-                 for section in social.store.values() for item in section)
+                 for section in social.channels.values() if section for item in section)
     assert padded != bootstrapping
+
+
+@pytest.mark.parametrize("bootstrapping", [True, False])
+def test_a_lost_update_for_a_new_key_is_reported_only_with_dumps(bootstrapping, monkeypatch):
+    """With bootstrapping on a section is a complete copy of its owner's
+    ``own``, so an update lost for a key published after the dump is
+    reported though no held item is stale: for a section that holds the
+    dump and for one that never began (an empty dump).  Without dumps a
+    section holds only what was pushed, so it is not checked for
+    completeness."""
+    cfg = ScenarioConfig(peer_count=3, friends_per_user=2, sim_duration_ticks=1_000,
+                         friend_request_phases=(), bootstrapping=bootstrapping)
+    trace = trace_of(NEW_KEYS_AFTER_SUBSCRIBING)
+    sim = Simulation(cfg, trace)
+    sim.run()
+    assert sim.verify_consistency() == []
+    monkeypatch.setattr(SocialCache, "on_social_update",
+                        dropping_new_slots(SocialCache.on_social_update))
+    sim = Simulation(cfg, trace)
+    sim.run()
+    assert list(sim.peers["a"].social.channels) == ["b", "c"]
+    assert sim.verify_consistency() == ([
+        "a: holds 1 items in 1 slots of b's 2",
+        "a: holds 0 items in 0 slots of c's 1",
+    ] if bootstrapping else [])
+
+
+def test_social_state_costs_a_bound_per_channel_and_per_tracked_user():
+    """What the social caches of a 128-peer run still hold from their own
+    allocations, apart from the item lists (each ``own``, each channel's
+    section and the shared ``slot_of``), is about 107.5 bytes per channel
+    plus tracked user: the MUC entries and their values, the dict slots and
+    each cache's fixed part.  A stored gap per MUC entry would add about 18
+    bytes to that, and a second user -> section dict about 12, so either
+    exceeds the bound."""
+    cfg = ScenarioConfig(peer_count=128, friends_per_user=25, lookups_per_interaction=5.0,
+                         new_experiment_time_days=0.01)
+    trace = generate_trace(cfg)
+    tracemalloc.start()
+    try:
+        sim = Simulation(cfg, trace)
+        sim.run()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snapshot.filter_traces([tracemalloc.Filter(True, social_cache.__file__)])
+    size = sum(stat.size for stat in held.statistics("filename"))
+    lists = [sim.slot_of] + [social.own for social in sim._socials] + [
+        section for social in sim._socials for section in social.channels.values()
+        if section is not None]
+    channels = sum(len(social.channels) for social in sim._socials)
+    tracked = sum(len(social.muc) for social in sim._socials)
+    assert channels > 1_500 and tracked > 2_000
+    assert (size - sum(map(sys.getsizeof, lists))) / (channels + tracked) <= 116
 
 
 def test_bootstrapped_sections_cost_at_most_16_bytes_per_item():
@@ -395,7 +458,7 @@ def test_bootstrapped_sections_cost_at_most_16_bytes_per_item():
     sim.run()
     items = sum(social.store_items for social in sim._socials)
     size = sum(sys.getsizeof(section) for social in sim._socials
-               for section in social.store.values())
+               for section in social.channels.values() if section is not None)
     assert items > 100
     assert size / items <= 16
 
@@ -419,7 +482,7 @@ def test_dumps_land_in_no_section(kind, setup, trigger, monkeypatch):
 
     def observed_bootstrap(social, sender, items):
         seen["dumps"] += 1
-        seen["sections"] += sender in social.store
+        seen["sections"] += social.channels[sender] is not None
         seen["re-subscribes"] += (social.owner, sender) in dropped
         return on_bootstrap(social, sender, items)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     ReferenceCertificate,
+    _reference_gap,
     apply_reference_diff,
     brute_force_top_n,
     direct_medium_interaction_length,
@@ -124,7 +125,7 @@ def test_muc_capacity_evicts_lowest_ranked():
 
 def _muc_fields(user, entry):
     return (user, entry.event_count, entry.lookup_count, entry.weighted.hex(),
-            entry.first_at, entry.last_at, entry.gap.hex())
+            entry.first_at, entry.last_at)
 
 
 @pytest.mark.parametrize("trigger", list(SelectionTrigger))
@@ -434,7 +435,7 @@ def test_unsubscribe_purges_store():
     me._subscribe("them")
     assert me.store_items == 1
     me._unsubscribe("them")
-    assert "them" not in me.store
+    assert "them" not in me.channels
     assert me.store_items == 0
     assert "me" not in them.receivers
 
@@ -480,7 +481,6 @@ def test_store_follows_updates_purges_and_dumps(ops):
     for user in "uv":
         cache.channels[user] = None
         slotted(cache.slot_of, *[obj(user, path) for path in "xyz"])
-    store = cache.store
     want: dict[str, dict[str, int]] = {}
     for op in ops:
         user = op[1]
@@ -496,12 +496,13 @@ def test_store_follows_updates_purges_and_dumps(ops):
                 want[user] = dict(zip("xyz", op[2]))
             items = [obj(user, p, v) for p, v in zip("xyz", op[2])]
             assert cache.on_bootstrap(user, items) == len(items)
+        sections = {u: section for u, section in cache.channels.items() if section is not None}
         got = {
             u: {c.key.path: c.version for c in section if c is not None}
-            for u, section in store.items()
+            for u, section in sections.items()
         }
         assert got == want
-        assert all(cache.slot_of[c.key] == slot for section in store.values()
+        assert all(cache.slot_of[c.key] == slot for section in sections.values()
                    for slot, c in enumerate(section) if c is not None)
         assert cache.store_items == sum(len(paths) for paths in want.values())
 
@@ -537,8 +538,8 @@ def test_a_section_without_a_dump_pads_and_counts_only_items():
     for i in (4, 1, 5, 1, 2):
         assert cache.on_social_update("them", theirs[i])
     assert cache.on_social_update("you", yours[2])
-    assert cache.store["them"] == [None, theirs[1], theirs[2], None, theirs[4], theirs[5]]
-    assert cache.store["you"] == [None, None, yours[2]]
+    assert cache.channels["them"] == [None, theirs[1], theirs[2], None, theirs[4], theirs[5]]
+    assert cache.channels["you"] == [None, None, yours[2]]
     assert cache.store_items == 5
     assert [cache.lookup(c.key) for c in theirs] == [None, *theirs[1:3], None, *theirs[4:]]
     assert cache.lookup(yours[3].key) is None  # past the section's end
@@ -844,9 +845,12 @@ def test_run_selection_matches_rank_everything_reference(kind, muc_capacity):
                 times[user].append(now)
                 for c in pair:
                     c.track(user, interaction, now)
-            for user, entry in cache.muc.items():
+            # The gap a score reads, bit for bit the reference's and the
+            # mean of the recorded gaps.
+            for _, user, entry, _, gap in cache._score_keys(cache.muc.items(), now):
                 ts = times[user]
-                assert entry.gap == (ts[-1] - ts[0]) / max(len(ts) - 2, 1)
+                assert gap.hex() == _reference_gap(entry).hex()
+                assert gap == (ts[-1] - ts[0]) / max(len(ts) - 2, 1)
             now += rng.choice([0, 1, 50])
 
             entries, channels = cache.muc, cache.channels

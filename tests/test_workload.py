@@ -543,6 +543,43 @@ def test_generated_trace_retains_few_bytes_per_target():
     assert (retained - columns - len(trace.actions)) / targets <= 120
 
 
+def test_loading_a_trace_peaks_at_few_bytes_per_event(tmp_path):
+    # The parser appends to columns that start one byte wide and widen on
+    # the first value they cannot hold, so its columns are about as narrow
+    # as the loaded trace's (here 10 bytes per event, plus array slack) and
+    # nothing is copied to narrow them: a peak of about 12.6 bytes per
+    # event, where 8-byte ticks and 4-byte actors, targets and sizes,
+    # narrowed after parsing, peaked near 23.
+    cfg = ScenarioConfig(peer_count=16, friends_per_user=6, lookups_per_interaction=400.0,
+                         new_experiment_time_days=0.25)
+    path = tmp_path / "trace.txt"
+    save_trace(generate_trace(cfg), path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        trace = load_trace(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) > 100_000
+    assert typecodes(trace) == ("I", "B", "H", "H")
+    assert peak / len(trace) <= 14
+
+
+def test_columns_widen_on_the_event_that_overflows_them():
+    # One event overflows the one-byte tick and size columns at once, after
+    # one-byte events; a later one widens the ticks again.
+    trace = trace_of([TraceEvent(0, "a", POST, "a/x", 8), TraceEvent(255, "b", LOOKUP, "a/x"),
+                      TraceEvent(70_000, "a", POST, "a/y", 300),
+                      TraceEvent(2**32, "b", LOOKUP, "a/y")])
+    assert typecodes(trace) == ("q", "B", "B", "H")
+    assert list(trace.ticks) == [0, 255, 70_000, 2**32]
+    assert list(trace.actors) == [0, 1, 0, 1]
+    assert list(trace.target_ids) == [0, 0, 1, 1]
+    assert list(trace.sizes) == [8, 0, 300, 0]
+
+
 def test_a_trace_past_2_32_ticks_keeps_8_byte_ticks(tmp_path):
     far = 2**32 + 5
     trace = trace_of(EVENTS + [TraceEvent(far, "bob", LOOKUP, "alice/x/y")])
