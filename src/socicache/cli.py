@@ -3,8 +3,9 @@
 Three commands: ``run`` executes one scenario, ``compare-strategies`` runs
 the same trace under each selection strategy (social cache only), and
 ``compare-caches`` runs it under each cache setup (social-score strategy).
-Config files are flat ``key=value`` text with dotted sections; precedence is
-command line ``--set`` over file values over built-in defaults.
+Config files are flat ``key=value`` text whose keys are the fields of
+``ScenarioConfig``, dotted for a section; precedence is command line
+``--set`` over file values over built-in defaults.
 
 Exit codes: 0 success, 1 runtime failure or a broken run invariant (the
 outputs are written first), 2 configuration error.
@@ -19,13 +20,15 @@ import math
 import os
 import platform
 import sys
-from dataclasses import replace
+import types
+from dataclasses import is_dataclass, replace
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, get_args, get_origin, get_type_hints
 
 from .metrics import export_rows_csv
 from .sim import RunResult, compare_caches, compare_strategies, run_scenario
-from .social_cache import SelectionTrigger, Strategy
 from .workload import (
     CacheSetup,
     ConfigError,
@@ -59,24 +62,6 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-def _parse_tuple(conv: Callable[[str], object]) -> Callable[[str], tuple]:
-    def parse(raw: str) -> tuple:
-        raw = raw.strip()
-        if not raw:
-            return ()
-        return tuple(conv(part) for part in raw.split(","))
-
-    return parse
-
-
-def _join(fmt: Callable[[object], str]) -> Callable[[tuple], str]:
-    return lambda values: ",".join(fmt(v) for v in values)
-
-
-def _enum_value(member: enum.Enum) -> str:
-    return member.value
-
-
 class _Key(NamedTuple):
     """One config key: how to read and write it on a config, parse its text
     and format its value."""
@@ -87,56 +72,62 @@ class _Key(NamedTuple):
     fmt: Callable[[object], str]
 
 
-def _attr(path: str, parse: Callable[[str], object], fmt: Callable[[object], str] = str,
-          resolved: str | None = None) -> _Key:
-    """Key for the attribute ``path`` of the config, ``section.name`` for a
-    field of a section; setting it replaces the section with a copy, as a
-    frozen section cannot be assigned into.  ``resolved`` names a derived
-    attribute that is serialized in place of an unset one."""
+# The keys are the fields of ScenarioConfig, ``section.name`` for a field of
+# a section, but for these three names.
+_RENAMED = {
+    "strategy.update_interval": "strategy.update_interval_ticks",
+    "strategy.lookup_weight": "strategy.weight.lookup",
+    "strategy.friend_request_weight": "strategy.weight.friend_request",
+}
+# Fields whose default is derived: the derived attribute is serialized.
+_RESOLVED = {"sim_duration_ticks": "duration", "friend_request_phases": "phases"}
+
+
+def _codec(tp: object) -> tuple[Callable[[str], object], Callable[[object], str]]:
+    """The parser and formatter of a field of type ``tp``.  A type with no
+    rule raises TypeError when this module is imported, so no field can
+    drop out of ``serialize_config`` and ``run_id``."""
+    args = get_args(tp)
+    if tp is bool:
+        return _parse_bool, lambda value: str(value).lower()
+    if tp is int:
+        return int, str
+    if tp is float:
+        return _parse_float, repr
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return tp, lambda member: member.value
+    if get_origin(tp) is tuple and args[1:] == (Ellipsis,):
+        parse, fmt = _codec(args[0])
+        return (lambda raw: tuple(map(parse, raw.split(","))) if raw.strip() else (),
+                lambda values: ",".join(map(fmt, values)))
+    if isinstance(tp, types.UnionType) and args[1:] == (type(None),):
+        return _codec(args[0])
+    raise TypeError(f"no config key rule for type {tp!r}")
+
+
+def _set(cfg: ScenarioConfig, value: object, path: str) -> None:
+    """Set the config field ``path``; a frozen section is replaced by a
+    copy that holds the value."""
     section, _, name = path.rpartition(".")
-    if not section:
-        return _Key(lambda cfg: getattr(cfg, resolved or name),
-                    lambda cfg, value: setattr(cfg, name, value), parse, fmt)
-    return _Key(lambda cfg: getattr(getattr(cfg, section), resolved or name),
-                lambda cfg, value: setattr(cfg, section,
-                                           replace(getattr(cfg, section), **{name: value})),
-                parse, fmt)
+    if section:
+        value, name = replace(getattr(cfg, section), **{name: value}), section
+    setattr(cfg, name, value)
+
+
+def _leaf_fields() -> Iterator[tuple[str, object]]:
+    """The path and type of each field of ScenarioConfig and its sections."""
+    for name, tp in get_type_hints(ScenarioConfig).items():
+        if is_dataclass(tp):
+            for field, field_tp in get_type_hints(tp).items():
+                yield f"{name}.{field}", field_tp
+        else:
+            yield name, tp
 
 
 _KEYS: dict[str, _Key] = {
-    "peer_count": _attr("peer_count", int),
-    "friends_per_user": _attr("friends_per_user", int),
-    "new_experiment_time_days": _attr("new_experiment_time_days", _parse_float, repr),
-    "sim_duration_ticks": _attr("sim_duration_ticks", int, resolved="duration"),
-    "friend_request_phases": _attr("friend_request_phases", _parse_tuple(int), _join(str),
-                                   resolved="phases"),
-    "initial_friend_fraction": _attr("initial_friend_fraction", _parse_float, repr),
-    "cache_setup": _attr("cache_setup", CacheSetup, _enum_value),
-    "seed": _attr("seed", int),
-    "keys_per_user": _attr("keys_per_user", int),
-    "payload_bytes": _attr("payload_bytes", int),
-    "lookups_per_interaction": _attr("lookups_per_interaction", _parse_float, repr),
-    "tier_sizes": _attr("tier_sizes", _parse_tuple(int), _join(str)),
-    "tier_shares": _attr("tier_shares", _parse_tuple(_parse_float), _join(repr)),
-    "replication_factor": _attr("replication_factor", int),
-    "bootstrapping": _attr("bootstrapping", _parse_bool, lambda value: str(value).lower()),
-    "muc_capacity": _attr("muc_capacity", int),
-    "sample_cadence_ticks": _attr("sample_cadence_ticks", int),
-    "current_cache.ttl_ticks": _attr("current_cache.ttl_ticks", int),
-    "current_cache.capacity": _attr("current_cache.capacity", int),
-    "strategy.kind": _attr("strategy.kind", Strategy, _enum_value),
-    "strategy.alpha": _attr("strategy.alpha", _parse_float, repr),
-    "strategy.beta": _attr("strategy.beta", _parse_float, repr),
-    "strategy.n": _attr("strategy.n", int),
-    "strategy.m": _attr("strategy.m", int),
-    "strategy.update_interval_ticks": _attr("strategy.update_interval", int),
-    "strategy.trigger": _attr("strategy.trigger", SelectionTrigger, _enum_value),
-    "dataset.avg_ts_interaction_days": _attr("dataset.avg_ts_interaction_days", _parse_float,
-                                             repr),
-    "dataset.experiment_span_days": _attr("dataset.experiment_span_days", _parse_float, repr),
-    "strategy.weight.lookup": _attr("strategy.lookup_weight", _parse_float, repr),
-    "strategy.weight.friend_request": _attr("strategy.friend_request_weight", _parse_float,
-                                            repr),
+    _RENAMED.get(path, path): _Key(attrgetter(_RESOLVED.get(path, path)),
+                                   partial(_set, path=path), *_codec(tp))
+    for path, tp in _leaf_fields()
 }
 
 
@@ -161,8 +152,10 @@ def _first_bad_bytes(path: Path) -> tuple[int, str]:
     raise ConfigError(f"{path} changed while it was read")
 
 
-def parse_config_file(path: Path) -> list[tuple[str, str]]:
-    items: list[tuple[str, str]] = []
+def parse_config_file(path: Path) -> dict[str, tuple[int, str]]:
+    """Each key of the file at ``path`` with its line number and value; a
+    key given twice is an error that names both lines."""
+    items: dict[str, tuple[int, str]] = {}
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -177,7 +170,10 @@ def parse_config_file(path: Path) -> list[tuple[str, str]]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        items.append((key.strip(), value.strip()))
+        key = key.strip()
+        if key in items:
+            raise ConfigError(f"{path}:{line_no}: {key} is already set on line {items[key][0]}")
+        items[key] = (line_no, value.strip())
     return items
 
 
@@ -209,8 +205,11 @@ def cache_comparison_profile() -> ScenarioConfig:
 def resolve_config(args: argparse.Namespace, profile: Callable[[], ScenarioConfig]) -> ScenarioConfig:
     cfg = profile()
     if args.config is not None:
-        for key, value in parse_config_file(args.config):
-            apply_setting(cfg, key, value)
+        for key, (line_no, value) in parse_config_file(args.config).items():
+            try:
+                apply_setting(cfg, key, value)
+            except ConfigError as exc:
+                raise ConfigError(f"{args.config}:{line_no}: {exc}") from exc
     for override in args.overrides:
         key, sep, value = override.partition("=")
         if not sep:

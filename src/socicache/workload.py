@@ -13,7 +13,6 @@ tier receives a configurable share of that actor's lookups.
 """
 from __future__ import annotations
 
-import copy
 import enum
 import hashlib
 import random
@@ -62,7 +61,7 @@ def sampled_interval(x: float, dataset_experiment_time: float,
     return dataset_experiment_time / (new_experiment_time * x)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetStats:
     """Aggregate statistics of the ego-network dataset the workloads are
     scaled from (interval values in days)."""
@@ -261,7 +260,7 @@ class CacheSetup(enum.Enum):
         return self in (CacheSetup.SOCIAL_ONLY, CacheSetup.BOTH)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurrentCacheConfig:
     ttl_ticks: int = 60_000
     capacity: int = 1000
@@ -270,7 +269,8 @@ class CurrentCacheConfig:
 @dataclass
 class ScenarioConfig:
     """Everything one experiment needs: population, timing, strategy and
-    cache settings, and the workload shape."""
+    cache settings, and the workload shape.  Its sections are frozen:
+    change one with ``dataclasses.replace``."""
 
     peer_count: int = 64
     friends_per_user: int = 25
@@ -666,16 +666,12 @@ def load_trace(path) -> Trace:
 
 
 def scenario_for_strategy(cfg: ScenarioConfig, kind: Strategy) -> ScenarioConfig:
-    """A copy of ``cfg`` that runs ``kind``; it shares no section with
-    ``cfg``, so an override on either leaves the other as it is."""
-    derived = copy.deepcopy(cfg)
-    derived.strategy = replace(derived.strategy, kind=kind)
-    return derived
+    """A copy of ``cfg`` that runs ``kind``.  Its sections are frozen, so
+    sharing them with ``cfg`` lets no override on either reach the other."""
+    return replace(cfg, strategy=replace(cfg.strategy, kind=kind))
 
 
 def scenario_for_setup(cfg: ScenarioConfig, setup: CacheSetup) -> ScenarioConfig:
-    """A copy of ``cfg`` with the cache setup ``setup``; it shares no
-    section with ``cfg``."""
-    derived = copy.deepcopy(cfg)
-    derived.cache_setup = setup
-    return derived
+    """A copy of ``cfg`` with the cache setup ``setup``, sharing its frozen
+    sections."""
+    return replace(cfg, cache_setup=setup)

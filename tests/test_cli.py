@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import operator
 import platform
+import re
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +102,74 @@ def test_unknown_key_exits_two_and_names_key(tmp_path, capsys):
         code = main(["run", "--out", str(tmp_path), "--set", f"{key}=1"])
         assert code == 2
         assert f"unknown config key: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, error", [
+    ("no_such=1", "unknown config key: no_such"),
+    ("friends_per_user=many", "bad value for friends_per_user: "),
+])
+def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, line, error):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"# comment\npeer_count=8\n\n{line}\n", encoding="utf-8")
+    code = main(["run", "--out", str(tmp_path / "out"), "--config", str(config)])
+    assert code == 2
+    assert f"config error: {config}:4: {error}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # The same setting from --set names the key alone, as it has no line.
+    key, _, value = line.partition("=")
+    assert main(["run", "--out", str(tmp_path / "out"), "--set", f"{key}={value}"]) == 2
+    assert f"socicache: config error: {error}" in capsys.readouterr().err
+
+
+def test_a_key_given_twice_in_a_config_file_exits_two_and_names_both_lines(tmp_path, capsys):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("peer_count=16\nfriends_per_user=4\nsim_duration_ticks=600000\n"
+                      " peer_count = 20\n", encoding="utf-8")
+    code = main(["run", "--out", str(tmp_path / "out"), "--config", str(config)])
+    assert code == 2
+    assert f"{config}:4: peer_count is already set on line 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # --set may still override a file's key, and the last --set wins.
+    config.write_text("peer_count=16\nfriends_per_user=4\nsim_duration_ticks=600000\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--out", str(out), "--config", str(config),
+                 "--set", "peer_count=12", "--set", "peer_count=10"])
+    assert code == 0
+    assert read_rows(out / "summary.csv")[0]["peer_count"] == "10"
+
+
+# The config fields whose key is not their dotted path.
+RENAMED_FIELDS = {
+    "strategy.update_interval": "strategy.update_interval_ticks",
+    "strategy.lookup_weight": "strategy.weight.lookup",
+    "strategy.friend_request_weight": "strategy.weight.friend_request",
+}
+
+
+def test_every_config_field_is_exactly_one_key():
+    """Every field of ScenarioConfig, and of each of its sections as
+    ``section.name``, is one key that reads it; only the renamed fields'
+    keys differ from their path."""
+    cfg = every_key_changed()  # sets the two fields whose key is resolved
+    paths = []
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        paths += ([f"{field.name}.{sub.name}" for sub in dataclasses.fields(value)]
+                  if dataclasses.is_dataclass(value) else [field.name])
+    names = [RENAMED_FIELDS.get(path, path) for path in paths]
+    assert len(names) == len(set(names)) == 30
+    assert sorted(names) == sorted(cli._KEYS)
+    for path, name in zip(paths, names):
+        assert cli._KEYS[name].get(cfg) == operator.attrgetter(path)(cfg), name
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Configuration\n", 1)[1].split("```")[1]
+    missing = [key for key in cli._KEYS
+               if not re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])", block)]
+    assert missing == []
 
 
 def _is_float_key(value):

@@ -3,7 +3,7 @@ import random
 import statistics
 import tracemalloc
 from array import array
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import islice
 from pathlib import Path
 
@@ -296,13 +296,21 @@ def test_a_run_too_short_names_the_key_that_set_it(days):
 def test_override_on_a_derived_config_leaves_its_base_unchanged(derive):
     base = ScenarioConfig()
     derived = derive(base)
-    derived.current_cache.capacity = 7
-    derived.dataset.avg_ts_interaction_days = 1.0
-    # The strategy is frozen: an override replaces it.
+    # Every section is frozen, so the derived config may share them with its
+    # base: assigning into one raises, and an override replaces it.
+    with pytest.raises(FrozenInstanceError):
+        derived.current_cache.capacity = 7
+    with pytest.raises(FrozenInstanceError):
+        derived.dataset.avg_ts_interaction_days = 1.0
+    derived.current_cache = replace(derived.current_cache, capacity=7)
+    derived.dataset = replace(derived.dataset, avg_ts_interaction_days=1.0)
     derived.strategy = replace(derived.strategy, alpha=0.5, lookup_weight=9.0)
     assert base == ScenarioConfig()
-    base.current_cache.ttl_ticks = 5
-    assert derived.current_cache.ttl_ticks == ScenarioConfig().current_cache.ttl_ticks
+    derived.peer_count = 9
+    derived.tier_sizes = (2, 3)
+    assert base == ScenarioConfig()
+    base.seed = 5
+    assert derived.seed == ScenarioConfig().seed
 
 
 def test_package_version_is_the_project_version():
