@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, get_args, get_origin, get_type_hints
 
 from .metrics import export_rows_csv
-from .sim import RunResult, compare_caches, compare_strategies, run_scenario
+from .sim import RunResult, cache_runs, run_all, strategy_runs
 from .workload import (
     CacheSetup,
     ConfigError,
@@ -182,9 +182,11 @@ def serialize_config(cfg: ScenarioConfig) -> dict[str, str]:
     return {key: entry.fmt(entry.get(cfg)) for key, entry in _KEYS.items()}
 
 
-def run_id(cfg: ScenarioConfig) -> str:
-    """Identity of a resolved config: a hash of its sorted flat keys."""
-    canonical = "\n".join(f"{k}={v}" for k, v in sorted(serialize_config(cfg).items()))
+def run_id(*cfgs: ScenarioConfig) -> str:
+    """Identity of the resolved configs a command runs, in run order: a
+    hash of each one's sorted flat keys."""
+    canonical = "\n".join(f"{k}={v}" for cfg in cfgs
+                          for k, v in sorted(serialize_config(cfg).items()))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
@@ -203,28 +205,32 @@ def cache_comparison_profile() -> ScenarioConfig:
 
 
 def resolve_config(args: argparse.Namespace, profile: Callable[[], ScenarioConfig]) -> ScenarioConfig:
+    """The profile with the config file, ``--set`` and ``--seed`` applied.
+    A check's error names the line of each key it read that the file set."""
     cfg = profile()
+    lines: dict[str, int] = {}
     if args.config is not None:
         for key, (line_no, value) in parse_config_file(args.config).items():
             try:
                 apply_setting(cfg, key, value)
             except ConfigError as exc:
                 raise ConfigError(f"{args.config}:{line_no}: {exc}") from exc
+            lines[key] = line_no
     for override in args.overrides:
         key, sep, value = override.partition("=")
         if not sep:
             raise ConfigError(f"--set expects KEY=VALUE, got {override!r}")
         apply_setting(cfg, key.strip(), value.strip())
+        lines.pop(key.strip(), None)
     if args.seed is not None:
         cfg.seed = args.seed
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        keys = [_RENAMED.get(path, path) for path in exc.keys]
+        where = sorted(lines[key] for key in keys if key in lines)
+        raise ConfigError("".join(f"{args.config}:{n}: " for n in where) + str(exc)) from exc
     return cfg
-
-
-def resolve_out_dir(args: argparse.Namespace) -> Path:
-    if args.out is not None:
-        return args.out
-    return Path(os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
 
 
 def _load_optional_trace(args: argparse.Namespace) -> Trace | None:
@@ -281,35 +287,6 @@ def _check_invariants(results: list[RunResult]) -> int:
     return 1
 
 
-def _execute(args: argparse.Namespace, profile, runner, table_writer=None) -> int:
-    """Run a command, write its outputs (each run's under ``<out>/<label>``
-    beside a comparison table) and a manifest of the resolved config, its
-    ``run_id``, the trace digest and the interpreter, then check every
-    run's invariants."""
-    cfg = resolve_config(args, profile)
-    out_dir = resolve_out_dir(args)
-    cfg_id = run_id(cfg)
-    results = runner(cfg, trace=_load_optional_trace(args))
-    for result in results:
-        run_dir = out_dir if table_writer is None else out_dir / result.label
-        write_run_outputs(result, run_dir, cfg_id)
-        _print_summary_line(result)
-    if table_writer is not None:
-        table_writer(results, out_dir)
-    manifest = {
-        "run_id": cfg_id,
-        "seed": cfg.seed,
-        "config_path": str(args.config) if args.config else None,
-        "output_dir": str(out_dir),
-        "config": serialize_config(cfg),
-        "trace_digest": results[0].trace_digest,
-        "python": f"{platform.python_implementation()} {platform.python_version()}",
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return _check_invariants(results)
-
-
 def _write_strategy_table(results: list[RunResult], out_dir: Path) -> None:
     columns = ("strategy", "cache_replies", "overlay_replies", "total_replies", "hit_ratio")
     rows = []
@@ -342,18 +319,55 @@ def _write_cache_table(results: list[RunResult], out_dir: Path) -> None:
     export_rows_csv(out_dir / "comparison.csv", columns, rows)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    return _execute(args, default_run_profile,
-                    lambda cfg, trace: [run_scenario(cfg, trace, label="run")])
+class _Command(NamedTuple):
+    """What a command runs: its config profile, the plan of runs made
+    from the resolved config, and the comparison table of a comparison."""
+
+    help: str
+    profile: Callable[[], ScenarioConfig]
+    plan: Callable[[ScenarioConfig], list[tuple[str, ScenarioConfig]]]
+    table_writer: Callable[[list[RunResult], Path], None] | None = None
 
 
-def cmd_compare_strategies(args: argparse.Namespace) -> int:
-    return _execute(args, strategy_comparison_profile, compare_strategies,
-                    _write_strategy_table)
+COMMANDS = {
+    "run": _Command("run one scenario", default_run_profile, lambda cfg: [("run", cfg)]),
+    "compare-strategies": _Command("run the three selection strategies on one trace",
+                                   strategy_comparison_profile, strategy_runs,
+                                   _write_strategy_table),
+    "compare-caches": _Command("run the four cache setups on one trace",
+                               cache_comparison_profile, cache_runs, _write_cache_table),
+}
 
 
-def cmd_compare_caches(args: argparse.Namespace) -> int:
-    return _execute(args, cache_comparison_profile, compare_caches, _write_cache_table)
+def _execute(args: argparse.Namespace, command: _Command) -> int:
+    """Run the command's plan, write its outputs (each run's under
+    ``<out>/<label>`` beside a comparison table) and a manifest of the
+    resolved config, the plan's ``run_id``, the trace digest and the
+    interpreter, then check every run's invariants."""
+    cfg = resolve_config(args, command.profile)
+    runs = command.plan(cfg)
+    table_writer = command.table_writer
+    out_dir = args.out or Path(os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
+    runs_id = run_id(*(run_cfg for _, run_cfg in runs))
+    results = run_all(runs, _load_optional_trace(args))
+    for result in results:
+        run_dir = out_dir if table_writer is None else out_dir / result.label
+        write_run_outputs(result, run_dir, runs_id)
+        _print_summary_line(result)
+    if table_writer is not None:
+        table_writer(results, out_dir)
+    manifest = {
+        "run_id": runs_id,
+        "seed": cfg.seed,
+        "config_path": str(args.config) if args.config else None,
+        "output_dir": str(out_dir),
+        "config": serialize_config(cfg),
+        "trace_digest": results[0].trace_digest,
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+    }
+    (out_dir / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return _check_invariants(results)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,15 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate social + TTL/LRU caching over a DHT-backed social network.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = (
-        ("run", cmd_run, "run one scenario"),
-        ("compare-strategies", cmd_compare_strategies,
-         "run the three selection strategies on one trace"),
-        ("compare-caches", cmd_compare_caches,
-         "run the four cache setups on one trace"),
-    )
-    for name, fn, help_text in commands:
-        sp = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--config", type=Path, default=None, help="key=value config file")
         sp.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         sp.add_argument("--out", type=Path, default=None,
@@ -379,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE", help="override one config key (repeatable)")
         sp.add_argument("--trace", type=Path, default=None,
                         help="replay a trace file instead of generating one")
-        sp.set_defaults(func=fn)
     return parser
 
 
@@ -387,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _execute(args, COMMANDS[args.command])
     except (ConfigError, TraceFormatError) as exc:
         print(f"socicache: config error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,15 @@ UserId = str
 SimTime = int
 
 
+class ConfigError(ValueError):
+    """Scenario configuration that cannot produce a runnable experiment;
+    ``keys`` are the fields its check read (``section.name`` in a section)."""
+
+    def __init__(self, message: str, keys: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.keys = keys
+
+
 class InvalidKeyError(ValueError):
     """Raised for malformed or unparseable storage keys."""
 
@@ -43,12 +52,12 @@ class StorageKey(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class ContentObject:
-    """A versioned stored item, written only by its key's owner; versions
-    per key strictly increase."""
+    """A versioned stored item of ``size`` bytes, written only by its key's
+    owner; versions per key strictly increase."""
 
     key: StorageKey
     version: int
-    payload: bytes
+    size: int
 
 
 class InteractionKind(enum.Enum):

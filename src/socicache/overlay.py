@@ -30,7 +30,7 @@ class InvalidEnvelopeError(ValueError):
 class DhtStore:
     """Key-value store keeping the latest object per key.
 
-    ``bytes_written`` charges each put with payload size times the
+    ``bytes_written`` charges each put with content size times the
     replication factor; ``bytes_read`` is charged per successful get.
     """
 
@@ -50,7 +50,7 @@ class DhtStore:
         self.entries[content.key] = content
         counters = self.counters
         counters.dht_puts += 1
-        counters.bytes_written += len(content.payload) * self.replication_factor
+        counters.bytes_written += content.size * self.replication_factor
 
     def get(self, key: StorageKey) -> ContentObject | None:
         """Overlay lookup; a miss is counted but is not an error."""
@@ -58,7 +58,7 @@ class DhtStore:
         counters.dht_lookups += 1
         obj = self.entries.get(key)
         if obj is not None:
-            counters.bytes_read += len(obj.payload)
+            counters.bytes_read += obj.size
         return obj
 
 

@@ -79,8 +79,8 @@ class Peer:
 
     # -- writes -------------------------------------------------------------
 
-    def add_content(self, key: StorageKey, payload: bytes, now: SimTime) -> ContentObject:
-        """Publish own content: local stores, persistent overlay write, and
+    def add_content(self, key: StorageKey, size: int, now: SimTime) -> ContentObject:
+        """Publish own content of ``size`` bytes: local stores, persistent overlay write, and
         one social update per subscriber."""
         if key.owner != self.user:
             raise NotOwnerError(f"{self.user!r} cannot write {key}")
@@ -88,7 +88,7 @@ class Peer:
         # ``get``, which would count a lookup.
         stored = self.dht.entries.get(key)
         version = 1 if stored is None else stored.version + 1
-        content = ContentObject(key, version, payload)
+        content = ContentObject(key, version, size)
         if self.social is not None:
             self.social.publish(content)
         if self.current is not None:

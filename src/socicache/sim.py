@@ -60,7 +60,7 @@ class Simulation:
         self.slot_of: dict[StorageKey, int] = {}  # see ``SocialCache``
         self.ledger = MetricsLedger()
         self.peers: dict[UserId, Peer] = {}
-        self._payloads: dict[int, bytes] = {}
+        self._sizes: dict[int, int] = {}  # one int per POST size, see ``_apply_event``
         self.max_channels = 0
         self.max_muc_entries = 0
         self._digest = trace_digest(trace)
@@ -85,13 +85,6 @@ class Simulation:
 
     # -- event processing ---------------------------------------------------
 
-    def _payload(self, size: int) -> bytes:
-        blob = self._payloads.get(size)
-        if blob is None:
-            blob = bytes(size)
-            self._payloads[size] = blob
-        return blob
-
     def _apply_event(self, at: SimTime, actor: Peer, action: int,
                      target: StorageKey | UserId, size: int) -> None:
         """One trace event, already resolved: the acting peer, the action
@@ -99,7 +92,8 @@ class Simulation:
         if action == LOOKUP_CODE:
             actor.handle_request(target, at)
         elif action == POST_CODE:
-            actor.add_content(target, self._payload(size), at)
+            # Each read of a size past 256 makes a new int: all content shares one per size.
+            actor.add_content(target, self._sizes.setdefault(size, size), at)
         else:
             actor.send_friend_request(target, at)
 
@@ -314,13 +308,6 @@ class Simulation:
         )
 
 
-def run_scenario(cfg: ScenarioConfig, trace: Trace | None = None,
-                 label: str | None = None) -> RunResult:
-    if trace is None:
-        trace = generate_trace(cfg)
-    return Simulation(cfg, trace, label or cfg.strategy.kind.value).run()
-
-
 STRATEGY_ORDER = (Strategy.RANDOM, Strategy.TREND, Strategy.SOCIAL_SCORE)
 SETUP_ORDER = (
     CacheSetup.NONE,
@@ -330,27 +317,25 @@ SETUP_ORDER = (
 )
 
 
-def compare_strategies(cfg: ScenarioConfig,
-                       trace: Trace | None = None) -> list[RunResult]:
-    """Run the same trace once per selection strategy, social cache only.
-    Every run's config is checked before the trace is made."""
+def strategy_runs(cfg: ScenarioConfig) -> list[tuple[str, ScenarioConfig]]:
+    """One run per selection strategy, social cache only."""
     base = scenario_for_setup(cfg, CacheSetup.SOCIAL_ONLY)
-    runs = [scenario_for_strategy(base, kind) for kind in STRATEGY_ORDER]
-    for run in runs:
-        run.validate()
-    if trace is None:
-        trace = generate_trace(base)
-    return [run_scenario(run, trace) for run in runs]
+    return [(kind.value, scenario_for_strategy(base, kind)) for kind in STRATEGY_ORDER]
 
 
-def compare_caches(cfg: ScenarioConfig,
-                   trace: Trace | None = None) -> list[RunResult]:
-    """Run the same trace once per cache setup with the social-score
-    strategy."""
+def cache_runs(cfg: ScenarioConfig) -> list[tuple[str, ScenarioConfig]]:
+    """One run per cache setup with the social-score strategy."""
     base = scenario_for_strategy(cfg, Strategy.SOCIAL_SCORE)
+    return [(setup.value, scenario_for_setup(base, setup)) for setup in SETUP_ORDER]
+
+
+def run_all(runs: list[tuple[str, ScenarioConfig]], trace: Trace | None = None) -> list[RunResult]:
+    """Run each labelled config on one trace, generated from the first
+    config when none is given; ``generate_trace`` reads neither the strategy
+    nor the cache setup, so the runs of a plan share it.  Every config is
+    checked before the trace is made."""
+    for _, cfg in runs:
+        cfg.validate()
     if trace is None:
-        trace = generate_trace(base)
-    return [
-        run_scenario(scenario_for_setup(base, setup), trace, label=setup.value)
-        for setup in SETUP_ORDER
-    ]
+        trace = generate_trace(runs[0][1])
+    return [Simulation(cfg, trace, label).run() for label, cfg in runs]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .metrics import Counters
-from .model import ContentObject, InteractionKind, SimTime, StorageKey, UserId
+from .model import ConfigError, ContentObject, InteractionKind, SimTime, StorageKey, UserId
 from .overlay import MessageEnvelope, MessageKind
 
 DUNBAR_MUC_LIMIT = 150
@@ -46,7 +46,7 @@ class _Certificate(NamedTuple):
     below: float  # a tracked unchosen score, widened, must not exceed this
 
 
-class InvalidWeightsError(ValueError):
+class InvalidWeightsError(ConfigError):
     """Social-score weights that cannot rank anything (alpha + beta == 0)."""
 
 
@@ -97,17 +97,19 @@ class StrategyConfig:
 
     def validate(self) -> None:
         if self.n < 1:
-            raise ValueError("channel limit n must be positive")
+            raise ConfigError("channel limit n must be positive", ("n",))
         if self.alpha < 0 or self.beta < 0:
-            raise InvalidWeightsError("alpha and beta must be non-negative")
+            raise InvalidWeightsError("alpha and beta must be non-negative", ("alpha", "beta"))
         if self.kind is Strategy.SOCIAL_SCORE and self.alpha + self.beta <= 0:
-            raise InvalidWeightsError("alpha + beta must be positive for social score")
+            raise InvalidWeightsError("alpha + beta must be positive for social score",
+                                      ("kind", "alpha", "beta"))
         if self.trigger is SelectionTrigger.LOOKUP_COUNT_BASED and not self.n < self.m:
-            raise ValueError("lookup-count trigger requires n < m")
+            raise ConfigError("lookup-count trigger requires n < m", ("trigger", "n", "m"))
         if self.lookup_weight < 0 or self.friend_request_weight < 0:
-            raise ValueError("interaction weights must be non-negative")
+            raise ConfigError("interaction weights must be non-negative",
+                              ("lookup_weight", "friend_request_weight"))
         if self.update_interval < 1:
-            raise ValueError("update_interval must be positive")
+            raise ConfigError("update_interval must be positive", ("update_interval",))
 
 
 class MucEntry:

@@ -21,18 +21,14 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, compress, cycle, islice, repeat
 from math import log, sqrt
-from operator import and_, itemgetter, lshift, or_
+from operator import and_, attrgetter, itemgetter, lshift, or_
 from typing import Iterator, NamedTuple, Sequence
 
-from .model import StorageKey, UserId
+from .model import ConfigError, StorageKey, UserId
 from .social_cache import DUNBAR_MUC_LIMIT, Strategy, StrategyConfig
 
 TICKS_PER_DAY = 86_400_000
 TICKS_PER_SECOND = 1_000
-
-
-class ConfigError(ValueError):
-    """Scenario configuration that cannot produce a runnable experiment."""
 
 
 class InvalidArgumentError(ValueError):
@@ -319,48 +315,48 @@ class ScenarioConfig:
         return self.interaction_gap_ticks() / self.lookups_per_interaction
 
     def validate(self) -> None:
+        """Raise ConfigError, with the fields its check read, for the first
+        setting that cannot run."""
         if self.peer_count < 2:
-            raise ConfigError("peer_count must be at least 2")
+            raise ConfigError("peer_count must be at least 2", ("peer_count",))
         if not 0 < self.friends_per_user < self.peer_count:
-            raise ConfigError("friends_per_user must be positive and below peer_count")
-        if self.new_experiment_time_days <= 0:
-            raise ConfigError("new_experiment_time_days must be positive")
+            raise ConfigError("friends_per_user must be positive and below peer_count",
+                              ("peer_count", "friends_per_user"))
+        for name in ("new_experiment_time_days", "keys_per_user", "lookups_per_interaction",
+                     "replication_factor", "muc_capacity", "sample_cadence_ticks",
+                     "current_cache.ttl_ticks", "current_cache.capacity",
+                     "dataset.avg_ts_interaction_days", "dataset.experiment_span_days"):
+            if attrgetter(name)(self) <= 0:
+                raise ConfigError(f"{name} must be positive", (name,))
         if self.duration <= 0:
             if self.sim_duration_ticks is None:
-                raise ConfigError("new_experiment_time_days must give at least one tick")
-            raise ConfigError("sim_duration_ticks must be positive")
+                raise ConfigError("new_experiment_time_days must give at least one tick",
+                                  ("new_experiment_time_days",))
+            raise ConfigError("sim_duration_ticks must be positive", ("sim_duration_ticks",))
         if not 0 <= self.initial_friend_fraction <= 1:
-            raise ConfigError("initial_friend_fraction must lie in [0, 1]")
-        if self.keys_per_user < 1:
-            raise ConfigError("keys_per_user must be positive")
+            raise ConfigError("initial_friend_fraction must lie in [0, 1]",
+                              ("initial_friend_fraction",))
         if not 0 <= self.payload_bytes < 2**32:
-            raise ConfigError("payload_bytes must lie in [0, 2**32)")
-        if self.lookups_per_interaction <= 0:
-            raise ConfigError("lookups_per_interaction must be positive")
+            raise ConfigError("payload_bytes must lie in [0, 2**32)", ("payload_bytes",))
+        tiers = ("tier_sizes", "tier_shares")
         if len(self.tier_shares) != len(self.tier_sizes) + 1:
-            raise ConfigError("tier_shares must have one more entry than tier_sizes")
+            raise ConfigError("tier_shares must have one more entry than tier_sizes", tiers)
         if any(s < 0 for s in self.tier_shares):
-            raise ConfigError("tier_shares must be non-negative")
+            raise ConfigError("tier_shares must be non-negative", ("tier_shares",))
         if any(s < 1 for s in self.tier_sizes):
-            raise ConfigError("tier_sizes must be positive")
+            raise ConfigError("tier_sizes must be positive", ("tier_sizes",))
         if sum(_tier_weights(self.friends_per_user, self.tier_sizes, self.tier_shares)) <= 0:
-            raise ConfigError("tier_shares must give some friend a positive weight")
-        if self.replication_factor < 1:
-            raise ConfigError("replication_factor must be positive")
-        if self.muc_capacity < 1:
-            raise ConfigError("muc_capacity must be positive")
-        if self.sample_cadence_ticks < 1:
-            raise ConfigError("sample_cadence_ticks must be positive")
+            raise ConfigError("tier_shares must give some friend a positive weight",
+                              ("friends_per_user", *tiers))
         if any(p < 0 or p > self.duration for p in self.phases):
-            raise ConfigError("friend_request_phases must lie within the run")
+            raise ConfigError("friend_request_phases must lie within the run",
+                              ("friend_request_phases", "sim_duration_ticks",
+                               "new_experiment_time_days"))
         try:
             self.strategy.validate()
-        except ValueError as exc:
-            raise ConfigError(f"strategy: {exc}") from exc
-        if self.current_cache.ttl_ticks < 1 or self.current_cache.capacity < 1:
-            raise ConfigError("current_cache ttl and capacity must be positive")
-        if self.dataset.avg_ts_interaction_days <= 0 or self.dataset.experiment_span_days <= 0:
-            raise ConfigError("dataset statistics must be positive")
+        except ConfigError as exc:
+            raise ConfigError(f"strategy: {exc}",
+                              tuple(f"strategy.{key}" for key in exc.keys)) from exc
 
 
 def peer_names(count: int) -> list[UserId]:

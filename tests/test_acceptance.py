@@ -41,7 +41,7 @@ from socicache.metrics import (
     write_rows,
 )
 from socicache.model import ContentObject, InteractionKind, StorageKey
-from socicache.sim import compare_caches, compare_strategies, run_scenario
+from socicache.sim import cache_runs, run_all, strategy_runs
 from socicache.social_cache import SocialCache, Strategy, StrategyConfig
 from socicache.workload import CacheSetup, ScenarioConfig
 
@@ -56,12 +56,12 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def strategy_results():
-    return compare_strategies(strategy_comparison_profile())
+    return run_all(strategy_runs(strategy_comparison_profile()))
 
 
 @pytest.fixture(scope="module")
 def cache_results():
-    return compare_caches(cache_comparison_profile())
+    return run_all(cache_runs(cache_comparison_profile()))
 
 
 # SHA-256 of each default-profile run's metrics.csv bytes followed by its
@@ -216,7 +216,7 @@ def test_criterion_4_social_store_consistent_after_quiescence():
         sim_duration_ticks=1_800_000,  # 30 simulated minutes
         cache_setup=CacheSetup.BOTH,
     )
-    result = run_scenario(cfg)
+    [result] = run_all([("run", cfg)])
     sim = result.simulation
     violations = sim.verify_consistency()
     symmetry = sim.verify_subscription_symmetry()
@@ -337,7 +337,7 @@ def test_criterion_9_lru_ttl_matches_reference():
         key = StorageKey("u", path)
         if rng.random() < 0.5:
             version = step + 1
-            content = ContentObject(key, version, b"x")
+            content = ContentObject(key, version, 1)
             got = cache.insert(content, now)
             want = ref.insert(path, version, now)
             assert (got.path if got is not None else None) == want, f"step {step}"

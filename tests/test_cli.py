@@ -104,21 +104,39 @@ def test_unknown_key_exits_two_and_names_key(tmp_path, capsys):
         assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line, error", [
-    ("no_such=1", "unknown config key: no_such"),
-    ("friends_per_user=many", "bad value for friends_per_user: "),
+@pytest.mark.parametrize("head, line, lines, error", [
+    ("peer_count=8", "no_such=1", (4,), "unknown config key: no_such"),
+    ("peer_count=8", "friends_per_user=many", (4,), "bad value for friends_per_user: "),
+    # A check of ``validate`` names the line of every key it read that the
+    # file set, a renamed key included.
+    ("seed=7", "strategy.n=0", (4,), "strategy: channel limit n must be positive"),
+    ("seed=7", "strategy.update_interval_ticks=0", (4,),
+     "strategy: update_interval must be positive"),
+    ("peer_count=8", "friends_per_user=8", (2, 4),
+     "friends_per_user must be positive and below peer_count"),
 ])
-def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, line, error):
+def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, head, line, lines, error):
     config = tmp_path / "scenario.cfg"
-    config.write_text(f"# comment\npeer_count=8\n\n{line}\n", encoding="utf-8")
+    config.write_text(f"# comment\n{head}\n\n{line}\n", encoding="utf-8")
     code = main(["run", "--out", str(tmp_path / "out"), "--config", str(config)])
     assert code == 2
-    assert f"config error: {config}:4: {error}" in capsys.readouterr().err
+    where = "".join(f"{config}:{line_no}: " for line_no in lines)
+    assert f"config error: {where}{error}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    # The same setting from --set names the key alone, as it has no line.
-    key, _, value = line.partition("=")
-    assert main(["run", "--out", str(tmp_path / "out"), "--set", f"{key}={value}"]) == 2
+    # The same settings from --set name the error alone, as they have no line.
+    sets = [arg for setting in (head, line) for arg in ("--set", setting)]
+    assert main(["run", "--out", str(tmp_path / "out"), *sets]) == 2
     assert f"socicache: config error: {error}" in capsys.readouterr().err
+
+
+def test_a_key_set_again_by_set_loses_its_file_line(tmp_path, capsys):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("peer_count=8\nfriends_per_user=8\n", encoding="utf-8")
+    code = main(["run", "--out", str(tmp_path / "out"), "--config", str(config),
+                 "--set", "peer_count=6"])
+    assert code == 2
+    assert (f"config error: {config}:2: friends_per_user must be positive and below "
+            "peer_count") in capsys.readouterr().err
 
 
 def test_a_key_given_twice_in_a_config_file_exits_two_and_names_both_lines(tmp_path, capsys):
@@ -278,6 +296,25 @@ def test_compare_caches_emits_four_rows(tmp_path):
     assert none_row["hit_ratio"] in ("", "0.000000")
     for row in rows[1:]:
         assert 0.0 <= float(row["hit_ratio"]) <= 1.0
+
+
+def test_run_id_of_one_config_is_unchanged():
+    assert run_id(cli.default_run_profile()) == "e63e50d6f445"
+
+
+def test_comparisons_that_differ_only_in_an_overridden_key_share_a_run_id(tmp_path):
+    """compare-caches sets every run's cache setup, so the base config's
+    ``cache_setup`` changes neither its outputs nor its run id."""
+    outs = [tmp_path / setup for setup in ("both", "none")]
+    for out in outs:
+        assert main(["compare-caches", "--out", str(out), *SMALL,
+                     "--set", f"cache_setup={out.name}"]) == 0
+    ids = [json.loads((out / "manifest.json").read_text())["run_id"] for out in outs]
+    assert ids[0] == ids[1]
+    setups = ("none", "current_only", "social_only", "both")
+    for name in ("comparison.csv", *(f"{setup}/{file}" for setup in setups
+                                     for file in ("metrics.csv", "summary.csv"))):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_run_replays_external_trace(tmp_path):

@@ -9,7 +9,7 @@ from socicache.model import ContentObject, StorageKey
 
 
 def obj(path, version=1):
-    return ContentObject(StorageKey("u", path), version, b"x")
+    return ContentObject(StorageKey("u", path), version, 1)
 
 
 def test_hit_within_ttl():

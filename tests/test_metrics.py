@@ -10,7 +10,7 @@ from socicache.metrics import (
     hit_ratio,
     responses_per_item,
 )
-from socicache.sim import run_scenario
+from socicache.sim import run_all
 from socicache.workload import ScenarioConfig
 
 
@@ -187,7 +187,7 @@ def test_six_hour_run_row_count(tmp_path):
         sim_duration_ticks=21_600_000,
         lookups_per_interaction=5,  # keep the run light
     )
-    result = run_scenario(cfg)
+    [result] = run_all([("run", cfg)])
     assert len(result.ledger.sample_times) == expected_rows
     path = tmp_path / "m.csv"
     result.ledger.export_csv(path)
@@ -199,7 +199,7 @@ def test_same_seed_exports_identical_bytes(tmp_path):
     cfg = ScenarioConfig(peer_count=6, friends_per_user=3, sim_duration_ticks=900_000)
     paths = []
     for name in ("a.csv", "b.csv"):
-        result = run_scenario(cfg)
+        [result] = run_all([("run", cfg)])
         path = tmp_path / name
         result.ledger.export_csv(path)
         paths.append(path)
@@ -208,7 +208,7 @@ def test_same_seed_exports_identical_bytes(tmp_path):
 
 def test_counters_never_decrease_over_a_run():
     cfg = ScenarioConfig(peer_count=6, friends_per_user=3, sim_duration_ticks=900_000)
-    ledger = run_scenario(cfg).ledger
+    ledger = run_all([("run", cfg)])[0].ledger
     cumulative = (
         "social_hits", "current_hits", "overlay_replies", "total_requests",
         "subscriptions_sent", "unsubscriptions_sent", "bootstrap_dumps",

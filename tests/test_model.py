@@ -70,6 +70,6 @@ def test_key_round_trip(owner, path):
 
 def test_content_object_fields():
     key = StorageKey("alice", "wall/1")
-    obj = ContentObject(key, 3, b"hi")
-    assert [f.name for f in dataclasses.fields(obj)] == ["key", "version", "payload"]
-    assert (obj.key.owner, obj.version, obj.payload) == ("alice", 3, b"hi")
+    obj = ContentObject(key, 3, 2)
+    assert [f.name for f in dataclasses.fields(obj)] == ["key", "version", "size"]
+    assert (obj.key.owner, obj.version, obj.size) == ("alice", 3, 2)

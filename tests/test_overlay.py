@@ -14,9 +14,9 @@ from socicache.overlay import (
 )
 
 
-def obj(owner="alice", path="wall/1", version=1, payload=b"x" * 10):
+def obj(owner="alice", path="wall/1", version=1, size=10):
     key = StorageKey(owner, path)
-    return ContentObject(key, version, payload)
+    return ContentObject(key, version, size)
 
 
 def test_put_then_get_round_trip():
@@ -60,7 +60,7 @@ def test_lookup_counter_per_get():
 
 def test_byte_accounting_uses_replication_factor():
     store = DhtStore(Counters(), replication_factor=4)
-    store.put(obj(payload=b"z" * 100))
+    store.put(obj(size=100))
     assert store.counters.bytes_written == 400
     store.get(obj().key)
     assert store.counters.bytes_read == 100
@@ -73,7 +73,7 @@ def test_byte_accounting_uses_replication_factor():
 def test_bytes_written_matches_sum_over_puts(sizes, factor):
     store = DhtStore(Counters(), replication_factor=factor)
     for version, size in enumerate(sizes, start=1):
-        store.put(obj(version=version, payload=b"p" * size))
+        store.put(obj(version=version, size=size))
     assert store.counters.bytes_written == sum(sizes) * factor
 
 

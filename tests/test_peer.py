@@ -40,7 +40,7 @@ def tiers(counters):
 
 def test_social_hit_after_pushed_update_uses_no_overlay():
     dht, dispatcher, counters, peers = build_net(["a", "b"])
-    peers["b"].add_content(key("b"), b"v1", now=0)
+    peers["b"].add_content(key("b"), 2, now=0)
     # first lookup subscribes a to b (fast path) and bootstraps the content
     peers["a"].handle_request(key("b"), now=1)
     assert tiers(counters) == (0, 0, 1)
@@ -52,7 +52,7 @@ def test_social_hit_after_pushed_update_uses_no_overlay():
 
 def test_current_hit_when_owner_not_subscribed():
     dht, dispatcher, counters, peers = build_net(["a", "b"], setup="current")
-    peers["b"].add_content(key("b"), b"v1", now=0)
+    peers["b"].add_content(key("b"), 2, now=0)
     peers["a"].handle_request(key("b"), now=1)
     assert tiers(counters) == (0, 0, 1)
     peers["a"].handle_request(key("b"), now=2)
@@ -61,7 +61,7 @@ def test_current_hit_when_owner_not_subscribed():
 
 def test_cold_key_served_by_overlay_and_cached():
     dht, dispatcher, counters, peers = build_net(["a", "b"])
-    peers["b"].add_content(key("b"), b"v1", now=0)
+    peers["b"].add_content(key("b"), 2, now=0)
     peers["a"].handle_request(key("b"), now=1)
     assert tiers(counters) == (0, 0, 1)
     assert key("b") in peers["a"].current.entries
@@ -69,7 +69,7 @@ def test_cold_key_served_by_overlay_and_cached():
 
 def test_tier_exclusivity_per_request():
     dht, dispatcher, counters, peers = build_net(["a", "b"])
-    peers["b"].add_content(key("b"), b"v1", now=0)
+    peers["b"].add_content(key("b"), 2, now=0)
     unanswered = 0
     for now in range(1, 30):
         before = (*tiers(counters), counters.total_requests - answered(counters))
@@ -98,25 +98,25 @@ def test_post_fans_out_to_subscribers():
     for name in ("b", "c", "d"):
         peers[name].social._subscribe("a")
     messages_before = counters.dispatcher_messages
-    peers["a"].add_content(key("a"), b"post", now=1)
+    peers["a"].add_content(key("a"), 4, now=1)
     assert counters.dispatcher_messages - messages_before == 3  # one update per subscriber
     for name in ("b", "c", "d"):
         stored = peers[name].social.lookup(key("a"))
-        assert stored is not None and stored.payload == b"post"
+        assert stored is not None and stored.size == 4
     assert counters.bootstrap_dumps == 3
 
 
 def test_post_with_no_subscribers_still_persists():
     dht, dispatcher, counters, peers = build_net(["a", "b"])
     messages_before = counters.dispatcher_messages
-    peers["a"].add_content(key("a"), b"post", now=1)
+    peers["a"].add_content(key("a"), 4, now=1)
     assert counters.dispatcher_messages == messages_before  # no update envelopes
-    assert dht.get(key("a")).payload == b"post"
+    assert dht.get(key("a")).size == 4
 
 
 def test_own_content_served_from_social_cache():
     dht, dispatcher, counters, peers = build_net(["a", "b"])
-    peers["a"].add_content(key("a"), b"mine", now=0)
+    peers["a"].add_content(key("a"), 4, now=0)
     lookups_before = counters.dht_lookups
     peers["a"].handle_request(key("a"), now=1)
     assert tiers(counters) == (1, 0, 0)
@@ -126,21 +126,21 @@ def test_own_content_served_from_social_cache():
 def test_foreign_write_rejected():
     dht, dispatcher, counters, peers = build_net(["a", "b"])
     with pytest.raises(NotOwnerError):
-        peers["a"].add_content(key("b"), b"nope", now=0)
+        peers["a"].add_content(key("b"), 4, now=0)
 
 
 def test_versions_increase_per_key():
     dht, dispatcher, counters, peers = build_net(["a", "b"])
-    v1 = peers["a"].add_content(key("a"), b"1", now=0)
-    v2 = peers["a"].add_content(key("a"), b"2", now=1)
-    other = peers["a"].add_content(key("a", "wall/1"), b"3", now=2)
+    v1 = peers["a"].add_content(key("a"), 1, now=0)
+    v2 = peers["a"].add_content(key("a"), 1, now=1)
+    other = peers["a"].add_content(key("a", "wall/1"), 1, now=2)
     assert (v1.version, v2.version, other.version) == (1, 2, 1)
     assert dht.get(key("a")).version == 2
 
 
 def test_lookup_tracking_disabled_without_social_cache():
     dht, dispatcher, counters, peers = build_net(["a", "b"], setup="current")
-    peers["b"].add_content(key("b"), b"v", now=0)
+    peers["b"].add_content(key("b"), 1, now=0)
     peers["a"].handle_request(key("b"), now=1)
     assert peers["a"].social is None
     assert counters.subscriptions_sent == 0

@@ -17,10 +17,11 @@ from oracles import (
     trace_of,
 )
 from socicache import social_cache
+from socicache.cli import COMMANDS
 from socicache.metrics import METRICS_COLUMNS, cache_hit_ratio, write_rows
 from socicache.model import ContentObject
 from socicache.peer import Peer
-from socicache.sim import Simulation, compare_strategies
+from socicache.sim import Simulation, run_all
 from socicache.social_cache import (
     MucEntry,
     SelectionTrigger,
@@ -314,6 +315,18 @@ def small_run_config(kind: Strategy, setup: CacheSetup, trigger: SelectionTrigge
 
 
 # Every strategy, setup and trigger, with bootstrapping on and off.
+def test_content_of_one_size_shares_one_int():
+    """Each read of a size past 256 from the trace makes a new int; a run
+    shares one per size, so a content object costs no int of its own."""
+    cfg = ScenarioConfig(peer_count=8, friends_per_user=4, sim_duration_ticks=600_000,
+                         payload_bytes=512)
+    sim = Simulation(cfg, generate_trace(cfg))
+    sim.run()
+    sizes = [obj.size for obj in sim.dht.entries.values()]
+    assert len(sizes) == 8 * cfg.keys_per_user
+    assert sizes[0] == 512 and len({id(size) for size in sizes}) == 1
+
+
 RUN_CASES = (
     [(kind, CacheSetup.SOCIAL_ONLY, TIME_TRIGGER, True) for kind in Strategy]
     + [(SOCIAL, setup, TIME_TRIGGER, True)
@@ -556,13 +569,19 @@ def test_run_restores_the_collector_state(enabled, fails, monkeypatch):
     assert during and not any(during)
 
 
-def test_compare_strategies_checks_every_run_before_the_trace(monkeypatch):
-    """Zero social-score weights are refused before the trace is made,
-    although the base config runs trend, which reads no weights."""
+@pytest.mark.parametrize("command, kind", [
+    ("run", Strategy.SOCIAL_SCORE),
+    ("compare-strategies", Strategy.TREND),
+    ("compare-caches", Strategy.TREND),
+])
+def test_every_command_checks_every_run_before_the_trace(monkeypatch, command, kind):
+    """Zero social-score weights are refused before the trace is made, in
+    each command's plan of runs.  The comparisons' base config runs trend,
+    which reads no weights; in compare-strategies only the last run scores."""
     generated = []
     monkeypatch.setattr("socicache.sim.generate_trace", generated.append)
     cfg = ScenarioConfig(peer_count=8, friends_per_user=4, sim_duration_ticks=60_000)
-    cfg.strategy = StrategyConfig(kind=Strategy.TREND, alpha=0.0, beta=0.0)
+    cfg.strategy = StrategyConfig(kind=kind, alpha=0.0, beta=0.0)
     with pytest.raises(ConfigError, match="alpha \\+ beta must be positive"):
-        compare_strategies(cfg)
+        run_all(COMMANDS[command].plan(cfg))
     assert generated == []

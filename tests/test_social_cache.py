@@ -78,7 +78,7 @@ def make_cache(owner="me", router=None, bootstrapping=True, **cfg_kwargs):
 
 
 def obj(owner, path, version=1):
-    return ContentObject(StorageKey(owner, path), version, b"data")
+    return ContentObject(StorageKey(owner, path), version, 4)
 
 
 def slotted(slot_of, *items):
