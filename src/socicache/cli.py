@@ -154,7 +154,7 @@ def _first_bad_bytes(path: Path) -> tuple[int, str]:
 
 def parse_config_file(path: Path) -> dict[str, tuple[int, str]]:
     """Each key of the file at ``path`` with its line number and value; a
-    key given twice is an error that names both lines."""
+    key given twice is an error that names both lines.  Only ``\n`` ends a line."""
     items: dict[str, tuple[int, str]] = {}
     try:
         text = path.read_text(encoding="utf-8")
@@ -163,7 +163,7 @@ def parse_config_file(path: Path) -> dict[str, tuple[int, str]]:
     except UnicodeDecodeError:
         line_no, reason = _first_bad_bytes(path)
         raise ConfigError(f"{path}:{line_no}: not UTF-8 ({reason})") from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -204,9 +204,10 @@ def cache_comparison_profile() -> ScenarioConfig:
     return ScenarioConfig(new_experiment_time_days=2.0, cache_setup=CacheSetup.BOTH)
 
 
-def resolve_config(args: argparse.Namespace, profile: Callable[[], ScenarioConfig]) -> ScenarioConfig:
-    """The profile with the config file, ``--set`` and ``--seed`` applied.
-    A check's error names the line of each key it read that the file set."""
+def resolve_config(args: argparse.Namespace,
+                   profile: Callable[[], ScenarioConfig]) -> tuple[ScenarioConfig, dict[str, int]]:
+    """The profile with the config file, ``--set`` and ``--seed`` applied,
+    and the file line of each key the file set and no ``--set`` replaced."""
     cfg = profile()
     lines: dict[str, int] = {}
     if args.config is not None:
@@ -224,13 +225,7 @@ def resolve_config(args: argparse.Namespace, profile: Callable[[], ScenarioConfi
         lines.pop(key.strip(), None)
     if args.seed is not None:
         cfg.seed = args.seed
-    try:
-        cfg.validate()
-    except ConfigError as exc:
-        keys = [_RENAMED.get(path, path) for path in exc.keys]
-        where = sorted(lines[key] for key in keys if key in lines)
-        raise ConfigError("".join(f"{args.config}:{n}: " for n in where) + str(exc)) from exc
-    return cfg
+    return cfg, lines
 
 
 def _load_optional_trace(args: argparse.Namespace) -> Trace | None:
@@ -343,13 +338,20 @@ def _execute(args: argparse.Namespace, command: _Command) -> int:
     """Run the command's plan, write its outputs (each run's under
     ``<out>/<label>`` beside a comparison table) and a manifest of the
     resolved config, the plan's ``run_id``, the trace digest and the
-    interpreter, then check every run's invariants."""
-    cfg = resolve_config(args, command.profile)
+    interpreter, then check every run's invariants.  A config error of the
+    plan names the file line of each key its check read."""
+    cfg, lines = resolve_config(args, command.profile)
     runs = command.plan(cfg)
     table_writer = command.table_writer
     out_dir = args.out or Path(os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
     runs_id = run_id(*(run_cfg for _, run_cfg in runs))
-    results = run_all(runs, _load_optional_trace(args))
+    trace = _load_optional_trace(args)
+    try:
+        results = run_all(runs, trace)
+    except ConfigError as exc:
+        keys = [_RENAMED.get(path, path) for path in exc.keys]
+        where = sorted(lines[key] for key in keys if key in lines)
+        raise ConfigError("".join(f"{args.config}:{n}: " for n in where) + str(exc)) from exc
     for result in results:
         run_dir = out_dir if table_writer is None else out_dir / result.label
         write_run_outputs(result, run_dir, runs_id)

@@ -20,10 +20,6 @@ class CurrentCache:
     __slots__ = ("capacity", "ttl", "entries")
 
     def __init__(self, capacity: int, ttl: SimTime):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        if ttl < 1:
-            raise ValueError("ttl must be positive")
         self.capacity = capacity
         self.ttl = ttl
         self.entries: dict[StorageKey, tuple[ContentObject, SimTime]] = {}

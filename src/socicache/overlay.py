@@ -35,8 +35,6 @@ class DhtStore:
     """
 
     def __init__(self, counters: Counters, replication_factor: int = 4):
-        if replication_factor < 1:
-            raise ValueError("replication_factor must be positive")
         self.counters = counters
         self.replication_factor = replication_factor
         self.entries: dict[StorageKey, ContentObject] = {}

@@ -49,7 +49,8 @@ class Simulation:
         # A run applies no event after its duration: refuse, do not cut.
         if len(trace) and trace.ticks[-1] > cfg.duration:
             raise ConfigError(f"trace runs to tick {trace.ticks[-1]}, past "
-                              f"sim_duration_ticks={cfg.duration}")
+                              f"sim_duration_ticks={cfg.duration}",
+                              ("sim_duration_ticks", "new_experiment_time_days"))
         self.cfg = cfg
         self.trace = trace
         self.label = label

@@ -46,10 +46,6 @@ class _Certificate(NamedTuple):
     below: float  # a tracked unchosen score, widened, must not exceed this
 
 
-class InvalidWeightsError(ConfigError):
-    """Social-score weights that cannot rank anything (alpha + beta == 0)."""
-
-
 class CapExceededError(ValueError):
     """Operation would push a bounded structure past its limit."""
 
@@ -99,10 +95,10 @@ class StrategyConfig:
         if self.n < 1:
             raise ConfigError("channel limit n must be positive", ("n",))
         if self.alpha < 0 or self.beta < 0:
-            raise InvalidWeightsError("alpha and beta must be non-negative", ("alpha", "beta"))
+            raise ConfigError("alpha and beta must be non-negative", ("alpha", "beta"))
         if self.kind is Strategy.SOCIAL_SCORE and self.alpha + self.beta <= 0:
-            raise InvalidWeightsError("alpha + beta must be positive for social score",
-                                      ("kind", "alpha", "beta"))
+            raise ConfigError("alpha + beta must be positive for social score",
+                              ("kind", "alpha", "beta"))
         if self.trigger is SelectionTrigger.LOOKUP_COUNT_BASED and not self.n < self.m:
             raise ConfigError("lookup-count trigger requires n < m", ("trigger", "n", "m"))
         if self.lookup_weight < 0 or self.friend_request_weight < 0:
@@ -139,8 +135,6 @@ class MucList(dict):
 
     def __init__(self, max_users: int = DUNBAR_MUC_LIMIT):
         super().__init__()
-        if max_users < 1:
-            raise ValueError("max_users must be positive")
         self.max_users = max_users
         self.total_events = 0
 

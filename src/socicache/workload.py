@@ -31,10 +31,6 @@ TICKS_PER_DAY = 86_400_000
 TICKS_PER_SECOND = 1_000
 
 
-class InvalidArgumentError(ValueError):
-    """Non-positive argument to the interval sampler."""
-
-
 class TraceFormatError(ValueError):
     """A trace-file line that cannot run; ``line_no`` is its line."""
 
@@ -52,8 +48,6 @@ def sampled_interval(x: float, dataset_experiment_time: float,
     reciprocal is the scaled mean gap in the new experiment's time unit:
     gap = new_experiment_time * x / dataset_experiment_time.
     """
-    if x <= 0 or dataset_experiment_time <= 0 or new_experiment_time <= 0:
-        raise InvalidArgumentError("all sampling arguments must be positive")
     return dataset_experiment_time / (new_experiment_time * x)
 
 
@@ -370,13 +364,10 @@ def build_friend_graph(peer_count: int, friends_per_user: int) -> list[list[int]
     Every peer gets exactly ``friends_per_user`` friends; an odd degree uses
     the antipodal peer and therefore needs an even population.
     """
-    if not 0 < friends_per_user < peer_count:
-        raise ConfigError("friends_per_user must be positive and below peer_count")
     half, odd = divmod(friends_per_user, 2)
     if odd and peer_count % 2:
-        raise ConfigError(
-            f"no {friends_per_user}-regular graph exists on {peer_count} peers"
-        )
+        raise ConfigError(f"no {friends_per_user}-regular graph exists on {peer_count} peers",
+                          ("peer_count", "friends_per_user"))
     friends: list[list[int]] = [[] for _ in range(peer_count)]
     for i in range(peer_count):
         mine = set()

@@ -33,5 +33,6 @@ def test_benchmark_runs_what_the_cli_runs(name, size):
     sets = [f"--set={key}={cli._KEYS[key].fmt(value)}" for key, value in wl.sizes[size].items()]
     args = cli.build_parser().parse_args([wl.shape, "--seed", "42", *sets])
     command = cli.COMMANDS[wl.shape]
-    planned = command.plan(cli.resolve_config(args, command.profile))
+    cfg, _ = cli.resolve_config(args, command.profile)
+    planned = command.plan(cfg)
     assert workloads.run_configs(wl, workloads.base_config(wl, 42, size)) == planned

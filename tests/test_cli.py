@@ -114,6 +114,8 @@ def test_unknown_key_exits_two_and_names_key(tmp_path, capsys):
      "strategy: update_interval must be positive"),
     ("peer_count=8", "friends_per_user=8", (2, 4),
      "friends_per_user must be positive and below peer_count"),
+    # The regular-graph rule is checked as the trace is generated.
+    ("peer_count=9", "friends_per_user=5", (2, 4), "no 5-regular graph exists on 9 peers"),
 ])
 def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, head, line, lines, error):
     config = tmp_path / "scenario.cfg"
@@ -127,6 +129,46 @@ def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, head, line,
     sets = [arg for setting in (head, line) for arg in ("--set", setting)]
     assert main(["run", "--out", str(tmp_path / "out"), *sets]) == 2
     assert f"socicache: config error: {error}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, settings, lines, error", [
+    # A comparison runs social score whatever ``strategy.kind`` says.
+    ("compare-caches", ("strategy.kind=trend", "strategy.alpha=0", "strategy.beta=0"),
+     (1, 2, 3), "strategy: alpha + beta must be positive for social score"),
+    ("run", ("sim_duration_ticks=1000",), (1,),
+     "trace runs to tick {last}, past sim_duration_ticks=1000"),
+])
+def test_config_errors_of_the_planned_runs_name_the_file_and_line(tmp_path, capsys, command,
+                                                                    settings, lines, error):
+    """A check made after the config is resolved, on a comparison's run
+    configs or on the replayed trace, names the file line of each key it
+    read as well; from ``--set`` the error is the same without a position."""
+    trace = generate_trace(ScenarioConfig(peer_count=6, friends_per_user=2,
+                                          sim_duration_ticks=300_000))
+    save_trace(trace, tmp_path / "trace.txt")
+    error = error.format(last=trace.ticks[-1])
+    settings = (*settings, "peer_count=6", "friends_per_user=2")
+    config = tmp_path / "scenario.cfg"
+    config.write_text("".join(f"{setting}\n" for setting in settings), encoding="utf-8")
+    replay = ["--out", str(tmp_path / "out"), "--trace", str(tmp_path / "trace.txt")]
+    assert main([command, *replay, "--config", str(config)]) == 2
+    where = "".join(f"{config}:{line_no}: " for line_no in lines)
+    assert capsys.readouterr().err == f"socicache: config error: {where}{error}\n"
+    sets = [arg for setting in settings for arg in ("--set", setting)]
+    assert main([command, *replay, *sets]) == 2
+    assert capsys.readouterr().err == f"socicache: config error: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_lines_end_only_at_a_newline(tmp_path, capsys):
+    """A form feed or U+0085 in a comment starts no line of its own."""
+    config = tmp_path / "scenario.cfg"
+    config.write_text("# a form feed \x0c and a next line \x85 in a comment\n"
+                      "peer_count=8\nfriends_per_user=8\n", encoding="utf-8")
+    code = main(["run", "--out", str(tmp_path / "out"), "--config", str(config)])
+    assert code == 2
+    assert (f"config error: {config}:2: {config}:3: friends_per_user must be positive and "
+            "below peer_count") in capsys.readouterr().err
 
 
 def test_a_key_set_again_by_set_loses_its_file_line(tmp_path, capsys):

@@ -21,12 +21,11 @@ from oracles import (
     weight_map,
 )
 from socicache.metrics import Counters
-from socicache.model import ContentObject, InteractionKind, StorageKey
+from socicache.model import ConfigError, ContentObject, InteractionKind, StorageKey
 from socicache.overlay import MessageDispatcher, MessageEnvelope, MessageKind
 from socicache.social_cache import (
     DUNBAR_MUC_LIMIT,
     CapExceededError,
-    InvalidWeightsError,
     MucList,
     SelectionTrigger,
     SocialCache,
@@ -316,10 +315,10 @@ def test_social_score_alpha_only_degenerates_to_tie_strength():
 
 
 def test_social_score_zero_weights_rejected():
-    with pytest.raises(InvalidWeightsError):
+    with pytest.raises(ConfigError):
         StrategyConfig(kind=Strategy.SOCIAL_SCORE, alpha=0.0, beta=0.0).validate()
     # A built cache's weights cannot change, so they fail when it is built.
-    with pytest.raises(InvalidWeightsError):
+    with pytest.raises(ConfigError):
         make_cache(alpha=0.0, beta=0.0)
 
 

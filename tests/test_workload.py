@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from oracles import event_line, reference_generate_trace, reference_trace_users, trace_of
 import socicache
+from socicache import cli
 from socicache.sim import Simulation
-from socicache.social_cache import Strategy, StrategyConfig
+from socicache.social_cache import SelectionTrigger, Strategy, StrategyConfig
 from socicache.workload import (
     CHUNK_LINES,
     FRIENDREQ,
@@ -22,8 +23,8 @@ from socicache.workload import (
     POST,
     CacheSetup,
     ConfigError,
+    CurrentCacheConfig,
     DatasetStats,
-    InvalidArgumentError,
     ScenarioConfig,
     Trace,
     TraceEvent,
@@ -58,12 +59,6 @@ def test_sampled_interval_exact_arithmetic():
     assert sampled_interval(43.5, 870.0, 2.0) == pytest.approx(10.0)
 
 
-@pytest.mark.parametrize("x,ds,new", [(0, 870, 2), (43.5, 0, 2), (43.5, 870, 0), (-1, 870, 2)])
-def test_sampled_interval_rejects_non_positive(x, ds, new):
-    with pytest.raises(InvalidArgumentError):
-        sampled_interval(x, ds, new)
-
-
 # -- friend graph -----------------------------------------------------------------
 
 def test_graph_is_regular_and_symmetric():
@@ -82,14 +77,13 @@ def test_complete_graph_allowed():
 
 def test_friend_count_must_be_below_peer_count():
     with pytest.raises(ConfigError):
-        build_friend_graph(64, 64)
-    with pytest.raises(ConfigError):
         ScenarioConfig(peer_count=64, friends_per_user=64).validate()
 
 
 def test_odd_degree_needs_even_population():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^no 3-regular graph exists on 7 peers$") as caught:
         build_friend_graph(7, 3)
+    assert caught.value.keys == ("peer_count", "friends_per_user")
 
 
 # -- trace generation ----------------------------------------------------------------
@@ -259,6 +253,8 @@ def test_post_interarrival_mean_tracks_configured_gap():
 
 # -- config validation ------------------------------------------------------------------
 
+# One case at least per rule of ``ScenarioConfig.validate`` and of
+# ``StrategyConfig.validate``.
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -274,11 +270,35 @@ def test_post_interarrival_mean_tracks_configured_gap():
         {"payload_bytes": -1},
         {"payload_bytes": 2**32},
         {"dataset": DatasetStats(avg_ts_interaction_days=0)},
+        {"friends_per_user": 8},
+        {"new_experiment_time_days": 0},
+        {"sim_duration_ticks": None, "new_experiment_time_days": 1e-12},
+        {"muc_capacity": 0},
+        {"sample_cadence_ticks": 0},
+        {"current_cache": CurrentCacheConfig(ttl_ticks=0)},
+        {"current_cache": CurrentCacheConfig(capacity=0)},
+        {"dataset": DatasetStats(experiment_span_days=0)},
+        {"tier_shares": (1.0, 0.5, -0.5)},
+        {"tier_sizes": (0, 10)},
+        {"friend_request_phases": (600_001,)},
+        {"strategy": StrategyConfig(n=0)},
+        {"strategy": StrategyConfig(alpha=-0.1)},
+        {"strategy": StrategyConfig(alpha=0.0, beta=0.0)},
+        {"strategy": StrategyConfig(trigger=SelectionTrigger.LOOKUP_COUNT_BASED, n=15, m=15)},
+        {"strategy": StrategyConfig(friend_request_weight=-1.0)},
+        {"strategy": StrategyConfig(update_interval=0)},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
-    with pytest.raises(ConfigError):
+    """Each rule names the fields it read, one the case set among them, and
+    each is a config key (under its key name), so the CLI can name the file
+    line that set it."""
+    with pytest.raises(ConfigError) as caught:
         small_config(**kwargs).validate()
+    keys = caught.value.keys
+    assert any(path.partition(".")[0] in kwargs for path in keys), keys
+    for path in keys:
+        assert cli._RENAMED.get(path, path) in cli._KEYS, path
 
 
 @pytest.mark.parametrize("days", [-1, 1e-12])
