@@ -8,7 +8,8 @@ Config files are flat ``key=value`` text whose keys are the fields of
 ``--set`` over file values over built-in defaults.
 
 Exit codes: 0 success, 1 runtime failure or a broken run invariant (the
-outputs are written first), 2 configuration error.
+outputs are written first), 2 a bad config key, value or file, or a bad
+trace file.
 """
 from __future__ import annotations
 
@@ -32,9 +33,10 @@ from .sim import RunResult, cache_runs, run_all, strategy_runs
 from .workload import (
     CacheSetup,
     ConfigError,
+    LineError,
     ScenarioConfig,
     Trace,
-    TraceFormatError,
+    input_lines,
     load_trace,
 )
 
@@ -141,39 +143,21 @@ def apply_setting(cfg: ScenarioConfig, key: str, value: str) -> None:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
-def _first_bad_bytes(path: Path) -> tuple[int, str]:
-    """The 1-based line of the first bytes of ``path`` that are not UTF-8,
-    and why, for a file that failed to decode."""
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1, exc.reason
-    raise ConfigError(f"{path} changed while it was read")
-
-
 def parse_config_file(path: Path) -> dict[str, tuple[int, str]]:
     """Each key of the file at ``path`` with its line number and value; a
-    key given twice is an error that names both lines.  Only ``\n`` ends a line."""
+    key given twice is a LineError that names both lines."""
     items: dict[str, tuple[int, str]] = {}
     try:
-        text = path.read_text(encoding="utf-8")
+        for line_no, line in input_lines(path):
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise LineError(line_no, f"expected key=value, got {line!r}")
+            key = key.strip()
+            if key in items:
+                raise LineError(line_no, f"{key} is already set on line {items[key][0]}")
+            items[key] = (line_no, value.strip())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except UnicodeDecodeError:
-        line_no, reason = _first_bad_bytes(path)
-        raise ConfigError(f"{path}:{line_no}: not UTF-8 ({reason})") from None
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key = key.strip()
-        if key in items:
-            raise ConfigError(f"{path}:{line_no}: {key} is already set on line {items[key][0]}")
-        items[key] = (line_no, value.strip())
     return items
 
 
@@ -211,12 +195,15 @@ def resolve_config(args: argparse.Namespace,
     cfg = profile()
     lines: dict[str, int] = {}
     if args.config is not None:
-        for key, (line_no, value) in parse_config_file(args.config).items():
-            try:
-                apply_setting(cfg, key, value)
-            except ConfigError as exc:
-                raise ConfigError(f"{args.config}:{line_no}: {exc}") from exc
-            lines[key] = line_no
+        try:
+            for key, (line_no, value) in parse_config_file(args.config).items():
+                try:
+                    apply_setting(cfg, key, value)
+                except ConfigError as exc:
+                    raise LineError(line_no, str(exc)) from exc
+                lines[key] = line_no
+        except LineError as exc:
+            raise ConfigError(f"{args.config}:{exc.line_no}: {exc.reason}") from exc
     for override in args.overrides:
         key, sep, value = override.partition("=")
         if not sep:
@@ -236,9 +223,6 @@ def _load_optional_trace(args: argparse.Namespace) -> Trace | None:
         trace = load_trace(args.trace)
     except OSError as exc:
         raise ConfigError(f"cannot read trace file {args.trace}: {exc}") from exc
-    except UnicodeDecodeError:
-        line_no, reason = _first_bad_bytes(args.trace)
-        raise TraceFormatError(line_no, f"{args.trace} is not UTF-8 ({reason})") from None
     return trace
 
 
@@ -396,8 +380,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _execute(args, COMMANDS[args.command])
-    except (ConfigError, TraceFormatError) as exc:
+    except ConfigError as exc:
         print(f"socicache: config error: {exc}", file=sys.stderr)
+        return 2
+    except LineError as exc:  # only the trace file's: resolve_config names the config's
+        print(f"socicache: trace error: {args.trace}:{exc.line_no}: {exc.reason}",
+              file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive runtime guard
         print(f"socicache: error: {exc}", file=sys.stderr)

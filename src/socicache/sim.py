@@ -180,7 +180,9 @@ class Simulation:
 
     def _gauges(self) -> dict[str, float]:
         """Cache sizes and mean MUC size now; also folds the current channel
-        and MUC sizes into the run-wide maxima."""
+        and MUC sizes into the run-wide maxima.  It runs at each sample and
+        at the end of the run only, so those maxima are taken at sample
+        ticks: a size reached and left between two samples is not seen."""
         current_items = sum([len(current.entries) for current in self._currents])
         social_items = muc_total = 0
         max_channels, max_muc_entries = self.max_channels, self.max_muc_entries
@@ -243,23 +245,19 @@ class Simulation:
         return violations
 
     def verify_subscription_symmetry(self) -> list[str]:
-        """After quiescence, u subscribed to v iff v lists u as a receiver."""
+        """After quiescence, u subscribed to v iff v lists u as a receiver.
+        Every channel and receiver is a peer of the run (``dispatch`` refuses
+        any other), and every peer has the same cache setup."""
         violations: list[str] = []
         for name in sorted(self.peers):
             social = self.peers[name].social
             if social is None:
                 continue
             for channel in social.channels:
-                other = self.peers.get(channel)
-                if other is None or other.social is None:
-                    continue
-                if name not in other.social.receivers:
+                if name not in self.peers[channel].social.receivers:
                     violations.append(f"{name} subscribes {channel} but is not a receiver")
             for receiver in social.receivers:
-                other = self.peers.get(receiver)
-                if other is None or other.social is None:
-                    continue
-                if name not in other.social.channels:
+                if name not in self.peers[receiver].social.channels:
                     violations.append(f"{name} lists {receiver} without a subscription")
         return violations
 

@@ -31,8 +31,9 @@ TICKS_PER_DAY = 86_400_000
 TICKS_PER_SECOND = 1_000
 
 
-class TraceFormatError(ValueError):
-    """A trace-file line that cannot run; ``line_no`` is its line."""
+class LineError(ValueError):
+    """A line of an input file that cannot be read or run; ``line_no`` is
+    its line.  The reader of the file adds the file's name."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
@@ -166,24 +167,24 @@ class _TraceBuilder:
     def add(self, line_no: int, at: int, actor: UserId, action: str, target: str,
             size: int | None) -> None:
         """Append the event of trace-file line ``line_no``; only a POST reads
-        ``size``.  An event that cannot run raises TraceFormatError for that
+        ``size``.  An event that cannot run raises LineError for that
         line: a negative or decreasing tick, an unknown action, an actor that
         is empty or holds a ``/``, a malformed key, a POST under another
         user's key or without a non-negative size, a FRIENDREQ to the actor or
         to a key, or a tick or size past its column."""
         if at < 0:
-            raise TraceFormatError(line_no, "timestamp must be non-negative")
+            raise LineError(line_no, "timestamp must be non-negative")
         if at < self.last_at:
-            raise TraceFormatError(line_no, f"timestamp {at} before {self.last_at}")
+            raise LineError(line_no, f"timestamp {at} before {self.last_at}")
         code = _CODES.get(action)
         if code is None:
-            raise TraceFormatError(line_no, f"unknown action {action!r}")
+            raise LineError(line_no, f"unknown action {action!r}")
         if not actor or "/" in actor:
-            raise TraceFormatError(line_no, f"actor must be a name without '/', got {actor!r}")
+            raise LineError(line_no, f"actor must be a name without '/', got {actor!r}")
         t = self.target_ids_of.get(target)
         if code == FRIENDREQ_CODE:
             if target == actor or "/" in target:
-                raise TraceFormatError(line_no, f"FRIENDREQ needs another user, got {target!r}")
+                raise LineError(line_no, f"FRIENDREQ needs another user, got {target!r}")
             resolved = target
         else:
             resolved = None if t is None else self.resolved[t]
@@ -191,18 +192,18 @@ class _TraceBuilder:
                 try:
                     resolved = StorageKey.parse(target)
                 except ValueError as exc:
-                    raise TraceFormatError(line_no, str(exc)) from None
+                    raise LineError(line_no, str(exc)) from None
             if code == POST_CODE:
                 if resolved.owner != actor:
-                    raise TraceFormatError(line_no, f"{actor!r} cannot POST under {target}")
+                    raise LineError(line_no, f"{actor!r} cannot POST under {target}")
                 if size is None:
-                    raise TraceFormatError(line_no, "POST requires a payload size")
+                    raise LineError(line_no, "POST requires a payload size")
                 if size < 0:
-                    raise TraceFormatError(line_no, "payload size must be non-negative")
+                    raise LineError(line_no, "payload size must be non-negative")
         if code != POST_CODE:
             size = 0
         if at >= 2**63 or size >= 2**32:
-            raise TraceFormatError(line_no, "timestamp or payload size too large")
+            raise LineError(line_no, "timestamp or payload size too large")
         self.last_at = at
         self.actions.append(code)
         if t is None:
@@ -620,35 +621,42 @@ def save_trace(trace: Trace, path) -> None:
         handle.writelines(trace.chunks())
 
 
+def input_lines(path) -> Iterator[tuple[int, str]]:
+    """The number and stripped text of each line of the file at ``path``
+    that is neither blank nor a ``#`` comment.  Only ``\\n`` ends a line, and
+    a line that is not UTF-8 raises LineError."""
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise LineError(line_no, f"not UTF-8 ({exc.reason})") from None
+            if line and not line.startswith("#"):
+                yield line_no, line
+
+
 def load_trace(path) -> Trace:
     """Parse a trace file: the field count of each line and its integers
-    here, every other check in ``_TraceBuilder.add``.
-
-    Blank lines and ``#`` comments are permitted and skipped.
-    """
+    here, every other check in ``_TraceBuilder.add``."""
     builder = _TraceBuilder()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (4, 5):
-                raise TraceFormatError(line_no, f"expected 4 or 5 fields, got {len(parts)}")
-            t_text, actor, action, target = parts[:4]
+    for line_no, line in input_lines(path):
+        parts = line.split()
+        if len(parts) not in (4, 5):
+            raise LineError(line_no, f"expected 4 or 5 fields, got {len(parts)}")
+        t_text, actor, action, target = parts[:4]
+        try:
+            at = int(t_text)
+        except ValueError:
+            raise LineError(line_no, f"bad timestamp {t_text!r}") from None
+        payload_size = None
+        if len(parts) == 5:
+            if action != POST:
+                raise LineError(line_no, f"{action} takes exactly 4 fields")
             try:
-                at = int(t_text)
+                payload_size = int(parts[4])
             except ValueError:
-                raise TraceFormatError(line_no, f"bad timestamp {t_text!r}") from None
-            payload_size = None
-            if len(parts) == 5:
-                if action != POST:
-                    raise TraceFormatError(line_no, f"{action} takes exactly 4 fields")
-                try:
-                    payload_size = int(parts[4])
-                except ValueError:
-                    raise TraceFormatError(line_no, f"bad payload size {parts[4]!r}") from None
-            builder.add(line_no, at, actor, action, target, payload_size)
+                raise LineError(line_no, f"bad payload size {parts[4]!r}") from None
+        builder.add(line_no, at, actor, action, target, payload_size)
     return builder.build()
 
 

@@ -161,9 +161,11 @@ def test_config_errors_of_the_planned_runs_name_the_file_and_line(tmp_path, caps
 
 
 def test_config_lines_end_only_at_a_newline(tmp_path, capsys):
-    """A form feed or U+0085 in a comment starts no line of its own."""
+    """A form feed, a carriage return or U+0085 in a comment starts no line
+    of its own."""
     config = tmp_path / "scenario.cfg"
-    config.write_text("# a form feed \x0c and a next line \x85 in a comment\n"
+    config.write_text("# a form feed \x0c, a carriage return \r and a next line \x85 in a "
+                      "comment\n"
                       "peer_count=8\nfriends_per_user=8\n", encoding="utf-8")
     code = main(["run", "--out", str(tmp_path / "out"), "--config", str(config)])
     assert code == 2
@@ -416,21 +418,48 @@ def test_trace_past_the_duration_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "body,line",
+    "body,line,reason",
     [
-        pytest.param("10 a LOOKUP b/wall/0\n5 a LOOKUP b/wall/0\n", 2, id="time-regression"),
-        pytest.param("0 b POST b/wall/0 10\n0 a POST b/wall/0 10\n", 2, id="post-not-owner"),
-        pytest.param("5 a FRIENDREQ a\n", 1, id="friendreq-self"),
-        pytest.param("0 b POST b/wall/0 10\n5 a FRIENDREQ b/wall/0\n", 2, id="friendreq-key"),
-        pytest.param(b"0 b POST b/wall/0 10\n5 a LOOKUP b/wall/\xff\n", 2, id="not-utf8"),
+        pytest.param("10 a LOOKUP b/wall/0\n5 a LOOKUP b/wall/0\n", 2, "timestamp 5 before 10",
+                     id="time-regression"),
+        pytest.param("0 b POST b/wall/0 10\n0 a POST b/wall/0 10\n", 2,
+                     "'a' cannot POST under b/wall/0", id="post-not-owner"),
+        pytest.param("5 a FRIENDREQ a\n", 1, "FRIENDREQ needs another user, got 'a'",
+                     id="friendreq-self"),
+        pytest.param("0 b POST b/wall/0 10\n5 a FRIENDREQ b/wall/0\n", 2,
+                     "FRIENDREQ needs another user, got 'b/wall/0'", id="friendreq-key"),
+        pytest.param(b"0 b POST b/wall/0 10\n5 a LOOKUP b/wall/\xff\n", 2,
+                     "not UTF-8 (invalid start byte)", id="not-utf8"),
+        # Only a newline ends a line, so the carriage return stays in the comment.
+        pytest.param("0 b POST b/wall/0 10\n# c\r 5 a LOOKUP\n5 a LOOKUP b/wall/0 x y\n", 3,
+                     "expected 4 or 5 fields, got 6", id="carriage-return-in-comment"),
     ],
 )
-def test_bad_trace_file_exits_two(tmp_path, capsys, body, line):
+def test_bad_trace_file_exits_two(tmp_path, capsys, body, line, reason):
     trace_path = tmp_path / "trace.txt"
     trace_path.write_bytes(body if isinstance(body, bytes) else body.encode())
     code = main(["run", "--out", str(tmp_path / "out"), "--trace", str(trace_path), *SMALL])
     assert code == 2
-    assert f"line {line}:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"socicache: trace error: {trace_path}:{line}: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_crlf_config_and_trace_files_load(tmp_path):
+    """Each line is stripped, so a CRLF file reads as its LF twin."""
+    cfg = ScenarioConfig(peer_count=6, friends_per_user=2, sim_duration_ticks=300_000)
+    trace = generate_trace(cfg)
+    trace_path = tmp_path / "trace.txt"
+    trace_path.write_bytes("".join(trace.chunks()).replace("\n", "\r\n").encode())
+    config = tmp_path / "scenario.cfg"
+    config.write_bytes(b"# six peers\r\npeer_count=6\r\nfriends_per_user=2\r\n"
+                       b"sim_duration_ticks=300000\r\n")
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out), "--config", str(config),
+                 "--trace", str(trace_path)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["trace_digest"] == trace_digest(trace)
+    assert manifest["config"]["peer_count"] == "6"
+    assert manifest["config"]["friends_per_user"] == "2"
 
 
 def _asymmetric(self):

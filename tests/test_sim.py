@@ -409,6 +409,23 @@ def test_runs_end_consistent(kind, setup, trigger, bootstrapping):
     assert padded != bootstrapping
 
 
+@pytest.mark.parametrize("break_one, violation", [
+    (lambda peers: peers["u07"].social.receivers.pop("u00"),
+     "u00 subscribes u07 but is not a receiver"),
+    (lambda peers: peers["u00"].social.channels.pop("u07"),
+     "u07 lists u00 without a subscription"),
+])
+def test_subscription_symmetry_reports_a_one_sided_subscription(break_one, violation):
+    """u00 subscribes u07 at the end of this 8-peer run; dropping either
+    side of that subscription is exactly one violation."""
+    cfg = ScenarioConfig(peer_count=8, friends_per_user=4, sim_duration_ticks=600_000)
+    sim = Simulation(cfg, generate_trace(cfg))
+    sim.run()
+    assert sim.verify_subscription_symmetry() == []
+    break_one(sim.peers)
+    assert sim.verify_subscription_symmetry() == [violation]
+
+
 @pytest.mark.parametrize("bootstrapping", [True, False])
 def test_a_lost_update_for_a_new_key_is_reported_only_with_dumps(bootstrapping, monkeypatch):
     """With bootstrapping on a section is a complete copy of its owner's

@@ -25,10 +25,10 @@ from socicache.workload import (
     ConfigError,
     CurrentCacheConfig,
     DatasetStats,
+    LineError,
     ScenarioConfig,
     Trace,
     TraceEvent,
-    TraceFormatError,
     _in_tick_order,
     build_friend_graph,
     generate_trace,
@@ -376,7 +376,7 @@ def test_load_well_formed_lines(tmp_path):
 def test_load_rejects_time_regression(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("10 a LOOKUP b/wall/0\n5 a LOOKUP b/wall/0\n")
-    with pytest.raises(TraceFormatError) as err:
+    with pytest.raises(LineError) as err:
         load_trace(path)
     assert err.value.line_no == 2
 
@@ -400,9 +400,18 @@ def test_load_rejects_time_regression(tmp_path):
 def test_load_rejects_malformed_lines(tmp_path, line):
     path = tmp_path / "t.txt"
     path.write_text("0 a LOOKUP b/wall/0\n" + line + "\n")
-    with pytest.raises(TraceFormatError) as err:
+    with pytest.raises(LineError) as err:
         load_trace(path)
     assert err.value.line_no == 2
+
+
+def test_load_rejects_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"0 a LOOKUP b/wall/0\n10 a LOOKUP b/wall/\xff\n")
+    with pytest.raises(LineError) as err:
+        load_trace(path)
+    assert err.value.line_no == 2
+    assert err.value.reason == "not UTF-8 (invalid start byte)"
 
 
 @pytest.mark.parametrize(
@@ -428,12 +437,12 @@ def test_load_trace_names_the_file_line_of_a_rejected_event(tmp_path, event):
     """Each event check names the event's line in the file, not its
     position among the events: comments and blank lines count."""
     first = TraceEvent(10, "a", FRIENDREQ, "b")
-    with pytest.raises(TraceFormatError) as adjacent:
+    with pytest.raises(LineError) as adjacent:
         trace_of([first, event])
     assert adjacent.value.line_no == 2
     path = tmp_path / "t.txt"
     path.write_text(f"# a comment\n{event_line(first)}\n\n{event_line(event)}\n")
-    with pytest.raises(TraceFormatError) as spaced:
+    with pytest.raises(LineError) as spaced:
         load_trace(path)
     assert spaced.value.line_no == 4
     assert spaced.value.reason == adjacent.value.reason
