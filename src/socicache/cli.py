@@ -35,7 +35,6 @@ from .workload import (
     ConfigError,
     LineError,
     ScenarioConfig,
-    Trace,
     input_lines,
     load_trace,
 )
@@ -215,15 +214,8 @@ def resolve_config(args: argparse.Namespace,
     return cfg, lines
 
 
-def _load_optional_trace(args: argparse.Namespace) -> Trace | None:
-    """The ``--trace`` file, if given."""
-    if args.trace is None:
-        return None
-    try:
-        trace = load_trace(args.trace)
-    except OSError as exc:
-        raise ConfigError(f"cannot read trace file {args.trace}: {exc}") from exc
-    return trace
+class TraceError(ValueError):
+    """A ``--trace`` file that cannot be read or run; the message names it."""
 
 
 def write_run_outputs(result: RunResult, out_dir: Path, run_id: str) -> None:
@@ -323,13 +315,19 @@ def _execute(args: argparse.Namespace, command: _Command) -> int:
     ``<out>/<label>`` beside a comparison table) and a manifest of the
     resolved config, the plan's ``run_id``, the trace digest and the
     interpreter, then check every run's invariants.  A config error of the
-    plan names the file line of each key its check read."""
+    plan names the file line of each key its check read; a ``--trace``
+    error names the file, and its line if one is at fault."""
     cfg, lines = resolve_config(args, command.profile)
     runs = command.plan(cfg)
     table_writer = command.table_writer
     out_dir = args.out or Path(os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
     runs_id = run_id(*(run_cfg for _, run_cfg in runs))
-    trace = _load_optional_trace(args)
+    try:
+        trace = None if args.trace is None else load_trace(args.trace)
+    except OSError as exc:
+        raise TraceError(f"{args.trace}: {exc.strerror}") from exc
+    except LineError as exc:
+        raise TraceError(f"{args.trace}:{exc.line_no}: {exc.reason}") from exc
     try:
         results = run_all(runs, trace)
     except ConfigError as exc:
@@ -383,9 +381,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"socicache: config error: {exc}", file=sys.stderr)
         return 2
-    except LineError as exc:  # only the trace file's: resolve_config names the config's
-        print(f"socicache: trace error: {args.trace}:{exc.line_no}: {exc.reason}",
-              file=sys.stderr)
+    except TraceError as exc:
+        print(f"socicache: trace error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive runtime guard
         print(f"socicache: error: {exc}", file=sys.stderr)

@@ -3,15 +3,17 @@ used first.
 
 The cache is a plain dict whose insertion order is the recency order:
 a hit pops its entry and re-inserts it at the end, so the LRU victim is
-the first key.  Entries are plain ``(content, inserted_at)`` tuples.
+the first key.  An entry is the tick its key was inserted at; no output
+reads more of a cached reply, so the cache holds no content.
 """
 from __future__ import annotations
 
-from .model import ContentObject, SimTime, StorageKey
+from .model import SimTime, StorageKey
 
 
 class CurrentCache:
-    """Bounded cache with per-entry time-to-live and LRU replacement.
+    """Bounded map of key -> insertion tick with per-entry time-to-live and
+    LRU replacement.  ``lookup`` returns the tick on a hit (tick 0 is one).
 
     The recency order is the dict's insertion order: most recently used
     entries sit at the end, the LRU victim at the front.
@@ -22,30 +24,28 @@ class CurrentCache:
     def __init__(self, capacity: int, ttl: SimTime):
         self.capacity = capacity
         self.ttl = ttl
-        self.entries: dict[StorageKey, tuple[ContentObject, SimTime]] = {}
+        self.entries: dict[StorageKey, SimTime] = {}
 
-    def lookup(self, key: StorageKey, now: SimTime) -> ContentObject | None:
+    def lookup(self, key: StorageKey, now: SimTime) -> SimTime | None:
         entries = self.entries
-        entry = entries.pop(key, None)
-        if entry is None:
+        inserted_at = entries.pop(key, None)
+        if inserted_at is None:
             return None
-        if now - entry[1] >= self.ttl:
+        if now - inserted_at >= self.ttl:
             # Validity is exclusive: an entry of age == ttl is expired;
             # expired entries stay dropped and count as misses.
             return None
-        entries[key] = entry
-        return entry[0]
+        entries[key] = inserted_at
+        return inserted_at
 
-    def insert(self, content: ContentObject, now: SimTime) -> StorageKey | None:
-        """Store content, returning the evicted key if capacity was hit.
-
-        Re-inserting a present key replaces it (fresh validity,
-        most-recent position); the size does not grow, so it never evicts.
-        """
-        key = content.key
+    def insert(self, key: StorageKey, now: SimTime) -> StorageKey | None:
+        """Store ``key`` at tick ``now``, returning the evicted key if
+        capacity was hit.  Re-inserting a present key replaces it (fresh
+        validity, most-recent position); the size does not grow, so it
+        never evicts."""
         entries = self.entries
         entries.pop(key, None)
-        entries[key] = (content, now)
+        entries[key] = now
         if len(entries) > self.capacity:
             victim = next(iter(entries))
             del entries[victim]

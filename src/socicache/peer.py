@@ -67,12 +67,10 @@ class Peer:
             counters.social_hits += 1
         elif (current := self.current) is not None and current.lookup(key, now) is not None:
             counters.current_hits += 1
-        else:
-            content = self.dht.get(key)
-            if content is not None:
-                counters.overlay_replies += 1
-                if current is not None:
-                    current.insert(content, now)
+        elif self.dht.get(key) is not None:
+            counters.overlay_replies += 1
+            if current is not None:
+                current.insert(key, now)
         owner = key.owner
         if social is not None and owner != self.user:
             social.track(owner, _LOOKUP, now)
@@ -92,7 +90,7 @@ class Peer:
         if self.social is not None:
             self.social.publish(content)
         if self.current is not None:
-            self.current.insert(content, now)
+            self.current.insert(key, now)
         self.dht.put(content)
         return content
 

@@ -93,7 +93,16 @@ def test_missing_trace_file_exits_two(tmp_path, capsys):
     trace_path = tmp_path / "absent.txt"
     code = main(["run", "--out", str(tmp_path / "out"), "--trace", str(trace_path), *SMALL])
     assert code == 2
-    assert f"cannot read trace file {trace_path}" in capsys.readouterr().err
+    assert (capsys.readouterr().err
+            == f"socicache: trace error: {trace_path}: No such file or directory\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_trace_directory_exits_two(tmp_path, capsys):
+    code = main(["run", "--out", str(tmp_path / "out"), "--trace", str(tmp_path), *SMALL])
+    assert code == 2
+    assert capsys.readouterr().err == f"socicache: trace error: {tmp_path}: Is a directory\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_key_exits_two_and_names_key(tmp_path, capsys):

@@ -5,41 +5,47 @@ from hypothesis import strategies as st
 
 from oracles import ReferenceLruTtlCache
 from socicache.info_cache import CurrentCache
-from socicache.model import ContentObject, StorageKey
+from socicache.model import StorageKey
 
 
-def obj(path, version=1):
-    return ContentObject(StorageKey("u", path), version, 1)
+def key(path):
+    return StorageKey("u", path)
 
 
 def test_hit_within_ttl():
     cache = CurrentCache(capacity=10, ttl=100)
-    content = obj("a")
-    cache.insert(content, now=0)
-    assert cache.lookup(StorageKey("u", "a"), now=50) is content
+    cache.insert(key("a"), now=7)
+    assert cache.lookup(key("a"), now=50) == 7
+    assert cache.entries == {key("a"): 7}
+
+
+def test_tick_zero_is_a_hit():
+    cache = CurrentCache(capacity=10, ttl=100)
+    cache.insert(key("a"), now=0)
+    assert cache.lookup(key("a"), now=99) == 0
 
 
 def test_expiry_boundary_is_exclusive():
     cache = CurrentCache(capacity=10, ttl=100)
-    cache.insert(obj("a"), now=0)
-    assert cache.lookup(StorageKey("u", "a"), now=100) is None
-    assert StorageKey("u", "a") not in cache.entries  # expired entry evicted
+    cache.insert(key("a"), now=0)
+    assert cache.lookup(key("a"), now=100) is None
+    assert key("a") not in cache.entries  # expired entry evicted
     # The miss is final: the expired entry does not come back.
-    assert cache.lookup(StorageKey("u", "a"), now=100) is None
+    assert cache.lookup(key("a"), now=100) is None
 
 
 def test_lookup_of_absent_key_misses():
     cache = CurrentCache(capacity=10, ttl=100)
-    assert cache.lookup(StorageKey("u", "nope"), now=0) is None
+    assert cache.lookup(key("nope"), now=0) is None
     assert len(cache.entries) == 0
 
 
 def test_lru_eviction_order():
     cache = CurrentCache(capacity=2, ttl=1000)
-    cache.insert(obj("a"), 0)
-    cache.insert(obj("b"), 1)
-    evicted = cache.insert(obj("c"), 2)
-    assert evicted == StorageKey("u", "a")
+    cache.insert(key("a"), 0)
+    cache.insert(key("b"), 1)
+    evicted = cache.insert(key("c"), 2)
+    assert evicted == key("a")
 
 
 def test_lookup_refreshes_recency():
@@ -47,27 +53,25 @@ def test_lookup_refreshes_recency():
     cache = CurrentCache(capacity=2, ttl=1000)
     ref = ReferenceLruTtlCache(capacity=2, ttl=1000)
     for now, path in ((0, "a"), (1, "b")):
-        cache.insert(obj(path), now)
-        ref.insert(path, path, now)
-    cache.lookup(StorageKey("u", "a"), 2)
-    ref.lookup("a", 2)
-    assert cache.insert(obj("c"), 3) == StorageKey("u", ref.insert("c", "c", 3))
+        cache.insert(key(path), now)
+        ref.insert(path, now, now)
+    assert cache.lookup(key("a"), 2) == ref.lookup("a", 2) == 0
+    assert cache.insert(key("c"), 3) == key(ref.insert("c", 3, 3))
 
 
 def test_reinsert_replaces_without_eviction():
     cache = CurrentCache(capacity=2, ttl=1000)
-    cache.insert(obj("a", version=1), 0)
-    cache.insert(obj("b"), 1)
-    assert cache.insert(obj("a", version=2), 2) is None
-    assert cache.entries[StorageKey("u", "a")][0].version == 2
-    assert len(cache.entries) == 2
+    cache.insert(key("a"), 0)
+    cache.insert(key("b"), 1)
+    assert cache.insert(key("a"), 2) is None
+    assert cache.entries == {key("b"): 1, key("a"): 2}
 
 
 def test_reinsert_refreshes_validity():
     cache = CurrentCache(capacity=2, ttl=100)
-    cache.insert(obj("a", version=1), 0)
-    cache.insert(obj("a", version=2), 80)
-    assert cache.lookup(StorageKey("u", "a"), 150) is not None
+    cache.insert(key("a"), 0)
+    cache.insert(key("a"), 80)
+    assert cache.lookup(key("a"), 150) == 80
 
 
 ops = st.lists(
@@ -88,10 +92,10 @@ def test_capacity_never_exceeded(ops, capacity):
     for op, idx, advance in ops:
         now += advance
         if op == "insert":
-            cache.insert(obj(f"k{idx}"), now)
+            cache.insert(key(f"k{idx}"), now)
         else:
-            got = cache.lookup(StorageKey("u", f"k{idx}"), now)
-            assert got is None or got.key == StorageKey("u", f"k{idx}")
+            got = cache.lookup(key(f"k{idx}"), now)
+            assert got is None or got <= now
         assert len(cache.entries) <= capacity
 
 
@@ -104,20 +108,21 @@ def test_ttl_safety_no_stale_hits(ops, capacity):
     now = 0
     for op, idx, advance in ops:
         now += advance
-        key = StorageKey("u", f"k{idx}")
+        k = key(f"k{idx}")
         if op == "insert":
-            cache.insert(obj(f"k{idx}"), now)
-            inserted_at[key] = now
+            cache.insert(k, now)
+            inserted_at[k] = now
         else:
-            got = cache.lookup(key, now)
+            got = cache.lookup(k, now)
             if got is not None:
-                assert now - inserted_at[key] < ttl
+                assert got == inserted_at[k] and now - got < ttl
 
 
 def replay_against_reference(seed, capacity, ttl, keys):
     """Replay random operations on the cache and on the reference, checking
-    the result, a hit's version and the recency order after every step.
-    Returns the number of evictions and of expired lookups seen."""
+    the result, a hit's insertion tick (the reference stores it as the
+    value) and the recency order after every step.  Returns the number of
+    evictions and of expired lookups seen."""
     rng = random.Random(seed)
     cache = CurrentCache(capacity=capacity, ttl=ttl)
     ref = ReferenceLruTtlCache(capacity=capacity, ttl=ttl)
@@ -126,18 +131,17 @@ def replay_against_reference(seed, capacity, ttl, keys):
     for step in range(10_000):
         now += rng.randrange(0, 4)
         path = f"k{rng.randrange(keys)}"
-        key = StorageKey("u", path)
+        k = key(path)
         if rng.random() < 0.5:
-            version = step + 1
-            got = cache.insert(obj(path, version), now)
-            want = ref.insert(path, version, now)
+            got = cache.insert(k, now)
+            want = ref.insert(path, now, now)
             assert (got.path if got else None) == want, f"step {step}"
             evictions += want is not None
         else:
-            held = key in cache.entries
-            got = cache.lookup(key, now)
+            held = k in cache.entries
+            got = cache.lookup(k, now)
             want = ref.lookup(path, now)
-            assert (got.version if got is not None else None) == want, f"step {step}"
+            assert got == want, f"step {step}"
             expiries += held and want is None
         assert [k.path for k in cache.entries] == [k for k, _, _ in ref.items], f"step {step}"
     return evictions, expiries

@@ -64,7 +64,10 @@ def test_cold_key_served_by_overlay_and_cached():
     peers["b"].add_content(key("b"), 2, now=0)
     peers["a"].handle_request(key("b"), now=1)
     assert tiers(counters) == (0, 0, 1)
-    assert key("b") in peers["a"].current.entries
+    # Each current cache holds the key's insertion tick: the reader's at its
+    # overlay reply, the writer's at its post.
+    assert peers["a"].current.entries == {key("b"): 1}
+    assert peers["b"].current.entries == {key("b"): 0}
 
 
 def test_tier_exclusivity_per_request():

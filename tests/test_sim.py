@@ -16,7 +16,7 @@ from oracles import (
     reference_selection_round,
     trace_of,
 )
-from socicache import social_cache
+from socicache import info_cache, social_cache
 from socicache.cli import COMMANDS
 from socicache.metrics import METRICS_COLUMNS, cache_hit_ratio, write_rows
 from socicache.model import ContentObject
@@ -478,6 +478,55 @@ def test_social_state_costs_a_bound_per_channel_and_per_tracked_user():
     tracked = sum(len(social.muc) for social in sim._socials)
     assert channels > 1_500 and tracked > 2_000
     assert (size - sum(map(sys.getsizeof, lists))) / (channels + tracked) <= 116
+
+
+def test_current_cache_costs_a_bound_per_entry():
+    """What ``info_cache`` allocates in a 128-peer run is only the entry
+    dicts' tables: 48 bytes per entry with the current cache alone and 64
+    with both caches, where fewer entries leave the tables emptier.  An
+    entry that kept its reply as a ``(content, inserted_at)`` tuple cost
+    about 95 bytes in both setups, so it exceeds the bound."""
+    for setup in (CacheSetup.CURRENT_ONLY, CacheSetup.BOTH):
+        cfg = ScenarioConfig(peer_count=128, friends_per_user=25, lookups_per_interaction=5.0,
+                             new_experiment_time_days=0.01, cache_setup=setup)
+        trace = generate_trace(cfg)
+        tracemalloc.start()
+        try:
+            sim = Simulation(cfg, trace)
+            sim.run()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = snapshot.filter_traces([tracemalloc.Filter(True, info_cache.__file__)])
+        size = sum(stat.size for stat in held.statistics("filename"))
+        entries = sum(len(current.entries) for current in sim._currents)
+        assert entries > 4_000, setup
+        assert size / entries <= 80, setup
+
+
+@pytest.mark.parametrize("bootstrapping", [True, False])
+@pytest.mark.parametrize("setup", [CacheSetup.BOTH, CacheSetup.CURRENT_ONLY])
+def test_each_key_has_one_live_content_object(setup, bootstrapping):
+    """Every holder of content keeps only a key's latest version, the one
+    object the overlay holds, so a run leaves one live ``ContentObject``
+    per key.  A current cache that kept each reply kept superseded
+    versions alive: for these 320 keys, 365 objects with both caches and
+    bootstrapping, 623 with both caches without it, and 363 with the
+    current cache alone."""
+    cfg = ScenarioConfig(peer_count=16, friends_per_user=4, lookups_per_interaction=50,
+                         cache_setup=setup, bootstrapping=bootstrapping)
+    trace = generate_trace(cfg)
+
+    def live():
+        gc.collect()
+        return sum(isinstance(obj, ContentObject) for obj in gc.get_objects())
+
+    before = live()
+    sim = Simulation(cfg, trace)
+    sim.run()
+    assert all(current.entries for current in sim._currents)
+    assert max(obj.version for obj in sim.dht.entries.values()) > 1  # keys were re-posted
+    assert live() - before == len(sim.dht.entries) == 320
 
 
 def test_bootstrapped_sections_cost_at_most_16_bytes_per_item():
