@@ -19,7 +19,7 @@ import random
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, compress, cycle, islice, repeat
+from itertools import accumulate, chain, compress, cycle, islice, repeat
 from math import log, sqrt
 from operator import and_, attrgetter, itemgetter, lshift, or_
 from typing import Iterator, NamedTuple, Sequence
@@ -71,6 +71,8 @@ POST_CODE, LOOKUP_CODE, FRIENDREQ_CODE = range(len(ACTIONS))
 _CODES = {action: code for code, action in enumerate(ACTIONS)}
 # Lines per chunk of trace-file text: one string to write or hash at a time.
 CHUNK_LINES = 8192
+# About how many events generate_trace sorts at once (see _in_tick_order).
+WINDOW_EVENTS = 8 * CHUNK_LINES
 
 
 def _typecode(largest: int) -> str:
@@ -461,26 +463,39 @@ def _lookup_targets(times: list[int], friends: list[int], weights: list[float],
     return drawn
 
 
-def _in_tick_order(ticks: array, actors: array, codes: bytes,
-                   target_ids: array) -> tuple[array, array, array, array]:
-    """The columns sorted stably by tick, that is by (tick, index): one
-    sorted list of ``tick << shift | index`` ints, with no index list and
-    no key list of Python ints beside it.  Each column keeps its width (the
-    codes come back as an ``array("B")``); one itemgetter per
-    ``CHUNK_LINES`` indices gathers from every column."""
-    shift = len(ticks).bit_length()
-    packed = sorted(map(or_, map(lshift, ticks, repeat(shift)), range(len(ticks))))
-    order = array("I", map(and_, packed, repeat((1 << shift) - 1)))
-    del packed
+def _window_order(ticks: array, los: array, his: array, shift: int) -> array:
+    """The indices ``los[r]:his[r]`` of every run ``r`` in (tick, index)
+    order: one sorted list of ``tick << shift | index`` ints."""
+    window = chain.from_iterable(map(ticks.__getitem__, map(slice, los, his)))
+    packed = sorted(map(or_, map(lshift, window, repeat(shift)),
+                        chain.from_iterable(map(range, los, his))))
+    return array("I", map(and_, packed, repeat((1 << shift) - 1)))
+
+
+def _in_tick_order(ticks: array, actors: array, codes: bytes, target_ids: array,
+                   starts: Sequence[int]) -> tuple[array, array, array, array]:
+    """The columns sorted stably by tick, that is by (tick, index).  They
+    hold runs already in tick order, run ``r`` from index ``starts[r]``
+    (``starts[0]`` is 0).  Each tick window of about ``WINDOW_EVENTS``
+    events splits every run by ``bisect_left`` and is sorted on its own.
+    Each column keeps its width (the codes come back as an ``array("B")``);
+    one itemgetter per ``CHUNK_LINES`` indices gathers from every column."""
+    count, shift, top = len(ticks), len(ticks).bit_length(), max(ticks, default=0)
+    step = -(-(top + 1) // max(1, -(-count // WINDOW_EVENTS)))  # equal tick spans
+    los, ends = array("I", starts), array("I", [*starts[1:], count])
     columns = (ticks, actors, codes, target_ids)
     ordered = (array(ticks.typecode), array(actors.typecode), array("B"),
                array(target_ids.typecode))
-    for lo in range(0, len(order), CHUNK_LINES):
-        chunk = order[lo:lo + CHUNK_LINES]
-        gather = itemgetter(*chunk)
-        for column, out in zip(columns, ordered):
-            # An itemgetter of one index gives the value, not a tuple.
-            out.extend(gather(column) if len(chunk) > 1 else (gather(column),))
+    for edge in range(step, top + step + 1, step):
+        his = array("I", map(bisect_left, repeat(ticks), repeat(edge), los, ends))
+        order = _window_order(ticks, los, his, shift)
+        for lo in range(0, len(order), CHUNK_LINES):
+            chunk = order[lo:lo + CHUNK_LINES]
+            gather = itemgetter(*chunk)
+            for column, out in zip(columns, ordered):
+                # An itemgetter of one index gives the value, not a tuple.
+                out.extend(gather(column) if len(chunk) > 1 else (gather(column),))
+        los = his
     return ordered
 
 
@@ -491,6 +506,8 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     exists, then keep re-posting round-robin at the scaled interaction rate.
     Lookup streams run at ``lookups_per_interaction`` times that rate and
     pick a friend by tier weight, then one of the friend's keys uniformly.
+    Each friendship table is freed once its streams are drawn, and the
+    events are sorted one tick window at a time.
     """
     cfg.validate()
     # Zero-padded names sort in peer order, so a peer's index is also its
@@ -512,13 +529,9 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     random.Random(f"{cfg.seed}/phases").shuffle(edges)
     initial_count = round(len(edges) * cfg.initial_friend_fraction)
     phases = sorted(cfg.phases)
-    activation: dict[tuple[int, int], int | None] = {}
-    for idx, edge in enumerate(edges):
-        if idx < initial_count or not phases:
-            activation[edge] = None
-        else:
-            phase = phases[(idx - initial_count) % len(phases)]
-            activation[edge] = phase
+    activation = {edge: None if idx < initial_count or not phases
+                  else phases[(idx - initial_count) % len(phases)]
+                  for idx, edge in enumerate(edges)}
 
     # Each peer's friends in tier order (its graph row, shuffled); the
     # graph is regular, so one weight list serves every peer.
@@ -527,18 +540,20 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     weights = _tier_weights(cfg.friends_per_user, cfg.tier_sizes, cfg.tier_shares)
 
     # The three streams below are appended in priority order into one set
-    # of columns, then sorted once by tick.  Each column is as wide as its
-    # bound needs: ticks up to the duration, friend-request targets after
-    # the keys.
+    # of columns, then sorted by tick.  Each column is as wide as its bound
+    # needs: ticks up to the duration, friend-request targets after the
+    # keys.  ``starts`` records where each run sorted by tick begins.
     ticks = array(_typecode(duration))
     actors = array(_typecode(cfg.peer_count - 1))
     target_ids = array(_typecode(user_targets + cfg.peer_count - 1))
+    starts = array("I")
 
     # Posts: full key space at tick 0, then round-robin re-posts.
     post_gap = cfg.interaction_gap_ticks()
     for i, name in enumerate(names):
         rng = random.Random(f"{cfg.seed}/posts/{name}")
         times = [0] * per_user + _stream_ticks(rng, post_gap, duration)
+        starts.append(len(ticks))
         ticks.extend(times)
         actors.extend([i] * len(times))
         first = i * per_user
@@ -564,6 +579,7 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
         activation_events.append((when, requester, other))
     activation_events.sort()
     activations_of: list[list[tuple[int, int]]] = [[] for _ in names]
+    starts.append(len(ticks))
     for when, requester, other in activation_events:
         ticks.append(when)
         actors.append(requester)
@@ -571,6 +587,7 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
         activations_of[requester].append((when, other))
         activations_of[other].append((when, requester))
     request_count = len(ticks) - post_count
+    del ordered, edges, activation, activation_events
 
     # Lookups: each drawn against its actor's tier table as it stands at
     # the lookup's tick.  A table changes only with its own actor's
@@ -582,6 +599,8 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
                               lookup_gap, duration)
         drawn = _lookup_targets(times, graph[i], weights, active[i], activations_of[i],
                                 per_user, random.Random(f"{cfg.seed}/lookup-draws/{name}"))
+        graph[i] = active[i] = activations_of[i] = None  # this actor's tables, done
+        starts.append(len(ticks))
         ticks.extend(times[len(times) - len(drawn):])
         actors.extend([i] * len(drawn))
         target_ids.extend(drawn)
@@ -596,7 +615,7 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     # stream the append order is already (actor, seq) among equal ticks:
     # posts and lookups go actor by actor in time order, friend requests in
     # sorted order.  So the trace's order is (tick, append index).
-    ticks, actors, codes, target_ids = _in_tick_order(ticks, actors, codes, target_ids)
+    ticks, actors, codes, target_ids = _in_tick_order(ticks, actors, codes, target_ids, starts)
     return Trace(
         ticks, actors, codes, target_ids,
         array(_typecode(cfg.payload_bytes), [cfg.payload_bytes]) * count,

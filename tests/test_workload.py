@@ -4,7 +4,7 @@ import statistics
 import tracemalloc
 from array import array
 from dataclasses import FrozenInstanceError, replace
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import event_line, reference_generate_trace, reference_trace_users, trace_of
 import socicache
-from socicache import cli
+from socicache import cli, workload
 from socicache.sim import Simulation
 from socicache.social_cache import SelectionTrigger, Strategy, StrategyConfig
 from socicache.workload import (
@@ -21,6 +21,7 @@ from socicache.workload import (
     FRIENDREQ,
     LOOKUP,
     POST,
+    WINDOW_EVENTS,
     CacheSetup,
     ConfigError,
     CurrentCacheConfig,
@@ -534,17 +535,13 @@ def test_trace_columns_are_read_only():
         trace.actions[0] = 1
 
 
-def test_generated_trace_retains_few_bytes_per_event():
-    # Each column is as wide as its bound needs: here tick 4 bytes, actor
-    # 1, action 1, target 2 and payload size 2, so 10 bytes per event plus
-    # array slack (21 with 8-byte ticks and 4-byte actors, targets and
-    # sizes); an object per event would take several times that.  While
-    # generating, the unsorted columns, the order and one sorted list of
-    # packed ints (about 40 bytes per event) are alive at once: about 57
-    # bytes per event, where full-width columns peaked near 66 and a sort
-    # with an index list and a key list near 105.
-    cfg = ScenarioConfig(peer_count=16, friends_per_user=6, lookups_per_interaction=400.0,
-                         new_experiment_time_days=0.25)
+# Bytes per event that trace generation may peak at under tracemalloc.
+GENERATION_PEAK_PER_EVENT = 45
+
+
+def traced_generation(cfg: ScenarioConfig) -> tuple[Trace, int, int]:
+    """The trace of ``cfg``, and the bytes ``generate_trace`` retains and
+    peaks at under tracemalloc."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -553,10 +550,42 @@ def test_generated_trace_retains_few_bytes_per_event():
         retained, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+    return trace, retained, peak
+
+
+def test_generated_trace_retains_few_bytes_per_event():
+    # Each column is as wide as its bound needs: here tick 4 bytes, actor
+    # 1, action 1, target 2 and payload size 2, so 10 bytes per event plus
+    # array slack (21 with 8-byte ticks and 4-byte actors, targets and
+    # sizes); an object per event would take several times that.  While
+    # generating, the unsorted columns, the sorted ones and one tick
+    # window's sorted list of packed ints are alive at once.  That list
+    # takes about 40 bytes per event of its window, and this trace's
+    # 129,937 events fall into two windows: about 42.7 bytes per event at
+    # the peak, where one sort of every event peaked at 56.6, full-width
+    # columns near 66 and a sort with an index list and a key list near 105.
+    cfg = ScenarioConfig(peer_count=16, friends_per_user=6, lookups_per_interaction=400.0,
+                         new_experiment_time_days=0.25)
+    trace, retained, peak = traced_generation(cfg)
     assert len(trace) > 100_000
     assert typecodes(trace) == ("I", "B", "H", "H")
     assert retained / len(trace) <= 16
-    assert peak / len(trace) <= 64
+    assert peak / len(trace) <= GENERATION_PEAK_PER_EVENT
+
+
+def test_generation_frees_each_friendship_table_once_its_stream_is_drawn():
+    # 512 peers of 25 friends: 6,400 edges and 1,025 runs (a post and a
+    # lookup stream per peer, and the friend requests) for 146,874 events
+    # in three windows.  The edge tables are freed after the friend
+    # requests and each actor's tables after its lookups, so none is alive
+    # in the sort: about 38.3 bytes per event at the peak (17.0 retained,
+    # the keys included), where keeping the tables until the end peaked at
+    # 54.7, and keeping them with one sort of every event at 76.4.
+    cfg = ScenarioConfig(peer_count=512, lookups_per_interaction=12.0,
+                         new_experiment_time_days=0.001)
+    trace, _, peak = traced_generation(cfg)
+    assert len(trace) > 2 * WINDOW_EVENTS
+    assert peak / len(trace) <= GENERATION_PEAK_PER_EVENT
 
 
 def test_generated_trace_retains_few_bytes_per_target():
@@ -652,7 +681,8 @@ def test_more_than_65535_targets_keep_4_byte_target_ids(tmp_path):
 def map_gathers(ticks: array, actors: array, codes: bytes,
                 target_ids: array) -> tuple[array, array, array, array]:
     """``_in_tick_order`` with one ``map`` gather per column over a stable
-    index sort: the chunked itemgetter gathers must give the same columns."""
+    index sort of every event: the windowed sort and its chunked itemgetter
+    gathers must give the same columns."""
     order = sorted(range(len(ticks)), key=ticks.__getitem__)
     return (array(ticks.typecode, map(ticks.__getitem__, order)),
             array(actors.typecode, map(actors.__getitem__, order)),
@@ -660,15 +690,43 @@ def map_gathers(ticks: array, actors: array, codes: bytes,
             array(target_ids.typecode, map(target_ids.__getitem__, order)))
 
 
-@pytest.mark.parametrize("count", [0, 1, CHUNK_LINES, CHUNK_LINES + 1])
+@pytest.mark.parametrize("count", [0, 1, CHUNK_LINES, CHUNK_LINES + 1,
+                                   WINDOW_EVENTS - 1, WINDOW_EVENTS, WINDOW_EVENTS + 1])
 def test_chunked_gathers_match_per_column_maps(count):
     # Past a multiple of CHUNK_LINES by one, the last chunk holds one event,
-    # where an itemgetter gives a value instead of a tuple.
+    # where an itemgetter gives a value instead of a tuple; past
+    # WINDOW_EVENTS the events fall into two tick windows.  The runs are
+    # the stretches between the tick column's descents.
     rng = random.Random(count)
     columns = (array("I", (rng.randrange(count // 3 + 1) for _ in range(count))),
                array("B", (rng.randrange(256) for _ in range(count))),
                bytes(rng.randrange(3) for _ in range(count)),
                array("H", (rng.randrange(2**16) for _ in range(count))))
-    got = _in_tick_order(*columns)
+    ticks = columns[0]
+    starts = [0] + [i for i in range(1, count) if ticks[i] < ticks[i - 1]]
+    got = _in_tick_order(*columns, starts)
     assert got == map_gathers(*columns)
     assert [column.typecode for column in got] == ["I", "B", "B", "H"]
+
+
+sorted_run = st.tuples(st.integers(0, 6), st.lists(st.integers(0, 40), max_size=12)).map(
+    lambda run: [0] * run[0] + sorted(run[1]))  # leading zeros: like the tick-0 posts
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(st.one_of(sorted_run, st.lists(st.integers(0, 2), max_size=30).map(sorted)),
+                     min_size=1, max_size=10),
+       window=st.integers(1, 20))
+@example(runs=[[0] * 25 + [1, 1, 2]], window=4)  # a single run with a tick-0 spike
+@example(runs=[[], [3, 3, 3], [], [3, 3]], window=1)  # empty runs, one tick
+@example(runs=[[5, 9], [0, 20], [2, 7, 40]], window=2)  # runs crossing window edges
+def test_windowed_tick_order_matches_one_sort_of_every_event(runs, window):
+    ticks = array("I", [tick for run in runs for tick in run])
+    count = len(ticks)
+    columns = (ticks, array("B", (i % 256 for i in range(count))),
+               bytes(i % 3 for i in range(count)), array("H", range(count)))
+    starts = list(accumulate(map(len, runs[:-1]), initial=0))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(workload, "WINDOW_EVENTS", window)
+        got = _in_tick_order(*columns, starts)
+    assert got == map_gathers(*columns)
