@@ -17,7 +17,13 @@ interpreter, one after the other:
   Python allocations only, so the checkout's path does not move them as it
   moves ``ru_maxrss``.  A second pass in the same interpreter would read a
   little less: on CPython 3.11 the instances a run makes shrink by 8 bytes
-  a pass for about nine passes, so each pass gets its own.
+  a pass for about nine passes, so each pass gets its own;
+- then one pass under ``cProfile`` records the self time of each module
+  over the runs (each ``Simulation`` built and run; generation and export
+  are left out).  A C function's self time is charged to the module of the
+  Python function that called it, so the ``list.append`` of a loop in
+  ``peer`` counts for ``socicache.peer``.  Profiling slows the runs
+  several-fold, so these times give shares, not durations.
 
 The workloads and their configs come from ``perfbench/workloads.py``, loaded
 by path and never edited.  The file also records each run's counters and
@@ -29,17 +35,20 @@ interpreter, ``nproc``, ``git rev-parse HEAD`` and the paths that
 from __future__ import annotations
 
 import argparse
+import cProfile
 import dataclasses
 import importlib.util
 import json
 import os
 import platform
+import pstats
 import resource
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
+from collections import Counter
 from hashlib import sha256
 from pathlib import Path
 
@@ -143,7 +152,37 @@ def tracemalloc_pass(name: str, size: str) -> dict[str, int]:
     return peaks
 
 
-PASSES = {"plain": plain_pass, "tracemalloc": tracemalloc_pass}
+def module_of(filename: str) -> str:
+    """``socicache.<module>`` for a file of the package, else the file's
+    stem: ``random`` for the standard library's ``random.py`` and
+    ``<string>`` for the methods that ``dataclasses`` and ``namedtuple``
+    generate."""
+    path = Path(filename)
+    return f"socicache.{path.stem}" if path.parent.name == "socicache" else path.stem
+
+
+def profile_pass(name: str, size: str) -> dict[str, float]:
+    """Each module's self time over the runs from one cProfile pass, in
+    seconds, largest first; a C function's time goes to the modules of its
+    callers, each getting the time spent in it from that caller."""
+    base, runs, _ = plan(name, size)
+    trace = generate_trace(base)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for label, cfg in runs:
+        Simulation(cfg, trace, label).run()
+    profiler.disable()
+    self_s: Counter[str] = Counter()
+    for (filename, _, _), (_, _, own, _, callers) in pstats.Stats(profiler).stats.items():
+        if filename != "~":  # a Python function
+            self_s[module_of(filename)] += own
+            continue
+        for (caller, _, _), (_, _, spent, _) in callers.items():
+            self_s[module_of(caller)] += spent
+    return dict(self_s.most_common())
+
+
+PASSES = {"plain": plain_pass, "tracemalloc": tracemalloc_pass, "profile": profile_pass}
 
 
 def git(*args: str) -> str | None:
@@ -185,6 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         records[name] = fresh_pass(name, "plain")
         records[name]["tracemalloc_peak_bytes"] = [
             fresh_pass(name, "tracemalloc") for _ in range(args.tracemalloc_passes)]
+        records[name]["profile_self_s"] = fresh_pass(name, "profile")
     evidence = {
         "label": args.label,
         "size": args.size,

@@ -1,12 +1,13 @@
 """Core vocabulary shared by every simulator component.
 
-Users, storage keys, versioned content objects and interaction kinds.
-All types here are immutable values; time is an integer tick count in
-simulated milliseconds.
+Users, storage keys, versioned content objects, interaction kinds and the
+width rule of integer arrays.  All types here are immutable values; time is
+an integer tick count in simulated milliseconds.
 """
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,3 +68,12 @@ class InteractionKind(enum.Enum):
     LOOKUP = "lookup"
     FRIEND_REQUEST = "friend_request"
 
+
+def typecode(largest: int) -> str:
+    """The smallest unsigned array typecode that holds ``largest`` (``q``,
+    signed, only from 2**32 on): the width of a trace's integer column and
+    of a widened social-cache section."""
+    for code in "BHI":
+        if largest < 1 << 8 * array(code).itemsize:
+            return code
+    return "q"

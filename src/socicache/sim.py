@@ -205,42 +205,51 @@ class Simulation:
 
     def verify_consistency(self) -> list[str]:
         """Social caches whose item count (``social_cache_items``)
-        disagrees with their sections' items, and section items whose
-        version disagrees with the overlay or that sit outside their key's
-        slot in their owner's section.  With bootstrapping on, every section
-        must also be complete: as long as its owner's ``own`` and holding no
-        ``None`` (a ``None`` section only for an empty ``own``), so an update
-        lost for a new key is reported too, where no held item is stale."""
+        disagrees with their sections' items, and held versions that
+        disagree with the overlay's version of the key at their slot (the
+        inverse of ``slot_of``) or sit at a slot of no key.  With
+        bootstrapping on, every section must also be complete: as long as
+        its owner's ``own`` and holding no 0 (a ``None`` section only for an
+        empty ``own``), so an update lost for a new key is reported too,
+        where no held version is stale."""
         violations: list[str] = []
         complete = self.cfg.bootstrapping
+        keys_of: dict[UserId, list[StorageKey | None]] = {}
+        for key, slot in self.slot_of.items():
+            keys = keys_of.setdefault(key.owner, [])
+            keys += [None] * (slot + 1 - len(keys))
+            keys[slot] = key
         for name in sorted(self.peers):
             social = self.peers[name].social
             if social is None:
                 continue
-            held = sum([obj is not None for section in social.channels.values()
-                        if section for obj in section])
+            held = sum([len(section) - section.count(0)
+                        for section in social.channels.values() if section])
             if social.store_items != held:
                 violations.append(f"{name}: counts {social.store_items} items, stores {held}")
             for user, section in social.channels.items():
-                section = section or []
+                section = section or b""
                 if complete:
                     owned = len(self.peers[user].social.own)
-                    items = len([obj for obj in section if obj is not None])
+                    items = len(section) - section.count(0)
                     if not items == len(section) == owned:
                         violations.append(f"{name}: holds {items} items in {len(section)} slots of "
                                           f"{user}'s {owned}")
-                for slot, obj in enumerate(section):
-                    if obj is None:
+                keys = keys_of.get(user, [])
+                for slot, version in enumerate(section):
+                    if not version:
                         continue
-                    key = obj.key
-                    if key.owner != user or self.slot_of.get(key) != slot:
-                        violations.append(f"{name}: {key} at slot {slot} of {user}'s section")
+                    key = keys[slot] if slot < len(keys) else None
+                    if key is None:
+                        violations.append(f"{name}: version {version} at slot {slot} of "
+                                          f"{user}'s section, which has no key")
+                        continue
                     stored = self.dht.entries.get(key)
                     if stored is None:
                         violations.append(f"{name}: {key} missing from the overlay")
-                    elif stored.version != obj.version:
+                    elif stored.version != version:
                         violations.append(
-                            f"{name}: {key} version {obj.version} != overlay {stored.version}"
+                            f"{name}: {key} version {version} != overlay {stored.version}"
                         )
         return violations
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 import enum
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .metrics import Counters
-from .model import ConfigError, ContentObject, InteractionKind, SimTime, StorageKey, UserId
+from .model import (ConfigError, ContentObject, InteractionKind, SimTime, StorageKey, UserId,
+                    typecode)
 from .overlay import MessageEnvelope, MessageKind
 
 DUNBAR_MUC_LIMIT = 150
@@ -33,6 +35,19 @@ _STABLE_MARGIN = 1e-9
 def _tick(crossing: float) -> float:
     """The first whole tick at or after ``crossing``."""
     return crossing if crossing == math.inf else math.ceil(crossing)
+
+
+# What own content and a channel's section are: versions indexed by slot, 0
+# where none is held.  A ``bytearray`` until a version past 255 arrives.
+Versions = bytearray | array
+
+
+def _widened(section: Versions, slot: int, version: int) -> array:
+    """A copy of ``section`` in the narrowest array that holds ``version``,
+    stored at ``slot``: the store that ``section`` itself refused."""
+    wide = array(typecode(version), iter(section))  # not a bytearray's raw bytes
+    wide[slot] = version
+    return wide
 
 
 class _Certificate(NamedTuple):
@@ -166,15 +181,17 @@ class SocialCache:
     publish.  The owning peer routes incoming envelopes to the ``on_*``
     handlers.  ``channels`` maps each subscribed user, in subscription
     order and at most ``cfg.n``, to its section: the latest pushed or dumped
-    version of each of that user's items, or ``None`` until the first dump
-    or update arrives.  Only ``_subscribe`` and ``_unsubscribe`` add or drop
-    a channel, called from ``track`` and ``run_selection``.  ``own`` holds
-    the latest version of every item the peer itself published, and
-    ``store_items`` counts the items of every section.  Own content and
-    sections are lists indexed by a key's slot, its index in its owner's
-    publish order, recorded in the run's shared ``slot_of`` map; only a
-    section that began without a dump holds ``None``, at the slots it
-    skipped.
+    version number of each of that user's items, or ``None`` until the first
+    dump or update arrives.  Only ``_subscribe`` and ``_unsubscribe`` add or
+    drop a channel, called from ``track`` and ``run_selection``.  ``own``
+    holds the latest version number of every item the peer itself
+    published, and ``store_items`` counts the items of every section.  The
+    overlay keeps the ``ContentObject`` records; these stores keep only
+    their versions (``Versions``), indexed by a key's slot, its index in its
+    owner's publish order, recorded in the run's shared ``slot_of`` map.
+    Versions start at 1, so 0 marks a slot not held: only a section that
+    began without a dump holds 0, at the slots it skipped.  A store past a
+    container's width swaps in a wider copy (``_widened``).
 
     A selection round asks ``stable_until`` whether it can change anything.
     ``cfg`` is frozen and validated here, so no weight changes under a score
@@ -205,11 +222,11 @@ class SocialCache:
         self.slot_of = slot_of
         self.bootstrapping = bootstrapping
         self.muc = MucList(muc_capacity)
-        self.channels: dict[UserId, list[ContentObject | None] | None] = {}
+        self.channels: dict[UserId, Versions | None] = {}
         # Users subscribed to this peer's update channel, in subscription order.
         self.receivers: dict[UserId, None] = {}
         self.store_items = 0
-        self.own: list[ContentObject] = []
+        self.own: Versions = bytearray()
         # The random strategy's generator, seeded by the scenario ``seed``;
         # only that strategy draws.
         self._rng = random.Random(f"{seed}/strategy/{owner}") if cfg.kind is _RANDOM else None
@@ -542,11 +559,7 @@ class SocialCache:
         are purged at once."""
         section = self.channels.pop(user)
         if section is not None:
-            # Every cache of a run shares ``bootstrapping``: with it on, no
-            # section is padded.  Without it an identity scan counts the items,
-            # as ``count(None)`` would call each item's ``__eq__``.
-            self.store_items -= (len(section) if self.bootstrapping
-                                 else len([item for item in section if item is not None]))
+            self.store_items -= len(section) - section.count(0)
         self.counters.unsubscriptions_sent += 1
         self.dispatch(MessageEnvelope(self.owner, _UNSUBSCRIBE, None), user)
 
@@ -560,29 +573,32 @@ class SocialCache:
         self.receivers[subscriber] = None
         if self.bootstrapping:
             self.counters.bootstrap_dumps += 1
-            self.dispatch(MessageEnvelope(self.owner, _BOOTSTRAP_DUMP, self.own.copy()), subscriber)
+            self.dispatch(MessageEnvelope(self.owner, _BOOTSTRAP_DUMP, self.own[:]), subscriber)
 
     def on_unsubscribe_received(self, subscriber: UserId) -> None:
         self.receivers.pop(subscriber, None)
 
     def on_social_update(self, sender: UserId, content: ContentObject) -> bool:
-        """Store a pushed update at its key's slot, overwriting older content
-        for the same key, and pad a section that lacks the slots below it.
-        Updates from non-subscribed users are ignored."""
+        """Store a pushed update's version at its key's slot, overwriting the
+        older version of the same key, and pad a section that lacks the slots
+        below it with 0.  Updates from non-subscribed users are ignored."""
         section = self.channels.get(sender, False)  # False: not a channel
         if section is False:
             return False
         if section is None:
-            section = self.channels[sender] = []
+            section = self.channels[sender] = bytearray()
         slot = self.slot_of[content.key]
         if slot >= len(section):
-            section.extend([None] * (slot + 1 - len(section)))
-        if section[slot] is None:
+            section.extend(bytes(slot + 1 - len(section)))
+        if not section[slot]:
             self.store_items += 1
-        section[slot] = content
+        try:
+            section[slot] = content.version
+        except (ValueError, OverflowError):  # past the section's width
+            self.channels[sender] = _widened(section, slot, content.version)
         return True
 
-    def on_bootstrap(self, sender: UserId, items: list[ContentObject]) -> int:
+    def on_bootstrap(self, sender: UserId, items: Versions) -> int:
         """Store a bootstrap dump (a fresh copy of the sender's ``own``) whole
         as the sender's section; returns the number of items accepted.  A dump
         answers this peer's own ``_subscribe`` to a user that was not a
@@ -598,30 +614,33 @@ class SocialCache:
     # -- content ------------------------------------------------------------
 
     def publish(self, content: ContentObject) -> None:
-        """Keep own content locally, at its key's slot (a new key takes the
-        next one), and push an update to every subscriber: one envelope,
-        dispatched once per receiver."""
+        """Keep the version of own content locally, at its key's slot (a new
+        key takes the next one), and push the content as an update to every
+        subscriber: one envelope, dispatched once per receiver."""
         key = content.key
         if key.owner != self.owner:
             raise ValueError(f"{self.owner!r} cannot publish {key}")
         own = self.own
         slot = self.slot_of.get(key)
         if slot is None:
-            self.slot_of[key] = len(own)
-            own.append(content)
-        else:
-            own[slot] = content
+            slot = self.slot_of[key] = len(own)
+            own.append(0)
+        try:
+            own[slot] = content.version
+        except (ValueError, OverflowError):  # past own's width
+            self.own = _widened(own, slot, content.version)
         if self.receivers:
             env = MessageEnvelope(self.owner, _SOCIAL_UPDATE, content)
             dispatch = self.dispatch
             for subscriber in self.receivers:
                 dispatch(env, subscriber)
 
-    def lookup(self, key: StorageKey) -> ContentObject | None:
-        """Own content first, then the owner's channel section."""
+    def lookup(self, key: StorageKey) -> int | None:
+        """The version held of ``key``, own content first, then the owner's
+        channel section; ``None``, never 0, if none is held."""
         owner = key.owner
         section = self.own if owner == self.owner else self.channels.get(owner)
         if section is None:
             return None
         slot = self.slot_of.get(key)
-        return None if slot is None or slot >= len(section) else section[slot]
+        return None if slot is None or slot >= len(section) else section[slot] or None

@@ -24,7 +24,7 @@ from math import log, sqrt
 from operator import and_, attrgetter, itemgetter, lshift, or_
 from typing import Iterator, NamedTuple, Sequence
 
-from .model import ConfigError, StorageKey, UserId
+from .model import ConfigError, StorageKey, UserId, typecode
 from .social_cache import DUNBAR_MUC_LIMIT, Strategy, StrategyConfig
 
 TICKS_PER_DAY = 86_400_000
@@ -73,15 +73,6 @@ _CODES = {action: code for code, action in enumerate(ACTIONS)}
 CHUNK_LINES = 8192
 # About how many events generate_trace sorts at once (see _in_tick_order).
 WINDOW_EVENTS = 8 * CHUNK_LINES
-
-
-def _typecode(largest: int) -> str:
-    """The smallest unsigned array typecode that holds ``largest`` (``q``,
-    signed, only from 2**32 on): the width of a trace's integer column."""
-    for code in "BHI":
-        if largest < 1 << 8 * array(code).itemsize:
-            return code
-    return "q"
 
 
 class TraceEvent(NamedTuple):
@@ -154,7 +145,7 @@ class _TraceBuilder:
     """Collects events one at a time, checking that each can run and
     interning actors and targets, for a trace whose user set is known only
     at the end.  Each integer column starts one byte wide and is widened to
-    ``_typecode`` of the first value it cannot hold, so it ends as narrow as
+    ``typecode`` of the first value it cannot hold, so it ends as narrow as
     its largest value allows."""
 
     def __init__(self) -> None:
@@ -223,7 +214,7 @@ class _TraceBuilder:
             for i, value in enumerate((at, number, t, size)):
                 if len(columns[i]) < len(self.actions):  # not appended yet
                     if value >= 1 << 8 * columns[i].itemsize:
-                        columns[i] = array(_typecode(value), columns[i])
+                        columns[i] = array(typecode(value), columns[i])
                     columns[i].append(value)
 
     def build(self) -> Trace:
@@ -234,7 +225,7 @@ class _TraceBuilder:
         del self.target_ids_of  # the largest table, not needed past parsing
         ticks, actors, target_ids, sizes = self.columns
         # A user named only as a target can sort before an actor.
-        actors = array(_typecode(len(users) - 1), map(renumber.__getitem__, actors))
+        actors = array(typecode(len(users) - 1), map(renumber.__getitem__, actors))
         return Trace(ticks, actors, self.actions, target_ids, sizes, users, tuple(self.resolved))
 
 
@@ -543,9 +534,9 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     # of columns, then sorted by tick.  Each column is as wide as its bound
     # needs: ticks up to the duration, friend-request targets after the
     # keys.  ``starts`` records where each run sorted by tick begins.
-    ticks = array(_typecode(duration))
-    actors = array(_typecode(cfg.peer_count - 1))
-    target_ids = array(_typecode(user_targets + cfg.peer_count - 1))
+    ticks = array(typecode(duration))
+    actors = array(typecode(cfg.peer_count - 1))
+    target_ids = array(typecode(user_targets + cfg.peer_count - 1))
     starts = array("I")
 
     # Posts: full key space at tick 0, then round-robin re-posts.
@@ -618,7 +609,7 @@ def generate_trace(cfg: ScenarioConfig) -> Trace:
     ticks, actors, codes, target_ids = _in_tick_order(ticks, actors, codes, target_ids, starts)
     return Trace(
         ticks, actors, codes, target_ids,
-        array(_typecode(cfg.payload_bytes), [cfg.payload_bytes]) * count,
+        array(typecode(cfg.payload_bytes), [cfg.payload_bytes]) * count,
         tuple(names),
         tuple(keys) + tuple(names),
     )

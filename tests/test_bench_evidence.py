@@ -1,5 +1,6 @@
-"""bench/evidence.py at the smoke size: the file it writes, and tracemalloc
-peaks that two fresh interpreters reproduce."""
+"""bench/evidence.py at the smoke size: the file it writes, tracemalloc
+peaks that two fresh interpreters reproduce, and self time by module with
+no C function left unowned."""
 import json
 import subprocess
 import sys
@@ -24,7 +25,7 @@ def test_evidence_file_holds_every_workload_and_reproducible_peaks(tmp_path):
     assert set(evidence["workloads"]) == {"caches-read", "fanout-2k", "select-2d"}
     for name, record in evidence["workloads"].items():
         assert set(record) == {"events", "trace_digest", "phases", "runs", "outputs",
-                               "tracemalloc_peak_bytes"}, name
+                               "tracemalloc_peak_bytes", "profile_self_s"}, name
         names = ["generate", *(f"run:{label}" for label in record["runs"]), "export"]
         assert [phase["phase"] for phase in record["phases"]] == names
         for phase in record["phases"]:
@@ -47,3 +48,12 @@ def test_evidence_file_holds_every_workload_and_reproducible_peaks(tmp_path):
             {k: v for k, v in second.items() if k != "export"}, name
         assert abs(first["export"] - second["export"]) < 1024, name
         assert all(peak > 0 for peak in first.values())
+        # C functions (``~`` in pstats) are charged to their callers' modules;
+        # the simulator's own layers hold most of the time.
+        self_s = record["profile_self_s"]
+        assert "~" not in self_s and all(seconds >= 0 for seconds in self_s.values())
+        assert list(self_s.values()) == sorted(self_s.values(), reverse=True)
+        layers = {"socicache.social_cache", "socicache.sim", "socicache.peer",
+                  "socicache.overlay"}
+        assert layers <= set(self_s), name
+        assert sum(self_s[module] for module in layers) > 0.5 * sum(self_s.values()), name

@@ -2,7 +2,7 @@ import pytest
 
 from socicache.info_cache import CurrentCache
 from socicache.metrics import Counters
-from socicache.model import InteractionKind, StorageKey
+from socicache.model import ContentObject, InteractionKind, StorageKey
 from socicache.overlay import DhtStore, InvalidEnvelopeError, MessageDispatcher
 from socicache.peer import NotOwnerError, Peer
 from socicache.social_cache import SocialCache, Strategy, StrategyConfig
@@ -103,10 +103,27 @@ def test_post_fans_out_to_subscribers():
     messages_before = counters.dispatcher_messages
     peers["a"].add_content(key("a"), 4, now=1)
     assert counters.dispatcher_messages - messages_before == 3  # one update per subscriber
+    assert dht.entries[key("a")] == ContentObject(key("a"), 1, 4)
     for name in ("b", "c", "d"):
-        stored = peers[name].social.lookup(key("a"))
-        assert stored is not None and stored.size == 4
+        assert peers[name].social.lookup(key("a")) == 1
     assert counters.bootstrap_dumps == 3
+
+
+def test_a_padded_slot_is_a_social_miss():
+    """b answers a's subscription without a dump, so a's section of b
+    begins at b's next post, with slot 0 padded: a request for the key at
+    that slot goes on to the overlay, and one for the pushed key is a
+    social hit."""
+    dht, dispatcher, counters, peers = build_net(["a", "b"], setup="social")
+    peers["b"].add_content(key("b", "wall/0"), 4, now=0)
+    peers["b"].social.bootstrapping = False
+    peers["a"].social._subscribe("b")
+    peers["b"].add_content(key("b", "wall/1"), 4, now=1)
+    assert peers["a"].social.channels["b"] == bytearray([0, 1])
+    peers["a"].handle_request(key("b", "wall/0"), now=2)
+    assert tiers(counters) == (0, 0, 1)
+    peers["a"].handle_request(key("b", "wall/1"), now=3)
+    assert tiers(counters) == (1, 0, 1)
 
 
 def test_post_with_no_subscribers_still_persists():

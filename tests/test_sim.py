@@ -149,14 +149,16 @@ def test_simulation_refuses_a_trace_past_its_duration():
 
 
 def peer_states(sim: Simulation) -> list[tuple]:
-    """Channels, receivers, MUC list and stored versions of every peer."""
+    """Channels, receivers, MUC list and stored versions, each with the key
+    at its slot (0 where none is held), of every peer."""
+    key_at = {(key.owner, slot): str(key) for key, slot in sim.slot_of.items()}
     states = []
     for name in sorted(sim.peers):
         social = sim.peers[name].social
         entries = [(u, e.event_count, e.lookup_count, e.weighted, e.first_at, e.last_at)
                    for u, e in social.muc.items()]
         stored = {u: None if section is None else
-                  [None if c is None else (str(c.key), c.version) for c in section]
+                  [(key_at.get((u, slot)), version) for slot, version in enumerate(section)]
                   for u, section in social.channels.items()}
         states.append((name, list(social.channels), list(social.receivers),
                        social.muc.total_events, entries, stored))
@@ -404,8 +406,8 @@ def test_runs_end_consistent(kind, setup, trigger, bootstrapping):
     sim.run()
     assert sim.verify_consistency() == []
     assert sim.verify_subscription_symmetry() == []
-    padded = any(item is None for social in sim._socials
-                 for section in social.channels.values() if section for item in section)
+    padded = any(0 in section for social in sim._socials
+                 for section in social.channels.values() if section)
     assert padded != bootstrapping
 
 
@@ -451,14 +453,80 @@ def test_a_lost_update_for_a_new_key_is_reported_only_with_dumps(bootstrapping, 
     ] if bootstrapping else [])
 
 
+def misslotted(update):
+    """``SocialCache.on_social_update`` made to store each version one slot
+    past its key's slot."""
+    def patched(cache, sender, content):
+        slot_of = cache.slot_of
+        cache.slot_of = {content.key: slot_of[content.key] + 1}
+        try:
+            return update(cache, sender, content)
+        finally:
+            cache.slot_of = slot_of
+    return patched
+
+
+@pytest.mark.parametrize("bootstrapping", [True, False])
+def test_a_version_off_its_keys_slot_is_reported(bootstrapping, monkeypatch):
+    """b's two keys hold different versions when a's updates for them land
+    one slot off: each misplaced version disagrees with the overlay's
+    version of the key at its slot, or sits at a slot of no key, so
+    ``verify_consistency`` reports it, with or without a dump under it."""
+    cfg = ScenarioConfig(peer_count=2, friends_per_user=1, sim_duration_ticks=1_000,
+                         friend_request_phases=(), bootstrapping=bootstrapping)
+    trace = trace_of([TraceEvent(0, "b", POST, "b/wall/0", 8),
+                      TraceEvent(0, "b", POST, "b/wall/1", 8),
+                      TraceEvent(10, "a", LOOKUP, "b/wall/0"),
+                      TraceEvent(20, "b", POST, "b/wall/0", 8),
+                      TraceEvent(30, "b", POST, "b/wall/0", 8),
+                      TraceEvent(40, "b", POST, "b/wall/1", 8)])
+    sim = Simulation(cfg, trace)
+    sim.run()
+    assert sim.peers["a"].social.channels["b"] == bytearray([3, 2])
+    assert sim.verify_consistency() == []
+    monkeypatch.setattr(SocialCache, "on_social_update",
+                        misslotted(SocialCache.on_social_update))
+    sim = Simulation(cfg, trace)
+    sim.run()
+    assert sim.peers["a"].social.channels["b"] == bytearray([1, 3, 2] if bootstrapping
+                                                            else [0, 3, 2])
+    off_slot = ["a: b/wall/1 version 3 != overlay 2",
+                "a: version 2 at slot 2 of b's section, which has no key"]
+    assert sim.verify_consistency() == ([
+        "a: holds 3 items in 3 slots of b's 2",
+        "a: b/wall/0 version 1 != overlay 3",
+        *off_slot,
+    ] if bootstrapping else off_slot)
+
+
+@pytest.mark.parametrize("bootstrapping", [True, False])
+def test_a_version_past_255_widens_its_container(bootstrapping):
+    """Versions start in one byte per slot.  b posts one key 300 times
+    after a subscribes: b's own content and a's section of b each move to
+    a wider array and hold 300, not 300 % 256, and the run ends
+    consistent."""
+    cfg = ScenarioConfig(peer_count=2, friends_per_user=1, sim_duration_ticks=1_000,
+                         friend_request_phases=(), bootstrapping=bootstrapping)
+    trace = trace_of([TraceEvent(0, "b", POST, "b/wall/0", 8),
+                      TraceEvent(10, "a", LOOKUP, "b/wall/0"),
+                      *[TraceEvent(20 + i, "b", POST, "b/wall/0", 8) for i in range(299)]])
+    sim = Simulation(cfg, trace)
+    sim.run()
+    key = trace.resolved[0]
+    assert list(sim.peers["a"].social.channels) == ["b"]
+    assert sim.dht.entries[key].version == 300
+    assert sim.peers["b"].social.lookup(key) == sim.peers["a"].social.lookup(key) == 300
+    assert sim.verify_consistency() == []
+
+
 def test_social_state_costs_a_bound_per_channel_and_per_tracked_user():
     """What the social caches of a 128-peer run still hold from their own
-    allocations, apart from the item lists (each ``own``, each channel's
-    section and the shared ``slot_of``), is about 107.5 bytes per channel
-    plus tracked user: the MUC entries and their values, the dict slots and
-    each cache's fixed part.  A stored gap per MUC entry would add about 18
-    bytes to that, and a second user -> section dict about 12, so either
-    exceeds the bound."""
+    allocations, apart from the version containers (each ``own`` and each
+    channel's section) and the shared ``slot_of``, is about 108.5 bytes per
+    channel plus tracked user: the MUC entries and their values, the dict
+    slots and each cache's fixed part.  A stored gap per MUC entry would add
+    about 18 bytes to that, and a second user -> section dict about 12, so
+    either exceeds the bound."""
     cfg = ScenarioConfig(peer_count=128, friends_per_user=25, lookups_per_interaction=5.0,
                          new_experiment_time_days=0.01)
     trace = generate_trace(cfg)
@@ -478,6 +546,32 @@ def test_social_state_costs_a_bound_per_channel_and_per_tracked_user():
     tracked = sum(len(social.muc) for social in sim._socials)
     assert channels > 1_500 and tracked > 2_000
     assert (size - sum(map(sys.getsizeof, lists))) / (channels + tracked) <= 116
+
+
+def test_a_dumped_section_costs_under_140_bytes():
+    """Each section of a 128-peer run with bootstrapping is a dump, a copy
+    of its owner's 20 versions made on one line of ``social_cache``; what
+    that line still holds after the run is 77 bytes per section, a
+    ``bytearray`` and its 21-byte buffer.  A section that kept the 20
+    ``ContentObject`` references in a list cost 216 bytes."""
+    cfg = ScenarioConfig(peer_count=128, friends_per_user=25, lookups_per_interaction=5.0,
+                         new_experiment_time_days=0.01)
+    trace = generate_trace(cfg)
+    tracemalloc.start()
+    try:
+        sim = Simulation(cfg, trace)
+        sim.run()
+        snapshot = tracemalloc.take_snapshot()
+        sections = [section for social in sim._socials
+                    for section in social.channels.values() if section is not None]
+        lines = {tuple(tracemalloc.get_object_traceback(section)) for section in sections}
+    finally:
+        tracemalloc.stop()
+    assert len(sections) > 1_500 and {len(section) for section in sections} == {20}
+    ((frame,),) = lines  # every section comes from the one line that copies a dump
+    assert frame.filename == social_cache.__file__
+    held = snapshot.filter_traces([tracemalloc.Filter(True, frame.filename, frame.lineno)])
+    assert sum(stat.size for stat in held.statistics("lineno")) / len(sections) < 140
 
 
 def test_current_cache_costs_a_bound_per_entry():
@@ -530,8 +624,10 @@ def test_each_key_has_one_live_content_object(setup, bootstrapping):
 
 
 def test_bootstrapped_sections_cost_at_most_16_bytes_per_item():
-    """A section is a list of one 8-byte reference per slot; as a key ->
-    object dict it cost about 32 bytes per item."""
+    """A section is a ``bytearray`` of one version byte per slot, 77 bytes
+    for 20 slots, about 3.9 bytes per item with its header.  As a list of
+    8-byte references it cost about 10.8 bytes per item, and as a key ->
+    object dict about 32."""
     cfg = small_run_config(SOCIAL, CacheSetup.SOCIAL_ONLY)
     sim = Simulation(cfg, generate_trace(cfg))
     sim.run()
@@ -592,11 +688,11 @@ def test_social_hits_are_never_stale(kind, setup, trigger, bootstrapping, monkey
     lookup = SocialCache.lookup
 
     def observed(social, key):
-        content = lookup(social, key)
-        if content is not None:
-            assert content.version == sim.dht.entries[key].version, (social.owner, key)
-            versions.append(content.version)
-        return content
+        version = lookup(social, key)
+        if version is not None:
+            assert version == sim.dht.entries[key].version, (social.owner, key)
+            versions.append(version)
+        return version
 
     # ``SocialCache`` has slots, so the lookup is patched on the class.
     monkeypatch.setattr(SocialCache, "lookup", observed)

@@ -474,8 +474,8 @@ def test_store_follows_updates_purges_and_dumps(ops):
     (``test_dumps_land_in_no_section``): an update overwrites its key and a
     dump becomes the section whole.  Paths ``x``, ``y``, ``z`` have slots 0,
     1, 2, so an update after a purge can land past the section's end; the
-    padding is no item and every item sits at its key's slot.  The peer does
-    not bootstrap, as a run that pads does not."""
+    padding is 0, no item, and every version sits at its key's slot.  The
+    peer does not bootstrap, as a run that pads does not."""
     cache, _ = make_cache("me", bootstrapping=False)
     for user in "uv":
         cache.channels[user] = None
@@ -493,16 +493,13 @@ def test_store_follows_updates_purges_and_dumps(ops):
         if op[0] == "dump":
             if op[2]:
                 want[user] = dict(zip("xyz", op[2]))
-            items = [obj(user, p, v) for p, v in zip("xyz", op[2])]
-            assert cache.on_bootstrap(user, items) == len(items)
+            assert cache.on_bootstrap(user, bytearray(op[2])) == len(op[2])
         sections = {u: section for u, section in cache.channels.items() if section is not None}
-        got = {
-            u: {c.key.path: c.version for c in section if c is not None}
-            for u, section in sections.items()
-        }
+        assert all(len(section) <= 3 for section in sections.values())
+        got = {u: {p: v for p, v in zip("xyz", section) if v} for u, section in sections.items()}
         assert got == want
-        assert all(cache.slot_of[c.key] == slot for section in sections.values()
-                   for slot, c in enumerate(section) if c is not None)
+        assert all(cache.lookup(StorageKey(u, p)) == want.get(u, {}).get(p)
+                   for u in "uv" for p in "xyz")
         assert cache.store_items == sum(len(paths) for paths in want.values())
 
 
@@ -520,27 +517,28 @@ def test_a_dump_is_a_copy_of_the_senders_own():
     del router.caches["me"]  # every later delivery to "me" is dropped
     them.publish(obj("them", "wall/0", version=2))
     assert router.log[-1][1:3] == (MessageKind.SOCIAL_UPDATE, "me")
-    assert me.lookup(sent.key) is sent
+    assert them.lookup(sent.key) == 2
+    assert me.lookup(sent.key) == 1
     assert me.store_items == 1
 
 
 def test_a_section_without_a_dump_pads_and_counts_only_items():
     """With bootstrapping off a section begins at its first update, which can
-    sit at any slot: the slots it skips hold ``None``, which neither
+    sit at any slot: the slots it skips hold 0, which neither
     ``store_items`` nor a lookup counts as an item, and a purge takes away
     exactly the section's items."""
     cache, _ = make_cache("me", bootstrapping=False)
     for user in ("them", "you"):
         cache.channels[user] = None
-    theirs = slotted(cache.slot_of, *[obj("them", f"wall/{i}") for i in range(6)])
-    yours = slotted(cache.slot_of, *[obj("you", f"wall/{i}") for i in range(4)])
+    theirs = slotted(cache.slot_of, *[obj("them", f"wall/{i}", i + 1) for i in range(6)])
+    yours = slotted(cache.slot_of, *[obj("you", f"wall/{i}", i + 1) for i in range(4)])
     for i in (4, 1, 5, 1, 2):
         assert cache.on_social_update("them", theirs[i])
     assert cache.on_social_update("you", yours[2])
-    assert cache.channels["them"] == [None, theirs[1], theirs[2], None, theirs[4], theirs[5]]
-    assert cache.channels["you"] == [None, None, yours[2]]
+    assert cache.channels["them"] == bytearray([0, 2, 3, 0, 5, 6])
+    assert cache.channels["you"] == bytearray([0, 0, 3])
     assert cache.store_items == 5
-    assert [cache.lookup(c.key) for c in theirs] == [None, *theirs[1:3], None, *theirs[4:]]
+    assert [cache.lookup(c.key) for c in theirs] == [None, 2, 3, None, 5, 6]
     assert cache.lookup(yours[3].key) is None  # past the section's end
     cache._unsubscribe("them")
     assert cache.store_items == 1
@@ -579,7 +577,7 @@ def test_update_overwrites_previous_version():
     cache.on_social_update("them", first)
     cache.on_social_update("them", second)
     assert cache.store_items == 1
-    assert cache.lookup(StorageKey("them", "wall/0")).version == 2
+    assert cache.lookup(StorageKey("them", "wall/0")) == 2
 
 
 def test_update_from_non_subscribed_user_ignored():
@@ -617,7 +615,7 @@ def test_publish_refuses_another_users_key():
     cache.receivers["sub"] = None
     with pytest.raises(ValueError):
         cache.publish(obj("them", "wall/1"))
-    assert cache.own == [posted]
+    assert cache.own == bytearray([posted.version])
     assert router.log == []
 
 
@@ -625,17 +623,57 @@ def test_publish_refuses_another_users_key():
 
 def test_lookup_serves_own_content():
     cache, _ = make_cache("me")
-    posted = obj("me", "wall/1")
-    cache.publish(posted)
-    assert cache.lookup(StorageKey("me", "wall/1")) is posted
+    cache.publish(obj("me", "wall/1", version=7))
+    assert cache.lookup(StorageKey("me", "wall/1")) == 7
 
 
 def test_lookup_serves_subscribed_content():
     cache, _ = make_cache("me")
     cache.channels["them"] = None
-    (pushed,) = slotted(cache.slot_of, obj("them", "wall/2"))
+    (pushed,) = slotted(cache.slot_of, obj("them", "wall/2", version=3))
     cache.on_social_update("them", pushed)
-    assert cache.lookup(StorageKey("them", "wall/2")) is pushed
+    assert cache.lookup(StorageKey("them", "wall/2")) == 3
+
+
+def test_lookup_of_an_unheld_slot_is_none_not_zero():
+    """A slot that holds 0, or lies past the end of own content or of a
+    section, holds no item: ``lookup`` answers ``None`` for it, never 0, as
+    ``Peer.handle_request`` and a traced hit count test for ``None``."""
+    cache, _ = make_cache("me", bootstrapping=False)
+    cache.channels["them"] = None
+    theirs = slotted(cache.slot_of, *[obj("them", f"wall/{i}", 5) for i in range(3)])
+    assert cache.on_social_update("them", theirs[1])
+    assert cache.channels["them"] == bytearray([0, 5])
+    assert [cache.lookup(c.key) for c in theirs] == [None, 5, None]
+    cache.publish(obj("me", "wall/0", 2))
+    mine = slotted(cache.slot_of, obj("me", "wall/0"), obj("me", "wall/1"))
+    assert (cache.own, cache.slot_of[mine[1].key]) == (bytearray([2]), 1)
+    assert [cache.lookup(c.key) for c in mine] == [2, None]
+
+
+def test_versions_past_a_containers_width_widen_it():
+    """A version that own content or a section cannot hold swaps in the
+    narrowest array that can (``typecode``), keeping every other version
+    and the item count; no version wraps and no store raises."""
+    cache, _ = make_cache("me", bootstrapping=False)
+    cache.channels["them"] = None
+    theirs = slotted(cache.slot_of, *[obj("them", f"wall/{i}") for i in range(3)])
+    stores = [(2, 255, "bytearray", [0, 0, 255]), (0, 256, "H", [256, 0, 255]),
+              (1, 2**32, "q", [256, 2**32, 255]), (1, 7, "q", [256, 7, 255])]
+    for slot, version, kind, want in stores:
+        assert cache.on_social_update("them", obj("them", f"wall/{slot}", version))
+        section = cache.channels["them"]
+        assert getattr(section, "typecode", "bytearray") == kind
+        assert list(section) == want
+        assert [cache.lookup(c.key) for c in theirs] == [v or None for v in want]
+    assert cache.store_items == 3
+    cache.publish(obj("me", "wall/0", 1))
+    cache.publish(obj("me", "wall/1", 70_000))
+    cache.publish(obj("me", "wall/2", 3))
+    assert (cache.own.typecode, list(cache.own)) == ("I", [1, 70_000, 3])
+    assert cache.lookup(StorageKey("me", "wall/1")) == 70_000
+    cache._unsubscribe("them")
+    assert cache.store_items == 0
 
 
 def test_lookup_misses_unknown_user():
