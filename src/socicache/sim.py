@@ -209,7 +209,7 @@ class Simulation:
         disagree with the overlay's version of the key at their slot (the
         inverse of ``slot_of``) or sit at a slot of no key.  With
         bootstrapping on, every section must also be complete: as long as
-        its owner's ``own`` and holding no 0 (a ``None`` section only for an
+        its owner's ``own`` and holding no 0 (an empty section only for an
         empty ``own``), so an update lost for a new key is reported too,
         where no held version is stale."""
         violations: list[str] = []
@@ -223,12 +223,10 @@ class Simulation:
             social = self.peers[name].social
             if social is None:
                 continue
-            held = sum([len(section) - section.count(0)
-                        for section in social.channels.values() if section])
+            held = sum([len(section) - section.count(0) for section in social.channels.values()])
             if social.store_items != held:
                 violations.append(f"{name}: counts {social.store_items} items, stores {held}")
             for user, section in social.channels.items():
-                section = section or b""
                 if complete:
                     owned = len(self.peers[user].social.own)
                     items = len(section) - section.count(0)

@@ -59,6 +59,7 @@ class _Certificate(NamedTuple):
     until: float  # the first tick not covered
     above: float  # a tracked channel's falling score must exceed this
     below: float  # a tracked unchosen score, widened, must not exceed this
+    tracked: set[UserId]  # the users tracked since, which ``track`` adds
 
 
 class CapExceededError(ValueError):
@@ -181,8 +182,8 @@ class SocialCache:
     publish.  The owning peer routes incoming envelopes to the ``on_*``
     handlers.  ``channels`` maps each subscribed user, in subscription
     order and at most ``cfg.n``, to its section: the latest pushed or dumped
-    version number of each of that user's items, or ``None`` until the first
-    dump or update arrives.  Only ``_subscribe`` and ``_unsubscribe`` add or
+    version number of each of that user's items, empty until the first dump
+    or update arrives.  Only ``_subscribe`` and ``_unsubscribe`` add or
     drop a channel, called from ``track`` and ``run_selection``.  ``own``
     holds the latest version number of every item the peer itself
     published, and ``store_items`` counts the items of every section.  The
@@ -200,7 +201,7 @@ class SocialCache:
 
     __slots__ = ("owner", "cfg", "dispatch", "counters", "slot_of", "bootstrapping", "muc",
                  "channels", "receivers", "store_items", "own", "_rng",
-                 "_lookups_since_selection", "stable_until", "_cert", "_dirty")
+                 "_lookups_since_selection", "stable_until", "_cert")
 
     def __init__(
         self,
@@ -222,7 +223,7 @@ class SocialCache:
         self.slot_of = slot_of
         self.bootstrapping = bootstrapping
         self.muc = MucList(muc_capacity)
-        self.channels: dict[UserId, Versions | None] = {}
+        self.channels: dict[UserId, Versions] = {}
         # Users subscribed to this peer's update channel, in subscription order.
         self.receivers: dict[UserId, None] = {}
         self.store_items = 0
@@ -238,10 +239,9 @@ class SocialCache:
         # ``run_selection``, which ``track`` also runs under the lookup-count
         # trigger.
         self.stable_until: float = math.inf
-        # The certificate ``_certify`` made (see ``run_selection``) and the
-        # users tracked since; None while there is no certificate.
+        # The certificate ``_certify`` made (see ``run_selection``), None
+        # while there is none.
         self._cert: _Certificate | None = None
-        self._dirty: set[UserId] | None = None
 
     # -- scoring ---------------------------------------------------------
 
@@ -303,15 +303,15 @@ class SocialCache:
         if user == self.owner:
             raise ValueError("own interactions are not tracked")
         self.stable_until = 0
-        dirty = self._dirty
-        if dirty is not None:
-            dirty.add(user)
+        cert = self._cert
+        if cert is not None:
+            cert.tracked.add(user)
         muc = self.muc
         entry = muc.get(user)
         if entry is None:
             if len(muc) >= muc.max_users:
                 muc.remove(max(self._keys(muc.items(), now))[1])
-                self._dirty = None
+                self._cert = None
             entry = muc[user] = MucEntry(now)
         entry.last_at = now
         entry.event_count += 1
@@ -380,13 +380,13 @@ class SocialCache:
             return NO_CHANGE
         muc = self.muc
         channels = self.channels
-        dirty = self._dirty
-        if dirty is not None:
-            cap, until, above, below = self._cert
+        cert = self._cert
+        if cert is not None:
+            cap, until, above, below, tracked = cert
             alpha, beta = cfg.alpha, cfg.beta
             total = muc.total_events
             if total <= cap and now < until:
-                for user in dirty:
+                for user in tracked:
                     entry = muc[user]
                     count = entry.event_count
                     gap = (entry.last_at - entry.first_at) / (count - 2 if count > 2 else 1)
@@ -405,7 +405,7 @@ class SocialCache:
                 else:
                     self.stable_until = until
                     return NO_CHANGE
-        self._dirty = None
+        self._cert = None
         self.stable_until = math.inf
         if len(muc) <= cfg.n:
             chosen = muc
@@ -542,15 +542,14 @@ class SocialCache:
             if alpha * (low / cap) <= top_at_cap + top_at_cap * margin:
                 return
             below = min(below, alpha * (low / cap))
-        self._cert = _Certificate(cap, until, above, below)
-        self._dirty = set()
+        self._cert = _Certificate(cap, until, above, below, set())
 
     def _subscribe(self, user: UserId) -> None:
         """Add a channel that is not one yet and send the subscribe."""
         channels = self.channels
         if len(channels) >= self.cfg.n:
             raise CapExceededError(f"channel limit {self.cfg.n} reached")
-        channels[user] = None
+        channels[user] = bytearray()
         self.counters.subscriptions_sent += 1
         self.dispatch(MessageEnvelope(self.owner, _SUBSCRIBE, None), user)
 
@@ -558,8 +557,7 @@ class SocialCache:
         """Drop a channel together with its section, so its cached items
         are purged at once."""
         section = self.channels.pop(user)
-        if section is not None:
-            self.store_items -= len(section) - section.count(0)
+        self.store_items -= len(section) - section.count(0)
         self.counters.unsubscriptions_sent += 1
         self.dispatch(MessageEnvelope(self.owner, _UNSUBSCRIBE, None), user)
 
@@ -579,14 +577,13 @@ class SocialCache:
         self.receivers.pop(subscriber, None)
 
     def on_social_update(self, sender: UserId, content: ContentObject) -> bool:
-        """Store a pushed update's version at its key's slot, overwriting the
-        older version of the same key, and pad a section that lacks the slots
-        below it with 0.  Updates from non-subscribed users are ignored."""
-        section = self.channels.get(sender, False)  # False: not a channel
-        if section is False:
+        """Store a pushed update's version at its key's slot in the sender's
+        section, overwriting the older version of the same key, and pad a
+        section that lacks the slots below it with 0: a section starts empty
+        (``_subscribe``).  Updates from non-subscribed users are ignored."""
+        section = self.channels.get(sender)
+        if section is None:  # not a channel
             return False
-        if section is None:
-            section = self.channels[sender] = bytearray()
         slot = self.slot_of[content.key]
         if slot >= len(section):
             section.extend(bytes(slot + 1 - len(section)))
@@ -603,8 +600,8 @@ class SocialCache:
         as the sender's section; returns the number of items accepted.  A dump
         answers this peer's own ``_subscribe`` to a user that was not a
         channel, and a section leaves with its channel (``_unsubscribe``), so
-        the sender's section is still ``None``
-        (``test_dumps_land_in_no_section``)."""
+        the dump replaces the empty section ``_subscribe`` stored
+        (``test_dumps_land_in_an_empty_section``)."""
         if sender not in self.channels or not items:
             return 0
         self.channels[sender] = items

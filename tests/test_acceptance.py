@@ -169,7 +169,7 @@ def _random_selection_case(rng: random.Random):
         now = max(now, t)
     now += rng.randrange(1, 50)
     for user in rng.sample(users, min(len(users), rng.randrange(0, n + 1))):
-        cache.channels[user] = None
+        cache.channels[user] = bytearray()
     return cache, raw, now
 
 

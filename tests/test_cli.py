@@ -491,7 +491,7 @@ def _miscounted_store(result):
     def patched(self):
         if self._socials:
             social = self._socials[0]
-            social.channels.update(dict.fromkeys(social.channels))
+            social.channels.update({user: bytearray() for user in social.channels})
             social.store_items = 1
         return result(self)
     return patched

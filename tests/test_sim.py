@@ -3,6 +3,7 @@ import io
 import random
 import sys
 import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
@@ -157,8 +158,7 @@ def peer_states(sim: Simulation) -> list[tuple]:
         social = sim.peers[name].social
         entries = [(u, e.event_count, e.lookup_count, e.weighted, e.first_at, e.last_at)
                    for u, e in social.muc.items()]
-        stored = {u: None if section is None else
-                  [(key_at.get((u, slot)), version) for slot, version in enumerate(section)]
+        stored = {u: [(key_at.get((u, slot)), version) for slot, version in enumerate(section)]
                   for u, section in social.channels.items()}
         states.append((name, list(social.channels), list(social.receivers),
                        social.muc.total_events, entries, stored))
@@ -344,12 +344,17 @@ def test_run_leaves_no_cyclic_garbage(kind, setup, trigger, bootstrapping):
     """The premise of pausing the collector in ``Simulation.run``: a run
     makes no reference cycles, so a collection right after it frees
     nothing while the result is kept.  Lookup-count runs select inside
-    ``track``'s frame, so they are checked as well as time-based ones."""
+    ``track``'s frame, so they are checked as well as time-based ones.
+    Every section a run leaves is a ``bytearray`` or an ``array``, never
+    ``None``."""
     cfg = small_run_config(kind, setup, trigger, bootstrapping)
     trace = generate_trace(cfg)
     gc.collect()
-    result = Simulation(cfg, trace).run()
+    sim = Simulation(cfg, trace)
+    result = sim.run()
     assert gc.collect() == 0
+    assert all(isinstance(section, (bytearray, array)) for social in sim._socials
+               for section in social.channels.values())
     assert result.counters.total_requests > 0
     if setup.social_enabled:
         assert result.counters.subscriptions_sent > 0
@@ -407,7 +412,7 @@ def test_runs_end_consistent(kind, setup, trigger, bootstrapping):
     assert sim.verify_consistency() == []
     assert sim.verify_subscription_symmetry() == []
     padded = any(0 in section for social in sim._socials
-                 for section in social.channels.values() if section)
+                 for section in social.channels.values())
     assert padded != bootstrapping
 
 
@@ -540,8 +545,7 @@ def test_social_state_costs_a_bound_per_channel_and_per_tracked_user():
     held = snapshot.filter_traces([tracemalloc.Filter(True, social_cache.__file__)])
     size = sum(stat.size for stat in held.statistics("filename"))
     lists = [sim.slot_of] + [social.own for social in sim._socials] + [
-        section for social in sim._socials for section in social.channels.values()
-        if section is not None]
+        section for social in sim._socials for section in social.channels.values()]
     channels = sum(len(social.channels) for social in sim._socials)
     tracked = sum(len(social.muc) for social in sim._socials)
     assert channels > 1_500 and tracked > 2_000
@@ -562,8 +566,7 @@ def test_a_dumped_section_costs_under_140_bytes():
         sim = Simulation(cfg, trace)
         sim.run()
         snapshot = tracemalloc.take_snapshot()
-        sections = [section for social in sim._socials
-                    for section in social.channels.values() if section is not None]
+        sections = [section for social in sim._socials for section in social.channels.values()]
         lines = {tuple(tracemalloc.get_object_traceback(section)) for section in sections}
     finally:
         tracemalloc.stop()
@@ -623,7 +626,7 @@ def test_each_key_has_one_live_content_object(setup, bootstrapping):
     assert live() - before == len(sim.dht.entries) == 320
 
 
-def test_bootstrapped_sections_cost_at_most_16_bytes_per_item():
+def test_bootstrapped_sections_cost_at_most_6_bytes_per_item():
     """A section is a ``bytearray`` of one version byte per slot, 77 bytes
     for 20 slots, about 3.9 bytes per item with its header.  As a list of
     8-byte references it cost about 10.8 bytes per item, and as a key ->
@@ -633,19 +636,20 @@ def test_bootstrapped_sections_cost_at_most_16_bytes_per_item():
     sim.run()
     items = sum(social.store_items for social in sim._socials)
     size = sum(sys.getsizeof(section) for social in sim._socials
-               for section in social.channels.values() if section is not None)
+               for section in social.channels.values())
     assert items > 100
-    assert size / items <= 16
+    assert size / items <= 6
 
 
 @pytest.mark.parametrize(
     "kind, setup, trigger",
     [case[:3] for case in RUN_CASES if case[3] and case[1].social_enabled])
-def test_dumps_land_in_no_section(kind, setup, trigger, monkeypatch):
+def test_dumps_land_in_an_empty_section(kind, setup, trigger, monkeypatch):
     """The premise of ``SocialCache.on_bootstrap`` storing a dump whole: a
     dump answers its peer's own subscribe to a user that was not a channel,
-    so the sender never has a section when it arrives, also when the peer
-    subscribes again to a user it unsubscribed earlier in the run."""
+    so the sender's section is the empty one ``_subscribe`` stored when it
+    arrives, also when the peer subscribes again to a user it unsubscribed
+    earlier in the run."""
     cfg = small_run_config(kind, setup, trigger)
     dropped: set[tuple[str, str]] = set()
     seen = Counter()
@@ -657,7 +661,7 @@ def test_dumps_land_in_no_section(kind, setup, trigger, monkeypatch):
 
     def observed_bootstrap(social, sender, items):
         seen["dumps"] += 1
-        seen["sections"] += social.channels[sender] is not None
+        assert len(social.channels[sender]) == 0
         seen["re-subscribes"] += (social.owner, sender) in dropped
         return on_bootstrap(social, sender, items)
 
@@ -666,7 +670,6 @@ def test_dumps_land_in_no_section(kind, setup, trigger, monkeypatch):
     monkeypatch.setattr(SocialCache, "on_bootstrap", observed_bootstrap)
     result = Simulation(cfg, generate_trace(cfg)).run()
     assert seen["dumps"] == result.counters.bootstrap_dumps > 0
-    assert seen["sections"] == 0
     # At this size a lookup-count run unsubscribes 4 times and subscribes to
     # none of those users again; every time-triggered run does.
     if trigger is TIME_TRIGGER:

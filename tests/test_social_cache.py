@@ -354,7 +354,7 @@ def test_trend_selection_takes_top_n_and_clears():
     for user, count in counts.items():
         for t in range(count):
             reference_record(cache.muc, user, LOOKUP, t)
-    cache.channels["c"] = None
+    cache.channels["c"] = bytearray()
     diff = cache.run_selection(100)
     assert set(diff.to_subscribe) == {"a", "b"}
     assert set(diff.to_unsubscribe) == {"c"}
@@ -470,15 +470,15 @@ def test_store_follows_updates_purges_and_dumps(ops):
     """The store under any interleaving of pushed updates
     (``on_social_update`` from a subscribed user), purges (unsubscribing
     and subscribing again; no one answers with a dump) and dumps, each
-    into the fresh section of a purged user, as in a run
-    (``test_dumps_land_in_no_section``): an update overwrites its key and a
-    dump becomes the section whole.  Paths ``x``, ``y``, ``z`` have slots 0,
-    1, 2, so an update after a purge can land past the section's end; the
-    padding is 0, no item, and every version sits at its key's slot.  The
-    peer does not bootstrap, as a run that pads does not."""
+    into the fresh, empty section of a purged user, as in a run
+    (``test_dumps_land_in_an_empty_section``): an update overwrites its key
+    and a dump becomes the section whole.  Paths ``x``, ``y``, ``z`` have
+    slots 0, 1, 2, so an update after a purge can land past the section's
+    end; the padding is 0, no item, and every version sits at its key's
+    slot.  The peer does not bootstrap, as a run that pads does not."""
     cache, _ = make_cache("me", bootstrapping=False)
     for user in "uv":
-        cache.channels[user] = None
+        cache.channels[user] = bytearray()
         slotted(cache.slot_of, *[obj(user, path) for path in "xyz"])
     want: dict[str, dict[str, int]] = {}
     for op in ops:
@@ -494,10 +494,10 @@ def test_store_follows_updates_purges_and_dumps(ops):
             if op[2]:
                 want[user] = dict(zip("xyz", op[2]))
             assert cache.on_bootstrap(user, bytearray(op[2])) == len(op[2])
-        sections = {u: section for u, section in cache.channels.items() if section is not None}
-        assert all(len(section) <= 3 for section in sections.values())
-        got = {u: {p: v for p, v in zip("xyz", section) if v} for u, section in sections.items()}
-        assert got == want
+        assert all(len(section) <= 3 for section in cache.channels.values())
+        got = {u: {p: v for p, v in zip("xyz", section) if v}
+               for u, section in cache.channels.items()}
+        assert got == {u: want.get(u, {}) for u in "uv"}
         assert all(cache.lookup(StorageKey(u, p)) == want.get(u, {}).get(p)
                    for u in "uv" for p in "xyz")
         assert cache.store_items == sum(len(paths) for paths in want.values())
@@ -529,7 +529,7 @@ def test_a_section_without_a_dump_pads_and_counts_only_items():
     exactly the section's items."""
     cache, _ = make_cache("me", bootstrapping=False)
     for user in ("them", "you"):
-        cache.channels[user] = None
+        cache.channels[user] = bytearray()
     theirs = slotted(cache.slot_of, *[obj("them", f"wall/{i}", i + 1) for i in range(6)])
     yours = slotted(cache.slot_of, *[obj("you", f"wall/{i}", i + 1) for i in range(4)])
     for i in (4, 1, 5, 1, 2):
@@ -571,7 +571,7 @@ def test_subscribe_received_without_bootstrapping():
 
 def test_update_overwrites_previous_version():
     cache, _ = make_cache("me")
-    cache.channels["them"] = None
+    cache.channels["them"] = bytearray()
     first, second = slotted(cache.slot_of, obj("them", "wall/0", version=1),
                             obj("them", "wall/0", version=2))
     cache.on_social_update("them", first)
@@ -629,7 +629,7 @@ def test_lookup_serves_own_content():
 
 def test_lookup_serves_subscribed_content():
     cache, _ = make_cache("me")
-    cache.channels["them"] = None
+    cache.channels["them"] = bytearray()
     (pushed,) = slotted(cache.slot_of, obj("them", "wall/2", version=3))
     cache.on_social_update("them", pushed)
     assert cache.lookup(StorageKey("them", "wall/2")) == 3
@@ -640,7 +640,7 @@ def test_lookup_of_an_unheld_slot_is_none_not_zero():
     section, holds no item: ``lookup`` answers ``None`` for it, never 0, as
     ``Peer.handle_request`` and a traced hit count test for ``None``."""
     cache, _ = make_cache("me", bootstrapping=False)
-    cache.channels["them"] = None
+    cache.channels["them"] = bytearray()
     theirs = slotted(cache.slot_of, *[obj("them", f"wall/{i}", 5) for i in range(3)])
     assert cache.on_social_update("them", theirs[1])
     assert cache.channels["them"] == bytearray([0, 5])
@@ -656,7 +656,7 @@ def test_versions_past_a_containers_width_widen_it():
     narrowest array that can (``typecode``), keeping every other version
     and the item count; no version wraps and no store raises."""
     cache, _ = make_cache("me", bootstrapping=False)
-    cache.channels["them"] = None
+    cache.channels["them"] = bytearray()
     theirs = slotted(cache.slot_of, *[obj("them", f"wall/{i}") for i in range(3)])
     stores = [(2, 255, "bytearray", [0, 0, 255]), (0, 256, "H", [256, 0, 255]),
               (1, 2**32, "q", [256, 2**32, 255]), (1, 7, "q", [256, 7, 255])]
@@ -1213,7 +1213,8 @@ def test_a_constant_channel_within_the_margin_at_t_is_certified_soundly():
     now = 6
     assert select(cache, now, reference) == math.inf
     assert list(cache.channels) == ["c"]
-    assert cache._dirty == set() and reference.cert is not None
+    cert = cache._cert
+    assert cert is not None and cert.tracked == set() and reference.cert is not None
     tracked = set()
     for user in ("v", "w", "x", "y"):
         assert assert_selection_stable_below(cache, now, math.inf, horizon=200) == 199
@@ -1222,7 +1223,7 @@ def test_a_constant_channel_within_the_margin_at_t_is_certified_soundly():
         tracked.add(user)
         assert reference_run_selection(cache, now) == ((), ())
         assert select(cache, now, reference) == math.inf
-        assert cache._dirty == tracked  # the re-check passed
+        assert cache._cert is cert and cert.tracked == tracked  # the re-check passed
     assert cache.muc.total_events == cap
     assert list(cache.channels) == ["c"]
     assert assert_selection_stable_below(cache, now, math.inf, horizon=200) == 199
@@ -1240,7 +1241,7 @@ def test_a_constant_channel_overtaken_below_the_cap_gets_no_certificate():
     for user, kind, at in (("u", LOOKUP, 0), ("u", LOOKUP, 10), ("c", FRIEND, 10)):
         cache.track(user, kind, at)
     assert select(cache, 20, ReferenceCertificate()) == math.inf
-    assert list(cache.channels) == ["c"] and cache._dirty is None
+    assert list(cache.channels) == ["c"] and cache._cert is None
     for user, total, expected in (("v", 4, ((), ())), ("w", 5, (("u",), ("c",)))):
         cache.track(user, LOOKUP, 20)
         assert cache.muc.total_events == total
@@ -1285,13 +1286,14 @@ def test_certificate_survives_tracks_between_rounds(trigger):
 
         def checked(now):
             expected = reference_run_selection(cache, now)
-            cert, dirty = cache._cert, cache._dirty
-            live = bool(dirty) and cache.muc.total_events <= cert.cap and now < cert.until
+            cert = cache._cert
+            live = (cert is not None and bool(cert.tracked)
+                    and cache.muc.total_events <= cert.cap and now < cert.until)
             diff = run_selection(now)
             assert (diff.to_subscribe, diff.to_unsubscribe) == expected, now
             if live:
-                seen["re-check passes" if cache._dirty is dirty else "re-check fails"] += 1
-                if cache._dirty is dirty and not (cfg.alpha and cfg.beta):
+                seen["re-check passes" if cache._cert is cert else "re-check fails"] += 1
+                if cache._cert is cert and not (cfg.alpha and cfg.beta):
                     seen["zero-weight re-check passes"] += 1
             seen["lookup-count round"] += in_track
             return diff
