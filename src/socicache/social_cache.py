@@ -184,8 +184,13 @@ class SocialCache:
     order and at most ``cfg.n``, to its section: the latest pushed or dumped
     version number of each of that user's items, empty until the first dump
     or update arrives.  Only ``_subscribe`` and ``_unsubscribe`` add or
-    drop a channel, called from ``track`` and ``run_selection``.  ``own``
-    holds the latest version number of every item the peer itself
+    drop a channel, called from ``track`` and ``run_selection``, and each
+    sends its message at once.  So u holds v as a channel exactly when v
+    lists u in ``receivers``, and the ``on_*`` handlers assume that pairing:
+    a message that breaks it raises ``KeyError``, except a repeated
+    subscribe, whose second non-empty dump ``verify_consistency`` reports as
+    a double count (``verify_subscription_symmetry`` checks the pairing).
+    ``own`` holds the latest version number of every item the peer itself
     published, and ``store_items`` counts the items of every section.  The
     overlay keeps the ``ContentObject`` records; these stores keep only
     their versions (``Versions``), indexed by a key's slot, its index in its
@@ -299,7 +304,11 @@ class SocialCache:
     def track(self, user: UserId, kind: InteractionKind, now: SimTime) -> None:
         """Record an interaction in the MUC list, in this frame as it runs per
         tracked event: a new user first evicts the lowest-ranked user from a
-        full list.  Lookups additionally drive subscriptions."""
+        full list.  A looked-up user that is not a channel is subscribed on
+        first sight while fewer than ``n`` channels are held, under every
+        strategy.  Full channels are left to ``run_selection``, except that
+        random subscribes the user in place of a channel it draws at random,
+        which also leaves the MUC list."""
         if user == self.owner:
             raise ValueError("own interactions are not tracked")
         self.stable_until = 0
@@ -323,28 +332,19 @@ class SocialCache:
         entry.weighted += cfg.lookup_weight
         entry.lookup_count += 1
         channels = self.channels
-        if cfg.kind is _RANDOM:
-            if user not in channels:
-                self._random_replace(user)
-        elif user not in channels and len(channels) < cfg.n:
-            self._subscribe(user)
+        if user not in channels:
+            if len(channels) < cfg.n:
+                self._subscribe(user)
+            elif cfg.kind is _RANDOM:
+                victim = list(channels)[self._rng.randrange(len(channels))]
+                self._unsubscribe(victim)
+                muc.remove(victim)
+                self._subscribe(user)
         if cfg.trigger is _LOOKUP_COUNT_BASED:
             self._lookups_since_selection += 1
             if self._lookups_since_selection >= cfg.m:
                 self._lookups_since_selection = 0
                 self.run_selection(now)
-
-    def _random_replace(self, user: UserId) -> None:
-        """Subscribe a newly seen user, randomly displacing a channel when
-        full; the displaced user is also dropped from the MUC list."""
-        channels = self.channels
-        if len(channels) < self.cfg.n:
-            self._subscribe(user)
-            return
-        victim = list(channels)[self._rng.randrange(len(channels))]
-        self._unsubscribe(victim)
-        self.muc.remove(victim)
-        self._subscribe(user)
 
     # -- interval selection ------------------------------------------------
 
@@ -564,26 +564,23 @@ class SocialCache:
     # -- inbound message handling -----------------------------------------
 
     def on_subscribe_received(self, subscriber: UserId) -> None:
-        """Register a subscriber; each new subscription is answered with a
-        dump of the own-content store when bootstrapping is on."""
-        if subscriber in self.receivers:
-            return
+        """Register a new receiver and answer with a dump of the own-content
+        store when bootstrapping is on."""
         self.receivers[subscriber] = None
         if self.bootstrapping:
             self.counters.bootstrap_dumps += 1
             self.dispatch(MessageEnvelope(self.owner, _BOOTSTRAP_DUMP, self.own[:]), subscriber)
 
     def on_unsubscribe_received(self, subscriber: UserId) -> None:
-        self.receivers.pop(subscriber, None)
+        """Drop a receiver; ``KeyError`` if ``subscriber`` is not one."""
+        del self.receivers[subscriber]
 
     def on_social_update(self, sender: UserId, content: ContentObject) -> bool:
         """Store a pushed update's version at its key's slot in the sender's
         section, overwriting the older version of the same key, and pad a
         section that lacks the slots below it with 0: a section starts empty
-        (``_subscribe``).  Updates from non-subscribed users are ignored."""
-        section = self.channels.get(sender)
-        if section is None:  # not a channel
-            return False
+        (``_subscribe``).  Returns ``True``; ``KeyError`` from a non-channel."""
+        section = self.channels[sender]
         slot = self.slot_of[content.key]
         if slot >= len(section):
             section.extend(bytes(slot + 1 - len(section)))
@@ -597,13 +594,14 @@ class SocialCache:
 
     def on_bootstrap(self, sender: UserId, items: Versions) -> int:
         """Store a bootstrap dump (a fresh copy of the sender's ``own``) whole
-        as the sender's section; returns the number of items accepted.  A dump
+        as the sender's section; returns the number of items stored.  A dump
         answers this peer's own ``_subscribe`` to a user that was not a
         channel, and a section leaves with its channel (``_unsubscribe``), so
         the dump replaces the empty section ``_subscribe`` stored
-        (``test_dumps_land_in_an_empty_section``)."""
-        if sender not in self.channels or not items:
-            return 0
+        (``test_dumps_land_in_an_empty_section``).  ``KeyError`` from a
+        non-channel."""
+        if sender not in self.channels:
+            raise KeyError(sender)
         self.channels[sender] = items
         self.store_items += len(items)
         return len(items)

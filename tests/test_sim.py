@@ -316,7 +316,6 @@ def small_run_config(kind: Strategy, setup: CacheSetup, trigger: SelectionTrigge
     )
 
 
-# Every strategy, setup and trigger, with bootstrapping on and off.
 def test_content_of_one_size_shares_one_int():
     """Each read of a size past 256 from the trace makes a new int; a run
     shares one per size, so a content object costs no int of its own."""
@@ -329,6 +328,7 @@ def test_content_of_one_size_shares_one_int():
     assert sizes[0] == 512 and len({id(size) for size in sizes}) == 1
 
 
+# Every strategy, setup and trigger, with bootstrapping on and off.
 RUN_CASES = (
     [(kind, CacheSetup.SOCIAL_ONLY, TIME_TRIGGER, True) for kind in Strategy]
     + [(SOCIAL, setup, TIME_TRIGGER, True)
@@ -674,6 +674,48 @@ def test_dumps_land_in_an_empty_section(kind, setup, trigger, monkeypatch):
     # none of those users again; every time-triggered run does.
     if trigger is TIME_TRIGGER:
         assert seen["re-subscribes"] > 0, seen
+
+
+@pytest.mark.parametrize(
+    "kind, setup, trigger, bootstrapping",
+    [case for case in RUN_CASES if case[1].social_enabled])
+def test_messages_find_the_subscription_state_they_assume(kind, setup, trigger, bootstrapping,
+                                                          monkeypatch):
+    """The premise of the ``SocialCache`` handlers, on whole runs: an update
+    comes from a channel, a subscribe from a user that is not a receiver yet
+    and an unsubscribe from one that is.  Each is checked before the handler
+    runs, so a handler that dropped such a message would not hide it."""
+    cfg = small_run_config(kind, setup, trigger, bootstrapping)
+    seen = Counter()
+    on_update = SocialCache.on_social_update
+    on_subscribe = SocialCache.on_subscribe_received
+    on_unsubscribe = SocialCache.on_unsubscribe_received
+
+    def observed_update(social, sender, content):
+        seen["updates"] += 1
+        assert sender in social.channels, (social.owner, sender)
+        return on_update(social, sender, content)
+
+    def observed_subscribe(social, subscriber):
+        seen["subscribes"] += 1
+        assert subscriber not in social.receivers, (social.owner, subscriber)
+        return on_subscribe(social, subscriber)
+
+    def observed_unsubscribe(social, subscriber):
+        seen["unsubscribes"] += 1
+        assert subscriber in social.receivers, (social.owner, subscriber)
+        return on_unsubscribe(social, subscriber)
+
+    # ``SocialCache`` has slots, so the handlers are patched on the class.
+    monkeypatch.setattr(SocialCache, "on_social_update", observed_update)
+    monkeypatch.setattr(SocialCache, "on_subscribe_received", observed_subscribe)
+    monkeypatch.setattr(SocialCache, "on_unsubscribe_received", observed_unsubscribe)
+    sim = Simulation(cfg, generate_trace(cfg))
+    result = sim.run()
+    assert seen["subscribes"] == result.counters.subscriptions_sent
+    assert seen["unsubscribes"] == result.counters.unsubscriptions_sent
+    assert min(seen[message] for message in ("updates", "subscribes", "unsubscribes")) > 0, seen
+    assert sim.verify_subscription_symmetry() == []
 
 
 @pytest.mark.parametrize(

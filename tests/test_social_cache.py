@@ -377,15 +377,22 @@ def test_social_score_selection_fixed_point_keeps_muc():
 
 
 def test_random_strategy_swaps_full_channels():
+    """First sight subscribes without a draw below ``n`` channels; a first
+    sight at full channels draws one victim and drops it from the MUC list."""
     cache, router = make_cache(kind=Strategy.RANDOM, n=1)
+    reference = random.Random()
+    reference.setstate(cache._rng.getstate())
     cache.track("a", LOOKUP, 0)
     assert set(cache.channels) == {"a"}
+    assert cache._rng.getstate() == reference.getstate()
     cache.track("b", LOOKUP, 1)
     assert set(cache.channels) == {"b"}
     assert "a" not in cache.muc  # random unsubscription drops the user
     assert "b" in cache.muc
     kinds = [entry[1] for entry in router.log]
     assert kinds.count(MessageKind.UNSUBSCRIBE) == 1
+    reference.randrange(1)
+    assert cache._rng.getstate() == reference.getstate()
 
 
 def test_random_selection_interval_is_noop():
@@ -395,11 +402,17 @@ def test_random_selection_interval_is_noop():
 
 
 def test_fast_path_subscribes_below_limit():
-    cache, _ = make_cache(kind=Strategy.TREND, n=2)
-    cache.track("a", LOOKUP, 0)
-    cache.track("b", LOOKUP, 1)
-    cache.track("c", LOOKUP, 2)  # limit reached; no inline action
-    assert set(cache.channels) == {"a", "b"}
+    """Trend and social score subscribe on first sight only below ``n``
+    channels; full channels wait for ``run_selection``."""
+    for kind in (Strategy.TREND, Strategy.SOCIAL_SCORE):
+        cache, router = make_cache(kind=kind, n=2)
+        cache.track("a", LOOKUP, 0)
+        cache.track("b", LOOKUP, 1)
+        cache.track("c", LOOKUP, 2)  # limit reached; no inline action
+        assert list(cache.channels) == ["a", "b"], kind
+        assert [(e[1], e[2]) for e in router.log] == [(MessageKind.SUBSCRIBE, "a"),
+                                                      (MessageKind.SUBSCRIBE, "b")], kind
+        assert "c" in cache.muc
 
 
 def test_lookup_count_trigger_runs_selection():
@@ -549,13 +562,25 @@ def test_a_section_without_a_dump_pads_and_counts_only_items():
 # -- inbound handlers ------------------------------------------------------------------
 
 def test_subscribe_received_sends_one_dump():
+    """Each subscribe is answered by exactly one dump of the versions in
+    ``own``, also a second subscribe from a user that unsubscribed."""
     cache, router = make_cache("me")
     cache.publish(obj("me", "wall/0"))
+    cache.publish(obj("me", "wall/1", version=3))
+
+    def dumps():
+        return [e[3].payload for e in router.log if e[1] is MessageKind.BOOTSTRAP_DUMP]
+
     cache.on_subscribe_received("sub")
-    cache.on_subscribe_received("sub")  # duplicate is idempotent
-    dumps = [e for e in router.log if e[1] is MessageKind.BOOTSTRAP_DUMP]
-    assert len(dumps) == 1
-    assert len(cache.receivers) == 1
+    assert dumps() == [bytearray([1, 3])]
+    assert list(cache.receivers) == ["sub"]
+    cache.on_unsubscribe_received("sub")
+    assert not cache.receivers and len(dumps()) == 1
+    cache.publish(obj("me", "wall/0", version=2))
+    cache.on_subscribe_received("sub")
+    assert dumps() == [bytearray([1, 3]), bytearray([2, 3])]
+    assert list(cache.receivers) == ["sub"]
+    assert all(e[2] == "sub" for e in router.log if e[1] is MessageKind.BOOTSTRAP_DUMP)
 
 
 def test_subscribe_received_without_bootstrapping():
@@ -580,11 +605,18 @@ def test_update_overwrites_previous_version():
     assert cache.lookup(StorageKey("them", "wall/0")) == 2
 
 
-def test_update_from_non_subscribed_user_ignored():
+def test_update_from_a_non_channel_raises():
+    """A publish reaches only receivers, so an update from a user that is not
+    a channel breaks the subscription pairing: it raises and stores
+    nothing."""
     cache, _ = make_cache("me")
-    accepted = cache.on_social_update("stranger", obj("stranger", "wall/0"))
-    assert accepted is False
-    assert cache.store_items == 0
+    cache.channels["them"] = bytearray([1])
+    cache.store_items = 1
+    stranger = slotted(cache.slot_of, obj("stranger", "wall/0"))[0]
+    with pytest.raises(KeyError):
+        cache.on_social_update("stranger", stranger)
+    assert cache.store_items == 1
+    assert cache.channels == {"them": bytearray([1])}
 
 
 @pytest.mark.parametrize("k", [0, 1, 4])
