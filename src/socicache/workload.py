@@ -141,94 +141,6 @@ class Trace:
             ])
 
 
-class _TraceBuilder:
-    """Collects events one at a time, checking that each can run and
-    interning actors and targets, for a trace whose user set is known only
-    at the end.  Each integer column starts one byte wide and is widened to
-    ``typecode`` of the first value it cannot hold, so it ends as narrow as
-    its largest value allows."""
-
-    def __init__(self) -> None:
-        # Ticks, first-seen actor numbers (until build()), target ids, sizes.
-        self.columns = [array("B") for _ in range(4)]
-        self.actions = bytearray()
-        self.names: dict[UserId, int] = {}
-        self.target_ids_of: dict[str, int] = {}
-        self.resolved: list[StorageKey | UserId] = []
-        self.last_at = 0
-
-    def add(self, line_no: int, at: int, actor: UserId, action: str, target: str,
-            size: int | None) -> None:
-        """Append the event of trace-file line ``line_no``; only a POST reads
-        ``size``.  An event that cannot run raises LineError for that
-        line: a negative or decreasing tick, an unknown action, an actor that
-        is empty or holds a ``/``, a malformed key, a POST under another
-        user's key or without a non-negative size, a FRIENDREQ to the actor or
-        to a key, or a tick or size past its column."""
-        if at < 0:
-            raise LineError(line_no, "timestamp must be non-negative")
-        if at < self.last_at:
-            raise LineError(line_no, f"timestamp {at} before {self.last_at}")
-        code = _CODES.get(action)
-        if code is None:
-            raise LineError(line_no, f"unknown action {action!r}")
-        if not actor or "/" in actor:
-            raise LineError(line_no, f"actor must be a name without '/', got {actor!r}")
-        t = self.target_ids_of.get(target)
-        if code == FRIENDREQ_CODE:
-            if target == actor or "/" in target:
-                raise LineError(line_no, f"FRIENDREQ needs another user, got {target!r}")
-            resolved = target
-        else:
-            resolved = None if t is None else self.resolved[t]
-            if not isinstance(resolved, StorageKey):  # new, or a friend-request name
-                try:
-                    resolved = StorageKey.parse(target)
-                except ValueError as exc:
-                    raise LineError(line_no, str(exc)) from None
-            if code == POST_CODE:
-                if resolved.owner != actor:
-                    raise LineError(line_no, f"{actor!r} cannot POST under {target}")
-                if size is None:
-                    raise LineError(line_no, "POST requires a payload size")
-                if size < 0:
-                    raise LineError(line_no, "payload size must be non-negative")
-        if code != POST_CODE:
-            size = 0
-        if at >= 2**63 or size >= 2**32:
-            raise LineError(line_no, "timestamp or payload size too large")
-        self.last_at = at
-        self.actions.append(code)
-        if t is None:
-            t = self.target_ids_of[target] = len(self.resolved)
-            self.resolved.append(resolved)
-        number = self.names.setdefault(actor, len(self.names))
-        columns = self.columns
-        ticks, actors, target_ids, sizes = columns
-        try:
-            ticks.append(at)
-            actors.append(number)
-            target_ids.append(t)
-            sizes.append(size)
-        except OverflowError:  # widen each column that cannot hold its value
-            for i, value in enumerate((at, number, t, size)):
-                if len(columns[i]) < len(self.actions):  # not appended yet
-                    if value >= 1 << 8 * columns[i].itemsize:
-                        columns[i] = array(typecode(value), columns[i])
-                    columns[i].append(value)
-
-    def build(self) -> Trace:
-        owners = (r if isinstance(r, str) else r.owner for r in self.resolved)
-        users = tuple(sorted(self.names.keys() | set(owners)))
-        position = {name: i for i, name in enumerate(users)}
-        renumber = [position[name] for name in self.names]
-        del self.target_ids_of  # the largest table, not needed past parsing
-        ticks, actors, target_ids, sizes = self.columns
-        # A user named only as a target can sort before an actor.
-        actors = array(typecode(len(users) - 1), map(renumber.__getitem__, actors))
-        return Trace(ticks, actors, self.actions, target_ids, sizes, users, tuple(self.resolved))
-
-
 class CacheSetup(enum.Enum):
     NONE = "none"
     CURRENT_ONLY = "current_only"
@@ -646,9 +558,28 @@ def input_lines(path) -> Iterator[tuple[int, str]]:
 
 
 def load_trace(path) -> Trace:
-    """Parse a trace file: the field count of each line and its integers
-    here, every other check in ``_TraceBuilder.add``."""
-    builder = _TraceBuilder()
+    """Parse a trace file into a Trace.  A line that cannot run raises
+    LineError for its line, checked in this order: a field count other than
+    4 or 5, a timestamp that is not an integer, a fifth field on an action
+    other than POST or one that is not an integer, a negative or decreasing
+    tick, an unknown action, an actor that is empty or holds a ``/``, a
+    FRIENDREQ to the actor or to a key, a malformed key, a POST under
+    another user's key or without a non-negative size, and a tick or size
+    past its column.
+
+    Actors and targets are interned as they are read; the user set is known
+    only at the end, when the actors are renumbered into it.  Each integer
+    column starts one byte wide and is widened to ``typecode`` of the first
+    value it cannot hold, so it ends as narrow as its largest value allows.
+    """
+    # Ticks, first-seen actor numbers (until the end), target ids, sizes.
+    columns = [array("B") for _ in range(4)]
+    ticks, actors, target_ids, sizes = columns
+    actions = bytearray()
+    names: dict[UserId, int] = {}
+    target_ids_of: dict[str, int] = {}
+    resolved: list[StorageKey | UserId] = []
+    last_at = 0
     for line_no, line in input_lines(path):
         parts = line.split()
         if len(parts) not in (4, 5):
@@ -658,16 +589,72 @@ def load_trace(path) -> Trace:
             at = int(t_text)
         except ValueError:
             raise LineError(line_no, f"bad timestamp {t_text!r}") from None
-        payload_size = None
+        size = None
         if len(parts) == 5:
             if action != POST:
                 raise LineError(line_no, f"{action} takes exactly 4 fields")
             try:
-                payload_size = int(parts[4])
+                size = int(parts[4])
             except ValueError:
                 raise LineError(line_no, f"bad payload size {parts[4]!r}") from None
-        builder.add(line_no, at, actor, action, target, payload_size)
-    return builder.build()
+        if at < 0:
+            raise LineError(line_no, "timestamp must be non-negative")
+        if at < last_at:
+            raise LineError(line_no, f"timestamp {at} before {last_at}")
+        code = _CODES.get(action)
+        if code is None:
+            raise LineError(line_no, f"unknown action {action!r}")
+        if not actor or "/" in actor:
+            raise LineError(line_no, f"actor must be a name without '/', got {actor!r}")
+        t = target_ids_of.get(target)
+        if code == FRIENDREQ_CODE:
+            if target == actor or "/" in target:
+                raise LineError(line_no, f"FRIENDREQ needs another user, got {target!r}")
+            entry = target
+        else:
+            entry = None if t is None else resolved[t]
+            if not isinstance(entry, StorageKey):  # new, or a friend-request name
+                try:
+                    entry = StorageKey.parse(target)
+                except ValueError as exc:
+                    raise LineError(line_no, str(exc)) from None
+            if code == POST_CODE:
+                if entry.owner != actor:
+                    raise LineError(line_no, f"{actor!r} cannot POST under {target}")
+                if size is None:
+                    raise LineError(line_no, "POST requires a payload size")
+                if size < 0:
+                    raise LineError(line_no, "payload size must be non-negative")
+        if code != POST_CODE:
+            size = 0
+        if at >= 2**63 or size >= 2**32:
+            raise LineError(line_no, "timestamp or payload size too large")
+        last_at = at
+        actions.append(code)
+        if t is None:
+            t = target_ids_of[target] = len(resolved)
+            resolved.append(entry)
+        number = names.setdefault(actor, len(names))
+        try:
+            ticks.append(at)
+            actors.append(number)
+            target_ids.append(t)
+            sizes.append(size)
+        except OverflowError:  # widen each column that cannot hold its value
+            for i, value in enumerate((at, number, t, size)):
+                if len(columns[i]) < len(actions):  # not appended yet
+                    if value >= 1 << 8 * columns[i].itemsize:
+                        columns[i] = array(typecode(value), columns[i])
+                    columns[i].append(value)
+            ticks, actors, target_ids, sizes = columns
+    owners = (r if isinstance(r, str) else r.owner for r in resolved)
+    users = tuple(sorted(names.keys() | set(owners)))
+    position = {name: i for i, name in enumerate(users)}
+    renumber = [position[name] for name in names]
+    del target_ids_of  # the largest table, not needed past parsing
+    # A user named only as a target can sort before an actor.
+    actors = array(typecode(len(users) - 1), map(renumber.__getitem__, actors))
+    return Trace(ticks, actors, actions, target_ids, sizes, users, tuple(resolved))
 
 
 def scenario_for_strategy(cfg: ScenarioConfig, kind: Strategy) -> ScenarioConfig:

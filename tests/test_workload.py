@@ -406,6 +406,27 @@ def test_load_rejects_malformed_lines(tmp_path, line):
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize(
+    ("line", "reason"),
+    [
+        ("-1 bob LOOKUP alice/x 5", "LOOKUP takes exactly 4 fields"),
+        ("5 bob POST alice/x nope", "bad payload size 'nope'"),
+        ("-1 bob FOO alice/x", "timestamp must be non-negative"),
+        ("5 a/b LOOKUP nokey", "actor must be a name without '/', got 'a/b'"),
+        ("5 bob POST alice/x", "'bob' cannot POST under alice/x"),
+        ("5 bob POST bob/x -3", "payload size must be non-negative"),
+    ],
+)
+def test_a_line_with_several_faults_reports_the_first_checked(tmp_path, line, reason):
+    """Each line breaks two rules; the reason is that of the rule
+    ``load_trace`` checks first."""
+    path = tmp_path / "t.txt"
+    path.write_text(line + "\n")
+    with pytest.raises(LineError) as err:
+        load_trace(path)
+    assert (err.value.line_no, err.value.reason) == (1, reason)
+
+
 def test_load_rejects_a_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "t.txt"
     path.write_bytes(b"0 a LOOKUP b/wall/0\n10 a LOOKUP b/wall/\xff\n")
@@ -610,12 +631,12 @@ def test_generated_trace_retains_few_bytes_per_target():
 
 
 def test_loading_a_trace_peaks_at_few_bytes_per_event(tmp_path):
-    # The parser appends to columns that start one byte wide and widen on
+    # load_trace appends to columns that start one byte wide and widen on
     # the first value they cannot hold, so its columns are about as narrow
     # as the loaded trace's (here 10 bytes per event, plus array slack) and
     # nothing is copied to narrow them: a peak of about 12.6 bytes per
     # event, where 8-byte ticks and 4-byte actors, targets and sizes,
-    # narrowed after parsing, peaked near 23.
+    # narrowed once the whole file was read, peaked near 23.
     cfg = ScenarioConfig(peer_count=16, friends_per_user=6, lookups_per_interaction=400.0,
                          new_experiment_time_days=0.25)
     path = tmp_path / "trace.txt"
