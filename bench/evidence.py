@@ -143,6 +143,10 @@ def tracemalloc_pass(name: str, size: str) -> dict[str, int]:
         tracemalloc.reset_peak()
 
     planned = plan(name, size)  # the configs are made before tracing starts
+    # Fill CPython's free list of 2-tuples, so that how many of them the
+    # imports left there does not move every phase's peak.
+    warm = [(i, i) for i in range(5000)]
+    del warm
     with tempfile.TemporaryDirectory() as tmp:
         tracemalloc.start()
         try:

@@ -54,7 +54,7 @@ class StorageKey(NamedTuple):
 @dataclass(frozen=True, slots=True)
 class ContentObject:
     """A versioned stored item of ``size`` bytes, written only by its key's
-    owner; versions per key strictly increase."""
+    owner; ``DhtStore.put`` numbers each key's versions 1, 2, 3, ..."""
 
     key: StorageKey
     version: int

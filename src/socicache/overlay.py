@@ -1,5 +1,6 @@
-"""Simulated overlay: a key-value store plus a synchronous user-to-user
-message dispatcher, both counting their traffic into the run's ``Counters``.
+"""Simulated overlay: a key-value store, whose ``DhtStore.put`` makes every
+version, plus a synchronous user-to-user message dispatcher, both counting
+their traffic into the run's ``Counters``.
 
 An envelope carries no recipient: the sender builds it once per send and
 the dispatcher delivers it to each recipient in turn, so a publish to k
@@ -19,10 +20,6 @@ from .metrics import Counters
 from .model import ContentObject, StorageKey, UserId
 
 
-class StaleWriteError(ValueError):
-    """Write with a version not above the stored version."""
-
-
 class InvalidEnvelopeError(ValueError):
     """Self-addressed or otherwise undeliverable envelope."""
 
@@ -39,16 +36,15 @@ class DhtStore:
         self.replication_factor = replication_factor
         self.entries: dict[StorageKey, ContentObject] = {}
 
-    def put(self, content: ContentObject) -> None:
-        stored = self.entries.get(content.key)
-        if stored is not None and content.version <= stored.version:
-            raise StaleWriteError(
-                f"version {content.version} <= stored {stored.version} for {content.key}"
-            )
-        self.entries[content.key] = content
+    def put(self, key: StorageKey, size: int) -> ContentObject:
+        """Store ``key``'s next version: 1 for a new key, else the stored one + 1."""
+        stored = self.entries.get(key)
+        content = self.entries[key] = ContentObject(
+            key, 1 if stored is None else stored.version + 1, size)
         counters = self.counters
         counters.dht_puts += 1
-        counters.bytes_written += content.size * self.replication_factor
+        counters.bytes_written += size * self.replication_factor
+        return content
 
     def get(self, key: StorageKey) -> ContentObject | None:
         """Overlay lookup; a miss is counted but is not an error."""

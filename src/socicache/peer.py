@@ -78,20 +78,15 @@ class Peer:
     # -- writes -------------------------------------------------------------
 
     def add_content(self, key: StorageKey, size: int, now: SimTime) -> ContentObject:
-        """Publish own content of ``size`` bytes: local stores, persistent overlay write, and
-        one social update per subscriber."""
+        """Publish own content of ``size`` bytes: the overlay write numbers the
+        version, then one social update per subscriber, then the current cache."""
         if key.owner != self.user:
             raise NotOwnerError(f"{self.user!r} cannot write {key}")
-        # The overlay holds the latest version of every key; read it without
-        # ``get``, which would count a lookup.
-        stored = self.dht.entries.get(key)
-        version = 1 if stored is None else stored.version + 1
-        content = ContentObject(key, version, size)
+        content = self.dht.put(key, size)
         if self.social is not None:
             self.social.publish(content)
         if self.current is not None:
             self.current.insert(key, now)
-        self.dht.put(content)
         return content
 
     def send_friend_request(self, target: UserId, now: SimTime) -> None:

@@ -308,9 +308,7 @@ class SocialCache:
         first sight while fewer than ``n`` channels are held, under every
         strategy.  Full channels are left to ``run_selection``, except that
         random subscribes the user in place of a channel it draws at random,
-        which also leaves the MUC list."""
-        if user == self.owner:
-            raise ValueError("own interactions are not tracked")
+        which also leaves the MUC list.  ``Peer`` never tracks its own user."""
         self.stable_until = 0
         cert = self._cert
         if cert is not None:
@@ -611,10 +609,9 @@ class SocialCache:
     def publish(self, content: ContentObject) -> None:
         """Keep the version of own content locally, at its key's slot (a new
         key takes the next one), and push the content as an update to every
-        subscriber: one envelope, dispatched once per receiver."""
+        subscriber: one envelope, dispatched once per receiver.  The content
+        is the owner's: ``Peer.add_content`` refuses another user's key."""
         key = content.key
-        if key.owner != self.owner:
-            raise ValueError(f"{self.owner!r} cannot publish {key}")
         own = self.own
         slot = self.slot_of.get(key)
         if slot is None:

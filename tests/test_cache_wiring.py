@@ -1,21 +1,22 @@
 """A run's caches are wired in one place: in the package, only ``sim.py``
 calls ``SocialCache(`` or ``CurrentCache(``, so every peer of a run gets its
-caches from the same config."""
+caches from the same config.  Versions are made in one place too: only
+``overlay.py`` calls ``ContentObject(``, in ``DhtStore.put``."""
 import ast
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "socicache").glob("*.py"))
-CACHES = {"SocialCache", "CurrentCache"}
+BUILT = {"SocialCache", "CurrentCache", "ContentObject"}
 
 
-def _cache_calls(tree: ast.AST) -> set[str]:
-    """The cache classes that ``tree`` calls, by plain or dotted name."""
+def _built_calls(tree: ast.AST) -> set[str]:
+    """The classes of ``BUILT`` that ``tree`` calls, by plain or dotted name."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in CACHES:
+            if name in BUILT:
                 names.add(name)
     return names
 
@@ -24,7 +25,7 @@ def test_only_the_simulation_builds_caches():
     assert SOURCES
     builders = {}
     for path in SOURCES:
-        names = _cache_calls(ast.parse(path.read_text(encoding="utf-8")))
+        names = _built_calls(ast.parse(path.read_text(encoding="utf-8")))
         if names:
             builders[path.name] = sorted(names)
-    assert builders == {"sim.py": ["CurrentCache", "SocialCache"]}
+    assert builders == {"sim.py": ["CurrentCache", "SocialCache"], "overlay.py": ["ContentObject"]}

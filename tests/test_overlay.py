@@ -10,37 +10,24 @@ from socicache.overlay import (
     MessageDispatcher,
     MessageEnvelope,
     MessageKind,
-    StaleWriteError,
 )
 
-
-def obj(owner="alice", path="wall/1", version=1, size=10):
-    key = StorageKey(owner, path)
-    return ContentObject(key, version, size)
+KEY = StorageKey("alice", "wall/1")
 
 
 def test_put_then_get_round_trip():
     store = DhtStore(Counters())
-    v1 = obj()
-    store.put(v1)
-    assert store.get(v1.key) is v1
+    v1 = store.put(KEY, 10)
+    assert v1 == ContentObject(KEY, 1, 10)
+    assert store.get(KEY) is v1
 
 
 def test_put_newer_version_wins():
     store = DhtStore(Counters())
-    store.put(obj(version=1))
-    v2 = obj(version=2)
-    store.put(v2)
-    assert store.get(v2.key) is v2
-
-
-@pytest.mark.parametrize("stale_version", [1, 2])
-def test_put_stale_version_rejected(stale_version):
-    store = DhtStore(Counters())
-    store.put(obj(version=2))
-    with pytest.raises(StaleWriteError):
-        store.put(obj(version=stale_version))
-    assert store.get(obj().key).version == 2
+    store.put(KEY, 10)
+    v2 = store.put(KEY, 7)
+    assert v2 == ContentObject(KEY, 2, 7)
+    assert store.get(KEY) is v2
 
 
 def test_get_absent_returns_none_and_counts():
@@ -52,17 +39,17 @@ def test_get_absent_returns_none_and_counts():
 
 def test_lookup_counter_per_get():
     store = DhtStore(Counters())
-    store.put(obj())
-    store.get(obj().key)
-    store.get(obj().key)
+    store.put(KEY, 10)
+    store.get(KEY)
+    store.get(KEY)
     assert store.counters.dht_lookups == 2
 
 
 def test_byte_accounting_uses_replication_factor():
     store = DhtStore(Counters(), replication_factor=4)
-    store.put(obj(size=100))
+    store.put(KEY, 100)
     assert store.counters.bytes_written == 400
-    store.get(obj().key)
+    store.get(KEY)
     assert store.counters.bytes_read == 100
 
 
@@ -72,9 +59,10 @@ def test_byte_accounting_uses_replication_factor():
 )
 def test_bytes_written_matches_sum_over_puts(sizes, factor):
     store = DhtStore(Counters(), replication_factor=factor)
-    for version, size in enumerate(sizes, start=1):
-        store.put(obj(version=version, size=size))
+    versions = [store.put(KEY, size).version for size in sizes]
+    assert versions == list(range(1, len(sizes) + 1))
     assert store.counters.bytes_written == sum(sizes) * factor
+    assert store.counters.dht_puts == len(sizes)
 
 
 def env(sender="a", kind=MessageKind.SYSTEM_NOTICE, payload=None):

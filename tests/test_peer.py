@@ -141,12 +141,21 @@ def test_own_content_served_from_social_cache():
     peers["a"].handle_request(key("a"), now=1)
     assert tiers(counters) == (1, 0, 0)
     assert counters.dht_lookups == lookups_before
+    # Own interactions are never tracked: ``handle_request`` is the one check.
+    assert not peers["a"].social.muc
 
 
 def test_foreign_write_rejected():
+    """``add_content`` is the one ownership check on the write path: a
+    refused write reaches neither the overlay nor any social or current
+    cache."""
     dht, dispatcher, counters, peers = build_net(["a", "b"])
     with pytest.raises(NotOwnerError):
         peers["a"].add_content(key("b"), 4, now=0)
+    assert counters == Counters()
+    assert dht.entries == {} and peers["a"].social.slot_of == {}
+    for peer in peers.values():
+        assert not peer.social.own and peer.current.entries == {}
 
 
 def test_versions_increase_per_key():

@@ -170,12 +170,6 @@ def test_track_bookkeeping_matches_reference_record(trigger):
     assert evictions > 100
 
 
-def test_own_interactions_rejected():
-    cache, _ = make_cache()
-    with pytest.raises(ValueError):
-        cache.track("me", LOOKUP, 0)
-
-
 # -- tie strength -------------------------------------------------------------
 # ``social_score`` with beta = 0 (alpha = 1) is the tie strength alone, and
 # with alpha = 0 (beta = 1) the medium interaction length alone: adding or
@@ -638,17 +632,6 @@ def test_publish_shares_one_envelope_across_receivers(k):
     assert len({id(env) for _, env in seen}) == min(k, 1)
     for _, env in seen:
         assert env == MessageEnvelope("me", MessageKind.SOCIAL_UPDATE, posted)
-
-
-def test_publish_refuses_another_users_key():
-    cache, router = make_cache("me")
-    posted = obj("me", "wall/0")
-    cache.publish(posted)
-    cache.receivers["sub"] = None
-    with pytest.raises(ValueError):
-        cache.publish(obj("them", "wall/1"))
-    assert cache.own == bytearray([posted.version])
-    assert router.log == []
 
 
 # -- social lookup ------------------------------------------------------------------------
