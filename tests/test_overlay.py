@@ -30,6 +30,20 @@ def test_put_newer_version_wins():
     assert store.get(KEY) is v2
 
 
+@pytest.mark.parametrize(
+    "other", [StorageKey("alice", "wall/2"), StorageKey("bob", "wall/1")],
+    ids=["other-path", "other-owner"],
+)
+def test_put_numbers_each_key_on_its_own(other):
+    """Interleaved puts on two keys that share an owner or a path each
+    number their own versions from 1."""
+    store = DhtStore(Counters())
+    puts = [KEY, other, KEY, KEY, other]
+    versions = [store.put(k, 1).version for k in puts]
+    assert versions == [1, 1, 2, 3, 2]
+    assert (store.entries[KEY].version, store.entries[other].version) == (3, 2)
+
+
 def test_get_absent_returns_none_and_counts():
     store = DhtStore(Counters())
     assert store.get(StorageKey("a", "b")) is None

@@ -1,4 +1,8 @@
+import dataclasses
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from socicache.info_cache import CurrentCache
 from socicache.metrics import Counters
@@ -145,6 +149,18 @@ def test_own_content_served_from_social_cache():
     assert not peers["a"].social.muc
 
 
+@given(owners=st.lists(st.sampled_from(["a", "b", "c"]), max_size=20))
+def test_own_lookups_are_never_tracked(owners):
+    """Whatever mix of own and foreign keys a peer looks up, only the
+    foreign owners enter its MUC list and its channels."""
+    dht, dispatcher, counters, peers = build_net(["a", "b", "c"])
+    for now, owner in enumerate(owners):
+        peers["a"].handle_request(key(owner), now)
+    foreign = set(owners) - {"a"}
+    assert set(peers["a"].social.muc) == foreign
+    assert set(peers["a"].social.channels) == foreign
+
+
 def test_foreign_write_rejected():
     """``add_content`` is the one ownership check on the write path: a
     refused write reaches neither the overlay nor any social or current
@@ -156,6 +172,24 @@ def test_foreign_write_rejected():
     assert dht.entries == {} and peers["a"].social.slot_of == {}
     for peer in peers.values():
         assert not peer.social.own and peer.current.entries == {}
+
+
+def test_refused_write_sends_no_update_to_subscribers():
+    """A peer with content and a subscriber that tries to write another
+    user's key sends no social update and keeps its own versions."""
+    dht, dispatcher, counters, peers = build_net(["a", "b"])
+    peers["a"].add_content(key("a"), 4, now=0)
+    peers["b"].handle_request(key("a"), now=1)  # b subscribes to a
+    assert peers["a"].social.receivers
+    before = dataclasses.replace(counters)
+    own, channel, entries = (bytes(peers["a"].social.own), bytes(peers["b"].social.channels["a"]),
+                             dict(dht.entries))
+    with pytest.raises(NotOwnerError):
+        peers["a"].add_content(key("b", "wall/1"), 4, now=2)
+    assert counters == before
+    assert bytes(peers["a"].social.own) == own
+    assert bytes(peers["b"].social.channels["a"]) == channel
+    assert dht.entries == entries
 
 
 def test_versions_increase_per_key():
