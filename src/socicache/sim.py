@@ -9,6 +9,9 @@ from __future__ import annotations
 import gc
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from heapq import merge
+from itertools import repeat
+from operator import itemgetter
 
 from .info_cache import CurrentCache
 from .metrics import Counters, MetricsLedger, cache_hit_ratio, responses_per_item
@@ -134,46 +137,39 @@ class Simulation:
                 gc.enable()
 
     def _run(self) -> RunResult:
+        """Walk one lazy merge of the stops: a round every interval under the
+        time trigger, a sample every cadence and a last stop at the duration,
+        each after the events up to its tick.  ``merge`` keeps its inputs'
+        order, so at an equal tick: events, then the round, then the sample."""
         cfg = self.cfg
         duration = cfg.duration
         trace = self.trace
         interval = cfg.strategy.update_interval
+        cadence = cfg.sample_cadence_ticks
         time_selection = (
             cfg.cache_setup.social_enabled
             and cfg.strategy.kind is not Strategy.RANDOM
             and cfg.strategy.trigger is SelectionTrigger.TIME_BASED
         )
-        # A tick past the run is parked at ``end``.  Events go first at equal
-        # times, then the selection round, then the sample.
-        end = duration + 1
-        next_selection = interval if time_selection and interval <= duration else end
-        cadence = cfg.sample_cadence_ticks
-        next_sample = cadence if cadence <= duration else end
+        rounds = range(interval, duration + 1, interval) if time_selection else ()
+        stops = merge(zip(rounds, repeat(self._run_selection_round)),
+                      zip(range(cadence, duration + 1, cadence), repeat(self._sample)),
+                      [(duration, None)], key=itemgetter(0))
 
         apply_event = self._apply_event
         ticks, actors, actions = trace.ticks, trace.actors, trace.actions
         target_ids, sizes, resolved = trace.target_ids, trace.sizes, trace.resolved
         actor_peers = self._actor_peers
         i = 0
-        while True:
+        for tick, stop in stops:
             # Ticks never decrease, so a segment's events are a column slice.
-            j = bisect_right(ticks, min(next_selection, next_sample), i)
+            j = bisect_right(ticks, tick, i)
             for at, actor, action, target_id, size in zip(
                     ticks[i:j], actors[i:j], actions[i:j], target_ids[i:j], sizes[i:j]):
                 apply_event(at, actor_peers[actor], action, resolved[target_id], size)
             i = j
-            if next_selection <= next_sample:
-                if next_selection == end:
-                    break
-                self._run_selection_round(next_selection)
-                next_selection += interval
-                if next_selection > duration:
-                    next_selection = end
-            else:
-                self._sample(next_sample)
-                next_sample += cadence
-                if next_sample > duration:
-                    next_sample = end
+            if stop is not None:
+                stop(tick)
         return self._result()
 
     # -- results ------------------------------------------------------------

@@ -408,10 +408,8 @@ class SocialCache:
         if len(muc) <= cfg.n:
             chosen = muc
             new = [(u, e) for u, e in muc.items() if u not in channels]
-            if len(new) > 1:
-                to_subscribe = tuple([key[1] for key in sorted(self._keys(new, now))])
-            else:
-                to_subscribe = (new[0][0],) if new else ()
+            to_subscribe = (tuple([key[1] for key in sorted(self._keys(new, now))])
+                            if new else ())
             kept = len(muc) - len(new)
         else:
             ranking = sorted(self._keys(muc.items(), now))
@@ -613,9 +611,8 @@ class SocialCache:
         is the owner's: ``Peer.add_content`` refuses another user's key."""
         key = content.key
         own = self.own
-        slot = self.slot_of.get(key)
-        if slot is None:
-            slot = self.slot_of[key] = len(own)
+        slot = self.slot_of.setdefault(key, len(own))
+        if slot == len(own):
             own.append(0)
         try:
             own[slot] = content.version

@@ -314,19 +314,11 @@ def _stream_ticks(rng: random.Random, mean_gap: float, duration: int) -> list[in
 def _tier_weights(count: int, sizes: Sequence[int], shares: Sequence[float]) -> list[float]:
     """Per-friend weight for a friend list of ``count`` entries: tier share
     spread uniformly inside the tier, remaining share over the rest."""
-    bounds = []
-    start = 0
-    for size in sizes:
-        end = min(start + size, count)
-        bounds.append((start, end))
-        start = end
-    bounds.append((start, count))
-    weights = [0.0] * count
-    for (lo, hi), share in zip(bounds, shares):
-        if hi > lo:
-            per = share / (hi - lo)
-            for i in range(lo, hi):
-                weights[i] = per
+    weights: list[float] = []
+    for size, share in zip((*sizes, count), shares):
+        width = min(size, count - len(weights))
+        if width > 0:
+            weights += [share / width] * width
     return weights
 
 

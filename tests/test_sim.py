@@ -108,6 +108,9 @@ def schedules(draw):
 @example((30, 10, 10, [10, 20, 30, 40], SOCIAL, COUNT_TRIGGER, CacheSetup.BOTH))
 # No social cache, no selection ticks; every event past the run.
 @example((30, 10, 7, [31, 32], SOCIAL, TIME_TRIGGER, CacheSetup.CURRENT_ONLY))
+# The last round (14) and sample (18) fall before the run end: one event
+# sits on the last stop, more between it and the end.
+@example((20, 7, 9, [18, 19, 20], SOCIAL, TIME_TRIGGER, CacheSetup.BOTH))
 # An empty trace: every segment is a zero-length slice.
 @example((30, 10, 7, [], SOCIAL, TIME_TRIGGER, CacheSetup.BOTH))
 def test_event_loop_matches_pending_list_merge(case):

@@ -66,3 +66,10 @@ def test_traced_message_counts_match_the_simulation(monkeypatch):
     assert summary["dht_lookups"] > 0 and summary["dht_puts"] > 0
     assert tracer.count("overlay.get") == summary["dht_lookups"]
     assert tracer.count("overlay.put") == summary["dht_puts"]
+    # The loop runs one round per update interval and one sample per cadence.
+    duration = cfg.duration
+    rounds = len(range(cfg.strategy.update_interval, duration + 1, cfg.strategy.update_interval))
+    samples = len(range(cfg.sample_cadence_ticks, duration + 1, cfg.sample_cadence_ticks))
+    assert rounds > 0 and samples > 0
+    assert tracer.count("sim.selection_round") == rounds
+    assert tracer.count("sim.sample") == samples

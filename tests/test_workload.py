@@ -11,7 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import event_line, reference_generate_trace, reference_trace_users, trace_of
+from oracles import (
+    _reference_tier_weights,
+    event_line,
+    reference_generate_trace,
+    reference_trace_users,
+    trace_of,
+)
 import socicache
 from socicache import cli, workload
 from socicache.sim import Simulation
@@ -224,6 +230,26 @@ def test_lookups_never_target_a_friend_of_weight_zero(fraction):
     assert lookups
     assert all(ev.target.split("/", 1)[0] in weighted[ev.actor] for ev in lookups)
     assert list(trace) == reference_generate_trace(cfg)
+
+
+@st.composite
+def tier_tables(draw):
+    """A friend count and valid tiers: positive sizes, one share more."""
+    sizes = tuple(draw(st.lists(st.integers(1, 20), max_size=4)))
+    shares = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=len(sizes) + 1,
+                                 max_size=len(sizes) + 1)))
+    return draw(st.integers(0, 60)), sizes, shares
+
+
+@settings(max_examples=300, deadline=None)
+@given(tier_tables())
+@example((0, (5, 10), (0.65, 0.32, 0.03)))  # no friends at all
+@example((3, (5, 10), (0.65, 0.32, 0.03)))  # the first tier holds every friend
+@example((15, (5, 10), (0.65, 0.32, 0.03)))  # the last tier is empty
+@example((40, (5, 10), (0.65, 0.32, 0.03)))
+def test_tier_weights_match_the_reference_bit_for_bit(table):
+    got, want = workload._tier_weights(*table), _reference_tier_weights(*table)
+    assert [w.hex() for w in got] == [w.hex() for w in want]
 
 
 def test_post_interarrival_mean_tracks_configured_gap():
