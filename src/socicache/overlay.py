@@ -1,10 +1,10 @@
 """Simulated overlay: a key-value store, whose ``DhtStore.put`` makes every
-version, plus a synchronous user-to-user message dispatcher, both counting
-their traffic into the run's ``Counters``.
+version, plus a synchronous user-to-user message dispatcher over the run's
+peer table, both counting their traffic into the run's ``Counters``.
 
 An envelope carries no recipient: the sender builds it once per send and
-the dispatcher delivers it to each recipient in turn, so a publish to k
-subscribers shares one envelope across k deliveries.
+the dispatcher hands it to each recipient's ``on_envelope`` in turn, so a
+publish to k subscribers shares one envelope across k deliveries.
 
 Replication is modelled only as a write-traffic multiplier; there is no
 replica placement, routing or churn.  Both structures are owned by a single
@@ -13,8 +13,8 @@ simulation event loop and are not thread-safe.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 from .metrics import Counters
 from .model import ContentObject, StorageKey, UserId
@@ -76,21 +76,19 @@ class MessageEnvelope(NamedTuple):
 
 @dataclass(slots=True)
 class MessageDispatcher:
-    """Delivers envelopes to registered users immediately: the recipient's
-    handler runs in the same event-loop step, so delivery takes no
-    simulated time and the system is quiescent between events."""
+    """Delivers envelopes through ``peers``, the run's peer table (the very
+    dict ``Simulation.peers``), at once: the recipient's ``on_envelope`` runs
+    in the same event-loop step, so delivery takes no simulated time and the
+    system is quiescent between events."""
 
     counters: Counters
-    handlers: dict[UserId, Callable[[MessageEnvelope], None]] = field(default_factory=dict)
-
-    def register(self, user: UserId, handler: Callable[[MessageEnvelope], None]) -> None:
-        self.handlers[user] = handler
+    peers: dict[UserId, Any]
 
     def dispatch(self, env: MessageEnvelope, recipient: UserId) -> None:
         if env.sender == recipient:
             raise InvalidEnvelopeError(f"self-addressed envelope from {env.sender!r}")
-        handler = self.handlers.get(recipient)
-        if handler is None:
-            raise InvalidEnvelopeError(f"no registered recipient {recipient!r}")
+        peer = self.peers.get(recipient)
+        if peer is None:
+            raise InvalidEnvelopeError(f"recipient {recipient!r} is not a peer of the run")
         self.counters.dispatcher_messages += 1
-        handler(env)
+        peer.on_envelope(env)

@@ -33,7 +33,7 @@ class Peer:
     messages go straight to the dispatcher: the social cache builds one
     envelope per send and dispatches it per recipient, and
     ``send_friend_request`` builds its own.  Inbound envelopes arrive at
-    ``on_envelope``."""
+    ``on_envelope``, found per delivery in the run's peer table."""
 
     __slots__ = ("user", "dht", "dispatcher", "counters", "current", "social")
 
@@ -53,7 +53,6 @@ class Peer:
         self.counters = counters
         self.current = current
         self.social = social
-        dispatcher.register(user, self.on_envelope)
 
     # -- lookup pipeline ----------------------------------------------------
 

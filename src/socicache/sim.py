@@ -60,10 +60,11 @@ class Simulation:
         # The run's one counter record; every layer bumps it directly.
         self.counters = Counters()
         self.dht = DhtStore(self.counters, cfg.replication_factor)
-        self.dispatcher = MessageDispatcher(self.counters)
+        # The run's one peer table, in sorted ``trace.users`` order; ``dispatch`` reads it.
+        self.peers: dict[UserId, Peer] = {}
+        self.dispatcher = MessageDispatcher(self.counters, self.peers)
         self.slot_of: dict[StorageKey, int] = {}  # see ``SocialCache``
         self.ledger = MetricsLedger()
-        self.peers: dict[UserId, Peer] = {}
         self._sizes: dict[int, int] = {}  # one int per POST size, see ``_apply_event``
         self.max_channels = 0
         self.max_muc_entries = 0
@@ -82,8 +83,8 @@ class Simulation:
                                      muc_capacity=cfg.muc_capacity, seed=cfg.seed)
             self.peers[name] = Peer(name, self.dht, self.dispatcher, self.counters,
                                     current=current, social=social)
-        # Users are sorted, so this is also the peers' sorted order.
-        self._actor_peers = [self.peers[name] for name in trace.users]
+        # Indexed by a trace event's actor, which numbers ``trace.users``.
+        self._actor_peers = list(self.peers.values())
         self._socials = [p.social for p in self._actor_peers if p.social is not None]
         self._currents = [p.current for p in self._actor_peers if p.current is not None]
 
@@ -215,8 +216,8 @@ class Simulation:
             keys = keys_of.setdefault(key.owner, [])
             keys += [None] * (slot + 1 - len(keys))
             keys[slot] = key
-        for name in sorted(self.peers):
-            social = self.peers[name].social
+        for name, peer in self.peers.items():
+            social = peer.social
             if social is None:
                 continue
             held = sum([len(section) - section.count(0) for section in social.channels.values()])
@@ -252,8 +253,8 @@ class Simulation:
         Every channel and receiver is a peer of the run (``dispatch`` refuses
         any other), and every peer has the same cache setup."""
         violations: list[str] = []
-        for name in sorted(self.peers):
-            social = self.peers[name].social
+        for name, peer in self.peers.items():
+            social = peer.social
             if social is None:
                 continue
             for channel in social.channels:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -83,31 +85,37 @@ def env(sender="a", kind=MessageKind.SYSTEM_NOTICE, payload=None):
     return MessageEnvelope(sender, kind, payload)
 
 
+def stub(seen):
+    """A peer of the table that records each envelope it is handed."""
+    return SimpleNamespace(on_envelope=seen.append)
+
+
 def test_dispatch_to_online_peer_runs_handler_in_step():
-    md = MessageDispatcher(Counters())
     seen = []
-    md.register("b", seen.append)
+    md = MessageDispatcher(Counters(), {"b": stub(seen)})
     md.dispatch(env(), "b")
     assert seen == [("a", MessageKind.SYSTEM_NOTICE, None)]  # sender, kind, payload
     assert md.counters.dispatcher_messages == 1
 
 
 def test_self_addressed_envelope_rejected():
-    md = MessageDispatcher(Counters())
-    md.register("a", lambda e: None)
+    seen = []
+    md = MessageDispatcher(Counters(), {"a": stub(seen)})
     with pytest.raises(InvalidEnvelopeError):
         md.dispatch(env(sender="a"), "a")
     assert md.counters.dispatcher_messages == 0
+    assert seen == []
 
 
 @given(recipients=st.lists(st.sampled_from(["b", "c"]), min_size=1, max_size=20))
 def test_dispatch_to_unregistered_user_raises_and_is_not_counted(recipients):
-    md = MessageDispatcher(Counters())
-    md.register("b", lambda e: None)
+    seen = []
+    md = MessageDispatcher(Counters(), {"b": stub(seen)})
     for recipient in recipients:
         if recipient == "c":
             with pytest.raises(InvalidEnvelopeError):
                 md.dispatch(env(), "c")
         else:
             md.dispatch(env(), "b")
+    assert len(seen) == recipients.count("b")
     assert md.counters.dispatcher_messages == recipients.count("b")

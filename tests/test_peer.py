@@ -15,9 +15,9 @@ from socicache.social_cache import SocialCache, Strategy, StrategyConfig
 def build_net(users, setup="both", strategy=Strategy.SOCIAL_SCORE, n=15):
     counters = Counters()
     dht = DhtStore(counters)
-    dispatcher = MessageDispatcher(counters)
+    peers = {}  # the dispatcher's peer table, filled below as in a run
+    dispatcher = MessageDispatcher(counters, peers)
     slot_of = {}  # shared, as in a run: subscribers find a key at its owner's slot
-    peers = {}
     for user in users:
         current = CurrentCache(100, 60_000) if setup in ("both", "current") else None
         social = None

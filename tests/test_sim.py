@@ -411,6 +411,8 @@ def test_runs_end_consistent(kind, setup, trigger, bootstrapping):
     dumps pads a section, where an update's slot lies past its end."""
     cfg = small_run_config(kind, setup, trigger, bootstrapping)
     sim = Simulation(cfg, generate_trace(cfg))
+    # Messages go through the run's own peer table, the one both checks walk.
+    assert sim.dispatcher.peers is sim.peers
     sim.run()
     assert sim.verify_consistency() == []
     assert sim.verify_subscription_symmetry() == []

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -616,11 +617,11 @@ def test_update_from_a_non_channel_raises():
 @pytest.mark.parametrize("k", [0, 1, 4])
 def test_publish_shares_one_envelope_across_receivers(k):
     counters = Counters()
-    dispatcher = MessageDispatcher(counters)
     seen = []
     subscribers = [f"s{i}" for i in range(k)]
-    for user in subscribers:
-        dispatcher.register(user, lambda env, user=user: seen.append((user, env)))
+    dispatcher = MessageDispatcher(counters, {
+        user: SimpleNamespace(on_envelope=lambda env, user=user: seen.append((user, env)))
+        for user in subscribers})
     cache = SocialCache("me", StrategyConfig(), dispatcher.dispatch, counters, {})
     for user in subscribers:
         cache.receivers[user] = None

@@ -73,3 +73,20 @@ def test_traced_message_counts_match_the_simulation(monkeypatch):
     assert rounds > 0 and samples > 0
     assert tracer.count("sim.selection_round") == rounds
     assert tracer.count("sim.sample") == samples
+
+
+def test_a_simulation_built_before_instrument_is_traced_at_delivery():
+    """The dispatcher looks a recipient's ``on_envelope`` up in the run's
+    peer table at each delivery, so wrapping it after the peers exist
+    still sees every delivered message."""
+    tracer_module = load_tracer_module()
+    cfg = ScenarioConfig(peer_count=16, friends_per_user=6, lookups_per_interaction=20.0,
+                         new_experiment_time_days=0.05, strategy=StrategyConfig(n=3))
+    sim = Simulation(cfg, generate_trace(cfg))
+    tracer = tracer_module.Tracer()
+    tracer_module.instrument(tracer)
+    try:
+        summary = sim.run().summary
+    finally:
+        tracer.uninstall()
+    assert tracer.count("peer.on_envelope") == summary["dispatcher_messages"] > 0
